@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import Tensor, backward, cross_entropy, head_forward, softmax
+from .nn import Tensor, backward, cross_entropy, head_forward, no_grad, softmax
 
 log = logging.getLogger(__name__)
 
@@ -227,9 +227,11 @@ class TowerObjective:
         self.towers = {t: model.towers[t] for t in self.tasks}
         self.weights = dict(model.loss_weights)
         self.labels = {t: data.labels[t] for t in self.tasks}
-        stacked = concat_representations(model.experts, data.features)
-        self.inputs = {t: gate_output(model.gates[t], stacked, data.features)
-                       for t in self.tasks}
+        stacked = Tensor(concat_representations(model.experts, data.features))
+        x = Tensor(data.features)
+        with no_grad():
+            self.inputs = {t: gate_output(model.gates[t], stacked, x)
+                           for t in self.tasks}
         for tower in self.towers.values():
             tower.params.unfreeze()
         self._sizes = [(t, self.towers[t].params.to_vector().size)
@@ -249,7 +251,7 @@ class TowerObjective:
         total = None
         sets = [self.towers[t].params for t in self.tasks]
         for t in self.tasks:
-            logits = head_forward(self.towers[t].params, Tensor(self.inputs[t]))
+            logits = head_forward(self.towers[t].params, self.inputs[t])
             loss = cross_entropy(softmax(logits), self.labels[t])
             weighted = loss * self.weights[t]
             total = weighted if total is None else total + weighted

@@ -14,10 +14,9 @@ import numpy as np
 
 from . import serial
 from .data import LabeledDataset
-from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, backward,
+from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward,
                  cross_entropy, encoder_forward, eval_forward, head_forward,
-                 init_encoder, init_head, no_grad, seed_streams, softmax,
-                 softmax_np)
+                 init_encoder, init_head, no_grad, seed_streams, softmax)
 
 log = logging.getLogger(__name__)
 
@@ -138,7 +137,7 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
 def _evaluate_split(model, data, task_id):
     probs = expert_predict(model, data.features)
     labels = data.labels[task_id]
-    loss = cross_entropy(probs, labels)
+    loss = cross_entropy(Tensor(probs), labels).item()
     acc = float((np.argmax(probs, axis=1) == labels).mean())
     return loss, acc
 
@@ -154,8 +153,7 @@ def expert_predict(model: ExpertModel, x):
     x = model._check_input(x)
     with no_grad():
         rep = encoder_forward(model.encoder, x)
-        logits = head_forward(model.head, rep)
-    return softmax_np(logits.data)
+        return softmax(head_forward(model.head, rep)).data
 
 
 def write_loss_trace(path, trace):
@@ -179,6 +177,11 @@ def save_expert(model: ExpertModel, path):
 
 def load_expert(path) -> ExpertModel:
     header, tensors = serial.load_container(path, serial.MODEL_MAGIC)
+    return expert_from_container(path, header, tensors)
+
+
+def expert_from_container(path, header, tensors) -> ExpertModel:
+    """Build an expert from a parsed model container read from `path`."""
     if header.get("kind") != "expert":
         raise ValueError(f"{path}: not an expert model file "
                          f"(kind={header.get('kind')!r})")

@@ -18,10 +18,11 @@ import numpy as np
 
 from . import serial
 from .data import LabeledDataset
-from .expert import ExpertModel, TrainConfig, expert_representation, load_expert
+from .expert import (ExpertModel, TrainConfig, expert_from_container,
+                     expert_representation)
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward,
                  cross_entropy, encoder_forward, head_forward, init_gate_linear,
-                 init_head, no_grad, seed_streams, softmax, softmax_np)
+                 init_head, no_grad, seed_streams, softmax, stack)
 
 
 class GateMode(enum.Enum):
@@ -77,43 +78,40 @@ class GateConfig:
 
 
 def gate_weights(gate: GateConfig, x):
-    """Mixing vector(s) over all experts; rows sum to 1 and are 0 outside S."""
+    """Mixing-weight Tensor over all n experts; fixed gates give (n,).
+
+    Trainable gates map the input Tensor `x`, (912,) or (B, 912), to (n,) or
+    (B, n): a softmax over the subset S scattered into zeros, so rows sum
+    to 1 and are 0 outside S. A non-finite weight raises ValueError.
+    """
     if gate.mode is not GateMode.TRAINABLE:
-        return gate.fixed_delta.copy()
-    x = np.asarray(x, dtype=np.float64)
-    logits = x @ gate.linear["w"].data + gate.linear["b"].data
-    local = softmax_np(logits)
-    if x.ndim == 1:
-        delta = np.zeros(gate.n_experts)
-        delta[list(gate.subset)] = local
-    else:
-        delta = np.zeros((x.shape[0], gate.n_experts))
-        delta[:, list(gate.subset)] = local
+        return Tensor(gate.fixed_delta)
+    local = softmax(x @ gate.linear["w"] + gate.linear["b"])
+    # Tensor has no scatter: a constant 0/1 matmul places the |S| weights
+    placement = np.eye(gate.n_experts)[list(gate.subset)]
+    delta = local @ placement
+    if not np.all(np.isfinite(delta.data)):
+        raise ValueError(f"gate {gate.task_id!r}: non-finite mixing weights")
     return delta
 
 
 def gate_output(gate: GateConfig, stacked, x=None):
-    """Combine stacked expert representations (n, 912) into one 912 vector.
+    """Gated input Tensor from `stacked` (n, 912) or (n, B, 912) expert rows.
 
-    The default mode returns the selected row bit-for-bit; other modes take
-    the delta-weighted sum. Trainable gates need the raw input `x`.
+    The default mode returns the selected row unchanged; other modes take
+    the `gate_weights`-weighted sum (trainable gates need the input Tensor
+    `x`). Raises ValueError on a wrong row count or non-finite weights.
     """
-    stacked = np.asarray(stacked, dtype=np.float64)
     if stacked.shape[0] != gate.n_experts:
         raise ValueError(f"expected {gate.n_experts} expert rows, "
                          f"got {stacked.shape[0]}")
     if gate.mode is GateMode.DEFAULT:
-        return stacked[gate.subset[0]].copy()
-    delta = gate_weights(gate, x) if gate.mode is GateMode.TRAINABLE \
-        else gate.fixed_delta
-    assert np.all(delta >= 0.0)
-    assert np.max(np.abs(delta.sum(axis=-1) - 1.0)) < 1e-12
-    outside = [j for j in range(gate.n_experts) if j not in gate.subset]
-    assert not outside or np.all(delta[..., outside] == 0.0)
-    if delta.ndim == 1:
-        return np.einsum("n,nd->d", delta, stacked) if stacked.ndim == 2 \
-            else np.einsum("n,nbd->bd", delta, stacked)
-    return np.einsum("bn,nbd->bd", delta, stacked)
+        return stacked.select(gate.subset[0], axis=0)
+    delta = gate_weights(gate, x)
+    if delta.data.ndim == 2:
+        delta = delta.transpose((1, 0))            # (B, n) -> (n, B)
+    trailing = (1,) * (stacked.data.ndim - delta.data.ndim)
+    return (delta.reshape(delta.shape + trailing) * stacked).sum(axis=0)
 
 
 @dataclass
@@ -124,17 +122,13 @@ class Tower:
     dropout_rate: float = 0.2
 
 
-def tower_forward(tower: Tower, gated, train_mode=False, dropout_stream=None):
-    """Confidence vector(s): linear -> ReLU -> dropout -> linear -> softmax."""
-    gated = np.asarray(gated, dtype=np.float64)
+def tower_forward(tower: Tower, gated):
+    """Eval-mode confidence vector(s): linear -> ReLU -> linear -> softmax."""
     if gated.shape[-1] != INPUT_DIM:
         raise ValueError(f"expected gated vector of length {INPUT_DIM}, "
                          f"got {gated.shape[-1]}")
     with no_grad():
-        logits = head_forward(tower.params, gated, train_mode=train_mode,
-                              dropout_stream=dropout_stream,
-                              dropout_rate=tower.dropout_rate)
-    return softmax_np(logits.data)
+        return softmax(head_forward(tower.params, gated)).data
 
 
 @dataclass
@@ -293,30 +287,6 @@ def default_finetune_config(mode: FusionMode, seed=0) -> TrainConfig:
                        dropout_rate=0.0, seed=seed)
 
 
-def _stacked_train_reps(model, X):
-    return [encoder_forward(e.encoder, X) for e in model.experts]
-
-
-def _gate_tensor_output(gate, reps, x_tensor):
-    if gate.mode is GateMode.DEFAULT:
-        return reps[gate.subset[0]]
-    if gate.mode is GateMode.TOPK:
-        out = None
-        w = 1.0 / len(gate.subset)
-        for j in gate.subset:
-            term = reps[j] * w
-            out = term if out is None else out + term
-        return out
-    logits = x_tensor @ gate.linear["w"] + gate.linear["b"]
-    delta = softmax(logits)            # (B, |S|)
-    b = x_tensor.data.shape[0]
-    out = None
-    for pos, j in enumerate(gate.subset):
-        term = delta.select(pos, axis=1).reshape(b, 1) * reps[j]
-        out = term if out is None else out + term
-    return out
-
-
 def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
               unfreeze_experts=False):
     """Fine-tune towers (and trainable gates) with frozen experts.
@@ -357,7 +327,7 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
     m = feats.shape[0]
     if not unfreeze_experts:
         # frozen experts make the representations constant: compute once
-        cached = [expert_representation(e, feats) for e in model.experts]
+        cached = concat_representations(model.experts, feats)
     trace = []
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(m)
@@ -365,16 +335,16 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
         total_all = 0.0
         for start in range(0, m, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            X = feats[idx]
-            x_tensor = Tensor(X)
+            x = Tensor(feats[idx])
             if unfreeze_experts:
-                reps = _stacked_train_reps(model, X)
+                reps = stack([encoder_forward(e.encoder, x)
+                              for e in model.experts])
             else:
-                reps = [Tensor(r[idx]) for r in cached]
+                reps = Tensor(cached[:, idx])
             loss_total = None
             batch_losses = {}
             for task in model.task_ids:
-                gated = _gate_tensor_output(model.gates[task], reps, x_tensor)
+                gated = gate_output(model.gates[task], reps, x)
                 tower = model.towers[task]
                 logits = head_forward(tower.params, gated, train_mode=True,
                                       dropout_stream=stream,
@@ -414,12 +384,14 @@ def classify_batch(model: FusedModel, X):
     if X.shape[1] != model.input_dim:
         raise ValueError(f"expected input of length {model.input_dim}, "
                          f"got {X.shape[1]}")
-    stacked = concat_representations(model.experts, X)    # (n, B, 912)
+    stacked = Tensor(concat_representations(model.experts, X))  # (n, B, 912)
+    x = Tensor(X)
     out = {}
-    for task in model.task_ids:
-        gated = gate_output(model.gates[task], stacked, X)
-        probs = tower_forward(model.towers[task], gated)
-        out[task] = (np.argmax(probs, axis=1), probs)
+    with no_grad():
+        for task in model.task_ids:
+            gated = gate_output(model.gates[task], stacked, x)
+            probs = tower_forward(model.towers[task], gated)
+            out[task] = (np.argmax(probs, axis=1), probs)
     return out
 
 
@@ -477,6 +449,11 @@ def save_fused(model: FusedModel, path):
 
 def load_fused(path) -> FusedModel:
     header, tensors = serial.load_container(path, serial.MODEL_MAGIC)
+    return fused_from_container(path, header, tensors)
+
+
+def fused_from_container(path, header, tensors) -> FusedModel:
+    """Build a fused model from a parsed model container read from `path`."""
     if header.get("kind") != "fused":
         raise ValueError(f"{path}: not a fused model file "
                          f"(kind={header.get('kind')!r})")
@@ -580,10 +557,10 @@ def load_fusion_config(path):
 
 def load_any_model(path):
     """Open either an expert or a fused model file, returning (kind, model)."""
-    header, _ = serial.load_container(path, serial.MODEL_MAGIC)
+    header, tensors = serial.load_container(path, serial.MODEL_MAGIC)
     kind = header.get("kind")
     if kind == "expert":
-        return "expert", load_expert(path)
+        return "expert", expert_from_container(path, header, tensors)
     if kind == "fused":
-        return "fused", load_fused(path)
+        return "fused", fused_from_container(path, header, tensors)
     raise ValueError(f"{path}: unknown model kind {kind!r}")

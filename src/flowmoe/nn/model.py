@@ -154,8 +154,7 @@ def backward(loss, *param_sets):
 
 def eval_forward(fn, *args, **kwargs):
     with no_grad():
-        result = fn(*args, **kwargs)
-    return result.data if isinstance(result, Tensor) else result
+        return fn(*args, **kwargs).data
 
 
 __all__ = [

@@ -4,6 +4,11 @@ Only the operations needed by the encoder/gate/tower networks are
 implemented. Every tensor is float64; forward values are plain numpy
 arrays and the graph is a DAG of backward closures walked in reverse
 topological order.
+
+The ops take Tensors only (arithmetic also accepts plain numbers and
+arrays as the other operand). There is no separate numpy path: eval-mode
+forwards run the same ops under `no_grad`, or through `eval_forward`,
+which records no graph and returns the plain array.
 """
 
 from __future__ import annotations
@@ -62,18 +67,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -134,18 +129,6 @@ class Tensor:
         return Tensor._result(out_data, (self, other), backward)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        def backward(g):
-            return ((self, -g),)
-        return Tensor._result(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return Tensor(other) + (-self)
 
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -208,10 +191,6 @@ class Tensor:
 
         return Tensor._result(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     def select(self, index, axis=0):
         """Pick one slice along an axis (integer index, dimension dropped)."""
         out_data = np.take(self.data, index, axis=axis)
@@ -227,11 +206,20 @@ class Tensor:
         return Tensor._result(out_data, (self,), backward)
 
 
+def stack(tensors):
+    """Stack equal-shape Tensors along a new leading axis."""
+    tensors = tuple(tensors)
+
+    def backward(g):
+        return tuple((t, g[i].copy()) for i, t in enumerate(tensors))
+
+    return Tensor._result(np.stack([t.data for t in tensors]), tensors,
+                          backward)
+
+
 # -- nonlinearities and fused ops ----------------------------------------
 
 def relu(x):
-    if not isinstance(x, Tensor):
-        return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
     mask = x.data > 0
 
     def backward(g):
@@ -240,17 +228,10 @@ def relu(x):
     return Tensor._result(np.where(mask, x.data, 0.0), (x,), backward)
 
 
-def softmax_np(z, axis=-1):
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def softmax(x, axis=-1):
-    if not isinstance(x, Tensor):
-        return softmax_np(x, axis=axis)
-    y = softmax_np(x.data, axis=axis)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -261,37 +242,28 @@ def softmax(x, axis=-1):
 
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     var = xd.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
-    gd = gamma.data if isinstance(gamma, Tensor) else np.asarray(gamma)
-    bd = beta.data if isinstance(beta, Tensor) else np.asarray(beta)
-    out_data = gd * xhat + bd
-    if not (isinstance(x, Tensor) or isinstance(gamma, Tensor) or isinstance(beta, Tensor)):
-        return out_data
-    x_t = x if isinstance(x, Tensor) else Tensor(x)
-    g_t = gamma if isinstance(gamma, Tensor) else Tensor(gamma)
-    b_t = beta if isinstance(beta, Tensor) else Tensor(beta)
+    out_data = gamma.data * xhat + beta.data
 
     def backward(g):
         reduce_axes = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=reduce_axes)
         dbeta = g.sum(axis=reduce_axes)
-        gx = g * gd
+        gx = g * gamma.data
         dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
                     - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        return ((x_t, dx), (g_t, dgamma), (b_t, dbeta))
+        return ((x, dx), (gamma, dgamma), (beta, dbeta))
 
-    return Tensor._result(out_data, (x_t, g_t, b_t), backward)
+    return Tensor._result(out_data, (x, gamma, beta), backward)
 
 
 def dropout(x, mask, keep_prob):
     """Inverted dropout with a precomputed 0/1 mask."""
     scale = 1.0 / keep_prob
-    if not isinstance(x, Tensor):
-        return np.asarray(x, dtype=np.float64) * mask * scale
 
     def backward(g):
         return ((x, g * mask * scale),)
@@ -300,15 +272,14 @@ def dropout(x, mask, keep_prob):
 
 
 def cross_entropy(probs, labels, floor=1e-12):
-    """Mean negative log-likelihood of the true classes.
+    """Mean negative log-likelihood of the true classes, as a scalar Tensor.
 
     `probs` rows must already be probability vectors (e.g. softmax output);
     entries are clamped at `floor` before the log. `labels` is an int index
     or an int array matching the leading dimension.
     """
-    pd = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
-    scalar_input = pd.ndim == 1
-    p2 = pd.reshape(1, -1) if scalar_input else pd
+    pd = probs.data
+    p2 = pd.reshape(1, -1) if pd.ndim == 1 else pd
     lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     n, k = p2.shape
     if lab.shape != (n,):
@@ -320,9 +291,7 @@ def cross_entropy(probs, labels, floor=1e-12):
         raise ValueError("probabilities do not sum to 1")
     picked = p2[np.arange(n), lab]
     clamped = np.maximum(picked, floor)
-    loss = float(-np.log(clamped).mean())
-    if not isinstance(probs, Tensor):
-        return loss
+    loss = -np.log(clamped).mean()
 
     def backward(g):
         gp = np.zeros_like(p2)
@@ -331,14 +300,3 @@ def cross_entropy(probs, labels, floor=1e-12):
         return ((probs, gp.reshape(pd.shape)),)
 
     return Tensor._result(np.float64(loss), (probs,), backward)
-
-
-def linear_forward(weights, bias, x):
-    """Affine map x @ W + b; operands may be Tensors or arrays."""
-    w = weights if isinstance(weights, Tensor) else Tensor(weights)
-    b = bias if isinstance(bias, Tensor) else Tensor(bias)
-    xt = x if isinstance(x, Tensor) else Tensor(x)
-    out = xt @ w + b
-    if isinstance(x, Tensor) or isinstance(weights, Tensor) or isinstance(bias, Tensor):
-        return out
-    return out.data

@@ -187,21 +187,20 @@ def generate_flows(spec: GeneratorSpec):
     return flows, names_by_task
 
 
-def generate_dataset(spec: GeneratorSpec) -> LabeledDataset:
-    flows, names_by_task = generate_flows(spec)
+def _dataset_from_flows(spec, flows, names_by_task) -> LabeledDataset:
     ids, mat = flows_to_features(flows, spec.extraction)
     labels_by_task = {task: dict(zip(ids, names))
                       for task, names in names_by_task.items()}
     return build_dataset(ids, mat, labels_by_task, label_maps=spec.tasks)
 
 
+def generate_dataset(spec: GeneratorSpec) -> LabeledDataset:
+    return _dataset_from_flows(spec, *generate_flows(spec))
+
+
 def emit_files(spec: GeneratorSpec, flows_path, labels_path) -> LabeledDataset:
     """Write the flow-record file + labels CSV and return the dataset."""
     flows, names_by_task = generate_flows(spec)
     write_flow_records(flows, flows_path)
-    ids = [f.flow_id for f in flows]
-    write_labels_csv(labels_path, ids, names_by_task)
-    _, mat = flows_to_features(flows, spec.extraction)
-    labels_by_task = {task: dict(zip(ids, names))
-                      for task, names in names_by_task.items()}
-    return build_dataset(ids, mat, labels_by_task, label_maps=spec.tasks)
+    write_labels_csv(labels_path, [f.flow_id for f in flows], names_by_task)
+    return _dataset_from_flows(spec, flows, names_by_task)

@@ -154,18 +154,20 @@ def test_criterion_02_gate_mode_contracts():
     inputs = rng.random((trials, INPUT_DIM))
 
     default_ok = all(
-        np.array_equal(gate_output(GateConfig.default("t", j, n), stacked),
-                       stacked[j])
+        np.array_equal(
+            gate_output(GateConfig.default("t", j, n), Tensor(stacked)).data,
+            stacked[j])
         for j in range(n))
 
     topk = GateConfig.topk("t", (0, 2), n)
     mean = (stacked[0] + stacked[2]) / 2.0
-    topk_ok = np.max(np.abs(gate_output(topk, stacked) - mean)) < 1e-12
+    topk_ok = np.max(np.abs(gate_output(topk, Tensor(stacked)).data
+                            - mean)) < 1e-12
 
     trainable = GateConfig.trainable("t", (0, 2), n)
     trainable.linear["w"].data = rng.normal(
         size=trainable.linear["w"].data.shape)
-    delta = gate_weights(trainable, inputs)
+    delta = gate_weights(trainable, Tensor(inputs)).data
     simplex_ok = (np.all(delta >= 0.0)
                   and np.max(np.abs(delta.sum(axis=1) - 1.0)) < 1e-12
                   and np.all(delta[:, 1] == 0.0)
@@ -185,7 +187,7 @@ def test_criterion_03_task_isolation(mode1_runs):
         for tower in fused.towers.values():
             tower.params.unfreeze()
             tower.params.zero_grad()
-        gated = gate_output(fused.gates[task], reps, X)
+        gated = gate_output(fused.gates[task], Tensor(reps), Tensor(X)).data
         loss = cross_entropy(
             softmax(head_forward(fused.towers[task].params, Tensor(gated))),
             test.labels[task][:32])

@@ -8,7 +8,7 @@ from flowmoe.expert import (ExpertModel, TrainConfig, expert_predict,
                             expert_representation, load_expert, save_expert,
                             train_expert, write_loss_trace)
 from flowmoe.nn import (INPUT_DIM, encoder_forward, head_forward, no_grad,
-                        softmax_np)
+                        softmax)
 
 
 def test_defaults_match_stated_hyperparameters():
@@ -78,7 +78,7 @@ def test_representation_equals_instrumented_predict(trained_experts,
     x = two_task_data[2].features[3]
     with no_grad():
         hidden = encoder_forward(app.encoder, x)
-        probs = softmax_np(head_forward(app.head, hidden).data)
+        probs = softmax(head_forward(app.head, hidden)).data
     assert np.array_equal(expert_representation(app, x), hidden.data)
     assert np.allclose(expert_predict(app, x), probs, atol=0)
 

@@ -1,14 +1,21 @@
 """Gate contracts, fusion configuration, fine-tuning, and inference."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from flowmoe.expert import expert_representation
+import flowmoe
+from flowmoe import serial
+from flowmoe.expert import expert_representation, save_expert
 from flowmoe.fusion import (FusionMode, GateConfig, GateMode, TaskRelation,
                             TaskSpec, Tower, classify, classify_batch,
                             concat_representations, configure_fusion, fine_tune,
-                            gate_output, gate_weights, load_fused,
-                            load_fusion_config, save_fused, tower_forward)
+                            gate_output, gate_weights, load_any_model,
+                            load_fused, load_fusion_config, save_fused,
+                            tower_forward)
 from flowmoe.nn import INPUT_DIM, backward, cross_entropy, head_forward, init_head, softmax
 from flowmoe.nn import Tensor
 
@@ -16,14 +23,14 @@ from flowmoe.nn import Tensor
 def test_gate_default_bit_equal(rng):
     stacked = rng.normal(size=(2, INPUT_DIM))
     gate = GateConfig.default("t", 1, 2)
-    out = gate_output(gate, stacked)
+    out = gate_output(gate, Tensor(stacked)).data
     assert np.array_equal(out, stacked[1])
 
 
 def test_gate_topk_mean(rng):
     stacked = rng.normal(size=(2, INPUT_DIM))
     gate = GateConfig.topk("t", (0, 1), 2)
-    out = gate_output(gate, stacked)
+    out = gate_output(gate, Tensor(stacked)).data
     assert np.max(np.abs(out - stacked.mean(axis=0))) < 1e-12
 
 
@@ -37,9 +44,9 @@ def test_gate_trainable_uniform_at_zero_init(rng):
     x = rng.normal(size=INPUT_DIM)
     stacked = rng.normal(size=(3, INPUT_DIM))
     gate = GateConfig.trainable("t", (0, 1, 2), 3)
-    delta = gate_weights(gate, x)
+    delta = gate_weights(gate, Tensor(x)).data
     assert np.allclose(delta, 1.0 / 3.0)
-    out = gate_output(gate, stacked, x)
+    out = gate_output(gate, Tensor(stacked), Tensor(x)).data
     assert np.allclose(out, stacked.mean(axis=0), atol=1e-12)
 
 
@@ -47,10 +54,41 @@ def test_gate_trainable_simplex_support(rng):
     gate = GateConfig.trainable("t", (1, 3), 5)
     gate.linear["w"].data = rng.normal(size=gate.linear["w"].data.shape)
     for _ in range(20):
-        delta = gate_weights(gate, rng.normal(size=INPUT_DIM))
+        delta = gate_weights(gate, Tensor(rng.normal(size=INPUT_DIM))).data
         assert np.all(delta >= 0)
         assert abs(delta.sum() - 1.0) < 1e-12
         assert delta[0] == delta[2] == delta[4] == 0.0
+
+
+# A NaN gate weight makes every mixing weight NaN; the check must raise
+# ValueError, also under `python -O`, which strips `assert` statements.
+NAN_GATE_CHECK = """
+import numpy as np
+from flowmoe.fusion import GateConfig, gate_output
+from flowmoe.nn import INPUT_DIM, Tensor
+gate = GateConfig.trainable("t", (0, 2), 3)
+gate.linear["w"].data[0, 1] = np.nan
+try:
+    gate_output(gate, Tensor(np.ones((3, INPUT_DIM))), Tensor(np.ones(INPUT_DIM)))
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+
+
+def test_gate_output_rejects_non_finite_weights(capsys):
+    exec(NAN_GATE_CHECK, {})
+    assert "non-finite mixing weights" in capsys.readouterr().out
+
+
+def test_gate_non_finite_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(flowmoe.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # the leading `assert False` only passes when -O has stripped it
+    child = subprocess.run([sys.executable, "-O", "-c",
+                            "assert False\n" + NAN_GATE_CHECK],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert "non-finite mixing weights" in child.stdout
 
 
 def test_gate_empty_subset_rejected():
@@ -62,8 +100,9 @@ def test_gate_linearity_superposition(rng):
     gate = GateConfig.topk("t", (0, 1, 2), 3)
     a = rng.normal(size=(3, INPUT_DIM))
     b = rng.normal(size=(3, INPUT_DIM))
-    lhs = gate_output(gate, 2.0 * a + 3.0 * b)
-    rhs = 2.0 * gate_output(gate, a) + 3.0 * gate_output(gate, b)
+    lhs = gate_output(gate, Tensor(2.0 * a + 3.0 * b)).data
+    rhs = (2.0 * gate_output(gate, Tensor(a)).data
+           + 3.0 * gate_output(gate, Tensor(b)).data)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -209,7 +248,7 @@ def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,
     app_tower, enc_tower = fused.towers["app"], fused.towers["encap"]
     app_tower.params.unfreeze()
     enc_tower.params.unfreeze()
-    gated = gate_output(fused.gates["app"], reps, x)
+    gated = gate_output(fused.gates["app"], Tensor(reps), Tensor(x)).data
     loss = cross_entropy(softmax(head_forward(app_tower.params, Tensor(gated))),
                          train.labels["app"][:16])
     app_grads, enc_grads = backward(loss, app_tower.params, enc_tower.params)
@@ -259,6 +298,29 @@ def test_fused_round_trip(tmp_path, trained_experts, two_task_data):
         assert np.array_equal(a[task][1], b[task][1])
     assert loaded.relations[0].mode is FusionMode.MODE_I
     assert loaded.label_maps == fused.label_maps
+
+
+def test_load_any_model_reads_each_file_once(tmp_path, trained_experts,
+                                             monkeypatch):
+    expert_path = tmp_path / "app.snke"
+    save_expert(trained_experts[0], expert_path)
+    fused_path = tmp_path / "fused.snke"
+    save_fused(configure_fusion(list(trained_experts), _mode1_relation(),
+                                seed=1), fused_path)
+    calls = []
+    original = serial.load_container
+
+    def counting(path, magic):
+        calls.append(path)
+        return original(path, magic)
+
+    monkeypatch.setattr(serial, "load_container", counting)
+    for path, kind in ((expert_path, "expert"), (fused_path, "fused")):
+        calls.clear()
+        loaded_kind, model = load_any_model(path)
+        assert loaded_kind == kind
+        assert calls == [path]
+    assert model.task_ids == ["app", "encap"]
 
 
 def test_per_mode_finetune_defaults():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from flowmoe.nn import (DropoutStream, ParamSet, Tensor, cross_entropy, dropout,
-                        layer_norm, linear_forward, no_grad, relu, softmax,
-                        softmax_np)
+                        layer_norm, no_grad, relu, softmax, stack)
 
 from gradcheck import check_gradients
 
@@ -20,45 +19,35 @@ def _params_from(values):
 
 
 def test_relu_values():
-    assert np.array_equal(relu(np.array([-1.0, 2.0])), [0.0, 2.0])
+    assert np.array_equal(relu(Tensor(np.array([-1.0, 2.0]))).data, [0.0, 2.0])
 
 
 def test_softmax_symmetry():
-    assert np.allclose(softmax_np([0.0, 0.0]), [0.5, 0.5])
+    assert np.allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 
 
 def test_softmax_rows_are_probabilities():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(5, 7)) * 10
-    p = softmax_np(z)
+    p = softmax(Tensor(z)).data
     assert np.all(p >= 0)
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
 
-def test_linear_identity():
-    x = np.arange(4.0)
-    out = linear_forward(np.eye(4), np.zeros(4), x)
-    assert np.array_equal(out, x)
-
-
-def test_linear_shape_mismatch():
-    with pytest.raises(ValueError):
-        linear_forward(np.eye(3), np.zeros(3), np.zeros(4))
-
-
 def test_cross_entropy_analytic_values():
-    assert math.isclose(cross_entropy(np.array([0.5, 0.5]), 0),
+    assert math.isclose(cross_entropy(Tensor(np.array([0.5, 0.5])), 0).item(),
                         math.log(2.0), rel_tol=1e-12)
-    assert cross_entropy(np.array([1.0, 0.0]), 0) == 0.0
-    assert math.isclose(cross_entropy(np.array([0.2, 0.3, 0.5]), 2),
-                        -math.log(0.5), rel_tol=1e-12)
+    assert cross_entropy(Tensor(np.array([1.0, 0.0])), 0).item() == 0.0
+    assert math.isclose(
+        cross_entropy(Tensor(np.array([0.2, 0.3, 0.5])), 2).item(),
+        -math.log(0.5), rel_tol=1e-12)
 
 
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError):
-        cross_entropy(np.array([0.5, 0.5]), 2)
+        cross_entropy(Tensor(np.array([0.5, 0.5])), 2)
     with pytest.raises(ValueError):
-        cross_entropy(np.array([0.4, 0.4]), 0)  # not a distribution
+        cross_entropy(Tensor(np.array([0.4, 0.4])), 0)  # not a distribution
 
 
 def test_backward_requires_graph():
@@ -148,11 +137,25 @@ def test_grad_softmax_cross_entropy_matches_probability_gap():
     ps = _params_from({"z": z})
     loss = cross_entropy(softmax(ps["z"]), labels)
     loss.backward()
-    p = softmax_np(z)
+    p = softmax(Tensor(z)).data
     expect = p.copy()
     expect[np.arange(8), labels] -= 1.0
     expect /= 8.0
     assert np.allclose(ps["z"].grad, expect, atol=1e-12)
+
+
+def test_grad_stack():
+    rng = np.random.default_rng(8)
+    ps = _params_from({"a": rng.normal(size=(3, 4)),
+                       "b": rng.normal(size=(3, 4))})
+    coef = rng.normal(size=(2, 3, 4))
+
+    def forward():
+        return (stack([ps["a"], ps["b"]]) * coef).sum()
+
+    forward().backward()
+    grads = {n: t.grad for n, t in ps.items()}
+    check_gradients(lambda: forward().item(), ps, grads, rng=rng)
 
 
 def test_grad_dropout_with_fixed_mask():
@@ -171,7 +174,7 @@ def test_grad_dropout_with_fixed_mask():
 def test_dropout_eval_is_identity_and_train_preserves_mean():
     stream = DropoutStream(3)
     x = np.ones((2000, 50))
-    masked = dropout(x, stream.mask(x.shape, 0.8), 0.8)
+    masked = dropout(Tensor(x), stream.mask(x.shape, 0.8), 0.8).data
     assert abs(masked.mean() - 1.0) < 0.02  # inverted dropout keeps the mean
     # keep_prob 1.0 would be an identity, eval path never calls dropout at all
 

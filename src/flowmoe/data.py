@@ -70,7 +70,10 @@ def write_labels_csv(path, flow_ids, labels_by_task):
 
 
 def load_labels_csv(path):
-    """Returns task_id -> {flow_id: label_name}."""
+    """Returns task_id -> {flow_id: label_name}.
+
+    A second row for the same (flow_id, task_id) pair is a ValueError.
+    """
     out = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -78,7 +81,13 @@ def load_labels_csv(path):
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns flow_id,task_id,label")
         for row in reader:
-            out.setdefault(row["task_id"], {})[row["flow_id"]] = row["label"]
+            task, fid = row["task_id"], row["flow_id"]
+            assignment = out.setdefault(task, {})
+            if fid in assignment:
+                raise ValueError(f"{path}: line {reader.line_num}: duplicate "
+                                 f"row for (flow_id, task_id) = "
+                                 f"({fid!r}, {task!r})")
+            assignment[fid] = row["label"]
     return out
 
 

@@ -218,6 +218,10 @@ class TowerObjective:
     Freezing experts and fixing gates makes each tower's input constant, so
     the whole objective is a pure function of the tower parameters; this is
     the regime the plain-GD convergence guarantee speaks about.
+
+    Every tower tensor becomes a C-contiguous view into one flat parameter
+    vector (towers in task order, parameters in ParamSet order), so
+    `set_vector` is a single copy and the towers read its values at once.
     """
 
     def __init__(self, model, data: LabeledDataset):
@@ -232,20 +236,29 @@ class TowerObjective:
         with no_grad():
             self.inputs = {t: gate_output(model.gates[t], stacked, x)
                            for t in self.tasks}
-        for tower in self.towers.values():
-            tower.params.unfreeze()
-        self._sizes = [(t, self.towers[t].params.to_vector().size)
-                       for t in self.tasks]
+        self._flat = np.concatenate([self.towers[t].params.to_vector()
+                                     for t in self.tasks])
+        self._slices = []                # (task, name, slice), vector order
+        offset = 0
+        for t in self.tasks:
+            params = self.towers[t].params
+            params.unfreeze()
+            for name, tensor in params.items():
+                n = tensor.data.size
+                self._slices.append((t, name, slice(offset, offset + n)))
+                tensor.data = self._flat[offset:offset + n].reshape(
+                    tensor.data.shape)
+                offset += n
 
     def get_vector(self):
-        return np.concatenate([self.towers[t].params.to_vector()
-                               for t in self.tasks])
+        return self._flat.copy()
 
     def set_vector(self, vec):
-        offset = 0
-        for t, n in self._sizes:
-            self.towers[t].params.load_vector(vec[offset:offset + n])
-            offset += n
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != self._flat.shape:
+            raise ValueError(f"vector shape {vec.shape} does not match "
+                             f"parameter count {self._flat.size}")
+        self._flat[:] = vec
 
     def loss_and_grad(self):
         total = None
@@ -258,13 +271,12 @@ class TowerObjective:
         grads = backward(total, *sets)
         if len(sets) == 1:
             grads = (grads,)
-        flat = []
-        for (t, _n), gset in zip(self._sizes, grads):
-            params = self.towers[t].params
-            flat.append(np.concatenate(
-                [np.asarray(gset.get(name, np.zeros_like(tensor.data))).ravel()
-                 for name, tensor in params.items()]))
-        return total.item(), np.concatenate(flat)
+        by_task = dict(zip(self.tasks, grads))
+        flat = np.empty_like(self._flat)
+        for t, name, sl in self._slices:
+            g = by_task[t].get(name)
+            flat[sl] = 0.0 if g is None else g.ravel()
+        return total.item(), flat
 
     def grad_at(self, vec):
         self.set_vector(vec)
@@ -301,15 +313,19 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
         snapshots, snapshot_steps = [], []
         vec = theta0.copy()
         prev_vec = prev_grad = None
+        diff = np.empty_like(theta0)     # secant numerators, reused
         restart = False
         for t in range(steps + 1):
             objective.set_vector(vec)
             loss, grad = objective.loss_and_grad()
             losses[t] = loss
             if prev_grad is not None:
-                dw = np.linalg.norm(vec - prev_vec)
+                # np.sqrt(d @ d) is what np.linalg.norm computes for 1-D d
+                np.subtract(vec, prev_vec, out=diff)
+                dw = np.sqrt(diff @ diff)
                 if dw > 0:
-                    c_hat = max(c_hat, np.linalg.norm(grad - prev_grad) / dw)
+                    np.subtract(grad, prev_grad, out=diff)
+                    c_hat = max(c_hat, np.sqrt(diff @ diff) / dw)
                     if chosen_alpha is None and a > 1.0 / c_hat \
                             and attempt < max_retries - 1:
                         restart = True

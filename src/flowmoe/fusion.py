@@ -362,6 +362,8 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
                 totals[task] += value * w
             total_all += loss_total.item() * w
         row = {"total": total_all / m}
+        if not np.isfinite(row["total"]):
+            raise ArithmeticError(f"non-finite fine-tune loss at epoch {epoch}")
         row.update({task: totals[task] / m for task in model.task_ids})
         trace.append(row)
     for expert in model.experts:

@@ -9,6 +9,11 @@ The ops take Tensors only (arithmetic also accepts plain numbers and
 arrays as the other operand). There is no separate numpy path: eval-mode
 forwards run the same ops under `no_grad`, or through `eval_forward`,
 which records no graph and returns the plain array.
+
+Backward contract: a node's closure maps the gradient of its output to
+(parent, gradient) pairs for exactly those parents whose `requires_grad`
+is set when the sweep runs. A constant operand (raw input, frozen weight,
+fixed placement matrix) gets no pair, so its gradient is never formed.
 """
 
 from __future__ import annotations
@@ -109,10 +114,10 @@ class Tensor:
                 node._accumulate(g)
                 continue
             for parent, pg in node._backward(g):
-                if parent is None or not parent.requires_grad:
-                    continue
                 if id(parent) in running:
-                    running[id(parent)] += pg
+                    # out of place: a closure may hand one array (or views
+                    # of it) to several parents, so += would leak into them
+                    running[id(parent)] = running[id(parent)] + pg
                 else:
                     running[id(parent)] = np.asarray(pg, dtype=np.float64)
 
@@ -123,8 +128,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(g):
-            return ((self, _reduce_to_shape(g, self.shape)),
-                    (other, _reduce_to_shape(g, other.shape)))
+            return tuple((t, _reduce_to_shape(g, t.shape))
+                         for t in (self, other) if t.requires_grad)
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -135,8 +140,12 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(g):
-            return ((self, _reduce_to_shape(g * other.data, self.shape)),
-                    (other, _reduce_to_shape(g * self.data, other.shape)))
+            out = []
+            if self.requires_grad:
+                out.append((self, _reduce_to_shape(g * other.data, self.shape)))
+            if other.requires_grad:
+                out.append((other, _reduce_to_shape(g * self.data, other.shape)))
+            return out
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -148,10 +157,14 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(g):
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
-            return ((self, _reduce_to_shape(ga, self.shape)),
-                    (other, _reduce_to_shape(gb, other.shape)))
+            out = []
+            if self.requires_grad:
+                ga = g @ np.swapaxes(b, -1, -2)
+                out.append((self, _reduce_to_shape(ga, self.shape)))
+            if other.requires_grad:
+                gb = np.swapaxes(a, -1, -2) @ g
+                out.append((other, _reduce_to_shape(gb, other.shape)))
+            return out
 
         return Tensor._result(out_data, (self, other), backward)
 
@@ -168,7 +181,9 @@ class Tensor:
 
     def transpose(self, axes):
         axes = tuple(axes)
-        inv = tuple(np.argsort(axes))
+        inv = [0] * len(axes)
+        for i, axis in enumerate(axes):
+            inv[axis] = i
         out_data = self.data.transpose(axes)
 
         def backward(g):
@@ -211,7 +226,8 @@ def stack(tensors):
     tensors = tuple(tensors)
 
     def backward(g):
-        return tuple((t, g[i].copy()) for i, t in enumerate(tensors))
+        return tuple((t, g[i].copy()) for i, t in enumerate(tensors)
+                     if t.requires_grad)
 
     return Tensor._result(np.stack([t.data for t in tensors]), tensors,
                           backward)
@@ -220,18 +236,18 @@ def stack(tensors):
 # -- nonlinearities and fused ops ----------------------------------------
 
 def relu(x):
-    mask = x.data > 0
+    """max(x, 0); a NaN input stays NaN (and passes no gradient)."""
 
     def backward(g):
-        return ((x, g * mask),)
+        return ((x, g * (x.data > 0)),)
 
-    return Tensor._result(np.where(mask, x.data, 0.0), (x,), backward)
+    return Tensor._result(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def softmax(x, axis=-1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)                  # one buffer: shift, exp, normalize
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -242,21 +258,27 @@ def softmax(x, axis=-1):
 
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
-    xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the same reductions, in the same order, as np.var: bit-identical
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out_data = gamma.data * xhat + beta.data
+    xhat *= inv                       # centred input scaled in place
+    out_data = gamma.data * xhat
+    out_data += beta.data
 
     def backward(g):
+        out = []
+        if x.requires_grad:
+            gx = g * gamma.data
+            dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                        - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+            out.append((x, dx))
         reduce_axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        gx = g * gamma.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        return ((x, dx), (gamma, dgamma), (beta, dbeta))
+        if gamma.requires_grad:
+            out.append((gamma, (g * xhat).sum(axis=reduce_axes)))
+        if beta.requires_grad:
+            out.append((beta, g.sum(axis=reduce_axes)))
+        return out
 
     return Tensor._result(out_data, (x, gamma, beta), backward)
 

@@ -225,6 +225,19 @@ def test_missing_file_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_duplicate_label_row_is_a_cli_error(pipeline_dir, tmp_path, capsys):
+    lines = (pipeline_dir / "labels.csv").read_text().splitlines()
+    labels = tmp_path / "dup.csv"
+    labels.write_text("\n".join(lines + [lines[1]]) + "\n")
+    rc = run(["train-expert", "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(labels), "--task", "app",
+              "--out", str(tmp_path / "x.snke"), "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"flowmoe: error: {labels}: line {len(lines) + 1}: duplicate" in err
+    assert not (tmp_path / "x.snke").exists()
+
+
 def test_unknown_flag_exits_nonzero():
     assert run(["gen", "--nonsense"]) != 0
 

@@ -141,3 +141,75 @@ def test_anomaly_pre_grace_rise_not_flagged():
 def test_anomaly_needs_enough_epochs():
     with pytest.raises(ValueError):
         detect_gate_anomaly([1.0, 0.9], {"a": 0.9, "b": 0.9})
+
+
+# -- TowerObjective: towers as views into one flat vector -------------------
+
+def _mode1_objective(trained_experts, two_task_data, extra_param=False):
+    from flowmoe.diagnostics import TowerObjective
+    from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec,
+                                configure_fusion)
+    relation = TaskRelation(FusionMode.MODE_I,
+                            [TaskSpec("app", experts=(0,)),
+                             TaskSpec("encap", experts=(1,))])
+    fused = configure_fusion(list(trained_experts), relation, seed=3)
+    if extra_param:
+        # in the vector, but no forward reads it: its gradient is zero
+        fused.towers["app"].params.add("unused", np.ones(3))
+    data = two_task_data[0].subset(np.arange(48))
+    return fused, TowerObjective(fused, data)
+
+
+def test_tower_objective_vector_round_trip_and_views(trained_experts,
+                                                     two_task_data):
+    fused, obj = _mode1_objective(trained_experts, two_task_data)
+    towers = [fused.towers[t].params for t in ("app", "encap")]
+    before = [ps.state_dict() for ps in towers]
+    vec = obj.get_vector()
+    assert np.array_equal(vec, np.concatenate([ps.to_vector() for ps in towers]))
+
+    obj.set_vector(vec)
+    for ps, state in zip(towers, before):
+        for name, arr in state.items():
+            assert np.array_equal(ps[name].data, arr)
+
+    vec[:] = 7.0                      # get_vector() hands out a copy
+    assert np.array_equal(towers[0]["fc1.w"].data, before[0]["fc1.w"])
+
+    new = np.random.default_rng(0).normal(size=vec.size)
+    obj.set_vector(new)
+    assert np.array_equal(np.concatenate([ps.to_vector() for ps in towers]),
+                          new)
+    with pytest.raises(ValueError):
+        obj.set_vector(new[:-1])
+
+
+def test_tower_objective_flat_gradient_matches_finite_differences(
+        trained_experts, two_task_data):
+    fused, obj = _mode1_objective(trained_experts, two_task_data,
+                                  extra_param=True)
+    rng = np.random.default_rng(1)
+    theta = obj.get_vector() + 0.05 * rng.normal(size=obj.get_vector().size)
+    obj.set_vector(theta)
+    _loss, grad = obj.loss_and_grad()
+    assert grad.shape == theta.shape
+
+    # "unused" is the app tower's last parameter; the app tower comes first
+    n_app = fused.towers["app"].params.to_vector().size
+    unused = np.arange(n_app - 3, n_app)
+    assert np.array_equal(grad[unused], np.zeros(3))
+
+    def loss_at(vec):
+        obj.set_vector(vec)
+        return obj.loss_and_grad()[0]
+
+    h = 1e-5
+    coords = np.concatenate([rng.choice(theta.size, 24, replace=False),
+                             unused])
+    for i in coords:
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        fd = (loss_at(up) - loss_at(down)) / (2.0 * h)
+        denom = max(abs(grad[i]), abs(fd), 3e-4)
+        assert abs(grad[i] - fd) / denom < 1e-4, (i, grad[i], fd)

@@ -264,6 +264,20 @@ def test_fine_tune_rejects_missing_task(trained_experts, two_task_data):
         fine_tune(fused, only_app)
 
 
+def test_fine_tune_rejects_non_finite_loss(trained_experts, two_task_data):
+    # ReLU passes a NaN on, so a NaN tower weight reaches the loss; the
+    # epoch guard must stop the run instead of training on NaN
+    from flowmoe.expert import TrainConfig
+    train = two_task_data[0].subset(np.arange(64))
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3,
+                             tower_dropout=0.0)
+    fused.towers["app"].params["fc1.w"].data[0, 0] = np.nan
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=2,
+                      dropout_rate=0.0, seed=1)
+    with pytest.raises(ArithmeticError, match="epoch 0"):
+        fine_tune(fused, train, cfg)
+
+
 def test_fine_tune_unfreeze_experts_updates_encoders(trained_experts,
                                                      two_task_data):
     from flowmoe.expert import TrainConfig

@@ -92,3 +92,51 @@ def test_multi_adam_matches_per_set_adam():
         adam_step(ref_b, {"w": g2}, st_b, 1e-2)
     assert np.array_equal(a["w"].data, ref_a["w"].data)
     assert np.array_equal(b["w"].data, ref_b["w"].data)
+
+
+def _textbook_adam(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999,
+                   eps=1e-8):
+    """Out-of-place oracle: returns new (params, m, v), inputs untouched."""
+    corr1 = 1.0 - beta1 ** step
+    corr2 = 1.0 - beta2 ** step
+    out_p, out_m, out_v = {}, {}, {}
+    for name, g in grads.items():
+        mn = m[name] * beta1 + (1.0 - beta1) * g
+        vn = v[name] * beta2 + (1.0 - beta2) * (g * g)
+        out_p[name] = params[name] - lr * (mn / corr1) / (np.sqrt(vn / corr2)
+                                                         + eps)
+        out_m[name], out_v[name] = mn, vn
+    return out_p, out_m, out_v
+
+
+def test_multi_adam_shared_work_buffers_match_textbook_update():
+    # sets of different sizes, smallest first, so the shared work pair
+    # grows in the middle of a step; five steps must be bitwise textbook
+    rng = np.random.default_rng(21)
+    shapes = {"small": {"b": (3,)}, "mid": {"w": (4, 5), "b": (5,)},
+              "big": {"w": (6, 7, 2)}}
+    init = {s: {n: rng.normal(size=sh) for n, sh in names.items()}
+            for s, names in shapes.items()}
+    sets = {s: _ps(**{n: a.copy() for n, a in arrs.items()})
+            for s, arrs in init.items()}
+    opt = MultiAdam(sets)
+
+    def flat(nested):
+        return {f"{s}/{n}": a for s, arrs in nested.items()
+                for n, a in arrs.items()}
+
+    ref_p = flat(init)
+    ref_m = {k: np.zeros_like(a) for k, a in ref_p.items()}
+    ref_v = {k: np.zeros_like(a) for k, a in ref_p.items()}
+    for step in range(1, 6):
+        grads = {s: {n: rng.normal(size=sh) for n, sh in names.items()}
+                 for s, names in shapes.items()}
+        opt.apply(grads, 1e-2)
+        ref_p, ref_m, ref_v = _textbook_adam(ref_p, flat(grads), ref_m, ref_v,
+                                             step, 1e-2)
+    assert opt.state.work[0].size == 6 * 7 * 2
+    for key, expect in ref_p.items():
+        s, n = key.split("/")
+        assert np.array_equal(sets[s][n].data, expect)
+        assert np.array_equal(opt.state.m[key], ref_m[key])
+        assert np.array_equal(opt.state.v[key], ref_v[key])

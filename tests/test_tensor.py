@@ -214,9 +214,88 @@ def test_select_gradient_scatters():
     assert np.array_equal(ps["m"].grad, expect)
 
 
+def test_shared_upstream_gradient_is_not_mutated_by_accumulation():
+    # a + b hands one gradient array to both a and b; a's second
+    # contribution must not leak into b: d/dx (2x + 3x + 2x) = 7
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    a, b = x * 2.0, x * 3.0
+    ((a + b) + a).sum().backward()
+    assert np.array_equal(x.grad, [7.0])
+
+
 def test_diamond_graph_accumulates_once_per_path():
     ps = _params_from({"x": np.array([2.0])})
     y = ps["x"] * 3.0
     loss = (y * y).sum()  # d/dx (3x)^2 = 18x = 36
     loss.backward()
     assert np.allclose(ps["x"].grad, [36.0])
+
+
+# -- needed-only backward: a constant operand gets no gradient --------------
+
+def _check_constant_operand(op, param_shape, const_shape, param_first, seed):
+    """FD-check `op` with one trainable and one constant operand.
+
+    The constant must end with grad None, and the closure must hand back
+    no (parent, gradient) pair for it.
+    """
+    rng = np.random.default_rng(seed)
+    ps = _params_from({"p": rng.normal(size=param_shape)})
+    const = Tensor(rng.normal(size=const_shape))
+
+    def build():
+        a, b = (ps["p"], const) if param_first else (const, ps["p"])
+        return op(a, b)
+
+    out = build()
+    coef = rng.normal(size=out.shape)
+    pairs = list(out._backward(coef))
+    assert [parent for parent, _ in pairs] == [ps["p"]]
+    (out * coef).sum().backward()
+    assert const.grad is None
+    check_gradients(lambda: float((build().data * coef).sum()), ps,
+                    {"p": ps["p"].grad}, rng=rng)
+
+
+@pytest.mark.parametrize("param_shape,const_shape,param_first", [
+    ((4, 5), (5, 3), True),         # 2-D, constant on the right
+    ((5, 3), (4, 5), False),        # 2-D, constant on the left
+    ((5, 4), (3, 6, 5), False),     # stacked input @ trainable weight
+    ((3, 6, 5), (5, 4), True),      # trainable stack @ constant matrix
+])
+def test_matmul_constant_operand(param_shape, const_shape, param_first):
+    _check_constant_operand(lambda a, b: a @ b, param_shape, const_shape,
+                            param_first, seed=10)
+
+
+@pytest.mark.parametrize("param_shape,const_shape,param_first", [
+    ((4, 3), (3,), True),           # constant broadcast over rows
+    ((3,), (4, 3), False),          # trainable operand broadcast
+    ((4, 1), (4, 3), True),         # size-1 axis summed back
+])
+@pytest.mark.parametrize("name", ["mul", "add"])
+def test_mul_add_constant_operand(name, param_shape, const_shape, param_first):
+    op = (lambda a, b: a * b) if name == "mul" else (lambda a, b: a + b)
+    _check_constant_operand(op, param_shape, const_shape, param_first,
+                            seed=11)
+
+
+def test_layer_norm_and_stack_skip_constant_parents():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(8)), Tensor(np.zeros(8))
+    out = layer_norm(x, gamma, beta)
+    assert [p for p, _ in out._backward(np.ones((3, 8)))] == [x]
+    const = Tensor(np.ones((3, 8)))
+    stacked = stack([const, x])
+    assert [p for p, _ in stacked._backward(np.ones((2, 3, 8)))] == [x]
+
+
+def test_relu_non_finite_and_negative_inputs():
+    x = np.array([np.nan, np.inf, -np.inf, -2.0, -0.0, 0.0, 3.0])
+    t = Tensor(x, requires_grad=True)
+    y = relu(t)
+    assert np.isnan(y.data[0])                        # NaN is not hidden
+    assert np.array_equal(y.data[1:], [np.inf, 0.0, 0.0, 0.0, 0.0, 3.0])
+    y.sum().backward()
+    assert np.array_equal(t.grad, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import Tensor, backward, cross_entropy, head_forward, no_grad, softmax
+from .nn import Tensor, backward, cross_entropy, head_forward, no_grad
 
 log = logging.getLogger(__name__)
 
@@ -262,15 +262,12 @@ class TowerObjective:
 
     def loss_and_grad(self):
         total = None
-        sets = [self.towers[t].params for t in self.tasks]
         for t in self.tasks:
             logits = head_forward(self.towers[t].params, self.inputs[t])
-            loss = cross_entropy(softmax(logits), self.labels[t])
+            loss = cross_entropy(logits, self.labels[t])
             weighted = loss * self.weights[t]
             total = weighted if total is None else total + weighted
-        grads = backward(total, *sets)
-        if len(sets) == 1:
-            grads = (grads,)
+        grads = backward(total, *(self.towers[t].params for t in self.tasks))
         by_task = dict(zip(self.tasks, grads))
         flat = np.empty_like(self._flat)
         for t, name, sl in self._slices:

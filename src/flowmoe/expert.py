@@ -14,7 +14,7 @@ import numpy as np
 
 from . import serial
 from .data import LabeledDataset
-from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward,
+from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, backward,
                  cross_entropy, encoder_forward, eval_forward, head_forward,
                  init_encoder, init_head, no_grad, seed_streams, softmax)
 
@@ -120,7 +120,7 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
             logits = head_forward(head, rep, train_mode=True,
                                   dropout_stream=stream,
                                   dropout_rate=cfg.dropout_rate)
-            loss = cross_entropy(softmax(logits), labels[idx])
+            loss = cross_entropy(logits, labels[idx])
             enc_g, head_g = backward(loss, encoder, head)
             opt.apply({"encoder": enc_g, "head": head_g}, cfg.learning_rate)
             total += loss.item() * len(idx)
@@ -135,10 +135,12 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
 
 
 def _evaluate_split(model, data, task_id):
-    probs = expert_predict(model, data.features)
     labels = data.labels[task_id]
-    loss = cross_entropy(Tensor(probs), labels).item()
-    acc = float((np.argmax(probs, axis=1) == labels).mean())
+    with no_grad():
+        logits = head_forward(model.head, encoder_forward(model.encoder,
+                                                          data.features))
+        loss = cross_entropy(logits, labels).item()
+    acc = float((np.argmax(logits.data, axis=1) == labels).mean())
     return loss, acc
 
 
@@ -185,12 +187,16 @@ def expert_from_container(path, header, tensors) -> ExpertModel:
     if header.get("kind") != "expert":
         raise ValueError(f"{path}: not an expert model file "
                          f"(kind={header.get('kind')!r})")
+
+    def get(key, kind=str):
+        return serial.header_field(path, header, key, kind)
+
     encoder, head = ParamSet(), ParamSet()
-    for name, _shape in header["tensors"]:
+    for name, _shape in get("tensors", list):
         section, pname = name.split(".", 1)
         target = encoder if section == "encoder" else head
         target.add(pname, tensors[name])
-    return ExpertModel(id=header["id"], encoder=encoder, head=head,
-                       label_map=list(header["label_map"]),
-                       input_dim=int(header["input_dim"]),
+    return ExpertModel(id=get("id"), encoder=encoder, head=head,
+                       label_map=list(get("label_map", list)),
+                       input_dim=get("input_dim", int),
                        task_id=header.get("task_id", ""))

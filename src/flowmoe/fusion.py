@@ -349,13 +349,11 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
                 logits = head_forward(tower.params, gated, train_mode=True,
                                       dropout_stream=stream,
                                       dropout_rate=tower.dropout_rate)
-                task_loss = cross_entropy(softmax(logits), data.labels[task][idx])
+                task_loss = cross_entropy(logits, data.labels[task][idx])
                 batch_losses[task] = task_loss.item()
                 weighted = task_loss * model.loss_weights[task]
                 loss_total = weighted if loss_total is None else loss_total + weighted
             grads = backward(loss_total, *named_sets.values())
-            if len(named_sets) == 1:
-                grads = (grads,)
             opt.apply(dict(zip(named_sets, grads)), cfg.learning_rate)
             w = len(idx)
             for task, value in batch_losses.items():
@@ -460,49 +458,56 @@ def fused_from_container(path, header, tensors) -> FusedModel:
         raise ValueError(f"{path}: not a fused model file "
                          f"(kind={header.get('kind')!r})")
 
+    def get(meta, key, kind=str):
+        return serial.header_field(path, meta, key, kind)
+
     def collect(prefix):
         ps = ParamSet()
         plen = len(prefix)
-        for name, _ in header["tensors"]:
+        for name, _ in get(header, "tensors", list):
             if name.startswith(prefix):
                 ps.add(name[plen:], tensors[name])
         return ps
 
     experts = []
-    for i, meta in enumerate(header["experts"]):
-        experts.append(ExpertModel(id=meta["id"],
+    for i, meta in enumerate(get(header, "experts", list)):
+        experts.append(ExpertModel(id=get(meta, "id"),
                                    encoder=collect(f"expert{i}.encoder."),
                                    head=collect(f"expert{i}.head."),
-                                   label_map=list(meta["label_map"]),
-                                   input_dim=int(meta["input_dim"]),
+                                   label_map=list(get(meta, "label_map", list)),
+                                   input_dim=get(meta, "input_dim", int),
                                    task_id=meta.get("task_id", "")))
         experts[-1].freeze()
     n = len(experts)
     gates = {}
-    for meta in header["gates"]:
-        mode = GateMode(meta["mode"])
-        linear = collect(f"gate.{meta['task_id']}.") \
-            if mode is GateMode.TRAINABLE else None
-        gates[meta["task_id"]] = GateConfig(meta["task_id"], mode,
-                                            tuple(meta["subset"]), n,
-                                            linear=linear or None)
+    for meta in get(header, "gates", list):
+        task, mode = get(meta, "task_id"), GateMode(get(meta, "mode"))
+        linear = collect(f"gate.{task}.") if mode is GateMode.TRAINABLE else None
+        gates[task] = GateConfig(task, mode, tuple(get(meta, "subset", list)),
+                                 n, linear=linear or None)
     towers = {}
-    for meta in header["towers"]:
-        towers[meta["task_id"]] = Tower(task_id=meta["task_id"],
-                                        params=collect(f"tower.{meta['task_id']}."),
-                                        n_classes=int(meta["n_classes"]),
-                                        dropout_rate=float(meta["dropout_rate"]))
+    for meta in get(header, "towers", list):
+        task = get(meta, "task_id")
+        towers[task] = Tower(task_id=task, params=collect(f"tower.{task}."),
+                             n_classes=get(meta, "n_classes", int),
+                             dropout_rate=float(get(meta, "dropout_rate",
+                                                    (int, float))))
     relations = []
-    for rel in header["relations"]:
-        tasks = [TaskSpec(task_id=t["task_id"], experts=tuple(t["experts"]),
-                          labels=t["labels"], alpha=t["alpha"])
-                 for t in rel["tasks"]]
-        relations.append(TaskRelation(mode=FusionMode(rel["mode"]), tasks=tasks,
-                                      nesting=rel["nesting"]))
-    return FusedModel(experts=experts, task_ids=list(header["task_ids"]),
+    for rel in get(header, "relations", list):
+        tasks = [TaskSpec(task_id=get(t, "task_id"),
+                          experts=tuple(get(t, "experts", list)),
+                          labels=get(t, "labels", list),
+                          alpha=get(t, "alpha", (int, float)))
+                 for t in get(rel, "tasks", list)]
+        relations.append(TaskRelation(mode=FusionMode(get(rel, "mode")),
+                                      tasks=tasks,
+                                      nesting=get(rel, "nesting",
+                                                  (dict, type(None)))))
+    return FusedModel(experts=experts, task_ids=list(get(header, "task_ids", list)),
                       gates=gates, towers=towers, relations=relations,
-                      label_maps={k: list(v) for k, v in header["label_maps"].items()},
-                      loss_weights=dict(header["loss_weights"]))
+                      label_maps={k: list(v) for k, v in
+                                  get(header, "label_maps", dict).items()},
+                      loss_weights=dict(get(header, "loss_weights", dict)))
 
 
 # -- declarative fusion config ------------------------------------------------

@@ -256,7 +256,7 @@ def _parse_ipv4(buf, ts):
     if flags_frag & 0x1FFF or flags_frag & 0x2000:  # fragmented: no reassembly
         return None
     proto = buf[9]
-    if proto not in (6, 17) or len(buf) < ihl:
+    if proto not in (6, 17) or ihl < 20 or len(buf) < ihl:
         return None
     src = ".".join(str(b) for b in buf[12:16])
     dst = ".".join(str(b) for b in buf[16:20])
@@ -267,7 +267,7 @@ def _parse_ipv4(buf, ts):
         sport, dport = struct.unpack(">HH", seg[:4])
         doff = (seg[12] >> 4) * 4
         window = struct.unpack(">H", seg[14:16])[0]
-        if len(seg) < doff:
+        if doff < 20 or len(seg) < doff:
             return None
         return Packet(ts, src, sport, dst, dport, TCP, bytes(seg[doff:]), window)
     if len(seg) < 8:

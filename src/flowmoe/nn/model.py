@@ -138,18 +138,16 @@ def head_forward(params, x, train_mode=False, dropout_stream=None,
 def backward(loss, *param_sets):
     """Gradients of a scalar loss for every trainable parameter reached.
 
-    Returns one dict per given ParamSet, keyed by parameter name; frozen or
-    unreached parameters have no entry.
+    Returns a tuple with one dict per given ParamSet, keyed by parameter
+    name; frozen or unreached parameters have no entry.
     """
     if not isinstance(loss, Tensor) or not loss.requires_grad:
         raise ValueError("loss does not carry a computation graph")
     for ps in param_sets:
         ps.zero_grad()
     loss.backward()
-    out = []
-    for ps in param_sets:
-        out.append({name: t.grad for name, t in ps.items() if t.grad is not None})
-    return out[0] if len(out) == 1 else tuple(out)
+    return tuple({name: t.grad for name, t in ps.items() if t.grad is not None}
+                 for ps in param_sets)
 
 
 def eval_forward(fn, *args, **kwargs):

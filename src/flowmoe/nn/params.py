@@ -58,44 +58,13 @@ class ParamSet:
         for t in self._tensors.values():
             t.grad = None
 
-    def copy(self) -> "ParamSet":
-        out = ParamSet()
-        for name, t in self._tensors.items():
-            out.add(name, t.data.copy(), trainable=t.requires_grad)
-        return out
-
     def state_dict(self):
         return {name: t.data.copy() for name, t in self._tensors.items()}
-
-    def load_state_dict(self, state):
-        for name, t in self._tensors.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}: "
-                                 f"{arr.shape} vs {t.data.shape}")
-            t.data = arr.copy()
 
     def to_vector(self):
         if not self._tensors:
             return np.zeros(0)
         return np.concatenate([t.data.ravel() for t in self._tensors.values()])
-
-    def load_vector(self, vec):
-        vec = np.asarray(vec, dtype=np.float64)
-        offset = 0
-        for t in self._tensors.values():
-            n = t.data.size
-            t.data = vec[offset:offset + n].reshape(t.data.shape).copy()
-            offset += n
-        if offset != vec.size:
-            raise ValueError(f"vector length {vec.size} does not match "
-                             f"parameter count {offset}")
-
-    def bit_equal(self, other) -> bool:
-        if self.names() != other.names():
-            return False
-        return all(np.array_equal(self[n].data, other[n].data)
-                   for n in self.names())
 
 
 def init_linear(params, prefix, fan_in, fan_out, rng, zero_weights=False):
@@ -113,20 +82,14 @@ class DropoutStream:
     """Counter-based deterministic mask source (Philox).
 
     Masks come out in call order, so replaying the same call sequence from
-    the same seed reproduces training bit-for-bit. `fork()` derives an
-    independent stream for a sub-component.
+    the same seed reproduces training bit-for-bit.
     """
 
-    def __init__(self, seed, stream=0):
-        self._seed = int(seed)
-        self._gen = np.random.Generator(np.random.Philox(key=self._seed,
-                                                         counter=[0, 0, 0, stream]))
+    def __init__(self, seed):
+        self._gen = np.random.Generator(np.random.Philox(key=int(seed)))
 
     def mask(self, shape, keep_prob):
         return (self._gen.random(shape) < keep_prob).astype(np.float64)
-
-    def fork(self, stream):
-        return DropoutStream(self._seed, stream=stream)
 
 
 def seed_streams(seed, n):

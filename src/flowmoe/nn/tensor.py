@@ -14,6 +14,12 @@ Backward contract: a node's closure maps the gradient of its output to
 (parent, gradient) pairs for exactly those parents whose `requires_grad`
 is set when the sweep runs. A constant operand (raw input, frozen weight,
 fixed placement matrix) gets no pair, so its gradient is never formed.
+A leaf keeps the first array it receives as its `.grad` and adds later
+arrivals out of place, so closures may hand one array to several parents.
+
+Loss contract: `cross_entropy` takes logits (unnormalized scores), not
+probabilities. It evaluates a log-sum-exp, so the loss and its gradient
+(softmax - onehot) / n stay finite and exact for saturated logits.
 """
 
 from __future__ import annotations
@@ -76,10 +82,8 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        # out of place: `g` may be shared with another leaf
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this tensor; accumulates into .grad."""
@@ -293,32 +297,30 @@ def dropout(x, mask, keep_prob):
     return Tensor._result(x.data * mask * scale, (x,), backward)
 
 
-def cross_entropy(probs, labels, floor=1e-12):
+def cross_entropy(logits, labels):
     """Mean negative log-likelihood of the true classes, as a scalar Tensor.
 
-    `probs` rows must already be probability vectors (e.g. softmax output);
-    entries are clamped at `floor` before the log. `labels` is an int index
-    or an int array matching the leading dimension.
+    `logits` are unnormalized scores, (k,) or (n, k); the loss is
+    mean(logsumexp(z) - z[label]) and its gradient (softmax(z) - onehot) / n.
+    `labels` is an int index or an int array matching the leading dimension.
     """
-    pd = probs.data
-    p2 = pd.reshape(1, -1) if pd.ndim == 1 else pd
+    z = logits.data.reshape(1, -1) if logits.data.ndim == 1 else logits.data
     lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    n, k = p2.shape
+    n, k = z.shape
     if lab.shape != (n,):
         raise ValueError(f"labels shape {lab.shape} does not match batch {n}")
     if np.any(lab < 0) or np.any(lab >= k):
         raise ValueError(f"label index out of range for {k} classes")
-    sums = p2.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ValueError("probabilities do not sum to 1")
-    picked = p2[np.arange(n), lab]
-    clamped = np.maximum(picked, floor)
-    loss = -np.log(clamped).mean()
+    rows = np.arange(n)
+    shifted = z - z.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    total = expd.sum(axis=1, keepdims=True)
+    loss = (np.log(total[:, 0]) - shifted[rows, lab]).mean()
 
     def backward(g):
-        gp = np.zeros_like(p2)
-        live = picked > floor
-        gp[np.arange(n), lab] = np.where(live, -1.0 / clamped, 0.0) * (g / n)
-        return ((probs, gp.reshape(pd.shape)),)
+        gz = expd / total
+        gz[rows, lab] -= 1.0
+        gz *= g / n
+        return ((logits, gz.reshape(logits.shape)),)
 
-    return Tensor._result(np.float64(loss), (probs,), backward)
+    return Tensor._result(np.float64(loss), (logits,), backward)

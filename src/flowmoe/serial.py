@@ -63,6 +63,16 @@ def load_container(path, magic):
     return header, tensors
 
 
+def header_field(path, header, key, kind=str):
+    """header[key] if present and of type `kind`, else a ValueError naming
+    the file and the key."""
+    value = header.get(key) if isinstance(header, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"{path}: header field {key!r} is missing or "
+                         f"of the wrong type")
+    return value
+
+
 def save_features(path, flow_ids, features, nb=784, npkt=32):
     features = np.asarray(features, dtype=np.float64)
     header = {"kind": "features", "nb": nb, "npkt": npkt,

@@ -53,9 +53,7 @@ def test_criterion_01_gradient_correctness():
     def check(loss_fn, params, coords=12):
         nonlocal worst
         loss = loss_fn()
-        grad_sets = backward(loss, *params) if len(params) > 1 \
-            else (backward(loss, params[0]),)
-        for ps, grads in zip(params, grad_sets):
+        for ps, grads in zip(params, backward(loss, *params)):
             err = check_gradients(lambda: loss_fn().item(), ps, grads,
                                   rel_tol=1e-4, max_coords=coords, rng=rng)
             worst = max(worst, err)
@@ -105,11 +103,11 @@ def test_criterion_01_gradient_correctness():
     cf = rng.normal(size=(4, 10))
     check(lambda: (layer_norm(ln["x"], ln["g"], ln["b"]) * cf).sum(), (ln,))
 
-    # softmax + cross-entropy
+    # cross-entropy from logits
     sm = ParamSet()
     sm.add("z", rng.normal(size=(8, 4)))
     labels = rng.integers(0, 4, size=8)
-    check(lambda: cross_entropy(softmax(sm["z"]), labels), (sm,))
+    check(lambda: cross_entropy(sm["z"], labels), (sm,))
 
     # gate linear (softmax mixing of expert rows)
     gate = init_gate_linear(3)
@@ -125,7 +123,7 @@ def test_criterion_01_gradient_correctness():
         for j in range(3):
             term = delta.select(j, axis=1).reshape(4, 1) * Tensor(stacked[j])
             mixed = term if mixed is None else mixed + term
-        return cross_entropy(softmax(head_forward(gtower, mixed)), glabels)
+        return cross_entropy(head_forward(gtower, mixed), glabels)
 
     check(gate_loss, (gate, gtower), coords=8)
 
@@ -133,7 +131,7 @@ def test_criterion_01_gradient_correctness():
     tower = init_head(np.random.default_rng(8), 3)
     tx = rng.random((4, INPUT_DIM))
     tlabels = rng.integers(0, 3, size=4)
-    check(lambda: cross_entropy(softmax(head_forward(tower, tx)), tlabels),
+    check(lambda: cross_entropy(head_forward(tower, tx), tlabels),
           (tower,), coords=8)
 
     enc = init_encoder(np.random.default_rng(9))
@@ -189,7 +187,7 @@ def test_criterion_03_task_isolation(mode1_runs):
             tower.params.zero_grad()
         gated = gate_output(fused.gates[task], Tensor(reps), Tensor(X)).data
         loss = cross_entropy(
-            softmax(head_forward(fused.towers[task].params, Tensor(gated))),
+            head_forward(fused.towers[task].params, Tensor(gated)),
             test.labels[task][:32])
         loss.backward()
         for other, tower in fused.towers.items():

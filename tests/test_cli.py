@@ -238,6 +238,36 @@ def test_duplicate_label_row_is_a_cli_error(pipeline_dir, tmp_path, capsys):
     assert not (tmp_path / "x.snke").exists()
 
 
+def _drop_label_map(header):
+    del header["label_map"]
+
+
+def _string_class_count(header):
+    header["towers"][0]["n_classes"] = "3"
+
+
+@pytest.mark.parametrize("model,damage,key", [
+    ("app.snke", _drop_label_map, "label_map"),
+    ("fused.snke", _string_class_count, "n_classes"),
+])
+def test_bad_model_header_field_is_a_cli_error(pipeline_dir, tmp_path, capsys,
+                                               model, damage, key):
+    from flowmoe import serial
+    header, tensors = serial.load_container(pipeline_dir / model,
+                                            serial.MODEL_MAGIC)
+    damage(header)
+    broken = tmp_path / model
+    serial.save_container(broken, serial.MODEL_MAGIC, header,
+                          [(name, tensors[name]) for name, _ in header["tensors"]])
+    rc = run(["classify", "--model", str(broken), "--features",
+              str(pipeline_dir / "features.snkf"), "--out",
+              str(tmp_path / "pred.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"flowmoe: error: {broken}: header field {key!r}" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_nonzero():
     assert run(["gen", "--nonsense"]) != 0
 

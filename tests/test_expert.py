@@ -11,6 +11,12 @@ from flowmoe.nn import (INPUT_DIM, encoder_forward, head_forward, no_grad,
                         softmax)
 
 
+def _bit_equal(a, b):
+    """Same parameter names in the same order, with bitwise-equal values."""
+    return a.names() == b.names() and all(
+        np.array_equal(a[n].data, b[n].data) for n in a.names())
+
+
 def test_defaults_match_stated_hyperparameters():
     cfg = TrainConfig()
     assert cfg.learning_rate == 1e-3
@@ -57,8 +63,8 @@ def test_same_seed_identical_traces(two_task_data):
                                     task_id="encap")
         runs.append((model, [s.train_loss for s in trace]))
     assert runs[0][1] == runs[1][1]
-    assert runs[0][0].encoder.bit_equal(runs[1][0].encoder)
-    assert runs[0][0].head.bit_equal(runs[1][0].head)
+    assert _bit_equal(runs[0][0].encoder, runs[1][0].encoder)
+    assert _bit_equal(runs[0][0].head, runs[1][0].head)
 
 
 def test_representation_shape_and_purity(trained_experts, two_task_data):

@@ -232,6 +232,31 @@ def test_pcap_skips_non_ip_and_truncated(tmp_path, caplog):
     assert "skipped" in caplog.text
 
 
+def _read_one_bad_frame(tmp_path, caplog, bad):
+    good = _eth_frame(_ipv4("1.2.3.4", "5.6.7.8", 6, _tcp_seg(1, 2, 3, b"x")))
+    p = tmp_path / "bad.pcap"
+    _write_pcap(p, [good, _eth_frame(bad)])
+    with caplog.at_level("WARNING"):
+        pkts = read_pcap(p)
+    assert [pk.payload for pk in pkts] == [b"x"]
+    assert "skipped 1 unparseable record" in caplog.text
+
+
+def test_pcap_skips_ip_header_length_below_20(tmp_path, caplog):
+    # IHL=4 (16 bytes) would read the destination address as UDP ports
+    ip = bytearray(_ipv4("10.0.0.1", "10.0.0.2", 17, _udp_seg(53, 53, b"q")))
+    ip[0] = 0x44
+    _read_one_bad_frame(tmp_path, caplog, bytes(ip))
+
+
+def test_pcap_skips_tcp_data_offset_below_20(tmp_path, caplog):
+    # data offset 8 would leak 12 header bytes into the payload
+    seg = bytearray(_tcp_seg(1234, 80, 4096, b"payload"))
+    seg[12] = 0x20
+    _read_one_bad_frame(tmp_path, caplog,
+                        _ipv4("10.0.0.1", "10.0.0.2", 6, bytes(seg)))
+
+
 def test_pcap_rejects_bad_magic(tmp_path):
     p = tmp_path / "junk.pcap"
     p.write_bytes(b"\x00" * 64)

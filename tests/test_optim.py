@@ -1,8 +1,8 @@
-"""Adam / gradient-descent updates against hand-evaluated recurrences."""
+"""Adam updates against hand-evaluated recurrences and a textbook oracle."""
 
 import numpy as np
 
-from flowmoe.nn import AdamState, MultiAdam, ParamSet, adam_step, sgd_step
+from flowmoe.nn import MultiAdam, ParamSet
 
 
 def _ps(**kw):
@@ -12,9 +12,16 @@ def _ps(**kw):
     return ps
 
 
+def _step(ps, grads, lr, opt=None):
+    """One MultiAdam step on a single set; returns the optimizer."""
+    opt = opt or MultiAdam({"s": ps})
+    opt.apply({"s": grads}, lr)
+    return opt
+
+
 def test_adam_zero_gradient_keeps_parameters():
     ps = _ps(w=np.array([1.0, -2.0]))
-    adam_step(ps, {"w": np.zeros(2)}, AdamState(), 1e-3)
+    _step(ps, {"w": np.zeros(2)}, 1e-3)
     assert np.array_equal(ps["w"].data, [1.0, -2.0])
 
 
@@ -23,7 +30,7 @@ def test_adam_first_step_matches_hand_recurrence():
     # so the update is exactly lr * g / (|g| + eps)
     g = np.array([2.0, -0.5, 1e-3])
     ps = _ps(w=np.array([1.0, 1.0, 1.0]))
-    adam_step(ps, {"w": g.copy()}, AdamState(), 0.1)
+    _step(ps, {"w": g.copy()}, 0.1)
     expected = 1.0 - 0.1 * g / (np.abs(g) + 1e-8)
     assert np.allclose(ps["w"].data, expected, rtol=0, atol=1e-15)
     # per-coordinate magnitude ~ lr for any sizeable constant gradient
@@ -35,9 +42,9 @@ def test_adam_five_steps_deterministic():
 
     def run():
         ps = _ps(w=np.zeros(4))
-        st = AdamState()
+        opt = None
         for g in grads:
-            adam_step(ps, {"w": g}, st, 1e-2)
+            opt = _step(ps, {"w": g}, 1e-2, opt)
         return ps["w"].data
 
     assert np.array_equal(run(), run())
@@ -45,36 +52,9 @@ def test_adam_five_steps_deterministic():
 
 def test_adam_untracked_parameter_untouched():
     ps = _ps(a=np.ones(2), b=np.ones(2))
-    adam_step(ps, {"a": np.full(2, 0.5)}, AdamState(), 0.1)
+    _step(ps, {"a": np.full(2, 0.5)}, 0.1)
     assert np.array_equal(ps["b"].data, [1.0, 1.0])
     assert not np.array_equal(ps["a"].data, [1.0, 1.0])
-
-
-def test_sgd_zero_rate_is_identity():
-    ps = _ps(w=np.array([3.0]))
-    sgd_step(ps, {"w": np.array([5.0])}, 0.0)
-    assert np.array_equal(ps["w"].data, [3.0])
-
-
-def test_sgd_scalar_arithmetic():
-    ps = _ps(w=np.array([1.0]))
-    sgd_step(ps, {"w": np.array([2.0])}, 0.1)
-    assert np.allclose(ps["w"].data, [0.8], rtol=0, atol=1e-15)
-
-
-def test_sgd_quadratic_descent_matches_closed_form():
-    # L(w) = c/2 w^2 with alpha below 1/c: iterates follow (1 - alpha c)^t
-    # and the loss decreases monotonically
-    c, alpha, w0, steps = 4.0, 0.2, 3.0, 100
-    ps = _ps(w=np.array([w0]))
-    losses = []
-    for _ in range(steps):
-        w = ps["w"].data[0]
-        losses.append(0.5 * c * w * w)
-        sgd_step(ps, {"w": np.array([c * w])}, alpha)
-    expected_w = w0 * (1 - alpha * c) ** steps
-    assert np.allclose(ps["w"].data, [expected_w], rtol=1e-12)
-    assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
 def test_multi_adam_matches_per_set_adam():
@@ -85,13 +65,12 @@ def test_multi_adam_matches_per_set_adam():
     for _ in range(3):
         opt.apply({"a": {"w": g1}, "b": {"w": g2}}, 1e-2)
 
-    ref_a, ref_b = _ps(w=np.zeros(2)), _ps(w=np.zeros(1))
-    st_a, st_b = AdamState(), AdamState()
-    for _ in range(3):
-        adam_step(ref_a, {"w": g1}, st_a, 1e-2)
-        adam_step(ref_b, {"w": g2}, st_b, 1e-2)
-    assert np.array_equal(a["w"].data, ref_a["w"].data)
-    assert np.array_equal(b["w"].data, ref_b["w"].data)
+    for ps, g in ((a, g1), (b, g2)):
+        ref = {"w": np.zeros_like(g)}
+        m, v = {"w": np.zeros_like(g)}, {"w": np.zeros_like(g)}
+        for step in range(1, 4):
+            ref, m, v = _textbook_adam(ref, {"w": g}, m, v, step, 1e-2)
+        assert np.array_equal(ps["w"].data, ref["w"])
 
 
 def _textbook_adam(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999,
@@ -122,7 +101,7 @@ def test_multi_adam_shared_work_buffers_match_textbook_update():
     opt = MultiAdam(sets)
 
     def flat(nested):
-        return {f"{s}/{n}": a for s, arrs in nested.items()
+        return {(s, n): a for s, arrs in nested.items()
                 for n, a in arrs.items()}
 
     ref_p = flat(init)
@@ -134,9 +113,8 @@ def test_multi_adam_shared_work_buffers_match_textbook_update():
         opt.apply(grads, 1e-2)
         ref_p, ref_m, ref_v = _textbook_adam(ref_p, flat(grads), ref_m, ref_v,
                                              step, 1e-2)
-    assert opt.state.work[0].size == 6 * 7 * 2
-    for key, expect in ref_p.items():
-        s, n = key.split("/")
+    assert opt.work[0].size == 6 * 7 * 2
+    for (s, n), expect in ref_p.items():
         assert np.array_equal(sets[s][n].data, expect)
-        assert np.array_equal(opt.state.m[key], ref_m[key])
-        assert np.array_equal(opt.state.v[key], ref_v[key])
+        assert np.array_equal(opt.m[s, n], ref_m[s, n])
+        assert np.array_equal(opt.v[s, n], ref_v[s, n])

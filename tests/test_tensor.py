@@ -35,19 +35,38 @@ def test_softmax_rows_are_probabilities():
 
 
 def test_cross_entropy_analytic_values():
-    assert math.isclose(cross_entropy(Tensor(np.array([0.5, 0.5])), 0).item(),
+    # logits log(p) give back the probabilities p
+    assert math.isclose(cross_entropy(Tensor(np.log([0.5, 0.5])), 0).item(),
                         math.log(2.0), rel_tol=1e-12)
-    assert cross_entropy(Tensor(np.array([1.0, 0.0])), 0).item() == 0.0
+    with np.errstate(divide="ignore"):
+        certain = Tensor(np.log([1.0, 0.0]))
+    assert cross_entropy(certain, 0).item() == 0.0
     assert math.isclose(
-        cross_entropy(Tensor(np.array([0.2, 0.3, 0.5])), 2).item(),
+        cross_entropy(Tensor(np.log([0.2, 0.3, 0.5])), 2).item(),
         -math.log(0.5), rel_tol=1e-12)
 
 
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError):
         cross_entropy(Tensor(np.array([0.5, 0.5])), 2)
-    with pytest.raises(ValueError):
-        cross_entropy(Tensor(np.array([0.4, 0.4])), 0)  # not a distribution
+
+
+def test_cross_entropy_confidently_wrong_sample_keeps_its_gradient():
+    # true class 40 below the other: loss 40, gradient softmax - onehot
+    z = Tensor(np.array([0.0, 40.0]), requires_grad=True)
+    loss = cross_entropy(z, 0)
+    assert math.isclose(loss.item(), 40.0, rel_tol=1e-12)
+    loss.backward()
+    assert np.allclose(z.grad, [-1.0, 1.0], rtol=0, atol=1e-12)
+
+
+def test_cross_entropy_extreme_logits_stay_finite():
+    z = Tensor(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]),
+               requires_grad=True)
+    loss = cross_entropy(z, [1, 1])
+    assert loss.item() == 1000.0        # mean of 2000 and 0
+    loss.backward()
+    assert np.array_equal(z.grad, [[0.5, -0.5], [0.0, 0.0]])
 
 
 def test_backward_requires_graph():
@@ -135,7 +154,7 @@ def test_grad_softmax_cross_entropy_matches_probability_gap():
     z = rng.normal(size=(8, 4))
     labels = rng.integers(0, 4, size=8)
     ps = _params_from({"z": z})
-    loss = cross_entropy(softmax(ps["z"]), labels)
+    loss = cross_entropy(ps["z"], labels)
     loss.backward()
     p = softmax(Tensor(z)).data
     expect = p.copy()
@@ -221,6 +240,18 @@ def test_shared_upstream_gradient_is_not_mutated_by_accumulation():
     a, b = x * 2.0, x * 3.0
     ((a + b) + a).sum().backward()
     assert np.array_equal(x.grad, [7.0])
+
+
+def test_leaves_sharing_one_upstream_array_accumulate_separately():
+    # a + b hands one gradient array to both leaves, which keep it without
+    # a copy; a second sweep must add into each leaf's gradient alone
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    loss = (a + b).sum()
+    loss.backward()
+    loss.backward()
+    assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
+    assert np.array_equal(b.grad, [2.0, 2.0, 2.0])
 
 
 def test_diamond_graph_accumulates_once_per_path():

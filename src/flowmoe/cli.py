@@ -133,7 +133,7 @@ def cmd_train_expert(args):
     save_expert(model, out)
     trace_path = args.trace or str(out) + ".loss.csv"
     write_loss_trace(_prepare_out(trace_path), trace)
-    test_metrics = evaluate(model, test, args.task)
+    test_metrics = evaluate(model, test, [args.task])[args.task]
     log.info("expert %s: %s -> %s", model.id, test_metrics.summary(), out)
     _log_run(out, "train-expert", cfg.seed, [args.features, args.labels])
     return 0
@@ -259,7 +259,7 @@ def cmd_eval(args):
     data = _load_dataset(args.features, args.labels, label_maps=maps,
                          tasks=tasks)
     part = _select_part(data, args)
-    metrics = {t: evaluate(model, part, t) for t in tasks}
+    metrics = evaluate(model, part, tasks)
     prefix = _prepare_out(args.out_prefix)
     write_metrics_csv(str(prefix) + ".metrics.csv", metrics)
     report_lines = []

@@ -115,28 +115,38 @@ def compute_metrics(y_true, y_pred, class_names) -> Metrics:
                    class_names=list(class_names))
 
 
-def evaluate(model, testset: LabeledDataset, task_id=None) -> Metrics:
-    """Metrics of an expert or fused model on one task of a labeled set."""
+def evaluate(model, testset: LabeledDataset, tasks=None) -> dict:
+    """Metrics of an expert or fused model per task of a labeled set.
+
+    `tasks` lists the task ids to score; by default a fused model's tasks,
+    or an expert's own task. The model runs once however many tasks are
+    scored. Returns {task_id: Metrics} in the order of `tasks`.
+    """
     from .expert import ExpertModel, expert_predict
     from .fusion import FusedModel, classify_batch
 
     if testset.n_samples == 0:
         raise ValueError("empty evaluation set")
     if isinstance(model, ExpertModel):
-        task_id = task_id or model.task_id or testset.task_ids[0]
-        preds = np.argmax(expert_predict(model, testset.features), axis=1)
+        tasks = list(tasks or [model.task_id or testset.task_ids[0]])
     elif isinstance(model, FusedModel):
-        if task_id is None:
-            if len(model.task_ids) != 1:
-                raise ValueError("fused model has several tasks; pass task_id")
-            task_id = model.task_ids[0]
-        preds = classify_batch(model, testset.features)[task_id][0]
+        tasks = list(tasks or model.task_ids)
+        unknown = [t for t in tasks if t not in model.task_ids]
+        if unknown:
+            raise ValueError(f"fused model has no task(s) {unknown}")
     else:
         raise TypeError(f"cannot evaluate {type(model).__name__}")
-    if task_id not in testset.labels:
-        raise ValueError(f"test set lacks labels for task {task_id!r}")
-    names = testset.label_maps[task_id]
-    return compute_metrics(testset.labels[task_id], preds, names)
+    missing = [t for t in tasks if t not in testset.labels]
+    if missing:
+        raise ValueError(f"test set lacks labels for task(s) {missing}")
+    if isinstance(model, ExpertModel):
+        pred = np.argmax(expert_predict(model, testset.features), axis=1)
+        preds = {t: pred for t in tasks}
+    else:
+        batch = classify_batch(model, testset.features)
+        preds = {t: batch[t][0] for t in tasks}
+    return {t: compute_metrics(testset.labels[t], preds[t],
+                               testset.label_maps[t]) for t in tasks}
 
 
 def write_metrics_csv(path, metrics_by_task):

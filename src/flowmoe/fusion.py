@@ -19,10 +19,13 @@ import numpy as np
 from . import serial
 from .data import LabeledDataset
 from .expert import (ExpertModel, TrainConfig, expert_from_container,
-                     expert_representation)
+                     expert_representation, params_from_container,
+                     reject_unexpected)
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward,
-                 cross_entropy, encoder_forward, head_forward, init_gate_linear,
-                 init_head, no_grad, seed_streams, softmax, stack)
+                 cross_entropy, encoder_forward, encoder_shapes,
+                 gate_linear_shapes, head_forward, head_shapes,
+                 init_gate_linear, init_head, no_grad, seed_streams, softmax,
+                 stack)
 
 
 class GateMode(enum.Enum):
@@ -461,37 +464,56 @@ def fused_from_container(path, header, tensors) -> FusedModel:
     def get(meta, key, kind=str):
         return serial.header_field(path, meta, key, kind)
 
-    def collect(prefix):
-        ps = ParamSet()
-        plen = len(prefix)
-        for name, _ in get(header, "tensors", list):
-            if name.startswith(prefix):
-                ps.add(name[plen:], tensors[name])
-        return ps
-
+    tensors = dict(tensors)
     experts = []
     for i, meta in enumerate(get(header, "experts", list)):
-        experts.append(ExpertModel(id=get(meta, "id"),
-                                   encoder=collect(f"expert{i}.encoder."),
-                                   head=collect(f"expert{i}.head."),
-                                   label_map=list(get(meta, "label_map", list)),
-                                   input_dim=get(meta, "input_dim", int),
-                                   task_id=meta.get("task_id", "")))
+        label_map = list(get(meta, "label_map", list))
+        experts.append(ExpertModel(
+            id=get(meta, "id"),
+            encoder=params_from_container(path, tensors, f"expert{i}.encoder.",
+                                          encoder_shapes()),
+            head=params_from_container(path, tensors, f"expert{i}.head.",
+                                       head_shapes(len(label_map))),
+            label_map=label_map, input_dim=get(meta, "input_dim", int),
+            task_id=meta.get("task_id", "")))
         experts[-1].freeze()
     n = len(experts)
     gates = {}
     for meta in get(header, "gates", list):
         task, mode = get(meta, "task_id"), GateMode(get(meta, "mode"))
-        linear = collect(f"gate.{task}.") if mode is GateMode.TRAINABLE else None
-        gates[task] = GateConfig(task, mode, tuple(get(meta, "subset", list)),
-                                 n, linear=linear or None)
+        subset = get(meta, "subset", list)
+        if not all(type(j) is int for j in subset):
+            raise ValueError(f"{path}: gate {task!r}: subset holds a "
+                             f"non-integer expert index")
+        linear = None
+        if mode is GateMode.TRAINABLE:
+            linear = params_from_container(path, tensors, f"gate.{task}.",
+                                           gate_linear_shapes(len(subset)))
+        gates[task] = GateConfig(task, mode, tuple(subset), n, linear=linear)
     towers = {}
     for meta in get(header, "towers", list):
-        task = get(meta, "task_id")
-        towers[task] = Tower(task_id=task, params=collect(f"tower.{task}."),
-                             n_classes=get(meta, "n_classes", int),
+        task, n_classes = get(meta, "task_id"), get(meta, "n_classes", int)
+        towers[task] = Tower(task_id=task,
+                             params=params_from_container(
+                                 path, tensors, f"tower.{task}.",
+                                 head_shapes(n_classes)),
+                             n_classes=n_classes,
                              dropout_rate=float(get(meta, "dropout_rate",
                                                     (int, float))))
+    reject_unexpected(path, tensors)
+    task_ids = get(header, "task_ids", list)
+    label_maps = get(header, "label_maps", dict)
+    if not all(isinstance(v, list) for v in label_maps.values()):
+        raise ValueError(f"{path}: a label map is not a list")
+    for task in task_ids:
+        if not (isinstance(task, str) and task in gates and task in towers
+                and task in label_maps):
+            raise ValueError(f"{path}: task {task!r} lacks a gate, a tower "
+                             f"or a label map")
+        if towers[task].n_classes != len(label_maps[task]):
+            raise ValueError(f"{path}: task {task!r}: tower has "
+                             f"{towers[task].n_classes} classes, label map "
+                             f"{len(label_maps[task])}")
     relations = []
     for rel in get(header, "relations", list):
         tasks = [TaskSpec(task_id=get(t, "task_id"),
@@ -503,10 +525,9 @@ def fused_from_container(path, header, tensors) -> FusedModel:
                                       tasks=tasks,
                                       nesting=get(rel, "nesting",
                                                   (dict, type(None)))))
-    return FusedModel(experts=experts, task_ids=list(get(header, "task_ids", list)),
+    return FusedModel(experts=experts, task_ids=list(task_ids),
                       gates=gates, towers=towers, relations=relations,
-                      label_maps={k: list(v) for k, v in
-                                  get(header, "label_maps", dict).items()},
+                      label_maps={k: list(v) for k, v in label_maps.items()},
                       loss_weights=dict(get(header, "loss_weights", dict)))
 
 

@@ -1,17 +1,19 @@
 from .tensor import (Tensor, cross_entropy, dropout, layer_norm, no_grad, relu,
                      softmax, stack)
-from .params import DropoutStream, ParamSet, init_linear, seed_streams
+from .params import DropoutStream, ParamSet, seed_streams
 from .model import (FF_DIM, HEAD_DIM, HIDDEN_DIM, INPUT_DIM, N_HEADS, N_TOKENS,
-                    TOKEN_DIM, backward, encoder_forward, eval_forward,
-                    head_forward, init_encoder, init_gate_linear, init_head,
+                    TOKEN_DIM, backward, encoder_forward, encoder_shapes,
+                    eval_forward, gate_linear_shapes, head_forward,
+                    head_shapes, init_encoder, init_gate_linear, init_head,
                     positional_encoding)
 from .optim import MultiAdam
 
 __all__ = [
     "Tensor", "cross_entropy", "dropout", "layer_norm", "no_grad", "relu",
-    "softmax", "stack", "DropoutStream", "ParamSet", "init_linear",
+    "softmax", "stack", "DropoutStream", "ParamSet",
     "seed_streams", "backward", "encoder_forward", "eval_forward",
-    "head_forward", "init_encoder", "init_gate_linear", "init_head",
+    "head_forward", "encoder_shapes", "head_shapes", "gate_linear_shapes",
+    "init_encoder", "init_gate_linear", "init_head",
     "positional_encoding", "MultiAdam",
     "INPUT_DIM", "N_TOKENS", "TOKEN_DIM", "N_HEADS", "HEAD_DIM", "FF_DIM",
     "HIDDEN_DIM",

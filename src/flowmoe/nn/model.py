@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .params import ParamSet, init_linear
+from .params import ParamSet
 from .tensor import Tensor, cross_entropy, dropout, layer_norm, no_grad, relu, softmax
 
 INPUT_DIM = 912
@@ -36,17 +36,53 @@ def positional_encoding(n_tokens=N_TOKENS, dim=TOKEN_DIM):
 _PE = positional_encoding()
 
 
-def init_encoder(rng) -> ParamSet:
-    p = ParamSet()
+def _affine_shapes(prefix, fan_in, fan_out):
+    return {f"{prefix}w": (fan_in, fan_out), f"{prefix}b": (fan_out,)}
+
+
+def encoder_shapes():
+    """Parameter name -> shape of the encoder, in serialization order."""
+    shapes = {}
     for name in ("attn.q", "attn.k", "attn.v", "attn.o"):
-        init_linear(p, name, TOKEN_DIM, TOKEN_DIM, rng)
-    p.add("ln1.gamma", np.ones(TOKEN_DIM))
-    p.add("ln1.beta", np.zeros(TOKEN_DIM))
-    init_linear(p, "ff.1", TOKEN_DIM, FF_DIM, rng)
-    init_linear(p, "ff.2", FF_DIM, TOKEN_DIM, rng)
-    p.add("ln2.gamma", np.ones(TOKEN_DIM))
-    p.add("ln2.beta", np.zeros(TOKEN_DIM))
+        shapes.update(_affine_shapes(f"{name}.", TOKEN_DIM, TOKEN_DIM))
+    shapes.update({"ln1.gamma": (TOKEN_DIM,), "ln1.beta": (TOKEN_DIM,)})
+    shapes.update(_affine_shapes("ff.1.", TOKEN_DIM, FF_DIM))
+    shapes.update(_affine_shapes("ff.2.", FF_DIM, TOKEN_DIM))
+    shapes.update({"ln2.gamma": (TOKEN_DIM,), "ln2.beta": (TOKEN_DIM,)})
+    return shapes
+
+
+def head_shapes(n_out):
+    """Parameter name -> shape of a two-layer head [912 -> 256 -> n_out]."""
+    return {**_affine_shapes("fc1.", INPUT_DIM, HIDDEN_DIM),
+            **_affine_shapes("fc2.", HIDDEN_DIM, n_out)}
+
+
+def gate_linear_shapes(n_inputs):
+    """Parameter name -> shape of a gate projection [912 -> n_inputs]."""
+    return _affine_shapes("", INPUT_DIM, n_inputs)
+
+
+def _init_params(shapes, rng=None, zero=()):
+    """ParamSet over `shapes`: layer-norm gains 1, weights U(+-1/sqrt(fan_in))
+    drawn from `rng` in order, everything else (and weights without an `rng`
+    or named in `zero`) 0."""
+    p = ParamSet()
+    for name, shape in shapes.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "gamma":
+            data = np.ones(shape)
+        elif leaf == "w" and rng is not None and name not in zero:
+            bound = 1.0 / np.sqrt(shape[0])
+            data = rng.uniform(-bound, bound, size=shape)
+        else:
+            data = np.zeros(shape)
+        p.add(name, data)
     return p
+
+
+def init_encoder(rng) -> ParamSet:
+    return _init_params(encoder_shapes(), rng)
 
 
 def init_head(rng, n_out, zero_output=False) -> ParamSet:
@@ -55,18 +91,13 @@ def init_head(rng, n_out, zero_output=False) -> ParamSet:
     `zero_output` starts the final layer at zero so the head begins at the
     uniform prediction (used for freshly attached towers).
     """
-    p = ParamSet()
-    init_linear(p, "fc1", INPUT_DIM, HIDDEN_DIM, rng)
-    init_linear(p, "fc2", HIDDEN_DIM, n_out, rng, zero_weights=zero_output)
-    return p
+    return _init_params(head_shapes(n_out), rng,
+                        zero=("fc2.w",) if zero_output else ())
 
 
 def init_gate_linear(n_inputs) -> ParamSet:
     """Gate projection [912 -> n_inputs], zero-initialized (uniform mix)."""
-    p = ParamSet()
-    p.add("w", np.zeros((INPUT_DIM, n_inputs)))
-    p.add("b", np.zeros(n_inputs))
-    return p
+    return _init_params(gate_linear_shapes(n_inputs))
 
 
 def _as_batch(x):
@@ -157,7 +188,8 @@ def eval_forward(fn, *args, **kwargs):
 
 __all__ = [
     "INPUT_DIM", "N_TOKENS", "TOKEN_DIM", "N_HEADS", "HEAD_DIM", "FF_DIM",
-    "HIDDEN_DIM", "positional_encoding", "init_encoder", "init_head",
+    "HIDDEN_DIM", "positional_encoding", "encoder_shapes", "head_shapes",
+    "gate_linear_shapes", "init_encoder", "init_head",
     "init_gate_linear", "encoder_forward", "head_forward", "backward",
     "eval_forward", "cross_entropy", "softmax", "relu",
 ]

@@ -67,17 +67,6 @@ class ParamSet:
         return np.concatenate([t.data.ravel() for t in self._tensors.values()])
 
 
-def init_linear(params, prefix, fan_in, fan_out, rng, zero_weights=False):
-    """Add weight/bias for one affine layer; weights U(+-1/sqrt(fan_in))."""
-    if zero_weights:
-        w = np.zeros((fan_in, fan_out))
-    else:
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    params.add(f"{prefix}.w", w)
-    params.add(f"{prefix}.b", np.zeros(fan_out))
-
-
 class DropoutStream:
     """Counter-based deterministic mask source (Philox).
 

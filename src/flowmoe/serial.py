@@ -8,6 +8,7 @@ declared by header["tensors"] (a list of [name, shape] pairs).
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -47,11 +48,18 @@ def load_container(path, magic):
         header = json.loads(data[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    entries = header.get("tensors", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: header field 'tensors' is not a list")
     offset = 12 + hlen
     tensors = {}
-    for name, shape in header.get("tensors", []):
-        n = int(np.prod(shape)) if shape else 1
-        nbytes = n * 8
+    for entry in entries:
+        name, shape = _tensor_entry(path, entry)
+        if name in tensors:
+            raise ValueError(f"{path}: duplicate tensor {name!r}")
+        nbytes = math.prod(shape) * 8
         chunk = data[offset:offset + nbytes]
         if len(chunk) < nbytes:
             raise ValueError(f"{path}: truncated tensor payload at {name!r}")
@@ -61,6 +69,17 @@ def load_container(path, magic):
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing byte(s)")
     return header, tensors
+
+
+def _tensor_entry(path, entry):
+    """(name, shape) of one header["tensors"] entry, a [str, [int >= 0, ...]]
+    pair, else a ValueError naming the file."""
+    if (isinstance(entry, list) and len(entry) == 2
+            and isinstance(entry[0], str) and isinstance(entry[1], list)
+            and all(type(d) is int and d >= 0 for d in entry[1])):
+        return entry[0], tuple(entry[1])
+    raise ValueError(f"{path}: bad tensor entry {entry!r:.80}: expected "
+                     f"[name, [non-negative int, ...]]")
 
 
 def header_field(path, header, key, kind=str):
@@ -85,4 +104,11 @@ def load_features(path):
     header, tensors = load_container(path, FEATURE_MAGIC)
     if header.get("kind") != "features":
         raise ValueError(f"{path}: not a feature file")
-    return header["flow_ids"], tensors["features"], header
+    flow_ids = header_field(path, header, "flow_ids", list)
+    features = tensors.get("features")
+    if features is None or features.ndim != 2:
+        raise ValueError(f"{path}: no 2-D 'features' tensor")
+    if features.shape[0] != len(flow_ids):
+        raise ValueError(f"{path}: {len(flow_ids)} flow id(s) for "
+                         f"{features.shape[0]} feature row(s)")
+    return flow_ids, features, header

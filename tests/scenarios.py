@@ -44,9 +44,9 @@ def run_mode1(seed, epochs=5, flows_per_class=150):
     cfg = TrainConfig(learning_rate=1e-4, batch_size=16, epochs=epochs,
                       dropout_rate=0.0, seed=seed)
     fused, trace = fine_tune(fused, train, cfg)
-    expert_acc = {t: evaluate(experts[i], test, t).accuracy
+    expert_acc = {t: evaluate(experts[i], test, [t])[t].accuracy
                   for i, t in enumerate(("app", "encap"))}
-    fused_acc = {t: evaluate(fused, test, t).accuracy
+    fused_acc = {t: evaluate(fused, test, [t])[t].accuracy
                  for t in ("app", "encap")}
     return {"fused": fused, "trace": trace, "test": test,
             "expert_acc": expert_acc, "fused_acc": fused_acc}
@@ -100,7 +100,7 @@ def run_mode2(seed, epochs=10, flows_per_class=120):
     for i, domain in enumerate((MODE2_APPS_A, MODE2_APPS_B)):
         test_view = _single_task_view(test, "app", domain, domain)
         expert_acc[f"domain{i}"] = evaluate(experts[i], test_view,
-                                            "app").accuracy
+                                            ["app"])["app"].accuracy
         keep = np.array([j for j, li in enumerate(test.labels["app"])
                          if union[li] in domain])
         fused_acc[f"domain{i}"] = float(
@@ -163,7 +163,9 @@ def run_mode3(seed, epochs=10, flows_per_class=80):
     fine_names = [test.label_maps["tool"][i] for i in test.labels["tool"]]
     new_idx = np.array([i for i, n in enumerate(fine_names) if n in MODE3_NEW])
     new_samples = test.subset(new_idx)
-    baseline = evaluate(experts[0], new_samples, "verdict").accuracy
-    fused_coarse = evaluate(fused, new_samples, "verdict").accuracy
+    baseline = evaluate(experts[0], new_samples,
+                        ["verdict"])["verdict"].accuracy
+    fused_coarse = evaluate(fused, new_samples,
+                            ["verdict"])["verdict"].accuracy
     return {"fused": fused, "trace": trace, "test": test,
             "baseline_on_new": baseline, "fused_on_new": fused_coarse}

@@ -226,7 +226,7 @@ def test_criterion_04_expert_training():
                                 task_id="app")
     elapsed = time.time() - started
     from flowmoe.evaluation import evaluate
-    acc = evaluate(model, test, "app").accuracy
+    acc = evaluate(model, test, ["app"])["app"].accuracy
     _criterion(4, "expert training on the separable 3-class set",
                oracle_acc >= 0.99 and len(trace) == 50 and acc >= 0.95
                and elapsed < 600.0,

@@ -291,3 +291,144 @@ def test_pcap_ingest_command(tmp_path):
     assert len(ids) == 1
     assert feats.shape == (1, 912)
     assert feats[0, 0] == ord("a") / 255.0
+
+
+def test_fused_eval_runs_the_experts_once(pipeline_dir, tmp_path, monkeypatch):
+    import flowmoe.fusion as fusion
+    from flowmoe.cli import _load_dataset
+    from flowmoe.evaluation import (compute_metrics, split_dataset,
+                                    write_metrics_csv)
+
+    calls = []
+    real = fusion.classify_batch
+
+    def counting(model, X):
+        calls.append(len(X))
+        return real(model, X)
+
+    monkeypatch.setattr(fusion, "classify_batch", counting)
+    prefix = tmp_path / "fused_eval"
+    assert run(["eval", "--model", str(pipeline_dir / "fused.snke"),
+                "--features", str(pipeline_dir / "features.snkf"),
+                "--labels", str(pipeline_dir / "labels.csv"),
+                "--part", "test", "--out-prefix", str(prefix)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # reference: each task scored from its own classify_batch call
+    model = fusion.load_fused(pipeline_dir / "fused.snke")
+    assert len(model.task_ids) == 2
+    data = _load_dataset(pipeline_dir / "features.snkf",
+                         pipeline_dir / "labels.csv",
+                         label_maps=model.label_maps, tasks=model.task_ids)
+    test = split_dataset(data, (0.75, 0.10, 0.15), seed=0)[2]
+    reference = {t: compute_metrics(test.labels[t],
+                                    real(model, test.features)[t][0],
+                                    test.label_maps[t])
+                 for t in model.task_ids}
+    write_metrics_csv(tmp_path / "reference.csv", reference)
+    got = Path(str(prefix) + ".metrics.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+
+
+def _raw_container(path, magic, header, payload=b""):
+    import json
+    import struct
+
+    from flowmoe import serial
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(magic + struct.pack("<II", serial.FORMAT_VERSION, len(blob))
+                     + blob + payload)
+    return path
+
+
+ROW = np.zeros(912).tobytes()
+
+
+@pytest.mark.parametrize("which,header,payload,message", [
+    ("model", b"[1, 2]", b"", "header is not a JSON object"),
+    ("model", {"kind": "expert", "tensors": 5}, b"", "'tensors' is not a list"),
+    ("model", {"kind": "expert", "tensors": [["w"]]}, b"", "bad tensor entry"),
+    ("model", {"kind": "expert", "tensors": [[5, [1]]]}, b"",
+     "bad tensor entry"),
+    ("model", {"kind": "expert", "tensors": [["w", [2.5]]]}, b"",
+     "bad tensor entry"),
+    ("model", {"kind": "expert", "tensors": [["w", [-1]]]}, b"",
+     "bad tensor entry"),
+    ("model", {"kind": "expert", "tensors": [["w", []], ["w", []]]},
+     bytes(16), "duplicate tensor 'w'"),
+    ("features", {"kind": "features", "tensors": [["features", [1, 912]]]},
+     ROW, "header field 'flow_ids'"),
+    ("features", {"kind": "features", "flow_ids": ["f0", "f1"],
+                  "tensors": [["features", [1, 912]]]},
+     ROW, "2 flow id(s) for 1 feature row(s)"),
+    ("features", {"kind": "features", "flow_ids": ["f0"], "tensors": []},
+     b"", "no 2-D 'features' tensor"),
+])
+def test_malformed_container_header_is_a_cli_error(pipeline_dir, tmp_path,
+                                                   capsys, which, header,
+                                                   payload, message):
+    from flowmoe import serial
+    model = pipeline_dir / "app.snke"
+    feats = pipeline_dir / "features.snkf"
+    if which == "model":
+        broken = model = _raw_container(tmp_path / "bad.snke",
+                                        serial.MODEL_MAGIC, header, payload)
+    else:
+        broken = feats = _raw_container(tmp_path / "bad.snkf",
+                                        serial.FEATURE_MAGIC, header, payload)
+    rc = run(["classify", "--model", str(model), "--features", str(feats),
+              "--out", str(tmp_path / "pred.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if ln.startswith("flowmoe: error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"flowmoe: error: {broken}: ")
+    assert message in errors[0]
+    assert "Traceback" not in err
+
+
+def _narrow(name, cols):
+    def damage(tensors):
+        tensors[name] = tensors[name][:, :cols]
+    return damage
+
+
+def _drop(name):
+    def damage(tensors):
+        del tensors[name]
+    return damage
+
+
+def _add(name):
+    def damage(tensors):
+        tensors[name] = np.zeros(3)
+    return damage
+
+
+@pytest.mark.parametrize("model,damage,message", [
+    ("app.snke", _narrow("encoder.attn.q.w", 37),
+     "tensor 'encoder.attn.q.w' has shape (38, 37), expected (38, 38)"),
+    ("app.snke", _drop("head.fc2.b"), "missing tensor 'head.fc2.b'"),
+    ("app.snke", _add("head.fc3.w"), "unexpected tensor(s) ['head.fc3.w']"),
+    ("fused.snke", _narrow("tower.app.fc2.w", 2),
+     "tensor 'tower.app.fc2.w' has shape (256, 2), expected (256, 3)"),
+    ("fused.snke", _drop("expert1.encoder.ln2.beta"),
+     "missing tensor 'expert1.encoder.ln2.beta'"),
+    ("fused.snke", _add("gate.app.w"), "unexpected tensor(s) ['gate.app.w']"),
+])
+def test_wrong_model_tensors_are_a_cli_error(pipeline_dir, tmp_path, capsys,
+                                             model, damage, message):
+    from flowmoe import serial
+    header, tensors = serial.load_container(pipeline_dir / model,
+                                            serial.MODEL_MAGIC)
+    damage(tensors)
+    broken = tmp_path / model
+    serial.save_container(broken, serial.MODEL_MAGIC, header,
+                          list(tensors.items()))
+    rc = run(["classify", "--model", str(broken), "--features",
+              str(pipeline_dir / "features.snkf"), "--out",
+              str(tmp_path / "pred.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"flowmoe: error: {broken}: {message}" in err
+    assert "Traceback" not in err

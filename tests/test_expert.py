@@ -89,6 +89,65 @@ def test_representation_equals_instrumented_predict(trained_experts,
     assert np.allclose(expert_predict(app, x), probs, atol=0)
 
 
+def test_blocked_eval_is_bit_identical_to_one_pass(trained_experts,
+                                                   two_task_data,
+                                                   monkeypatch):
+    import flowmoe.expert as expert_mod
+    from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec,
+                                classify_batch, configure_fusion)
+    app, encap = trained_experts
+    n = 2 * expert_mod.EVAL_ROWS + 1          # the tail block holds one row
+    x = two_task_data[0].features[:n]
+    assert x.shape[0] == n
+    fused = configure_fusion(
+        [app, encap], TaskRelation(FusionMode.MODE_I,
+                                   [TaskSpec("app", experts=(0,)),
+                                    TaskSpec("encap", experts=(1,))]))
+    rng = np.random.default_rng(3)
+    for tower in fused.towers.values():       # zero output layers: randomize
+        w = tower.params["fc2.w"].data
+        w[:] = rng.normal(size=w.shape)
+
+    calls = []
+    real_forward = expert_mod.encoder_forward
+
+    def counting(params, rows, **kwargs):
+        calls.append(rows.shape[0])
+        return real_forward(params, rows, **kwargs)
+
+    monkeypatch.setattr(expert_mod, "encoder_forward", counting)
+    blocked = (expert_representation(app, x), expert_predict(app, x),
+               classify_batch(fused, x))
+    assert calls[:3] == [expert_mod.EVAL_ROWS, expert_mod.EVAL_ROWS, 1]
+    monkeypatch.setattr(expert_mod, "EVAL_ROWS", n + 1)
+    whole = (expert_representation(app, x), expert_predict(app, x),
+             classify_batch(fused, x))
+    assert np.array_equal(blocked[0], whole[0])
+    assert np.array_equal(blocked[1], whole[1])
+    for task in ("app", "encap"):
+        assert np.array_equal(blocked[2][task][0], whole[2][task][0])
+        assert np.array_equal(blocked[2][task][1], whole[2][task][1])
+
+
+def test_eval_transient_memory_does_not_grow_with_rows(rng):
+    import tracemalloc
+    from flowmoe.nn import init_encoder, init_head
+    model = ExpertModel(id="fresh", encoder=init_encoder(rng),
+                        head=init_head(rng, 3), label_map=["a", "b", "c"])
+    transient = []
+    for n in (128, 1024):
+        x = rng.normal(size=(n, INPUT_DIM))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = expert_representation(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transient.append(peak - base - rep.nbytes)
+    assert abs(transient[1] - transient[0]) < 1e6, transient
+
+
 def test_predict_probabilities_sum_to_one(trained_experts, two_task_data):
     app, _ = trained_experts
     probs = expert_predict(app, two_task_data[2].features[:20])

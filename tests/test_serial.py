@@ -1,0 +1,160 @@
+"""Model and feature containers: schema checks at load and a loader fuzz."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from flowmoe import serial
+from flowmoe.expert import ExpertModel, load_expert, save_expert
+from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec,
+                            configure_fusion, load_any_model, save_fused)
+from flowmoe.nn import (encoder_shapes, gate_linear_shapes, head_shapes,
+                        init_encoder, init_gate_linear, init_head)
+
+
+def _expert(seed, labels):
+    rng = np.random.default_rng(seed)
+    return ExpertModel(id=f"e{seed}", encoder=init_encoder(rng),
+                       head=init_head(rng, len(labels)), label_map=labels,
+                       task_id="verdict")
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """An expert file and a Mode III fused file (trainable gates)."""
+    root = tmp_path_factory.mktemp("models")
+    expert = _expert(1, ["good", "bad"])
+    save_expert(expert, root / "expert.snke")
+    relation = TaskRelation(
+        mode=FusionMode.MODE_III,
+        tasks=[TaskSpec("verdict", experts=(0,)), TaskSpec("tool")],
+        nesting={"x": "good", "y": "bad", "z": "bad"})
+    fused = configure_fusion([_expert(2, ["good", "bad"])], relation, seed=3)
+    save_fused(fused, root / "fused.snke")
+    return {"expert": root / "expert.snke", "fused": root / "fused.snke"}
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_shape_schemas_match_initializers(n):
+    rng = np.random.default_rng(n)
+    for shapes, params in ((encoder_shapes(), init_encoder(rng)),
+                           (head_shapes(n), init_head(rng, n)),
+                           (gate_linear_shapes(n), init_gate_linear(n))):
+        assert list(shapes) == params.names()
+        assert all(params[k].data.shape == s for k, s in shapes.items())
+
+
+def test_valid_files_load_bit_for_bit(model_files):
+    model = load_expert(model_files["expert"])
+    reference = _expert(1, ["good", "bad"])
+    for name, t in reference.encoder.items():
+        assert np.array_equal(model.encoder[name].data, t.data)
+    kind, fused = load_any_model(model_files["fused"])
+    assert kind == "fused"
+    assert set(fused.gates["tool"].linear.names()) == {"w", "b"}
+
+
+def _split(path):
+    data = path.read_bytes()
+    hlen = struct.unpack("<I", data[8:12])[0]
+    return data[:8], json.loads(data[12:12 + hlen]), data[12 + hlen:]
+
+
+def _frame(prefix, header, payload):
+    blob = json.dumps(header).encode("utf-8")
+    return prefix[:4] + struct.pack("<II", serial.FORMAT_VERSION,
+                                    len(blob)) + blob + payload
+
+
+def _float_subset(header):
+    header["gates"][0]["subset"] = [0.0]
+
+
+def _ghost_task(header):
+    header["task_ids"].append("ghost")
+
+
+def _string_label_map(header):
+    header["label_maps"]["tool"] = "xyz"
+
+
+def _short_label_map(header):
+    header["label_maps"]["tool"] = ["x", "y"]
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_float_subset, "subset holds a non-integer expert index"),
+    (_ghost_task, "task 'ghost' lacks a gate, a tower or a label map"),
+    (_string_label_map, "a label map is not a list"),
+    (_short_label_map, "tower has 3 classes, label map 2"),
+])
+def test_inconsistent_fused_header_is_rejected(model_files, tmp_path, damage,
+                                               message):
+    prefix, header, payload = _split(model_files["fused"])
+    damage(header)
+    broken = tmp_path / "broken.snke"
+    broken.write_bytes(_frame(prefix, header, payload))
+    with pytest.raises(ValueError, match=f"^{broken}: .*{message}"):
+        load_any_model(broken)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, 1, -1, 2, 38, 10 ** 30])
+    | st.integers(-5, 10 ** 6) | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6)
+
+
+def _mutate_header(data, header):
+    """Replace or delete one node anywhere in the header tree."""
+    parent, key = None, None
+    node = header
+    while (isinstance(node, (dict, list)) and node
+           and data.draw(st.integers(0, 3)) > 0):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(list(keys)))
+        node = parent[key]
+    if parent is None:
+        return data.draw(JSON)
+    if data.draw(st.integers(0, 4)) == 0:
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON)
+    return header
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loader_fuzz_raises_only_value_error(model_files, tmp_path, data):
+    source = model_files[data.draw(st.sampled_from(["expert", "fused"]))]
+    prefix, header, payload = _split(source)
+    how = data.draw(st.sampled_from(["header", "bytes", "truncate"]))
+    if how == "header":
+        blob = _frame(prefix, _mutate_header(data, header), payload)
+    else:
+        blob = bytearray(source.read_bytes())
+        end = 12 + struct.unpack("<I", blob[8:12])[0]
+        # most positions land in the header and its framing, some in the payload
+        pos = data.draw(st.integers(0, end + 64) | st.integers(0, len(blob) - 1))
+        if how == "truncate":
+            del blob[pos:]
+        else:
+            for offset, value in enumerate(data.draw(
+                    st.lists(st.integers(0, 255), min_size=1, max_size=4))):
+                if pos + offset < len(blob):
+                    blob[pos + offset] = value
+    broken = tmp_path / "broken.snke"
+    broken.write_bytes(bytes(blob))
+    for load in (lambda p: serial.load_container(p, serial.MODEL_MAGIC),
+                 load_any_model):
+        try:
+            load(broken)
+        except ValueError as exc:
+            assert str(exc)

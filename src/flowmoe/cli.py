@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import logging
 import platform
@@ -159,15 +160,14 @@ def _flag_based_fusion(args):
         task = args.task or "union"
         tasks = [TaskSpec(task_id=task, experts=tuple(range(len(experts))))]
     relation = TaskRelation(mode=mode, tasks=tasks)
-    cfg = default_finetune_config(mode, seed=args.seed)
-    if args.lr is not None:
-        cfg.learning_rate = args.lr
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.batch_size is not None:
-        cfg.batch_size = args.batch_size
-    options = {"seed": args.seed, "tower_dropout": args.dropout,
-               "unfreeze_experts": False, "train_config": cfg}
+    overrides = {field: value for field, value in (
+        ("learning_rate", args.lr), ("epochs", args.epochs),
+        ("batch_size", args.batch_size), ("dropout_rate", args.dropout))
+        if value is not None}
+    cfg = dataclasses.replace(default_finetune_config(mode, seed=args.seed),
+                              **overrides)
+    options = {"seed": args.seed, "unfreeze_experts": False,
+               "train_config": cfg}
     return experts, relation, options
 
 
@@ -183,8 +183,7 @@ def cmd_fuse(args):
         if not args.experts:
             raise ValueError("--mode needs --experts with model paths")
         experts, relation, options = _flag_based_fusion(args)
-    fused = configure_fusion(experts, relation, seed=options["seed"],
-                             tower_dropout=options["tower_dropout"])
+    fused = configure_fusion(experts, relation, seed=options["seed"])
     data = _load_dataset(args.features, args.labels,
                          label_maps=fused.label_maps,
                          tasks=fused.task_ids)
@@ -315,18 +314,26 @@ def _domain_accuracies_from_model(model, data):
     return out
 
 
+def _csv_column(path, kind, name, convert=str):
+    """One column of a CSV file; a missing column or a value `convert`
+    rejects is a ValueError naming the file."""
+    with open(_require(path, kind), newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if name not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: no {name!r} column")
+        try:
+            return [convert(row[name]) for row in reader]
+        except (TypeError, ValueError):   # TypeError: a short row gives None
+            raise ValueError(f"{path}: line {reader.line_num}: bad {name!r} "
+                             f"value") from None
+
+
 def cmd_diag_gate_anomaly(args):
-    losses = []
-    with open(_require(args.trace, "loss trace"), newline="",
-              encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            losses.append(float(row[args.column]))
+    losses = _csv_column(args.trace, "loss trace", args.column, float)
     if args.domains:
-        domains = {}
-        with open(_require(args.domains, "domain metrics"), newline="",
-                  encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                domains[row["domain"]] = float(row["accuracy"])
+        domains = dict(zip(
+            _csv_column(args.domains, "domain metrics", "domain"),
+            _csv_column(args.domains, "domain metrics", "accuracy", float)))
     else:
         if not (args.model and args.features and args.labels):
             raise ValueError("pass either --domains or --model/--features/"
@@ -406,7 +413,8 @@ def build_parser():
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--dropout", type=float, default=0.0,
+                   help="fine-tune dropout rate on the towers (default 0.0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)

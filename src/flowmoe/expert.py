@@ -56,25 +56,24 @@ class EpochStats:
 
 @dataclass
 class ExpertModel:
+    """An encoder plus its private head; an expert loaded from a fused model
+    file has `head=None`, since fusion reads only the encoder."""
+
     id: str
     encoder: ParamSet
     head: ParamSet
     label_map: list
-    input_dim: int = INPUT_DIM
     task_id: str = ""
-
-    @property
-    def n_target(self):
-        return len(self.label_map)
 
     def freeze(self):
         self.encoder.freeze()
-        self.head.freeze()
+        if self.head is not None:
+            self.head.freeze()
 
     def _check_input(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.input_dim:
-            raise ValueError(f"expected input of length {self.input_dim}, "
+        if x.shape[-1] != INPUT_DIM:
+            raise ValueError(f"expected input of length {INPUT_DIM}, "
                              f"got {x.shape[-1]}")
         return x
 
@@ -192,7 +191,6 @@ def write_loss_trace(path, trace):
 
 def save_expert(model: ExpertModel, path):
     header = {"kind": "expert", "id": model.id, "task_id": model.task_id,
-              "input_dim": model.input_dim, "n_target": model.n_target,
               "label_map": list(model.label_map)}
     tensors = [(f"encoder.{n}", t.data) for n, t in model.encoder.items()]
     tensors += [(f"head.{n}", t.data) for n, t in model.head.items()]
@@ -213,7 +211,7 @@ def expert_from_container(path, header, tensors) -> ExpertModel:
     def get(key, kind=str):
         return serial.header_field(path, header, key, kind)
 
-    label_map = list(get("label_map", list))
+    label_map = serial.label_list(path, header, "label_map")
     tensors = dict(tensors)
     encoder = params_from_container(path, tensors, "encoder.",
                                     encoder_shapes())
@@ -221,8 +219,7 @@ def expert_from_container(path, header, tensors) -> ExpertModel:
                                  head_shapes(len(label_map)))
     reject_unexpected(path, tensors)
     return ExpertModel(id=get("id"), encoder=encoder, head=head,
-                       label_map=label_map, input_dim=get("input_dim", int),
-                       task_id=header.get("task_id", ""))
+                       label_map=label_map, task_id=get("task_id"))
 
 
 def params_from_container(path, tensors, prefix, shapes):

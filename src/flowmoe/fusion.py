@@ -11,8 +11,9 @@ learn during fine-tuning.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +56,9 @@ class GateConfig:
             raise ValueError(f"gate {self.task_id!r}: empty expert subset")
         if any(j < 0 or j >= self.n_experts for j in self.subset):
             raise ValueError(f"gate {self.task_id!r}: subset out of range")
+        if len(set(self.subset)) != len(self.subset):
+            raise ValueError(f"gate {self.task_id!r}: subset {self.subset} "
+                             f"names an expert twice")
         if self.mode is GateMode.DEFAULT and len(self.subset) != 1:
             raise ValueError("default gate needs exactly one expert")
         if self.mode in (GateMode.DEFAULT, GateMode.TOPK):
@@ -122,7 +126,6 @@ class Tower:
     task_id: str
     params: ParamSet
     n_classes: int
-    dropout_rate: float = 0.2
 
 
 def tower_forward(tower: Tower, gated):
@@ -160,21 +163,17 @@ class TaskRelation:
 
 @dataclass
 class FusedModel:
+    """Frozen experts, one gate and one tower per task, and the relations
+    (with every task's resolved labels) from which `fusion_structure`
+    derived the task order, gates, label maps and loss weights."""
+
     experts: list
     task_ids: list
     gates: dict
     towers: dict
     relations: list
     label_maps: dict
-    loss_weights: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for task in self.task_ids:
-            self.loss_weights.setdefault(task, 1.0)
-
-    @property
-    def input_dim(self):
-        return self.experts[0].input_dim if self.experts else INPUT_DIM
+    loss_weights: dict
 
 
 def concat_representations(experts, x):
@@ -199,76 +198,89 @@ def _union_labels(experts, subset, explicit):
     return explicit
 
 
-def configure_fusion(experts, relations, seed=0, tower_dropout=0.2) -> FusedModel:
-    """Build a FusedModel per the declared relations; experts get locked.
+def fusion_structure(experts, relations) -> FusedModel:
+    """The tower-less FusedModel the relations declare; experts get locked.
 
-    Mode I: one default gate + tower per task, each bound to its expert.
-    Mode II: one top-k gate over the sources, tower sized to the label union.
+    Mode I: one default gate per task, bound to its expert.
+    Mode II: one top-k gate over the sources; labels are their union.
     Mode III: trainable gates for both coarse and fine tasks.
-    Towers are freshly initialized with a zeroed output layer.
+    The model's relations carry every task's resolved labels, so a saved
+    model is rebuilt through this same step. Its `towers` is empty.
     """
     if not experts:
         raise ValueError("no experts given")
     if isinstance(relations, TaskRelation):
         relations = [relations]
     n = len(experts)
-    gates, towers, label_maps = {}, {}, {}
-    task_ids, loss_weights = [], {}
-    tower_seeds = iter(seed_streams(seed, sum(len(r.tasks) for r in relations)))
+    gates, label_maps, loss_weights = {}, {}, {}
 
     for relation in relations:
         for spec in relation.tasks:
-            if spec.task_id in gates:
-                raise ValueError(f"duplicate task {spec.task_id!r}")
-            subset = tuple(spec.experts) if spec.experts else None
+            task, subset = spec.task_id, tuple(spec.experts)
+            if task in gates:
+                raise ValueError(f"duplicate task {task!r}")
+            if not np.isfinite(spec.alpha):
+                raise ValueError(f"task {task!r}: non-finite loss weight")
+            # the gate checks the subset before any expert is looked up
             if relation.mode is FusionMode.MODE_I:
-                if subset is None or len(subset) != 1:
-                    raise ValueError(f"task {spec.task_id!r}: independent tasks "
+                if len(subset) != 1:
+                    raise ValueError(f"task {task!r}: independent tasks "
                                      f"bind to exactly one expert")
+                gates[task] = GateConfig.default(task, subset[0], n)
                 labels = list(spec.labels or experts[subset[0]].label_map)
-                gate = GateConfig.default(spec.task_id, subset[0], n)
             elif relation.mode is FusionMode.MODE_II:
-                if subset is None or len(subset) < 2:
-                    raise ValueError(f"task {spec.task_id!r}: category expansion "
+                if len(subset) < 2:
+                    raise ValueError(f"task {task!r}: category expansion "
                                      f"needs at least two source experts")
+                gates[task] = GateConfig.topk(task, subset, n)
                 labels = _union_labels(experts, subset, spec.labels)
-                gate = GateConfig.topk(spec.task_id, subset, n)
             else:
-                subset = subset or tuple(range(n))
+                gates[task] = GateConfig.trainable(
+                    task, subset or tuple(range(n)), n)
                 labels = list(spec.labels) if spec.labels else None
-                gate = GateConfig.trainable(spec.task_id, subset, n)
-            gates[spec.task_id] = gate
-            label_maps[spec.task_id] = labels
-            task_ids.append(spec.task_id)
-            loss_weights[spec.task_id] = spec.alpha
+            label_maps[task] = labels
+            loss_weights[task] = spec.alpha
 
         if relation.mode is FusionMode.MODE_III:
-            coarse, fine = relation.tasks[0].task_id, relation.tasks[1].task_id
-            if label_maps[coarse] is None:
-                label_maps[coarse] = list(experts[relation.tasks[0].experts[0]]
-                                          .label_map) \
-                    if relation.tasks[0].experts else None
-            if label_maps[fine] is None:
-                label_maps[fine] = list(relation.nesting)
+            first, fine = relation.tasks[0], relation.tasks[1].task_id
+            coarse = first.task_id
+            if label_maps[coarse] is None and first.experts:
+                label_maps[coarse] = list(experts[first.experts[0]].label_map)
             if label_maps[coarse] is None:
                 raise ValueError(f"task {coarse!r}: no label map available")
+            if label_maps[fine] is None:
+                label_maps[fine] = list(relation.nesting)
             _check_nesting(label_maps[coarse], label_maps[fine], relation.nesting)
+    if not gates:
+        raise ValueError("no tasks declared")
+    for task, labels in label_maps.items():
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"task {task!r}: label map {labels} names a "
+                             f"label twice")
 
-    for relation in relations:
-        for spec in relation.tasks:
-            labels = label_maps[spec.task_id]
-            rng = np.random.default_rng(next(tower_seeds))
-            towers[spec.task_id] = Tower(
-                task_id=spec.task_id,
-                params=init_head(rng, len(labels), zero_output=True),
-                n_classes=len(labels),
-                dropout_rate=tower_dropout)
-
+    resolved = [dataclasses.replace(rel, tasks=[
+        dataclasses.replace(spec, labels=list(label_maps[spec.task_id]))
+        for spec in rel.tasks]) for rel in relations]
     for expert in experts:
         expert.freeze()
-    return FusedModel(experts=list(experts), task_ids=task_ids, gates=gates,
-                      towers=towers, relations=list(relations),
-                      label_maps=label_maps, loss_weights=loss_weights)
+    return FusedModel(experts=list(experts), task_ids=list(gates), gates=gates,
+                      towers={}, relations=resolved, label_maps=label_maps,
+                      loss_weights=loss_weights)
+
+
+def configure_fusion(experts, relations, seed=0) -> FusedModel:
+    """`fusion_structure` plus fresh towers: one per task, sized to its label
+    map, with a zeroed output layer so each starts at the uniform prediction.
+    """
+    model = fusion_structure(experts, relations)
+    tower_seeds = seed_streams(seed, len(model.task_ids))
+    for task, tower_seed in zip(model.task_ids, tower_seeds):
+        n_classes = len(model.label_maps[task])
+        rng = np.random.default_rng(tower_seed)
+        model.towers[task] = Tower(
+            task_id=task, params=init_head(rng, n_classes, zero_output=True),
+            n_classes=n_classes)
+    return model
 
 
 def _check_nesting(coarse_labels, fine_labels, nesting):
@@ -351,7 +363,7 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
                 tower = model.towers[task]
                 logits = head_forward(tower.params, gated, train_mode=True,
                                       dropout_stream=stream,
-                                      dropout_rate=tower.dropout_rate)
+                                      dropout_rate=cfg.dropout_rate)
                 task_loss = cross_entropy(logits, data.labels[task][idx])
                 batch_losses[task] = task_loss.item()
                 weighted = task_loss * model.loss_weights[task]
@@ -384,8 +396,8 @@ def classify_batch(model: FusedModel, X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(1, -1)
-    if X.shape[1] != model.input_dim:
-        raise ValueError(f"expected input of length {model.input_dim}, "
+    if X.shape[1] != INPUT_DIM:
+        raise ValueError(f"expected input of length {INPUT_DIM}, "
                          f"got {X.shape[1]}")
     stacked = Tensor(concat_representations(model.experts, X))  # (n, B, 912)
     x = Tensor(X)
@@ -413,35 +425,22 @@ def classify(model: FusedModel, x):
 # -- persistence -------------------------------------------------------------
 
 def save_fused(model: FusedModel, path):
-    relations = []
-    for rel in model.relations:
-        relations.append({
-            "mode": rel.mode.value,
-            "tasks": [{"task_id": t.task_id, "experts": list(t.experts),
-                       "labels": model.label_maps[t.task_id],
-                       "alpha": model.loss_weights[t.task_id]}
-                      for t in rel.tasks],
-            "nesting": rel.nesting,
-        })
+    """Header: the relations and each expert's id and label map. Tensors:
+    expert encoders, trainable-gate linears and towers; no expert heads."""
     header = {
         "kind": "fused",
-        "task_ids": model.task_ids,
-        "label_maps": model.label_maps,
-        "loss_weights": model.loss_weights,
-        "relations": relations,
-        "experts": [{"id": e.id, "task_id": e.task_id,
-                     "input_dim": e.input_dim, "label_map": list(e.label_map)}
+        "relations": [{"mode": rel.mode.value, "nesting": rel.nesting,
+                       "tasks": [{"task_id": t.task_id,
+                                  "experts": list(t.experts),
+                                  "labels": t.labels, "alpha": t.alpha}
+                                 for t in rel.tasks]}
+                      for rel in model.relations],
+        "experts": [{"id": e.id, "label_map": list(e.label_map)}
                     for e in model.experts],
-        "gates": [{"task_id": t, "mode": g.mode.value, "subset": list(g.subset)}
-                  for t, g in model.gates.items()],
-        "towers": [{"task_id": t, "n_classes": tw.n_classes,
-                    "dropout_rate": tw.dropout_rate}
-                   for t, tw in model.towers.items()],
     }
     tensors = []
     for i, e in enumerate(model.experts):
         tensors += [(f"expert{i}.encoder.{n}", t.data) for n, t in e.encoder.items()]
-        tensors += [(f"expert{i}.head.{n}", t.data) for n, t in e.head.items()]
     for task, gate in model.gates.items():
         if gate.mode is GateMode.TRAINABLE:
             tensors += [(f"gate.{task}.{n}", t.data) for n, t in gate.linear.items()]
@@ -456,7 +455,10 @@ def load_fused(path) -> FusedModel:
 
 
 def fused_from_container(path, header, tensors) -> FusedModel:
-    """Build a fused model from a parsed model container read from `path`."""
+    """Build a fused model from a parsed model container read from `path`:
+    the header's relations go through `fusion_structure`, then the stored
+    tensors fill in the encoders, trainable gates and towers. Every error is
+    a ValueError naming the file."""
     if header.get("kind") != "fused":
         raise ValueError(f"{path}: not a fused model file "
                          f"(kind={header.get('kind')!r})")
@@ -467,68 +469,43 @@ def fused_from_container(path, header, tensors) -> FusedModel:
     tensors = dict(tensors)
     experts = []
     for i, meta in enumerate(get(header, "experts", list)):
-        label_map = list(get(meta, "label_map", list))
         experts.append(ExpertModel(
-            id=get(meta, "id"),
+            id=get(meta, "id"), head=None,
             encoder=params_from_container(path, tensors, f"expert{i}.encoder.",
                                           encoder_shapes()),
-            head=params_from_container(path, tensors, f"expert{i}.head.",
-                                       head_shapes(len(label_map))),
-            label_map=label_map, input_dim=get(meta, "input_dim", int),
-            task_id=meta.get("task_id", "")))
-        experts[-1].freeze()
-    n = len(experts)
-    gates = {}
-    for meta in get(header, "gates", list):
-        task, mode = get(meta, "task_id"), GateMode(get(meta, "mode"))
-        subset = get(meta, "subset", list)
-        if not all(type(j) is int for j in subset):
-            raise ValueError(f"{path}: gate {task!r}: subset holds a "
-                             f"non-integer expert index")
-        linear = None
-        if mode is GateMode.TRAINABLE:
-            linear = params_from_container(path, tensors, f"gate.{task}.",
-                                           gate_linear_shapes(len(subset)))
-        gates[task] = GateConfig(task, mode, tuple(subset), n, linear=linear)
-    towers = {}
-    for meta in get(header, "towers", list):
-        task, n_classes = get(meta, "task_id"), get(meta, "n_classes", int)
-        towers[task] = Tower(task_id=task,
-                             params=params_from_container(
-                                 path, tensors, f"tower.{task}.",
-                                 head_shapes(n_classes)),
-                             n_classes=n_classes,
-                             dropout_rate=float(get(meta, "dropout_rate",
-                                                    (int, float))))
-    reject_unexpected(path, tensors)
-    task_ids = get(header, "task_ids", list)
-    label_maps = get(header, "label_maps", dict)
-    if not all(isinstance(v, list) for v in label_maps.values()):
-        raise ValueError(f"{path}: a label map is not a list")
-    for task in task_ids:
-        if not (isinstance(task, str) and task in gates and task in towers
-                and task in label_maps):
-            raise ValueError(f"{path}: task {task!r} lacks a gate, a tower "
-                             f"or a label map")
-        if towers[task].n_classes != len(label_maps[task]):
-            raise ValueError(f"{path}: task {task!r}: tower has "
-                             f"{towers[task].n_classes} classes, label map "
-                             f"{len(label_maps[task])}")
+            label_map=serial.label_list(path, meta, "label_map")))
     relations = []
     for rel in get(header, "relations", list):
-        tasks = [TaskSpec(task_id=get(t, "task_id"),
-                          experts=tuple(get(t, "experts", list)),
-                          labels=get(t, "labels", list),
-                          alpha=get(t, "alpha", (int, float)))
-                 for t in get(rel, "tasks", list)]
-        relations.append(TaskRelation(mode=FusionMode(get(rel, "mode")),
-                                      tasks=tasks,
-                                      nesting=get(rel, "nesting",
-                                                  (dict, type(None)))))
-    return FusedModel(experts=experts, task_ids=list(task_ids),
-                      gates=gates, towers=towers, relations=relations,
-                      label_maps={k: list(v) for k, v in label_maps.items()},
-                      loss_weights=dict(get(header, "loss_weights", dict)))
+        tasks = []
+        for t in get(rel, "tasks", list):
+            task, subset = get(t, "task_id"), get(t, "experts", list)
+            if not all(type(j) is int for j in subset):
+                raise ValueError(f"{path}: task {task!r}: subset holds a "
+                                 f"non-integer expert index")
+            tasks.append(TaskSpec(task, tuple(subset),
+                                  serial.label_list(path, t, "labels"),
+                                  get(t, "alpha", (int, float))))
+        relations.append((get(rel, "mode"), tasks,
+                          get(rel, "nesting", (dict, type(None)))))
+    try:
+        model = fusion_structure(experts, [
+            TaskRelation(FusionMode(mode), tasks, nesting)
+            for mode, tasks, nesting in relations])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+    for task, gate in model.gates.items():
+        if gate.mode is GateMode.TRAINABLE:
+            gate.linear = params_from_container(
+                path, tensors, f"gate.{task}.",
+                gate_linear_shapes(len(gate.subset)))
+        n_classes = len(model.label_maps[task])
+        model.towers[task] = Tower(
+            task_id=task, n_classes=n_classes,
+            params=params_from_container(path, tensors, f"tower.{task}.",
+                                         head_shapes(n_classes)))
+    reject_unexpected(path, tensors)
+    return model
 
 
 # -- declarative fusion config ------------------------------------------------
@@ -537,7 +514,7 @@ def load_fusion_config(path):
     """Parse the INI fusion config into (expert_paths, relations, options).
 
     Sections: [experts] files = <paths>; [fusion] mode/seed/lr/epochs/
-    batch_size/dropout; one [task:<id>] per task (experts = indices,
+    batch_size/dropout (the fine-tune settings); one [task:<id>] per task (experts = indices,
     labels/alpha optional); [nesting] for refinement.
     """
     cp = configparser.ConfigParser()
@@ -570,13 +547,11 @@ def load_fusion_config(path):
 
     options = {"seed": int(fu.get("seed", 0))}
     cfg = default_finetune_config(mode, seed=options["seed"])
-    if "lr" in fu:
-        cfg.learning_rate = float(fu["lr"])
-    if "epochs" in fu:
-        cfg.epochs = int(fu["epochs"])
-    if "batch_size" in fu:
-        cfg.batch_size = int(fu["batch_size"])
-    options["tower_dropout"] = float(fu.get("dropout", 0.0))
+    overrides = {field: kind(fu[key]) for key, field, kind in (
+        ("lr", "learning_rate", float), ("epochs", "epochs", int),
+        ("batch_size", "batch_size", int), ("dropout", "dropout_rate", float))
+        if key in fu}
+    cfg = dataclasses.replace(cfg, **overrides)
     options["unfreeze_experts"] = fu.get("unfreeze_experts", "no").lower() \
         in ("1", "yes", "true")
     options["train_config"] = cfg

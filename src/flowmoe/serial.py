@@ -2,7 +2,9 @@
 
 Layout: 4-byte magic, uint32 format version, uint32 header length, UTF-8
 JSON header, then the raw float64 little-endian tensor payload in the order
-declared by header["tensors"] (a list of [name, shape] pairs).
+declared by header["tensors"] (a list of [name, shape] pairs). Version 2
+model files hold no data that follows from other fields; no reader for
+version 1 exists, so such a file is rejected like any other unknown version.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 MODEL_MAGIC = b"SNKE"
 FEATURE_MAGIC = b"SNKF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_container(path, magic, header, tensors):
@@ -32,7 +34,8 @@ def save_container(path, magic, header, tensors):
 
 
 def load_container(path, magic):
-    """Returns (header, {name: ndarray}); rejects bad magic/version/truncation."""
+    """Returns (header, {name: ndarray}); rejects bad magic/version/truncation
+    and non-finite tensor values."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12:
@@ -41,7 +44,8 @@ def load_container(path, magic):
         raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
     version, hlen = struct.unpack("<II", data[4:12])
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
+        raise ValueError(f"{path}: unsupported format version {version} "
+                         f"(this flowmoe reads version {FORMAT_VERSION})")
     if len(data) < 12 + hlen:
         raise ValueError(f"{path}: truncated header")
     try:
@@ -65,6 +69,9 @@ def load_container(path, magic):
             raise ValueError(f"{path}: truncated tensor payload at {name!r}")
         tensors[name] = np.frombuffer(chunk, dtype="<f8").astype(
             np.float64).reshape(shape)
+        if not np.isfinite(tensors[name]).all():
+            raise ValueError(f"{path}: tensor {name!r} holds a non-finite "
+                             f"value")
         offset += nbytes
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing byte(s)")
@@ -90,6 +97,17 @@ def header_field(path, header, key, kind=str):
         raise ValueError(f"{path}: header field {key!r} is missing or "
                          f"of the wrong type")
     return value
+
+
+def label_list(path, header, key):
+    """header[key] as a list of label strings, else a ValueError naming the
+    file and the key."""
+    labels = header.get(key) if isinstance(header, dict) else None
+    if not (isinstance(labels, list)
+            and all(isinstance(name, str) for name in labels)):
+        raise ValueError(f"{path}: header field {key!r}: a label map is not "
+                         f"a list of strings")
+    return list(labels)
 
 
 def save_features(path, flow_ids, features, nb=784, npkt=32):

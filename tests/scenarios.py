@@ -40,7 +40,7 @@ def mode1_setup(seed, flows_per_class=150):
 
 def run_mode1(seed, epochs=5, flows_per_class=150):
     train, _val, test, experts, relation = mode1_setup(seed, flows_per_class)
-    fused = configure_fusion(experts, relation, seed=seed, tower_dropout=0.0)
+    fused = configure_fusion(experts, relation, seed=seed)
     cfg = TrainConfig(learning_rate=1e-4, batch_size=16, epochs=epochs,
                       dropout_rate=0.0, seed=seed)
     fused, trace = fine_tune(fused, train, cfg)
@@ -88,7 +88,7 @@ def mode2_setup(seed, flows_per_class=120):
 
 def run_mode2(seed, epochs=10, flows_per_class=120):
     train, _val, test, experts, relation = mode2_setup(seed, flows_per_class)
-    fused = configure_fusion(experts, relation, seed=seed, tower_dropout=0.0)
+    fused = configure_fusion(experts, relation, seed=seed)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=epochs,
                       dropout_rate=0.0, seed=seed)
     fused, trace = fine_tune(fused, train, cfg)
@@ -155,7 +155,7 @@ def mode3_setup(seed, flows_per_class=80):
 
 def run_mode3(seed, epochs=10, flows_per_class=80):
     train, _val, test, experts, relation = mode3_setup(seed, flows_per_class)
-    fused = configure_fusion(experts, relation, seed=seed, tower_dropout=0.0)
+    fused = configure_fusion(experts, relation, seed=seed)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=epochs,
                       dropout_rate=0.0, seed=seed)
     fused, trace = fine_tune(fused, train, cfg)

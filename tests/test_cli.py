@@ -242,13 +242,13 @@ def _drop_label_map(header):
     del header["label_map"]
 
 
-def _string_class_count(header):
-    header["towers"][0]["n_classes"] = "3"
+def _string_labels(header):
+    header["relations"][0]["tasks"][0]["labels"] = "video chat mail"
 
 
 @pytest.mark.parametrize("model,damage,key", [
     ("app.snke", _drop_label_map, "label_map"),
-    ("fused.snke", _string_class_count, "n_classes"),
+    ("fused.snke", _string_labels, "labels"),
 ])
 def test_bad_model_header_field_is_a_cli_error(pipeline_dir, tmp_path, capsys,
                                                model, damage, key):
@@ -330,14 +330,15 @@ def test_fused_eval_runs_the_experts_once(pipeline_dir, tmp_path, monkeypatch):
     assert got == (tmp_path / "reference.csv").read_bytes()
 
 
-def _raw_container(path, magic, header, payload=b""):
+def _raw_container(path, magic, header, payload=b"", version=None):
     import json
     import struct
 
     from flowmoe import serial
     blob = header if isinstance(header, bytes) else json.dumps(header).encode()
-    path.write_bytes(magic + struct.pack("<II", serial.FORMAT_VERSION, len(blob))
-                     + blob + payload)
+    path.write_bytes(magic + struct.pack(
+        "<II", serial.FORMAT_VERSION if version is None else version, len(blob))
+        + blob + payload)
     return path
 
 
@@ -432,3 +433,113 @@ def test_wrong_model_tensors_are_a_cli_error(pipeline_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"flowmoe: error: {broken}: {message}" in err
     assert "Traceback" not in err
+
+
+def _cli_errors(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [ln for ln in err.splitlines() if ln.startswith("flowmoe: error:")]
+
+
+def _v1_file(pipeline_dir, tmp_path, model):
+    """`model` rewritten in the version 1 layout: the v2 header plus the
+    fields it derived from others, and every expert's head."""
+    from flowmoe import serial
+    header, tensors = serial.load_container(pipeline_dir / model,
+                                            serial.MODEL_MAGIC)
+    if header["kind"] == "expert":
+        header.update(input_dim=912, n_target=len(header["label_map"]))
+    else:
+        tasks = [t for rel in header["relations"] for t in rel["tasks"]]
+        header.update(
+            task_ids=[t["task_id"] for t in tasks],
+            label_maps={t["task_id"]: t["labels"] for t in tasks},
+            loss_weights={t["task_id"]: t["alpha"] for t in tasks},
+            gates=[{"task_id": t["task_id"], "mode": "default",
+                    "subset": t["experts"]} for t in tasks],
+            towers=[{"task_id": t["task_id"], "n_classes": len(t["labels"]),
+                     "dropout_rate": 0.0} for t in tasks])
+        for i, (meta, source) in enumerate(zip(header["experts"],
+                                               ("app.snke", "encap.snke"))):
+            meta.update(input_dim=912, task_id=meta["id"])
+            _, expert = serial.load_container(pipeline_dir / source,
+                                              serial.MODEL_MAGIC)
+            tensors.update({f"expert{i}.{name}": arr
+                            for name, arr in expert.items()
+                            if name.startswith("head.")})
+    header["tensors"] = [[name, list(arr.shape)]
+                         for name, arr in tensors.items()]
+    payload = b"".join(arr.astype("<f8").tobytes() for arr in tensors.values())
+    return _raw_container(tmp_path / model, serial.MODEL_MAGIC, header,
+                          payload, version=1)
+
+
+@pytest.mark.parametrize("model", ["app.snke", "fused.snke"])
+def test_version_1_model_file_is_a_cli_error(pipeline_dir, tmp_path, capsys,
+                                             model):
+    broken = _v1_file(pipeline_dir, tmp_path, model)
+    rc = run(["classify", "--model", str(broken), "--features",
+              str(pipeline_dir / "features.snkf"), "--out",
+              str(tmp_path / "pred.csv")])
+    assert rc == 1
+    errors = _cli_errors(capsys)
+    assert len(errors) == 1
+    assert errors[0].startswith(
+        f"flowmoe: error: {broken}: unsupported format version 1")
+
+
+@pytest.mark.parametrize("which,tensor", [("model", "tower.app.fc1.w"),
+                                          ("features", "features")])
+def test_non_finite_tensor_is_a_cli_error(pipeline_dir, tmp_path, capsys,
+                                          which, tensor):
+    from flowmoe import serial
+    paths = {"model": pipeline_dir / "fused.snke",
+             "features": pipeline_dir / "features.snkf"}
+    magic = serial.MODEL_MAGIC if which == "model" else serial.FEATURE_MAGIC
+    header, tensors = serial.load_container(paths[which], magic)
+    tensors[tensor][1, 2] = np.nan
+    broken = paths[which] = tmp_path / paths[which].name
+    serial.save_container(broken, magic, header, list(tensors.items()))
+    rc = run(["classify", "--model", str(paths["model"]), "--features",
+              str(paths["features"]), "--out", str(tmp_path / "pred.csv")])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {broken}: tensor {tensor!r} holds a non-finite value"]
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_duplicate_gate_expert_is_a_cli_error(pipeline_dir, tmp_path, capsys):
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text(f"[experts]\nfiles = {pipeline_dir / 'app.snke'} "
+                   f"{pipeline_dir / 'encap.snke'}\n\n[fusion]\nmode = II\n\n"
+                   f"[task:app]\nexperts = 0 0\n")
+    rc = run(["fuse", "--config", str(cfg), "--features",
+              str(pipeline_dir / "features.snkf"), "--labels",
+              str(pipeline_dir / "labels.csv"), "--out",
+              str(tmp_path / "dup.snke")])
+    assert rc == 1
+    errors = _cli_errors(capsys)
+    assert len(errors) == 1
+    assert "gate 'app': subset (0, 0) names an expert twice" in errors[0]
+    assert not (tmp_path / "dup.snke").exists()
+
+
+@pytest.mark.parametrize("option,text,message", [
+    ("--column", "nope", "trace.csv: no 'nope' column"),
+    ("--domains", "name,acc\niptas,0.4\n", "domains.csv: no 'domain' column"),
+], ids=["column", "domains"])
+def test_gate_anomaly_missing_column_is_a_cli_error(tmp_path, capsys, option,
+                                                    text, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("epoch,total\n0,1.0\n1,0.5\n")
+    domains = tmp_path / "domains.csv"
+    domains.write_text("domain,accuracy\niptas,0.4\n")
+    if option == "--domains":
+        domains.write_text(text)
+        extra = []
+    else:
+        extra = [option, text]
+    rc = run(["diag", "gate-anomaly", "--trace", str(trace), "--domains",
+              str(domains), "--out", str(tmp_path / "report.txt")] + extra)
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {tmp_path}/{message}"]

@@ -172,7 +172,7 @@ def test_freezing_contract(trained_experts, two_task_data):
     rel = TaskRelation(mode=FusionMode.MODE_I,
                        tasks=[TaskSpec("app", experts=(0,)),
                               TaskSpec("encap", experts=(1,))])
-    fused = configure_fusion([app, encap], rel, seed=0, tower_dropout=0.0)
+    fused = configure_fusion([app, encap], rel, seed=0)
     fine_tune(fused, two_task_data[0].subset(np.arange(64)),
               TrainConfig(learning_rate=1e-3, batch_size=32, epochs=1,
                           dropout_rate=0.0, seed=0))

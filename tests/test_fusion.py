@@ -40,6 +40,16 @@ def test_gate_topk_subset_weights():
     assert gate.fixed_delta.sum() == 1.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GateConfig.topk("t", (0, 0), 2),
+    lambda: GateConfig.trainable("t", (1, 0, 1), 3),
+], ids=["topk", "trainable"])
+def test_gate_rejects_duplicate_experts(make):
+    # a repeated index would give top-k weights summing to 1/2
+    with pytest.raises(ValueError, match="names an expert twice"):
+        make()
+
+
 def test_gate_trainable_uniform_at_zero_init(rng):
     x = rng.normal(size=INPUT_DIM)
     stacked = rng.normal(size=(3, INPUT_DIM))
@@ -123,7 +133,7 @@ def test_concat_representations_rows(trained_experts, two_task_data, rng):
 
 
 def test_tower_forward_contract(rng):
-    tower = Tower("t", init_head(rng, 4), n_classes=4, dropout_rate=0.0)
+    tower = Tower("t", init_head(rng, 4), n_classes=4)
     out = tower_forward(tower, rng.normal(size=INPUT_DIM))
     assert out.shape == (4,)
     assert abs(out.sum() - 1.0) < 1e-9
@@ -227,8 +237,7 @@ def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,
                                                       two_task_data):
     from flowmoe.expert import TrainConfig
     train = two_task_data[0]
-    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3,
-                             tower_dropout=0.0)
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
     before = [e.encoder.state_dict() for e in fused.experts]
     before_heads = [e.head.state_dict() for e in fused.experts]
     cfg = TrainConfig(learning_rate=1e-4, batch_size=32, epochs=2,
@@ -269,8 +278,7 @@ def test_fine_tune_rejects_non_finite_loss(trained_experts, two_task_data):
     # epoch guard must stop the run instead of training on NaN
     from flowmoe.expert import TrainConfig
     train = two_task_data[0].subset(np.arange(64))
-    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3,
-                             tower_dropout=0.0)
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
     fused.towers["app"].params["fc1.w"].data[0, 0] = np.nan
     cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=2,
                       dropout_rate=0.0, seed=1)
@@ -282,8 +290,7 @@ def test_fine_tune_unfreeze_experts_updates_encoders(trained_experts,
                                                      two_task_data):
     from flowmoe.expert import TrainConfig
     train = two_task_data[0].subset(np.arange(64))
-    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3,
-                             tower_dropout=0.0)
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
     before = fused.experts[0].encoder.state_dict()
     cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=1,
                       dropout_rate=0.0, seed=1)
@@ -294,24 +301,74 @@ def test_fine_tune_unfreeze_experts_updates_encoders(trained_experts,
     assert fused.experts[0].encoder.frozen  # re-locked afterwards
 
 
-def test_fused_round_trip(tmp_path, trained_experts, two_task_data):
-    from flowmoe.expert import TrainConfig
-    train, _va, test = two_task_data
-    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3,
-                             tower_dropout=0.0)
-    fused, _ = fine_tune(fused, train,
-                         TrainConfig(learning_rate=1e-4, batch_size=32,
-                                     epochs=1, dropout_rate=0.0, seed=2))
+def _relation(mode):
+    """Per mode, a relation that leaves some labels to be resolved."""
+    if mode is FusionMode.MODE_I:
+        return _mode1_relation()
+    if mode is FusionMode.MODE_II:
+        return TaskRelation(mode, [TaskSpec("joint", experts=(1, 0),
+                                            alpha=0.5)])
+    return TaskRelation(mode, nesting={"video": "plain", "chat": "vpn",
+                                       "mail": "plain"},
+                        tasks=[TaskSpec("encap", experts=(1,)),
+                               TaskSpec("app", alpha=0.25)])
+
+
+@pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
+def test_fused_round_trip(tmp_path, trained_experts, two_task_data, mode):
+    fused = configure_fusion(list(trained_experts), _relation(mode), seed=3)
+    rng = np.random.default_rng(7)
+    # zero-initialized output layers and gates would hide a mix-up
+    for task in fused.task_ids:
+        params = [fused.towers[task].params]
+        if fused.gates[task].mode is GateMode.TRAINABLE:
+            params.append(fused.gates[task].linear)
+        for t in (t for p in params for t in p.tensors()):
+            t.data = rng.normal(scale=0.05, size=t.data.shape)
     path = tmp_path / "fused.snke"
     save_fused(fused, path)
     loaded = load_fused(path)
-    a = classify_batch(fused, test.features[:10])
-    b = classify_batch(loaded, test.features[:10])
+
+    X = two_task_data[2].features[:10]
+    a, b = classify_batch(fused, X), classify_batch(loaded, X)
     for task in fused.task_ids:
         assert np.array_equal(a[task][0], b[task][0])
         assert np.array_equal(a[task][1], b[task][1])
-    assert loaded.relations[0].mode is FusionMode.MODE_I
+    assert loaded.task_ids == fused.task_ids
     assert loaded.label_maps == fused.label_maps
+    assert loaded.loss_weights == fused.loss_weights
+    assert loaded.relations == fused.relations
+    assert ({t: (g.mode, g.subset) for t, g in loaded.gates.items()}
+            == {t: (g.mode, g.subset) for t, g in fused.gates.items()})
+    assert all(e.head is None for e in loaded.experts)
+
+    header, tensors = serial.load_container(path, serial.MODEL_MAGIC)
+    assert set(header) == {"kind", "relations", "experts", "tensors"}
+    assert not [name for name in tensors if ".head." in name]
+
+
+def test_loaded_model_is_built_by_the_fusion_structure_step(
+        tmp_path, trained_experts, monkeypatch):
+    import flowmoe.fusion as fusion
+    path = tmp_path / "fused.snke"
+    calls = []
+    real = fusion.fusion_structure
+
+    def counting(experts, relations):
+        calls.append(len(experts))
+        return real(experts, relations)
+
+    monkeypatch.setattr(fusion, "fusion_structure", counting)
+    save_fused(configure_fusion(list(trained_experts), _relation(
+        FusionMode.MODE_III), seed=1), path)
+    assert calls == [2]
+
+    def no_draws(*_args, **_kwargs):
+        raise AssertionError("a loaded tower must not be initialized")
+
+    monkeypatch.setattr(fusion, "init_head", no_draws)
+    load_fused(path)
+    assert calls == [2, 2]
 
 
 def test_load_any_model_reads_each_file_once(tmp_path, trained_experts,
@@ -346,9 +403,30 @@ def test_per_mode_finetune_defaults():
         assert (cfg.learning_rate, cfg.batch_size, cfg.epochs) == (1e-3, 128, 10)
 
 
-def test_tower_default_dropout(rng):
-    tower = Tower("t", init_head(rng, 2), n_classes=2)
-    assert tower.dropout_rate == 0.2
+def test_fine_tune_tower_dropout_follows_config(tmp_path, trained_experts,
+                                                two_task_data, monkeypatch):
+    import flowmoe.fusion as fusion
+    cfg_path = tmp_path / "fusion.cfg"
+    cfg_path.write_text("[experts]\nfiles = a.snke b.snke\n\n"
+                        "[fusion]\nmode = I\nepochs = 1\ndropout = 0.3\n\n"
+                        "[task:app]\nexperts = 0\n\n[task:encap]\nexperts = 1\n")
+    _paths, relation, options = load_fusion_config(cfg_path)
+    assert options["train_config"].dropout_rate == 0.3
+    rates = []
+    real = fusion.head_forward
+
+    def recording(params, x, **kwargs):
+        rates.append(kwargs.get("dropout_rate"))
+        return real(params, x, **kwargs)
+
+    monkeypatch.setattr(fusion, "head_forward", recording)
+    fused = configure_fusion(list(trained_experts), relation)
+    fine_tune(fused, two_task_data[0].subset(np.arange(64)),
+              options["train_config"])
+    assert rates and set(rates) == {0.3}
+    # without the key the fine-tune runs without dropout
+    cfg_path.write_text(cfg_path.read_text().replace("dropout = 0.3\n", ""))
+    assert load_fusion_config(cfg_path)[2]["train_config"].dropout_rate == 0.0
 
 
 def test_fusion_config_parsing(tmp_path):

@@ -25,17 +25,29 @@ def _expert(seed, labels):
 
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory):
-    """An expert file and a Mode III fused file (trainable gates)."""
+    """An expert file and a fused file per mode: Mode III (`fused`,
+    trainable gates), Mode I (default gates) and Mode II (top-k gate)."""
     root = tmp_path_factory.mktemp("models")
     expert = _expert(1, ["good", "bad"])
     save_expert(expert, root / "expert.snke")
-    relation = TaskRelation(
-        mode=FusionMode.MODE_III,
-        tasks=[TaskSpec("verdict", experts=(0,)), TaskSpec("tool")],
-        nesting={"x": "good", "y": "bad", "z": "bad"})
-    fused = configure_fusion([_expert(2, ["good", "bad"])], relation, seed=3)
-    save_fused(fused, root / "fused.snke")
-    return {"expert": root / "expert.snke", "fused": root / "fused.snke"}
+    relations = {
+        "fused": TaskRelation(
+            mode=FusionMode.MODE_III,
+            tasks=[TaskSpec("verdict", experts=(0,)), TaskSpec("tool")],
+            nesting={"x": "good", "y": "bad", "z": "bad"}),
+        "fused_I": TaskRelation(FusionMode.MODE_I, [
+            TaskSpec("verdict", experts=(0,)), TaskSpec("tool", experts=(1,))]),
+        "fused_II": TaskRelation(FusionMode.MODE_II, [
+            TaskSpec("tool", experts=(0, 1))]),
+    }
+    files = {"expert": root / "expert.snke"}
+    for name, relation in relations.items():
+        n = 1 if relation.mode is FusionMode.MODE_III else 2
+        experts = [_expert(2 + j, [["good", "bad"], ["x", "y", "z"]][j])
+                   for j in range(n)]
+        files[name] = root / f"{name}.snke"
+        save_fused(configure_fusion(experts, relation, seed=3), files[name])
+    return files
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
@@ -70,27 +82,59 @@ def _frame(prefix, header, payload):
                                     len(blob)) + blob + payload
 
 
+def _task(header, i):
+    return header["relations"][0]["tasks"][i]
+
+
 def _float_subset(header):
-    header["gates"][0]["subset"] = [0.0]
+    _task(header, 0)["experts"] = [0.0]
 
 
 def _ghost_task(header):
-    header["task_ids"].append("ghost")
+    _task(header, 1)["task_id"] = "ghost"
 
 
 def _string_label_map(header):
-    header["label_maps"]["tool"] = "xyz"
+    _task(header, 1)["labels"] = "xyz"
 
 
 def _short_label_map(header):
-    header["label_maps"]["tool"] = ["x", "y"]
+    _task(header, 1)["labels"] = ["x", "y"]
+
+
+def _duplicate_expert(header):
+    _task(header, 0)["experts"] = [0, 0]
+
+
+def _unknown_mode(header):
+    header["relations"][0]["mode"] = "IV"
+
+
+def _nan_alpha(header):
+    _task(header, 0)["alpha"] = float("nan")
+
+
+def _repeated_label(header):
+    _task(header, 1)["labels"] = ["x", "y", "x"]
+
+
+def _no_relations(header):
+    header["relations"] = []
 
 
 @pytest.mark.parametrize("damage,message", [
     (_float_subset, "subset holds a non-integer expert index"),
-    (_ghost_task, "task 'ghost' lacks a gate, a tower or a label map"),
+    (_ghost_task, "missing tensor 'gate.ghost.w'"),
     (_string_label_map, "a label map is not a list"),
-    (_short_label_map, "tower has 3 classes, label map 2"),
+    (_short_label_map, r"tensor 'tower.tool.fc2.w' has shape \(256, 3\), "
+                       r"expected \(256, 2\)"),
+    (_duplicate_expert, r"gate 'verdict': subset \(0, 0\) names an expert "
+                        r"twice"),
+    (_unknown_mode, "'IV' is not a valid FusionMode"),
+    (_nan_alpha, "task 'verdict': non-finite loss weight"),
+    (_repeated_label, r"task 'tool': label map \['x', 'y', 'x'\] names a "
+                      r"label twice"),
+    (_no_relations, "no tasks declared"),
 ])
 def test_inconsistent_fused_header_is_rejected(model_files, tmp_path, damage,
                                                message):
@@ -133,7 +177,7 @@ def _mutate_header(data, header):
                                  HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_loader_fuzz_raises_only_value_error(model_files, tmp_path, data):
-    source = model_files[data.draw(st.sampled_from(["expert", "fused"]))]
+    source = model_files[data.draw(st.sampled_from(sorted(model_files)))]
     prefix, header, payload = _split(source)
     how = data.draw(st.sampled_from(["header", "bytes", "truncate"]))
     if how == "header":
@@ -157,4 +201,4 @@ def test_loader_fuzz_raises_only_value_error(model_files, tmp_path, data):
         try:
             load(broken)
         except ValueError as exc:
-            assert str(exc)
+            assert str(exc).startswith(f"{broken}: ")

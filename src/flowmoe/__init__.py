@@ -1,8 +1,8 @@
 """flowmoe: multi-gate mixture-of-experts traffic classification.
 
 Per-task transformer experts over flow features (payload bytes + packet
-headers), fused under default / top-k / trainable gates with per-task tower
-heads, plus convergence and gate-anomaly diagnostics.
+headers), fused under fixed (one-hot or uniform) or trainable gates with
+per-task tower heads, plus convergence and gate-anomaly diagnostics.
 """
 
 __version__ = "0.1.0"
@@ -15,8 +15,8 @@ from .evaluation import Metrics, compute_metrics, evaluate, split_dataset
 from .expert import (ExpertModel, TrainConfig, expert_predict,
                      expert_representation, load_expert, save_expert,
                      train_expert)
-from .fusion import (FusedModel, FusionMode, GateConfig, GateMode, TaskRelation,
-                     TaskSpec, Tower, classify, classify_batch,
+from .fusion import (FusedModel, FusionMode, GateConfig, TaskRelation,
+                     TaskSpec, classify, classify_batch,
                      concat_representations, configure_fusion,
                      default_finetune_config, fine_tune, gate_output,
                      gate_weights, load_fused, save_fused, tower_forward)
@@ -32,7 +32,7 @@ __all__ = [
     "compute_metrics", "evaluate", "split_dataset", "ExpertModel",
     "TrainConfig", "expert_predict", "expert_representation", "load_expert",
     "save_expert", "train_expert", "FusedModel", "FusionMode", "GateConfig",
-    "GateMode", "TaskRelation", "TaskSpec", "Tower", "classify",
+    "TaskRelation", "TaskSpec", "classify",
     "classify_batch", "concat_representations", "configure_fusion",
     "default_finetune_config", "fine_tune", "gate_output", "gate_weights",
     "load_fused", "save_fused", "tower_forward", "ExtractionConfig",

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fusion
 from .data import LabeledDataset
-from .nn import Tensor, backward, cross_entropy, head_forward, no_grad
+# head_forward is unused here; perfbench's tracer wraps diagnostics.head_forward
+from .nn import Tensor, backward, head_forward, no_grad
 
 log = logging.getLogger(__name__)
 
@@ -225,23 +227,21 @@ class TowerObjective:
     """
 
     def __init__(self, model, data: LabeledDataset):
-        from .fusion import concat_representations, gate_output
-
+        self.model = model
         self.tasks = list(model.task_ids)
-        self.towers = {t: model.towers[t] for t in self.tasks}
-        self.weights = dict(model.loss_weights)
         self.labels = {t: data.labels[t] for t in self.tasks}
-        stacked = Tensor(concat_representations(model.experts, data.features))
+        stacked = Tensor(fusion.concat_representations(model.experts,
+                                                       data.features))
         x = Tensor(data.features)
         with no_grad():
-            self.inputs = {t: gate_output(model.gates[t], stacked, x)
+            self.inputs = {t: fusion.gate_output(model.gates[t], stacked, x)
                            for t in self.tasks}
-        self._flat = np.concatenate([self.towers[t].params.to_vector()
+        self._flat = np.concatenate([model.towers[t].to_vector()
                                      for t in self.tasks])
         self._slices = []                # (task, name, slice), vector order
         offset = 0
         for t in self.tasks:
-            params = self.towers[t].params
+            params = model.towers[t]
             params.unfreeze()
             for name, tensor in params.items():
                 n = tensor.data.size
@@ -261,13 +261,8 @@ class TowerObjective:
         self._flat[:] = vec
 
     def loss_and_grad(self):
-        total = None
-        for t in self.tasks:
-            logits = head_forward(self.towers[t].params, self.inputs[t])
-            loss = cross_entropy(logits, self.labels[t])
-            weighted = loss * self.weights[t]
-            total = weighted if total is None else total + weighted
-        grads = backward(total, *(self.towers[t].params for t in self.tasks))
+        total = fusion.tower_forward(self.model, self.inputs, self.labels)[2]
+        grads = backward(total, *(self.model.towers[t] for t in self.tasks))
         by_task = dict(zip(self.tasks, grads))
         flat = np.empty_like(self._flat)
         for t, name, sl in self._slices:

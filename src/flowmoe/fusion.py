@@ -2,10 +2,10 @@
 
 A fused model holds n frozen experts, one gate and one tower per task, and
 the task relations that configured them. Gates are per-task mixing vectors
-over expert representations: one-hot (default), uniform over a subset
-(top-k), or an input-conditioned softmax (trainable). Towers are fresh
+over expert representations: fixed and uniform over a subset, or, for a
+gate holding a linear, an input-conditioned softmax. Towers are fresh
 two-layer heads [912 -> 256 -> classes]; only towers and trainable gates
-learn during fine-tuning.
+learn during fine-tuning, under one alpha-weighted multi-task loss.
 """
 
 from __future__ import annotations
@@ -29,12 +29,6 @@ from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward
                  stack)
 
 
-class GateMode(enum.Enum):
-    DEFAULT = "default"
-    TOPK = "topk"
-    TRAINABLE = "trainable"
-
-
 class FusionMode(enum.Enum):
     MODE_I = "I"           # attribute-independent tasks
     MODE_II = "II"         # category expansion (label union)
@@ -44,11 +38,10 @@ class FusionMode(enum.Enum):
 @dataclass
 class GateConfig:
     task_id: str
-    mode: GateMode
     subset: tuple               # expert indices S
     n_experts: int
-    fixed_delta: np.ndarray = None   # Default/TopK only
-    linear: ParamSet = None          # Trainable only
+    linear: ParamSet = None     # trainable; None: fixed, uniform over S
+    fixed_delta: np.ndarray = dataclasses.field(init=False, default=None)
 
     def __post_init__(self):
         self.subset = tuple(int(j) for j in self.subset)
@@ -59,29 +52,16 @@ class GateConfig:
         if len(set(self.subset)) != len(self.subset):
             raise ValueError(f"gate {self.task_id!r}: subset {self.subset} "
                              f"names an expert twice")
-        if self.mode is GateMode.DEFAULT and len(self.subset) != 1:
-            raise ValueError("default gate needs exactly one expert")
-        if self.mode in (GateMode.DEFAULT, GateMode.TOPK):
+        if self.linear is None:
             delta = np.zeros(self.n_experts)
             delta[list(self.subset)] = 1.0 / len(self.subset)
             self.fixed_delta = delta
-            self.linear = None
-        else:
-            if self.linear is None:
-                self.linear = init_gate_linear(len(self.subset))
-
-    @classmethod
-    def default(cls, task_id, expert_index, n_experts):
-        return cls(task_id, GateMode.DEFAULT, (expert_index,), n_experts)
-
-    @classmethod
-    def topk(cls, task_id, subset, n_experts):
-        return cls(task_id, GateMode.TOPK, tuple(subset), n_experts)
 
     @classmethod
     def trainable(cls, task_id, subset, n_experts, linear=None):
-        return cls(task_id, GateMode.TRAINABLE, tuple(subset), n_experts,
-                   linear=linear)
+        if linear is None:
+            linear = init_gate_linear(len(subset))
+        return cls(task_id, subset, n_experts, linear)
 
 
 def gate_weights(gate: GateConfig, x):
@@ -91,7 +71,7 @@ def gate_weights(gate: GateConfig, x):
     (B, n): a softmax over the subset S scattered into zeros, so rows sum
     to 1 and are 0 outside S. A non-finite weight raises ValueError.
     """
-    if gate.mode is not GateMode.TRAINABLE:
+    if gate.linear is None:
         return Tensor(gate.fixed_delta)
     local = softmax(x @ gate.linear["w"] + gate.linear["b"])
     # Tensor has no scatter: a constant 0/1 matmul places the |S| weights
@@ -105,14 +85,14 @@ def gate_weights(gate: GateConfig, x):
 def gate_output(gate: GateConfig, stacked, x=None):
     """Gated input Tensor from `stacked` (n, 912) or (n, B, 912) expert rows.
 
-    The default mode returns the selected row unchanged; other modes take
+    A fixed one-expert gate returns that row unchanged; other gates take
     the `gate_weights`-weighted sum (trainable gates need the input Tensor
     `x`). Raises ValueError on a wrong row count or non-finite weights.
     """
     if stacked.shape[0] != gate.n_experts:
         raise ValueError(f"expected {gate.n_experts} expert rows, "
                          f"got {stacked.shape[0]}")
-    if gate.mode is GateMode.DEFAULT:
+    if gate.linear is None and len(gate.subset) == 1:
         return stacked.select(gate.subset[0], axis=0)
     delta = gate_weights(gate, x)
     if delta.data.ndim == 2:
@@ -121,20 +101,26 @@ def gate_output(gate: GateConfig, stacked, x=None):
     return (delta.reshape(delta.shape + trailing) * stacked).sum(axis=0)
 
 
-@dataclass
-class Tower:
-    task_id: str
-    params: ParamSet
-    n_classes: int
+def tower_forward(model, gated, labels=None, dropout_stream=None,
+                  dropout_rate=0.0):
+    """Each task's tower on its gated input Tensor (`gated`: task -> (912,)
+    or (B, 912)), in train mode when a `dropout_stream` is given.
 
-
-def tower_forward(tower: Tower, gated):
-    """Eval-mode confidence vector(s): linear -> ReLU -> linear -> softmax."""
-    if gated.shape[-1] != INPUT_DIM:
-        raise ValueError(f"expected gated vector of length {INPUT_DIM}, "
-                         f"got {gated.shape[-1]}")
-    with no_grad():
-        return softmax(head_forward(tower.params, gated)).data
+    Returns (logits, losses, total): per-task logits and, given `labels`
+    (task -> class indices), per-task cross-entropies and their sum weighted
+    by the model's loss weights, added in `gated` order; else ({}, None)."""
+    logits, losses, total = {}, {}, None
+    for task, x in gated.items():
+        logits[task] = head_forward(model.towers[task], x,
+                                    train_mode=dropout_stream is not None,
+                                    dropout_stream=dropout_stream,
+                                    dropout_rate=dropout_rate)
+        if labels is None:
+            continue
+        losses[task] = cross_entropy(logits[task], labels[task])
+        weighted = losses[task] * model.loss_weights[task]
+        total = weighted if total is None else total + weighted
+    return logits, losses, total
 
 
 @dataclass
@@ -163,9 +149,9 @@ class TaskRelation:
 
 @dataclass
 class FusedModel:
-    """Frozen experts, one gate and one tower per task, and the relations
-    (with every task's resolved labels) from which `fusion_structure`
-    derived the task order, gates, label maps and loss weights."""
+    """Frozen experts, one gate and one tower (head ParamSet) per task, and
+    the relations (with every task's resolved labels) from which
+    `fusion_structure` derived task order, gates, label maps, loss weights."""
 
     experts: list
     task_ids: list
@@ -201,8 +187,8 @@ def _union_labels(experts, subset, explicit):
 def fusion_structure(experts, relations) -> FusedModel:
     """The tower-less FusedModel the relations declare; experts get locked.
 
-    Mode I: one default gate per task, bound to its expert.
-    Mode II: one top-k gate over the sources; labels are their union.
+    Mode I: one fixed gate per task, bound to its expert.
+    Mode II: one uniform fixed gate over the sources; labels are their union.
     Mode III: trainable gates for both coarse and fine tasks.
     The model's relations carry every task's resolved labels, so a saved
     model is rebuilt through this same step. Its `towers` is empty.
@@ -226,13 +212,13 @@ def fusion_structure(experts, relations) -> FusedModel:
                 if len(subset) != 1:
                     raise ValueError(f"task {task!r}: independent tasks "
                                      f"bind to exactly one expert")
-                gates[task] = GateConfig.default(task, subset[0], n)
+                gates[task] = GateConfig(task, subset, n)
                 labels = list(spec.labels or experts[subset[0]].label_map)
             elif relation.mode is FusionMode.MODE_II:
                 if len(subset) < 2:
                     raise ValueError(f"task {task!r}: category expansion "
                                      f"needs at least two source experts")
-                gates[task] = GateConfig.topk(task, subset, n)
+                gates[task] = GateConfig(task, subset, n)
                 labels = _union_labels(experts, subset, spec.labels)
             else:
                 gates[task] = GateConfig.trainable(
@@ -275,11 +261,9 @@ def configure_fusion(experts, relations, seed=0) -> FusedModel:
     model = fusion_structure(experts, relations)
     tower_seeds = seed_streams(seed, len(model.task_ids))
     for task, tower_seed in zip(model.task_ids, tower_seeds):
-        n_classes = len(model.label_maps[task])
         rng = np.random.default_rng(tower_seed)
-        model.towers[task] = Tower(
-            task_id=task, params=init_head(rng, n_classes, zero_output=True),
-            n_classes=n_classes)
+        model.towers[task] = init_head(rng, len(model.label_maps[task]),
+                                       zero_output=True)
     return model
 
 
@@ -326,10 +310,10 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
 
     named_sets = {}
     for task, tower in model.towers.items():
-        tower.params.unfreeze()
-        named_sets[f"tower.{task}"] = tower.params
+        tower.unfreeze()
+        named_sets[f"tower.{task}"] = tower
     for task, gate in model.gates.items():
-        if gate.mode is GateMode.TRAINABLE:
+        if gate.linear is not None:
             gate.linear.unfreeze()
             named_sets[f"gate.{task}"] = gate.linear
     if unfreeze_experts:
@@ -356,23 +340,16 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
                               for e in model.experts])
             else:
                 reps = Tensor(cached[:, idx])
-            loss_total = None
-            batch_losses = {}
-            for task in model.task_ids:
-                gated = gate_output(model.gates[task], reps, x)
-                tower = model.towers[task]
-                logits = head_forward(tower.params, gated, train_mode=True,
-                                      dropout_stream=stream,
-                                      dropout_rate=cfg.dropout_rate)
-                task_loss = cross_entropy(logits, data.labels[task][idx])
-                batch_losses[task] = task_loss.item()
-                weighted = task_loss * model.loss_weights[task]
-                loss_total = weighted if loss_total is None else loss_total + weighted
+            gated = {task: gate_output(model.gates[task], reps, x)
+                     for task in model.task_ids}
+            _logits, losses, loss_total = tower_forward(
+                model, gated, {t: data.labels[t][idx] for t in gated},
+                dropout_stream=stream, dropout_rate=cfg.dropout_rate)
             grads = backward(loss_total, *named_sets.values())
             opt.apply(dict(zip(named_sets, grads)), cfg.learning_rate)
             w = len(idx)
-            for task, value in batch_losses.items():
-                totals[task] += value * w
+            for task, loss in losses.items():
+                totals[task] += loss.item() * w
             total_all += loss_total.item() * w
         row = {"total": total_all / m}
         if not np.isfinite(row["total"]):
@@ -392,7 +369,8 @@ class TaskPrediction:
 
 
 def classify_batch(model: FusedModel, X):
-    """One shared expert pass, then per-task gate -> tower -> argmax."""
+    """One shared expert pass, then per-task gate, one `tower_forward` over
+    all towers, softmax and argmax."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(1, -1)
@@ -403,9 +381,10 @@ def classify_batch(model: FusedModel, X):
     x = Tensor(X)
     out = {}
     with no_grad():
-        for task in model.task_ids:
-            gated = gate_output(model.gates[task], stacked, x)
-            probs = tower_forward(model.towers[task], gated)
+        gated = {task: gate_output(model.gates[task], stacked, x)
+                 for task in model.task_ids}
+        for task, logits in tower_forward(model, gated)[0].items():
+            probs = softmax(logits).data
             out[task] = (np.argmax(probs, axis=1), probs)
     return out
 
@@ -442,10 +421,10 @@ def save_fused(model: FusedModel, path):
     for i, e in enumerate(model.experts):
         tensors += [(f"expert{i}.encoder.{n}", t.data) for n, t in e.encoder.items()]
     for task, gate in model.gates.items():
-        if gate.mode is GateMode.TRAINABLE:
+        if gate.linear is not None:
             tensors += [(f"gate.{task}.{n}", t.data) for n, t in gate.linear.items()]
     for task, tower in model.towers.items():
-        tensors += [(f"tower.{task}.{n}", t.data) for n, t in tower.params.items()]
+        tensors += [(f"tower.{task}.{n}", t.data) for n, t in tower.items()]
     serial.save_container(path, serial.MODEL_MAGIC, header, tensors)
 
 
@@ -495,15 +474,13 @@ def fused_from_container(path, header, tensors) -> FusedModel:
         raise ValueError(f"{path}: {exc}") from None
 
     for task, gate in model.gates.items():
-        if gate.mode is GateMode.TRAINABLE:
+        if gate.linear is not None:
             gate.linear = params_from_container(
                 path, tensors, f"gate.{task}.",
                 gate_linear_shapes(len(gate.subset)))
-        n_classes = len(model.label_maps[task])
-        model.towers[task] = Tower(
-            task_id=task, n_classes=n_classes,
-            params=params_from_container(path, tensors, f"tower.{task}.",
-                                         head_shapes(n_classes)))
+        model.towers[task] = params_from_container(
+            path, tensors, f"tower.{task}.",
+            head_shapes(len(model.label_maps[task])))
     reject_unexpected(path, tensors)
     return model
 

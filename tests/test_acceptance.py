@@ -153,11 +153,11 @@ def test_criterion_02_gate_mode_contracts():
 
     default_ok = all(
         np.array_equal(
-            gate_output(GateConfig.default("t", j, n), Tensor(stacked)).data,
+            gate_output(GateConfig("t", (j,), n), Tensor(stacked)).data,
             stacked[j])
         for j in range(n))
 
-    topk = GateConfig.topk("t", (0, 2), n)
+    topk = GateConfig("t", (0, 2), n)
     mean = (stacked[0] + stacked[2]) / 2.0
     topk_ok = np.max(np.abs(gate_output(topk, Tensor(stacked)).data
                             - mean)) < 1e-12
@@ -183,16 +183,16 @@ def test_criterion_03_task_isolation(mode1_runs):
     isolated = True
     for task in fused.task_ids:
         for tower in fused.towers.values():
-            tower.params.unfreeze()
-            tower.params.zero_grad()
+            tower.unfreeze()
+            tower.zero_grad()
         gated = gate_output(fused.gates[task], Tensor(reps), Tensor(X)).data
         loss = cross_entropy(
-            head_forward(fused.towers[task].params, Tensor(gated)),
+            head_forward(fused.towers[task], Tensor(gated)),
             test.labels[task][:32])
         loss.backward()
         for other, tower in fused.towers.items():
             grads_present = any(t.grad is not None and np.any(t.grad)
-                                for t in tower.params.tensors())
+                                for t in tower.tensors())
             if other == task and not grads_present:
                 isolated = False
             if other != task and grads_present:

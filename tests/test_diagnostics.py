@@ -155,7 +155,7 @@ def _mode1_objective(trained_experts, two_task_data, extra_param=False):
     fused = configure_fusion(list(trained_experts), relation, seed=3)
     if extra_param:
         # in the vector, but no forward reads it: its gradient is zero
-        fused.towers["app"].params.add("unused", np.ones(3))
+        fused.towers["app"].add("unused", np.ones(3))
     data = two_task_data[0].subset(np.arange(48))
     return fused, TowerObjective(fused, data)
 
@@ -163,7 +163,7 @@ def _mode1_objective(trained_experts, two_task_data, extra_param=False):
 def test_tower_objective_vector_round_trip_and_views(trained_experts,
                                                      two_task_data):
     fused, obj = _mode1_objective(trained_experts, two_task_data)
-    towers = [fused.towers[t].params for t in ("app", "encap")]
+    towers = [fused.towers[t] for t in ("app", "encap")]
     before = [ps.state_dict() for ps in towers]
     vec = obj.get_vector()
     assert np.array_equal(vec, np.concatenate([ps.to_vector() for ps in towers]))
@@ -195,7 +195,7 @@ def test_tower_objective_flat_gradient_matches_finite_differences(
     assert grad.shape == theta.shape
 
     # "unused" is the app tower's last parameter; the app tower comes first
-    n_app = fused.towers["app"].params.to_vector().size
+    n_app = fused.towers["app"].to_vector().size
     unused = np.arange(n_app - 3, n_app)
     assert np.array_equal(grad[unused], np.zeros(3))
 

@@ -105,7 +105,7 @@ def test_blocked_eval_is_bit_identical_to_one_pass(trained_experts,
                                     TaskSpec("encap", experts=(1,))]))
     rng = np.random.default_rng(3)
     for tower in fused.towers.values():       # zero output layers: randomize
-        w = tower.params["fc2.w"].data
+        w = tower["fc2.w"].data
         w[:] = rng.normal(size=w.shape)
 
     calls = []

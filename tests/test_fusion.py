@@ -10,38 +10,38 @@ import pytest
 import flowmoe
 from flowmoe import serial
 from flowmoe.expert import expert_representation, save_expert
-from flowmoe.fusion import (FusionMode, GateConfig, GateMode, TaskRelation,
-                            TaskSpec, Tower, classify, classify_batch,
+from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
+                            TaskSpec, classify, classify_batch,
                             concat_representations, configure_fusion, fine_tune,
                             gate_output, gate_weights, load_any_model,
                             load_fused, load_fusion_config, save_fused,
                             tower_forward)
 from flowmoe.nn import INPUT_DIM, backward, cross_entropy, head_forward, init_head
-from flowmoe.nn import Tensor
+from flowmoe.nn import Tensor, no_grad, softmax
 
 
 def test_gate_default_bit_equal(rng):
     stacked = rng.normal(size=(2, INPUT_DIM))
-    gate = GateConfig.default("t", 1, 2)
+    gate = GateConfig("t", (1,), 2)
     out = gate_output(gate, Tensor(stacked)).data
     assert np.array_equal(out, stacked[1])
 
 
 def test_gate_topk_mean(rng):
     stacked = rng.normal(size=(2, INPUT_DIM))
-    gate = GateConfig.topk("t", (0, 1), 2)
+    gate = GateConfig("t", (0, 1), 2)
     out = gate_output(gate, Tensor(stacked)).data
     assert np.max(np.abs(out - stacked.mean(axis=0))) < 1e-12
 
 
 def test_gate_topk_subset_weights():
-    gate = GateConfig.topk("t", (0, 2), 4)
+    gate = GateConfig("t", (0, 2), 4)
     assert np.allclose(gate.fixed_delta, [0.5, 0.0, 0.5, 0.0])
     assert gate.fixed_delta.sum() == 1.0
 
 
 @pytest.mark.parametrize("make", [
-    lambda: GateConfig.topk("t", (0, 0), 2),
+    lambda: GateConfig("t", (0, 0), 2),
     lambda: GateConfig.trainable("t", (1, 0, 1), 3),
 ], ids=["topk", "trainable"])
 def test_gate_rejects_duplicate_experts(make):
@@ -103,11 +103,11 @@ def test_gate_non_finite_check_survives_python_O():
 
 def test_gate_empty_subset_rejected():
     with pytest.raises(ValueError, match="empty"):
-        GateConfig("t", GateMode.TOPK, (), 2)
+        GateConfig("t", (), 2)
 
 
 def test_gate_linearity_superposition(rng):
-    gate = GateConfig.topk("t", (0, 1, 2), 3)
+    gate = GateConfig("t", (0, 1, 2), 3)
     a = rng.normal(size=(3, INPUT_DIM))
     b = rng.normal(size=(3, INPUT_DIM))
     lhs = gate_output(gate, Tensor(2.0 * a + 3.0 * b)).data
@@ -132,17 +132,6 @@ def test_concat_representations_rows(trained_experts, two_task_data, rng):
     assert np.array_equal(swapped[1], stacked[0])
 
 
-def test_tower_forward_contract(rng):
-    tower = Tower("t", init_head(rng, 4), n_classes=4)
-    out = tower_forward(tower, rng.normal(size=INPUT_DIM))
-    assert out.shape == (4,)
-    assert abs(out.sum() - 1.0) < 1e-9
-    again = tower_forward(tower, np.zeros(INPUT_DIM))
-    assert np.array_equal(again, tower_forward(tower, np.zeros(INPUT_DIM)))
-    with pytest.raises(ValueError):
-        tower_forward(tower, np.zeros(64))
-
-
 def _mode1_relation():
     return TaskRelation(mode=FusionMode.MODE_I,
                         tasks=[TaskSpec("app", experts=(0,)),
@@ -152,9 +141,10 @@ def _mode1_relation():
 def test_configure_mode1(trained_experts):
     fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=1)
     assert fused.task_ids == ["app", "encap"]
-    assert all(g.mode is GateMode.DEFAULT for g in fused.gates.values())
-    assert fused.towers["app"].n_classes == 3
-    assert fused.towers["encap"].n_classes == 2
+    assert all(g.linear is None and len(g.subset) == 1
+               for g in fused.gates.values())
+    assert fused.towers["app"]["fc2.b"].data.size == 3
+    assert fused.towers["encap"]["fc2.b"].data.size == 2
     assert all(e.encoder.frozen for e in fused.experts)
 
 
@@ -168,8 +158,8 @@ def test_configure_mode2_union_count(trained_experts):
     expected = list(app.label_map) + [n for n in encap.label_map
                                       if n not in app.label_map]
     assert union == expected
-    assert fused.towers["joint"].n_classes == len(expected)
-    assert fused.gates["joint"].mode is GateMode.TOPK
+    assert fused.towers["joint"]["fc2.b"].data.size == len(expected)
+    assert fused.gates["joint"].linear is None
 
 
 def test_configure_mode2_rejects_bad_union(trained_experts):
@@ -188,11 +178,11 @@ def test_configure_mode3_shapes(trained_experts):
                                        labels=["plain", "vpn"]),
                               TaskSpec("app", labels=["video", "chat", "mail"])])
     fused = configure_fusion([app, encap], rel, seed=1)
-    assert fused.gates["encap"].mode is GateMode.TRAINABLE
-    assert fused.gates["app"].mode is GateMode.TRAINABLE
+    assert fused.gates["encap"].linear is not None
+    assert fused.gates["app"].linear is not None
     assert fused.gates["app"].subset == (0, 1)
-    assert fused.towers["encap"].n_classes == 2
-    assert fused.towers["app"].n_classes == 3
+    assert fused.towers["encap"]["fc2.b"].data.size == 2
+    assert fused.towers["app"]["fc2.b"].data.size == 3
 
 
 def test_configure_mode3_rejects_non_nested(trained_experts):
@@ -215,7 +205,9 @@ def test_classify_matches_standalone_path(trained_experts, two_task_data):
         for task, expert in (("app", fused.experts[0]),
                              ("encap", fused.experts[1])):
             rep = expert_representation(expert, x)
-            probs = tower_forward(fused.towers[task], rep)
+            with no_grad():
+                logits = tower_forward(fused, {task: Tensor(rep)})[0][task]
+                probs = softmax(logits).data
             assert np.argmax(probs) == result[task].label_index
             assert np.allclose(probs, result[task].confidences, atol=1e-15)
             assert abs(result[task].confidences.sum() - 1.0) < 1e-9
@@ -255,13 +247,13 @@ def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,
     reps = concat_representations(fused.experts, train.features[:16])
     x = train.features[:16]
     app_tower, enc_tower = fused.towers["app"], fused.towers["encap"]
-    app_tower.params.unfreeze()
-    enc_tower.params.unfreeze()
+    app_tower.unfreeze()
+    enc_tower.unfreeze()
     gated = gate_output(fused.gates["app"], Tensor(reps), Tensor(x)).data
-    loss = cross_entropy(head_forward(app_tower.params, Tensor(gated)),
+    loss = cross_entropy(head_forward(app_tower, Tensor(gated)),
                          train.labels["app"][:16])
-    app_grads, enc_grads = backward(loss, app_tower.params, enc_tower.params)
-    assert set(app_grads) == set(app_tower.params.names())
+    app_grads, enc_grads = backward(loss, app_tower, enc_tower)
+    assert set(app_grads) == set(app_tower.names())
     assert enc_grads == {}
 
 
@@ -279,7 +271,7 @@ def test_fine_tune_rejects_non_finite_loss(trained_experts, two_task_data):
     from flowmoe.expert import TrainConfig
     train = two_task_data[0].subset(np.arange(64))
     fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
-    fused.towers["app"].params["fc1.w"].data[0, 0] = np.nan
+    fused.towers["app"]["fc1.w"].data[0, 0] = np.nan
     cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=2,
                       dropout_rate=0.0, seed=1)
     with pytest.raises(ArithmeticError, match="epoch 0"):
@@ -315,13 +307,80 @@ def _relation(mode):
 
 
 @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
+def test_tower_forward_contract_by_mode(trained_experts, two_task_data, mode):
+    fused = configure_fusion(list(trained_experts), _relation(mode), seed=3)
+    rng = np.random.default_rng(11)
+    for task, alpha in zip(fused.task_ids, (0.5, 0.25)):
+        fused.loss_weights[task] = alpha
+        for t in fused.towers[task].tensors():   # zeroed outputs hide mix-ups
+            t.data = rng.normal(scale=0.05, size=t.data.shape)
+    features = two_task_data[2].features[:12]
+    stacked = Tensor(concat_representations(fused.experts, features))
+    x = Tensor(features)
+    gated = {t: gate_output(fused.gates[t], stacked, x) for t in fused.task_ids}
+    labels = {t: rng.integers(len(fused.label_maps[t]), size=12)
+              for t in fused.task_ids}
+    logits, losses, total = tower_forward(fused, gated, labels)
+    assert list(logits) == list(losses) == fused.task_ids
+
+    # oracle: each tower and cross-entropy by hand, alpha-weighted sum in
+    # task order
+    expected = None
+    for task in fused.task_ids:
+        z = head_forward(fused.towers[task], gated[task])
+        assert np.array_equal(logits[task].data, z.data)
+        assert logits[task].shape == (12, len(fused.label_maps[task]))
+        ce = cross_entropy(z, labels[task]).item()
+        assert losses[task].item() == ce
+        term = ce * fused.loss_weights[task]
+        expected = term if expected is None else expected + term
+    assert total.item() == expected
+    grads = backward(total, *fused.towers.values())
+    assert all(set(g) == set(fused.towers[t].names())
+               for t, g in zip(fused.towers, grads))
+
+    # without labels: logits only
+    bare, no_losses, no_total = tower_forward(fused, gated)
+    assert no_losses == {} and no_total is None
+    assert all(np.array_equal(bare[t].data, logits[t].data) for t in logits)
+
+
+def test_fine_tune_gd_and_classify_reach_tower_forward(
+        trained_experts, two_task_data, monkeypatch):
+    import flowmoe.fusion as fusion
+    from flowmoe.diagnostics import TowerObjective
+    from flowmoe.expert import TrainConfig
+    calls = []
+    real = fusion.tower_forward
+
+    def recording(model, gated, labels=None, **kwargs):
+        calls.append((list(gated), labels is not None,
+                      kwargs.get("dropout_stream") is not None))
+        return real(model, gated, labels, **kwargs)
+
+    monkeypatch.setattr(fusion, "tower_forward", recording)
+    train = two_task_data[0].subset(np.arange(32))
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
+    tasks = ["app", "encap"]
+    fine_tune(fused, train, TrainConfig(learning_rate=1e-4, batch_size=32,
+                                        epochs=1, dropout_rate=0.0, seed=1))
+    assert calls == [(tasks, True, True)]
+    calls.clear()
+    TowerObjective(fused, train).loss_and_grad()
+    assert calls == [(tasks, True, False)]
+    calls.clear()
+    classify_batch(fused, train.features[:4])
+    assert calls == [(tasks, False, False)]
+
+
+@pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
 def test_fused_round_trip(tmp_path, trained_experts, two_task_data, mode):
     fused = configure_fusion(list(trained_experts), _relation(mode), seed=3)
     rng = np.random.default_rng(7)
     # zero-initialized output layers and gates would hide a mix-up
     for task in fused.task_ids:
-        params = [fused.towers[task].params]
-        if fused.gates[task].mode is GateMode.TRAINABLE:
+        params = [fused.towers[task]]
+        if fused.gates[task].linear is not None:
             params.append(fused.gates[task].linear)
         for t in (t for p in params for t in p.tensors()):
             t.data = rng.normal(scale=0.05, size=t.data.shape)
@@ -338,8 +397,8 @@ def test_fused_round_trip(tmp_path, trained_experts, two_task_data, mode):
     assert loaded.label_maps == fused.label_maps
     assert loaded.loss_weights == fused.loss_weights
     assert loaded.relations == fused.relations
-    assert ({t: (g.mode, g.subset) for t, g in loaded.gates.items()}
-            == {t: (g.mode, g.subset) for t, g in fused.gates.items()})
+    assert ({t: (g.linear is None, g.subset) for t, g in loaded.gates.items()}
+            == {t: (g.linear is None, g.subset) for t, g in fused.gates.items()})
     assert all(e.head is None for e in loaded.experts)
 
     header, tensors = serial.load_container(path, serial.MODEL_MAGIC)

@@ -164,10 +164,10 @@ def _flag_based_fusion(args):
         ("learning_rate", args.lr), ("epochs", args.epochs),
         ("batch_size", args.batch_size), ("dropout_rate", args.dropout))
         if value is not None}
-    cfg = dataclasses.replace(default_finetune_config(mode, seed=args.seed),
+    seed = 0 if args.seed is None else args.seed
+    cfg = dataclasses.replace(default_finetune_config(mode, seed=seed),
                               **overrides)
-    options = {"seed": args.seed, "unfreeze_experts": False,
-               "train_config": cfg}
+    options = {"seed": seed, "unfreeze_experts": False, "train_config": cfg}
     return experts, relation, options
 
 
@@ -175,6 +175,14 @@ def cmd_fuse(args):
     if bool(args.config) == bool(args.mode):
         raise ValueError("pass exactly one of --config or --mode/--experts")
     if args.config:
+        ignored = [flag for flag, value in (
+            ("--experts", args.experts), ("--task", args.task),
+            ("--lr", args.lr), ("--epochs", args.epochs),
+            ("--batch-size", args.batch_size), ("--dropout", args.dropout),
+            ("--seed", args.seed)) if value is not None]
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)} cannot be combined with "
+                             f"--config, which declares the whole fusion")
         expert_paths, relation, options = load_fusion_config(
             _require(args.config, "fusion config"))
         experts = [load_expert(_require(p, "expert model"))
@@ -406,16 +414,17 @@ def build_parser():
                    help="declarative fusion config (or use --mode/--experts)")
     p.add_argument("--mode", default=None, choices=("I", "II", "i", "ii"),
                    help="flag-based fusion without a config file")
-    p.add_argument("--experts", nargs="*", default=[],
+    p.add_argument("--experts", nargs="*", default=None,
                    help="expert model paths for --mode")
     p.add_argument("--task", default=None,
                    help="union task name for --mode II (default: union)")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=0.0,
+    p.add_argument("--dropout", type=float, default=None,
                    help="fine-tune dropout rate on the towers (default 0.0)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="tower initialisation and fine-tune seed (default 0)")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)

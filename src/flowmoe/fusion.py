@@ -492,7 +492,8 @@ def load_fusion_config(path):
 
     Sections: [experts] files = <paths>; [fusion] mode/seed/lr/epochs/
     batch_size/dropout (the fine-tune settings); one [task:<id>] per task (experts = indices,
-    labels/alpha optional); [nesting] for refinement.
+    labels/alpha optional); [nesting] for refinement. A value that does not
+    convert is a ValueError naming the file, section and key.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
@@ -501,6 +502,16 @@ def load_fusion_config(path):
         raise ValueError(f"{path}: missing [experts] files = ...")
     expert_paths = cp["experts"]["files"].split()
     fu = cp["fusion"] if "fusion" in cp else {}
+
+    def value(section, key, kind, default, expected):
+        text = cp[section].get(key) if section in cp else None
+        if text is None:
+            return default
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"{path}: [{section}] {key} = {text!r}: expected "
+                             f"{expected}") from None
     try:
         mode = FusionMode(fu.get("mode", "I").strip().upper())
     except ValueError:
@@ -513,21 +524,25 @@ def load_fusion_config(path):
         body = cp[section]
         tasks.append(TaskSpec(
             task_id=section[5:],
-            experts=tuple(int(i) for i in body.get("experts", "").split()),
+            experts=value(section, "experts",
+                          lambda text: tuple(int(i) for i in text.split()),
+                          (), "expert indices"),
             labels=body["labels"].split() if "labels" in body else None,
-            alpha=float(body.get("alpha", 1.0)),
+            alpha=value(section, "alpha", float, 1.0, "a number"),
         ))
     if not tasks:
         raise ValueError(f"{path}: no [task:...] sections")
     nesting = dict(cp["nesting"]) if "nesting" in cp else None
     relation = TaskRelation(mode=mode, tasks=tasks, nesting=nesting)
 
-    options = {"seed": int(fu.get("seed", 0))}
+    options = {"seed": value("fusion", "seed", int, 0, "an integer")}
     cfg = default_finetune_config(mode, seed=options["seed"])
-    overrides = {field: kind(fu[key]) for key, field, kind in (
-        ("lr", "learning_rate", float), ("epochs", "epochs", int),
-        ("batch_size", "batch_size", int), ("dropout", "dropout_rate", float))
-        if key in fu}
+    overrides = {field: value("fusion", key, kind, None, what)
+                 for key, field, kind, what in (
+        ("lr", "learning_rate", float, "a number"),
+        ("epochs", "epochs", int, "an integer"),
+        ("batch_size", "batch_size", int, "an integer"),
+        ("dropout", "dropout_rate", float, "a number")) if key in fu}
     cfg = dataclasses.replace(cfg, **overrides)
     options["unfreeze_experts"] = fu.get("unfreeze_experts", "no").lower() \
         in ("1", "yes", "true")

@@ -11,6 +11,7 @@ inter-arrival time, direction) for the first `npkt` packets.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 
@@ -49,8 +50,9 @@ class Packet:
             raise ValueError("payload must be a byte sequence")
         if not 0 <= self.tcp_window <= 65535:
             raise ValueError(f"tcp window {self.tcp_window} out of range")
-        if self.timestamp < 0:
-            raise ValueError("negative timestamp")
+        if not math.isfinite(self.timestamp) or self.timestamp < 0:
+            raise ValueError(f"timestamp {self.timestamp!r} is negative or "
+                             f"not finite")
 
 
 @dataclass(frozen=True)
@@ -283,8 +285,11 @@ def _parse_ipv4(buf, ts):
 #   <flow_id> <proto> <fwd_ip:port> <rev_ip:port> <pkt> <pkt> ...
 # where <pkt> is ts,dir,len,window[,payload_hex]. The first listed endpoint
 # is the forward endpoint (the first packet's source), so dir=0 packets
-# originate there. `len` must equal the decoded payload length when the hex
-# field is present.
+# originate there, dir=1 ones at the other. `len` is 0..65535 and must equal
+# the decoded payload length when the hex field is present. Every packet
+# passes `Packet.validate`, IPs are dotted quads and flow ids are unique. A
+# huge finite timestamp is accepted (the inter-arrival feature is clamped to
+# [0, 1]); UDP packets ignore the window field.
 
 def write_flow_records(flows, path):
     with open(path, "w", encoding="ascii") as fh:
@@ -312,16 +317,21 @@ def format_flow_record(flow: Flow) -> str:
 
 def read_flow_records(path) -> list:
     """Parse the newline-delimited flow-record format back into Flows."""
-    flows = []
+    flows, first_line = [], {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                flows.append(_parse_record_line(line))
+                flow = _parse_record_line(line)
+                if flow.flow_id in first_line:
+                    raise ValueError(f"flow id {flow.flow_id!r} already used "
+                                     f"on line {first_line[flow.flow_id]}")
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad flow record: {exc}") from exc
+            first_line[flow.flow_id] = lineno
+            flows.append(flow)
     return flows
 
 
@@ -335,6 +345,10 @@ def _parse_record_line(line) -> Flow:
 
     def endpoint(text):
         ip, _, port = text.rpartition(":")
+        octets = ip.split(".")
+        if len(octets) != 4 or not all(
+                o.isdigit() and len(o) <= 3 and int(o) <= 255 for o in octets):
+            raise ValueError(f"{ip!r} is not an IPv4 address")
         return ip, int(port)
 
     fwd, rev = endpoint(parts[2]), endpoint(parts[3])
@@ -345,6 +359,10 @@ def _parse_record_line(line) -> Flow:
             raise ValueError(f"packet tuple {token!r} needs 4 or 5 fields")
         ts, direction, plen, window = (float(fields[0]), int(fields[1]),
                                        int(fields[2]), int(fields[3]))
+        if direction not in (0, 1):
+            raise ValueError(f"direction {direction} is not 0 or 1")
+        if not 0 <= plen <= 65535:
+            raise ValueError(f"packet length {plen} outside 0..65535")
         if len(fields) == 5:
             payload = bytes.fromhex(fields[4])
             if len(payload) != plen:
@@ -354,6 +372,7 @@ def _parse_record_line(line) -> Flow:
         src, dst = (fwd, rev) if direction == 0 else (rev, fwd)
         packets.append(Packet(ts, src[0], src[1], dst[0], dst[1], proto,
                               payload, window if proto == TCP else 0))
+        packets[-1].validate()
     packets.sort(key=lambda p: p.timestamp)
     key = FlowKey.of(packets[0])
     return Flow(key=key, packets=packets, forward_endpoint=fwd, flow_id=flow_id)

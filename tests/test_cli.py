@@ -543,3 +543,47 @@ def test_gate_anomaly_missing_column_is_a_cli_error(tmp_path, capsys, option,
               str(domains), "--out", str(tmp_path / "report.txt")] + extra)
     assert rc == 1
     assert _cli_errors(capsys) == [f"flowmoe: error: {tmp_path}/{message}"]
+
+
+BAD_CONFIG_VALUES = [("task:app", "experts", "0 x", "expert indices"),
+                     ("task:app", "alpha", "half", "a number"),
+                     ("fusion", "seed", "1.5", "an integer"),
+                     ("fusion", "epochs", "ten", "an integer"),
+                     ("fusion", "lr", "fast", "a number"),
+                     ("fusion", "batch_size", "32k", "an integer"),
+                     ("fusion", "dropout", "0,2", "a number")]
+
+
+@pytest.mark.parametrize("section, key, text, expected", BAD_CONFIG_VALUES,
+                         ids=[case[1] for case in BAD_CONFIG_VALUES])
+def test_bad_fusion_config_value_names_file_section_and_key(
+        tmp_path, capsys, section, key, text, expected):
+    body = {"fusion": {"mode": "I"}, "task:app": {"experts": "0"}}
+    body[section][key] = text
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text("[experts]\nfiles = a.snke\n\n" + "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        + "\n" for name, items in body.items()))
+    rc = run(["fuse", "--config", str(cfg), "--features", "f.snkf",
+              "--labels", "l.csv", "--out", str(tmp_path / "o.snke")])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {cfg}: [{section}] "
+                                   f"{key} = {text!r}: expected {expected}"]
+
+
+@pytest.mark.parametrize("flag", [["--experts", "a.snke"], ["--task", "t"],
+                                  ["--lr", "1e-3"], ["--epochs", "2"],
+                                  ["--batch-size", "8"], ["--dropout", "0.0"],
+                                  ["--seed", "0"]], ids=lambda f: f[0])
+def test_fuse_config_rejects_flags_it_would_ignore(pipeline_dir, tmp_path,
+                                                  capsys, flag):
+    out = tmp_path / "o.snke"
+    rc = run(["fuse", "--config", str(pipeline_dir / "fusion.cfg"),
+              "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(pipeline_dir / "labels.csv"),
+              "--out", str(out)] + flag)
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {flag[0]} cannot be combined with --config, "
+        f"which declares the whole fusion"]
+    assert not out.exists()

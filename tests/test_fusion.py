@@ -307,7 +307,7 @@ def _relation(mode):
 
 
 @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
-def test_tower_forward_contract_by_mode(trained_experts, two_task_data, mode):
+def test_multitask_tower_forward_contract(trained_experts, two_task_data, mode):
     fused = configure_fusion(list(trained_experts), _relation(mode), seed=3)
     rng = np.random.default_rng(11)
     for task, alpha in zip(fused.task_ids, (0.5, 0.25)):

@@ -1,9 +1,12 @@
 """Flow assembly and feature extraction against brute-force oracles."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowmoe.ingest import (ExtractionConfig, Flow, FlowKey, Packet,
                             assemble_flows, extract_features, flows_to_features,
@@ -297,6 +300,99 @@ def test_flow_record_bad_line_reports_position(tmp_path):
     path.write_text("f1 tcp 1.1.1.1:10\n")
     with pytest.raises(ValueError, match="flows.txt:1"):
         read_flow_records(path)
+
+
+GOOD_LINE = "f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,100 1.5,1,0,200"
+
+
+@pytest.mark.parametrize("lines, reason", [
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:20 nan,0,5,100"], "not finite"),
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:20 inf,0,5,100"], "not finite"),
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:20 -1.0,0,5,100"], "negative"),
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,7,5,100"], "direction 7"),
+    (["f1 tcp 1.1.1.1:99999 2.2.2.2:20 0.0,0,5,100"], "port 99999"),
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,99999"], "window 99999"),
+    (["f1 tcp 999.0.0.1:10 2.2.2.2:20 0.0,0,5,100"], "'999.0.0.1'"),
+    (["f1 tcp 1.1.1:10 2.2.2.2:20 0.0,0,5,100"], "'1.1.1'"),
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,65536,100"], "length 65536"),
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,-1,100"], "length -1"),
+    ([GOOD_LINE, "# a comment", GOOD_LINE], "'f1' already used on line 1"),
+], ids=["nan-ts", "inf-ts", "negative-ts", "direction", "port", "window",
+        "octet", "three-octets", "len-high", "len-negative", "duplicate-id"])
+def test_flow_record_bad_values_are_rejected(tmp_path, lines, reason):
+    path = tmp_path / "flows.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_flow_records(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}:{len(lines)}: bad flow record: ")
+    assert reason in message
+
+
+def test_flow_record_huge_finite_timestamp_is_clamped(tmp_path):
+    path = tmp_path / "flows.txt"
+    path.write_text("f1 udp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,0 1e308,1,0,0\n")
+    fv = extract_features(read_flow_records(path)[0],
+                          ExtractionConfig(nb=8, npkt=2))
+    assert fv.hdr[1, 2] == 1.0
+
+
+# value-level fuzzing: each field mostly in range, sometimes drawn from
+# out-of-range or malformed values, so whole records are also accepted
+def _mostly(valid, invalid):
+    return st.integers(0, 11).flatmap(lambda k: invalid if k == 7 else valid)
+
+
+FUZZ_TS = _mostly(st.floats(0.0, 1e4), st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1.0", "-0.0", "-1e-320", "x"]))
+FUZZ_INT = st.integers(-3, 3) | st.integers(65530, 70000) \
+    | st.integers(-(10 ** 6), 10 ** 6)
+FUZZ_IP = _mostly(st.sampled_from(["10.0.0.1", "10.0.0.2", "255.0.0.0"]),
+                  st.lists(st.integers(-1, 999).map(str), min_size=1,
+                           max_size=5).map(".".join)
+                  | st.text(alphabet="0123456789.ax-", max_size=16))
+
+
+@st.composite
+def fuzz_packet(draw):
+    plen = draw(_mostly(st.integers(0, 40), st.integers(-2, 70000)))
+    fields = [str(draw(FUZZ_TS)), str(draw(_mostly(st.integers(0, 1),
+                                                   st.integers(-1, 8)))),
+              str(plen), str(draw(_mostly(st.integers(0, 65535), FUZZ_INT)))]
+    if 0 <= plen <= 40 and draw(st.booleans()):
+        size = draw(_mostly(st.just(plen), st.just(plen + 1)))
+        fields.append(draw(st.binary(min_size=size, max_size=size)).hex())
+    return ",".join(fields)
+
+
+@st.composite
+def fuzz_record(draw):
+    def endpoint():
+        port = draw(_mostly(st.integers(0, 65535), FUZZ_INT))
+        return f"{draw(FUZZ_IP)}:{port}"
+    packets = draw(st.lists(fuzz_packet(), min_size=1, max_size=4))
+    return " ".join([draw(st.sampled_from(["f1", "f2", "f3"])),
+                     draw(_mostly(st.sampled_from(["tcp", "udp"]),
+                                  st.just("icmp"))),
+                     endpoint(), endpoint()] + packets)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(fuzz_record(), min_size=1, max_size=3))
+def test_flow_record_fuzz_rejects_or_yields_bounded_features(tmp_path, lines):
+    path = tmp_path / "flows.txt"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        flows = read_flow_records(path)
+    except ValueError as exc:
+        where = re.match(rf"{re.escape(str(path))}:(\d+): bad flow record: ",
+                         str(exc))
+        assert where and 1 <= int(where.group(1)) <= len(lines), str(exc)
+        return
+    _ids, mat = flows_to_features(flows, ExtractionConfig(nb=64, npkt=4))
+    assert np.all(np.isfinite(mat))
+    assert np.all((mat[:, :64] >= 0.0) & (mat[:, :64] <= 1.0))
 
 
 def test_flows_to_features_shapes():

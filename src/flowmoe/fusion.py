@@ -324,9 +324,16 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
 
     feats = data.features
     m = feats.shape[0]
+    premixed = {}
     if not unfreeze_experts:
-        # frozen experts make the representations constant: compute once
+        # frozen experts make the representations constant: compute them
+        # once, and mix each fixed gate once. A mix sums over experts
+        # element by element, so its rows are bitwise a per-batch mix's.
         cached = concat_representations(model.experts, feats)
+        with no_grad():
+            premixed = {task: gate_output(gate, Tensor(cached)).data
+                        for task, gate in model.gates.items()
+                        if gate.linear is None}
     trace = []
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(m)
@@ -338,9 +345,10 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
             if unfreeze_experts:
                 reps = stack([encoder_forward(e.encoder, x)
                               for e in model.experts])
-            else:
+            elif len(premixed) < len(model.gates):
                 reps = Tensor(cached[:, idx])
-            gated = {task: gate_output(model.gates[task], reps, x)
+            gated = {task: Tensor(premixed[task][idx]) if task in premixed
+                     else gate_output(model.gates[task], reps, x)
                      for task in model.task_ids}
             _logits, losses, loss_total = tower_forward(
                 model, gated, {t: data.labels[t][idx] for t in gated},

@@ -1,5 +1,6 @@
-from .tensor import (Tensor, cross_entropy, dropout, layer_norm, no_grad, relu,
-                     softmax, stack)
+from .tensor import (Tensor, cross_entropy, dropout, no_grad, relu, softmax,
+                     stack)
+from .fused import add_norm, attention, feed_forward, layer_norm
 from .params import DropoutStream, ParamSet, seed_streams
 from .model import (FF_DIM, HEAD_DIM, HIDDEN_DIM, INPUT_DIM, N_HEADS, N_TOKENS,
                     TOKEN_DIM, backward, encoder_forward, encoder_shapes,
@@ -10,7 +11,8 @@ from .optim import MultiAdam
 
 __all__ = [
     "Tensor", "cross_entropy", "dropout", "layer_norm", "no_grad", "relu",
-    "softmax", "stack", "DropoutStream", "ParamSet",
+    "softmax", "stack", "add_norm", "attention", "feed_forward",
+    "DropoutStream", "ParamSet",
     "seed_streams", "backward", "encoder_forward", "eval_forward",
     "head_forward", "encoder_shapes", "head_shapes", "gate_linear_shapes",
     "init_encoder", "init_gate_linear", "init_head",

@@ -1,0 +1,208 @@
+"""Fused ops: one Tensor node and one hand-derived backward closure each.
+
+The encoder runs as three fused sublayers, `attention`, `add_norm` (residual,
+dropout and layer norm) and `feed_forward`, so a training step builds a few
+graph nodes instead of one per primitive. The closures apply reverse mode by
+hand (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008), with the
+softmax-attention derivatives of Vaswani et al. 2017 and the layer-norm
+derivative of Ba et al. 2016.
+
+Forward products stay stacked, (B, T, d) @ (d, e): numpy runs one GEMM per
+leading row, so a row's output does not depend on how many rows share the
+call (the blocked eval encoder relies on this). Backward products flatten
+the tokens to 2-D (B*T, d) GEMMs. Each closure forms gradients only for
+parents whose `requires_grad` is set. Forward and backward each allocate a
+few buffers per call and work in them in place (`out=`, `*=`); a closure
+reads but never overwrites the forward buffers, so it may run twice.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .tensor import Tensor
+
+
+def _rows(a):
+    """2-D (rows, last axis) view of `a`: tokens flattened for a GEMM."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _normalized(r, parents, gamma, beta, eps, input_grads):
+    """Node for gamma * (r - mean) / sqrt(var + eps) + beta over the last
+    axis. `r` is a fresh array that becomes x-hat in place; `input_grads`
+    maps the gradient with respect to `r` to (parent, gradient) pairs."""
+    r -= r.mean(axis=-1, keepdims=True)
+    # the same reductions, in the same order, as np.var: bit-identical
+    var = (r * r).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    r *= inv
+    out_data = gamma.data * r
+    out_data += beta.data
+
+    def backward(g):
+        out = []
+        if any(p.requires_grad for p in parents):
+            dr = g * gamma.data
+            t = dr * r
+            m2 = t.mean(axis=-1, keepdims=True)
+            dr -= dr.mean(axis=-1, keepdims=True)
+            np.multiply(r, m2, out=t)
+            dr -= t
+            dr *= inv
+            out += input_grads(dr)
+        if gamma.requires_grad:
+            out.append((gamma, _rows(g * r).sum(axis=0)))
+        if beta.requires_grad:
+            out.append((beta, _rows(g).sum(axis=0)))
+        return out
+
+    return Tensor._result(out_data, parents + (gamma, beta), backward)
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Normalize over the last axis, then scale and shift."""
+    return _normalized(x.data.copy(), (x,), gamma, beta, eps,
+                       lambda dr: [(x, dr)])
+
+
+def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0, eps=1e-5):
+    """layer_norm(x + dropout(sub)): a sublayer's residual connection.
+
+    `mask` is a boolean array of `sub`'s shape for inverted dropout with
+    keep probability `keep_prob`; None means no dropout.
+    """
+    if mask is None:
+        r = x.data + sub.data
+    else:
+        scale = 1.0 / keep_prob
+        r = sub.data * mask
+        r *= scale
+        r += x.data
+
+    def input_grads(dr):
+        out = []
+        if x.requires_grad:
+            out.append((x, dr))
+        if sub.requires_grad:
+            if mask is None:
+                out.append((sub, dr))
+            else:
+                dsub = dr * mask
+                dsub *= scale
+                out.append((sub, dsub))
+        return out
+
+    return _normalized(r, (x, sub), gamma, beta, eps, input_grads)
+
+
+def _split_heads(a, n_heads, head_dim):
+    """(parts, B, heads, T, head_dim) view of a (B, T, width) array whose
+    width holds one or more parts (q|k|v, or the context) of `n_heads`."""
+    b, t, _ = a.shape
+    return a.reshape(b, t, -1, n_heads, head_dim).transpose(2, 0, 3, 1, 4)
+
+
+def attention(x, q, k, v, o, n_heads, collect=None):
+    """Multi-head self-attention over (B, T, d_in) tokens, as one node.
+
+    `q`, `k`, `v` and `o` are (weight, bias) Tensor pairs. The q|k|v
+    projections run as one product over the weights concatenated per call;
+    each head's scores are scaled by 1/sqrt(head_dim) and softmax-normalized
+    over the keys; the merged heads go through the `o` projection.
+    `collect`, when a dict, receives a copy of the softmax weights,
+    (B, heads, T, T), under "attn".
+    """
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = q, k, v, o
+    b, t, _ = x.data.shape
+    d = wq.data.shape[1]
+    head_dim = d // n_heads
+    scale = 1.0 / math.sqrt(head_dim)
+    w = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    qkv = np.matmul(x.data, w)
+    qkv += np.concatenate((bq.data, bk.data, bv.data))
+    qh, kh, vh = _split_heads(qkv, n_heads, head_dim)
+    probs = np.matmul(qh, kh.swapaxes(-1, -2))
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if collect is not None:
+        collect["attn"] = probs.copy()
+    ctx = np.empty((b, t, d))
+    np.matmul(probs, vh, out=_split_heads(ctx, n_heads, head_dim)[0])
+    out_data = np.matmul(ctx, wo.data)
+    out_data += bo.data
+    inner = (x, wq, bq, wk, bk, wv, bv)
+
+    def backward(g):
+        out = []
+        g2 = _rows(g)
+        if wo.requires_grad:
+            out.append((wo, _rows(ctx).T @ g2))
+        if bo.requires_grad:
+            out.append((bo, g2.sum(axis=0)))
+        if not any(p.requires_grad for p in inner):
+            return out
+        gctx = (g2 @ wo.data.T).reshape(b, t, d)
+        gctx_h = _split_heads(gctx, n_heads, head_dim)[0]
+        gqkv = np.empty((b, t, 3 * d))
+        gq, gk, gv = _split_heads(gqkv, n_heads, head_dim)
+        np.matmul(probs.swapaxes(-1, -2), gctx_h, out=gv)
+        gs = np.matmul(gctx_h, vh.swapaxes(-1, -2))     # d loss / d probs
+        dot = np.multiply(gs, probs)
+        gs -= dot.sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale                                     # d loss / d q.k
+        np.matmul(gs, kh, out=gq)
+        np.matmul(gs.swapaxes(-1, -2), qh, out=gk)
+        gqkv2 = _rows(gqkv)
+        if wq.requires_grad or wk.requires_grad or wv.requires_grad:
+            gw = _rows(x.data).T @ gqkv2
+        if bq.requires_grad or bk.requires_grad or bv.requires_grad:
+            gb = gqkv2.sum(axis=0)
+        for i, (wp, bp) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+            cols = slice(i * d, (i + 1) * d)
+            if wp.requires_grad:
+                out.append((wp, gw[:, cols]))
+            if bp.requires_grad:
+                out.append((bp, gb[cols]))
+        if x.requires_grad:
+            out.append((x, (gqkv2 @ w.T).reshape(x.data.shape)))
+        return out
+
+    return Tensor._result(out_data, inner + (wo, bo), backward)
+
+
+def feed_forward(x, w1, b1, w2, b2):
+    """Position-wise linear -> ReLU -> linear over (B, T, d) tokens, as one
+    node. A NaN pre-activation stays NaN and passes no gradient."""
+    hidden = np.matmul(x.data, w1.data)
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out_data = np.matmul(hidden, w2.data)
+    out_data += b2.data
+    inner = (x, w1, b1)
+
+    def backward(g):
+        out = []
+        g2, h2 = _rows(g), _rows(hidden)
+        if w2.requires_grad:
+            out.append((w2, h2.T @ g2))
+        if b2.requires_grad:
+            out.append((b2, g2.sum(axis=0)))
+        if not any(p.requires_grad for p in inner):
+            return out
+        gh = g2 @ w2.data.T
+        gh *= h2 > 0
+        if w1.requires_grad:
+            out.append((w1, _rows(x.data).T @ gh))
+        if b1.requires_grad:
+            out.append((b1, gh.sum(axis=0)))
+        if x.requires_grad:
+            out.append((x, (gh @ w1.data.T).reshape(x.data.shape)))
+        return out
+
+    return Tensor._result(out_data, inner + (w2, b2), backward)

@@ -3,7 +3,7 @@
 The encoder reshapes the 912-value flow feature vector into 24 tokens of
 38 features, runs one 2-head self-attention layer plus a position-wise
 feed-forward (38 -> 152 -> 38), each with residual connection and layer
-norm, and flattens back to 912.
+norm, and flattens back to 912. Each sublayer is one fused op (`fused`).
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
+from .fused import add_norm, attention, feed_forward
 from .params import ParamSet
-from .tensor import Tensor, cross_entropy, dropout, layer_norm, no_grad, relu, softmax
+from .tensor import Tensor, cross_entropy, dropout, no_grad, relu, softmax
 
 INPUT_DIM = 912
 N_TOKENS = 24
@@ -111,6 +112,8 @@ def encoder_forward(params, x, train_mode=False, dropout_stream=None,
                     dropout_rate=0.2, collect=None):
     """Run the encoder on (B, 912) or (912,) input; returns same leading shape.
 
+    The encoder is three fused sublayer ops (`attention`, `add_norm`,
+    `feed_forward`), so training and eval run one code path.
     `collect`, when a dict, receives the per-head attention weights under
     key "attn" with shape (B, heads, tokens, tokens).
     """
@@ -119,41 +122,30 @@ def encoder_forward(params, x, train_mode=False, dropout_stream=None,
         raise ValueError(f"expected input of length {INPUT_DIM}, "
                          f"got {xt.data.shape[-1]}")
     b = xt.data.shape[0]
+    p = params
     tok = xt.reshape(b, N_TOKENS, TOKEN_DIM) + Tensor(_PE)
-
-    def proj(name, t):
-        return t @ params[f"{name}.w"] + params[f"{name}.b"]
-
-    def split_heads(t):
-        return t.reshape(b, N_TOKENS, N_HEADS, HEAD_DIM).transpose((0, 2, 1, 3))
-
-    q = split_heads(proj("attn.q", tok))
-    k = split_heads(proj("attn.k", tok))
-    v = split_heads(proj("attn.v", tok))
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(HEAD_DIM))
-    weights = softmax(scores, axis=-1)
-    if collect is not None:
-        collect["attn"] = weights.data.copy()
-    ctx = (weights @ v).transpose((0, 2, 1, 3)).reshape(b, N_TOKENS, TOKEN_DIM)
-    attn_out = proj("attn.o", ctx)
-    attn_out = _maybe_dropout(attn_out, train_mode, dropout_stream, dropout_rate)
-    h = layer_norm(tok + attn_out, params["ln1.gamma"], params["ln1.beta"])
-
-    ff = relu(h @ params["ff.1.w"] + params["ff.1.b"])
-    ff = ff @ params["ff.2.w"] + params["ff.2.b"]
-    ff = _maybe_dropout(ff, train_mode, dropout_stream, dropout_rate)
-    out = layer_norm(h + ff, params["ln2.gamma"], params["ln2.beta"])
+    attn = attention(tok, *((p[f"attn.{n}.w"], p[f"attn.{n}.b"])
+                            for n in "qkvo"), N_HEADS, collect=collect)
+    h = add_norm(tok, attn, p["ln1.gamma"], p["ln1.beta"],
+                 *_dropout_mask(attn.shape, train_mode, dropout_stream,
+                                dropout_rate))
+    ff = feed_forward(h, p["ff.1.w"], p["ff.1.b"], p["ff.2.w"], p["ff.2.b"])
+    out = add_norm(h, ff, p["ln2.gamma"], p["ln2.beta"],
+                   *_dropout_mask(ff.shape, train_mode, dropout_stream,
+                                  dropout_rate))
     out = out.reshape(b, INPUT_DIM)
     return out.reshape(INPUT_DIM) if squeeze else out
 
 
-def _maybe_dropout(t, train_mode, stream, rate):
+def _dropout_mask(shape, train_mode, stream, rate):
+    """(boolean keep-mask, keep probability) for train-mode dropout drawn
+    from `stream`; (None, 1.0) when dropout is off."""
     if not train_mode or rate <= 0.0:
-        return t
+        return None, 1.0
     if stream is None:
         raise ValueError("train-mode dropout requires a DropoutStream")
     keep = 1.0 - rate
-    return dropout(t, stream.mask(t.data.shape, keep), keep)
+    return stream.mask(shape, keep), keep
 
 
 def head_forward(params, x, train_mode=False, dropout_stream=None,
@@ -161,7 +153,10 @@ def head_forward(params, x, train_mode=False, dropout_stream=None,
     """Two-layer head: linear -> ReLU -> dropout -> linear (logits)."""
     xt, squeeze = _as_batch(x)
     h = relu(xt @ params["fc1.w"] + params["fc1.b"])
-    h = _maybe_dropout(h, train_mode, dropout_stream, dropout_rate)
+    mask, keep = _dropout_mask(h.shape, train_mode, dropout_stream,
+                               dropout_rate)
+    if mask is not None:
+        h = dropout(h, mask, keep)
     logits = h @ params["fc2.w"] + params["fc2.b"]
     return logits.reshape(logits.data.shape[-1]) if squeeze else logits
 

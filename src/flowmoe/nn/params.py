@@ -78,7 +78,8 @@ class DropoutStream:
         self._gen = np.random.Generator(np.random.Philox(key=int(seed)))
 
     def mask(self, shape, keep_prob):
-        return (self._gen.random(shape) < keep_prob).astype(np.float64)
+        """Boolean keep-mask: each entry is kept with probability keep_prob."""
+        return self._gen.random(shape) < keep_prob
 
 
 def seed_streams(seed, n):

@@ -211,15 +211,17 @@ class Tensor:
         return Tensor._result(out_data, (self,), backward)
 
     def select(self, index, axis=0):
-        """Pick one slice along an axis (integer index, dimension dropped)."""
-        out_data = np.take(self.data, index, axis=axis)
+        """Pick one slice along an axis (integer index, dimension dropped),
+        as a view of this tensor's data."""
+        sl = [slice(None)] * self.data.ndim
+        sl[axis] = index
+        sl = tuple(sl)
+        out_data = self.data[sl]
         shape = self.shape
 
         def backward(g):
             full = np.zeros(shape, dtype=np.float64)
-            sl = [slice(None)] * len(shape)
-            sl[axis] = index
-            full[tuple(sl)] = g
+            full[sl] = g
             return ((self, full),)
 
         return Tensor._result(out_data, (self,), backward)
@@ -237,7 +239,7 @@ def stack(tensors):
                           backward)
 
 
-# -- nonlinearities and fused ops ----------------------------------------
+# -- nonlinearities and loss ----------------------------------------------
 
 def relu(x):
     """max(x, 0); a NaN input stays NaN (and passes no gradient)."""
@@ -260,35 +262,8 @@ def softmax(x, axis=-1):
     return Tensor._result(y, (x,), backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last axis, then scale and shift."""
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    # the same reductions, in the same order, as np.var: bit-identical
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv                       # centred input scaled in place
-    out_data = gamma.data * xhat
-    out_data += beta.data
-
-    def backward(g):
-        out = []
-        if x.requires_grad:
-            gx = g * gamma.data
-            dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                        - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-            out.append((x, dx))
-        reduce_axes = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            out.append((gamma, (g * xhat).sum(axis=reduce_axes)))
-        if beta.requires_grad:
-            out.append((beta, g.sum(axis=reduce_axes)))
-        return out
-
-    return Tensor._result(out_data, (x, gamma, beta), backward)
-
-
 def dropout(x, mask, keep_prob):
-    """Inverted dropout with a precomputed 0/1 mask."""
+    """Inverted dropout with a precomputed boolean (or 0/1) mask."""
     scale = 1.0 / keep_prob
 
     def backward(g):

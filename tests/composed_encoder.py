@@ -1,0 +1,54 @@
+"""Reference encoder composed from primitive Tensor ops, one node per step.
+
+Test oracle for `flowmoe.nn.encoder_forward`, which runs the same network as
+three fused sublayer ops with hand-derived backward closures. Dropout masks
+are drawn in the same order (attention output, then feed-forward output),
+so one `DropoutStream` seed gives both encoders the same masks.
+"""
+
+import math
+
+from flowmoe.nn import (HEAD_DIM, INPUT_DIM, N_HEADS, N_TOKENS, TOKEN_DIM,
+                        Tensor, dropout, layer_norm, relu, softmax)
+from flowmoe.nn.model import _PE
+
+
+def _maybe_dropout(t, train_mode, stream, rate):
+    if not train_mode or rate <= 0.0:
+        return t
+    if stream is None:
+        raise ValueError("train-mode dropout requires a DropoutStream")
+    keep = 1.0 - rate
+    return dropout(t, stream.mask(t.data.shape, keep), keep)
+
+
+def composed_encoder_forward(params, x, train_mode=False, dropout_stream=None,
+                             dropout_rate=0.2, collect=None):
+    """`encoder_forward` on (B, 912) input, built from primitive ops."""
+    xt = x if isinstance(x, Tensor) else Tensor(x)
+    b = xt.data.shape[0]
+    tok = xt.reshape(b, N_TOKENS, TOKEN_DIM) + Tensor(_PE)
+
+    def proj(name, t):
+        return t @ params[f"{name}.w"] + params[f"{name}.b"]
+
+    def split_heads(t):
+        return t.reshape(b, N_TOKENS, N_HEADS, HEAD_DIM).transpose((0, 2, 1, 3))
+
+    q = split_heads(proj("attn.q", tok))
+    k = split_heads(proj("attn.k", tok))
+    v = split_heads(proj("attn.v", tok))
+    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(HEAD_DIM))
+    weights = softmax(scores, axis=-1)
+    if collect is not None:
+        collect["attn"] = weights.data.copy()
+    ctx = (weights @ v).transpose((0, 2, 1, 3)).reshape(b, N_TOKENS, TOKEN_DIM)
+    attn_out = proj("attn.o", ctx)
+    attn_out = _maybe_dropout(attn_out, train_mode, dropout_stream, dropout_rate)
+    h = layer_norm(tok + attn_out, params["ln1.gamma"], params["ln1.beta"])
+
+    ff = relu(h @ params["ff.1.w"] + params["ff.1.b"])
+    ff = ff @ params["ff.2.w"] + params["ff.2.b"]
+    ff = _maybe_dropout(ff, train_mode, dropout_stream, dropout_rate)
+    out = layer_norm(h + ff, params["ln2.gamma"], params["ln2.beta"])
+    return out.reshape(b, INPUT_DIM)

@@ -1,0 +1,146 @@
+"""Fused sublayer ops: finite differences, the composed-encoder oracle, masks."""
+
+import numpy as np
+import pytest
+
+from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, add_norm, attention,
+                        backward, cross_entropy, encoder_forward, eval_forward,
+                        feed_forward, head_forward, init_encoder, init_head)
+
+from composed_encoder import composed_encoder_forward
+from gradcheck import check_gradients
+
+B, T, D = 2, 5, 6
+
+
+def _params(rng, shapes, scale=0.5):
+    ps = ParamSet()
+    for name, shape in shapes.items():
+        ps.add(name, rng.normal(size=shape) * scale)
+    return ps
+
+
+def _attention_case(rng):
+    shapes = {"x": (B, T, D)}
+    for n in "qkvo":
+        shapes.update({f"{n}.w": (D, D), f"{n}.b": (D,)})
+    ps = _params(rng, shapes)
+    return ps, lambda: attention(ps["x"], *((ps[f"{n}.w"], ps[f"{n}.b"])
+                                            for n in "qkvo"), 2)
+
+
+def _feed_forward_case(rng):
+    ps = _params(rng, {"x": (B, T, D), "w1": (D, 10), "b1": (10,),
+                       "w2": (10, D), "b2": (D,)})
+    # push pre-activations away from the ReLU kink
+    ps["b1"].data += np.sign(ps["b1"].data) * 0.5
+    return ps, lambda: feed_forward(ps["x"], ps["w1"], ps["b1"], ps["w2"],
+                                    ps["b2"])
+
+
+def _add_norm_case(rng, masked):
+    ps = _params(rng, {"x": (B, T, D), "sub": (B, T, D), "gamma": (D,),
+                       "beta": (D,)})
+    mask = DropoutStream(4).mask((B, T, D), 0.7) if masked else None
+    return ps, lambda: add_norm(ps["x"], ps["sub"], ps["gamma"], ps["beta"],
+                                mask, 0.7 if masked else 1.0)
+
+
+CASES = {
+    "attention": _attention_case,
+    "feed_forward": _feed_forward_case,
+    "add_norm": lambda rng: _add_norm_case(rng, masked=False),
+    "add_norm_dropout": lambda rng: _add_norm_case(rng, masked=True),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_fused_op_gradients_match_finite_differences(case):
+    # "x" is a trainable input, so the input-gradient branch that the
+    # encoder never reaches (its tokens carry no graph) is checked too
+    rng = np.random.default_rng(30)
+    ps, op = CASES[case](rng)
+    coef = rng.normal(size=(B, T, D))
+
+    def loss():
+        return (op() * coef).sum()
+
+    grads, = backward(loss(), ps)
+    assert set(grads) == set(ps.names())
+    check_gradients(lambda: loss().item(), ps, grads, rel_tol=1e-4,
+                    max_coords=12, rng=rng)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_fused_op_forms_gradients_only_for_trainable_parents(case):
+    rng = np.random.default_rng(31)
+    ps, op = CASES[case](rng)
+    names = ps.names()
+    for trainable in ([], [names[0]], names[1:2], names[-1:], names[::2]):
+        for name, t in ps.items():
+            t.requires_grad = name in trainable
+        out = op()
+        if not trainable:
+            assert out._backward is None
+            continue
+        got = [p for p, _ in out._backward(np.ones(out.shape))]
+        assert sorted(map(id, got)) == sorted(id(ps[n]) for n in trainable)
+
+
+@pytest.fixture(scope="module")
+def encoder():
+    return init_encoder(np.random.default_rng(0))
+
+
+def test_fused_encoder_matches_composed_oracle_in_eval_mode(encoder):
+    x = np.random.default_rng(33).random((7, INPUT_DIM))
+    fused_attn, composed_attn = {}, {}
+    fused = eval_forward(encoder_forward, encoder, x, collect=fused_attn)
+    composed = eval_forward(composed_encoder_forward, encoder, x,
+                            collect=composed_attn)
+    np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fused_attn["attn"], composed_attn["attn"],
+                               rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_fused_encoder_gradients_match_composed_oracle(encoder, train_mode):
+    # same DropoutStream seed: both encoders draw the same masks in order
+    rng = np.random.default_rng(34)
+    x = rng.random((6, INPUT_DIM))
+    labels = rng.integers(0, 3, size=6)
+    head = init_head(np.random.default_rng(35), 3)
+
+    def run(forward):
+        rep = forward(encoder, x, train_mode=train_mode,
+                      dropout_stream=DropoutStream(8))
+        loss = cross_entropy(head_forward(head, rep, train_mode=train_mode,
+                                          dropout_stream=DropoutStream(9)),
+                             labels)
+        return rep.data, loss.item(), backward(loss, encoder, head)
+
+    rep, loss, (enc_g, head_g) = run(encoder_forward)
+    ref_rep, ref_loss, (ref_enc_g, ref_head_g) = run(composed_encoder_forward)
+    np.testing.assert_allclose(rep, ref_rep, rtol=1e-12, atol=1e-12)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert set(enc_g) == set(ref_enc_g) == set(encoder.names())
+    # fp64 rounding only, far inside criterion 01's 1e-4; the attention key
+    # bias has a true gradient of 0, so its entries are rounding noise
+    for grads, ref in ((enc_g, ref_enc_g), (head_g, ref_head_g)):
+        for name in ref:
+            scale = np.max(np.abs(ref[name]))
+            np.testing.assert_allclose(grads[name], ref[name], rtol=1e-10,
+                                       atol=1e-12 * scale + 1e-15,
+                                       err_msg=name)
+
+
+def test_dropout_masks_are_the_old_float_masks_as_booleans():
+    # the masks were float64 0/1 arrays drawn as random() < keep from one
+    # Philox stream; the boolean masks come from the same draws in order
+    stream = DropoutStream(12)
+    old = np.random.Generator(np.random.Philox(key=12))
+    for shape, keep in (((3, 24, 38), 0.8), ((3, 256), 0.8), ((5, 7), 0.3)):
+        mask = stream.mask(shape, keep)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, (old.random(shape) < keep)
+                              .astype(np.float64))

@@ -34,6 +34,17 @@ def test_gate_topk_mean(rng):
     assert np.max(np.abs(out - stacked.mean(axis=0))) < 1e-12
 
 
+@pytest.mark.parametrize("subset", [(0, 2), (0, 1, 2), (1,)])
+def test_fixed_gate_mix_of_all_rows_slices_to_the_batch_mix(rng, subset):
+    # fine_tune mixes a fixed gate once over every row, then slices batches
+    stacked = rng.normal(size=(3, 50, INPUT_DIM))
+    gate = GateConfig("t", subset, 3)
+    full = gate_output(gate, Tensor(stacked)).data
+    for idx in (rng.permutation(50)[:17], np.arange(1), np.arange(50)):
+        batch = gate_output(gate, Tensor(stacked[:, idx])).data
+        assert np.array_equal(full[idx], batch)
+
+
 def test_gate_topk_subset_weights():
     gate = GateConfig("t", (0, 2), 4)
     assert np.allclose(gate.fixed_delta, [0.5, 0.0, 0.5, 0.0])

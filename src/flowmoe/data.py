@@ -69,25 +69,52 @@ def write_labels_csv(path, flow_ids, labels_by_task):
                 w.writerow([fid, task, name])
 
 
+def text_lines(path, fh, encoding):
+    """Lines of `fh`, a text file opened with errors="surrogateescape"; a
+    byte that does not decode is a ValueError naming the file and line."""
+    for lineno, line in enumerate(fh, 1):
+        try:
+            if not line.isascii():       # ASCII decodes in every encoding
+                line.encode(encoding)
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00     # surrogate-escaped byte
+            raise ValueError(f"{path}:{lineno}: byte 0x{byte:02x} is not "
+                             f"{encoding} text") from None
+        yield line
+
+
 def load_labels_csv(path):
     """Returns task_id -> {flow_id: label_name}.
 
-    A second row for the same (flow_id, task_id) pair is a ValueError.
+    A missing column, a short row, a byte that is not UTF-8, a malformed
+    CSV line and a second row for the same (flow_id, task_id) pair are
+    ValueErrors naming the file and line.
     """
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"flow_id", "task_id", "label"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns flow_id,task_id,label")
-        for row in reader:
-            task, fid = row["task_id"], row["flow_id"]
-            assignment = out.setdefault(task, {})
-            if fid in assignment:
-                raise ValueError(f"{path}: line {reader.line_num}: duplicate "
-                                 f"row for (flow_id, task_id) = "
-                                 f"({fid!r}, {task!r})")
-            assignment[fid] = row["label"]
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        reader = csv.DictReader(text_lines(path, fh, "utf-8"))
+        try:
+            required = ("flow_id", "task_id", "label")
+            if reader.fieldnames is None or \
+                    not set(required).issubset(reader.fieldnames):
+                raise ValueError(f"{path}: expected columns "
+                                 f"flow_id,task_id,label")
+            for row in reader:
+                fid, task, label = (row[key] for key in required)
+                if fid is None or task is None or label is None:
+                    missing = [key for key in required if row[key] is None]
+                    raise ValueError(f"{path}:{reader.line_num}: row has no "
+                                     f"{', '.join(missing)}")
+                assignment = out.setdefault(task, {})
+                if fid in assignment:
+                    raise ValueError(f"{path}:{reader.line_num}: duplicate "
+                                     f"row for (flow_id, task_id) = "
+                                     f"({fid!r}, {task!r})")
+                assignment[fid] = label
+        except csv.Error as exc:    # DictReader.line_num lags on an error
+            raise ValueError(f"{path}:{reader.reader.line_num}: "
+                             f"{exc}") from None
     return out
 
 

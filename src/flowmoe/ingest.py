@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import text_lines
+
 log = logging.getLogger(__name__)
 
 TCP = "TCP"
@@ -98,6 +100,11 @@ class ExtractionConfig:
     def __post_init__(self):
         if self.nb <= 0 or self.npkt <= 0:
             raise ValueError("nb and npkt must be positive")
+        for name, scale in zip(("payload-length", "window", "inter-arrival",
+                                "direction"), self.hdr_scales):
+            if not (math.isfinite(scale) and scale > 0):
+                raise ValueError(f"{name} scale must be finite and > 0, "
+                                 f"got {scale!r}")
 
     @property
     def dim(self):
@@ -318,8 +325,8 @@ def format_flow_record(flow: Flow) -> str:
 def read_flow_records(path) -> list:
     """Parse the newline-delimited flow-record format back into Flows."""
     flows, first_line = [], {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(text_lines(path, fh, "ascii"), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

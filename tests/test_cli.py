@@ -234,7 +234,7 @@ def test_duplicate_label_row_is_a_cli_error(pipeline_dir, tmp_path, capsys):
               "--out", str(tmp_path / "x.snke"), "--epochs", "1"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"flowmoe: error: {labels}: line {len(lines) + 1}: duplicate" in err
+    assert f"flowmoe: error: {labels}:{len(lines) + 1}: duplicate" in err
     assert not (tmp_path / "x.snke").exists()
 
 
@@ -266,6 +266,21 @@ def test_bad_model_header_field_is_a_cli_error(pipeline_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"flowmoe: error: {broken}: header field {key!r}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", ["0", "nan", "inf", "-1"])
+def test_bad_iat_scale_is_a_cli_error(tmp_path, capsys, scale):
+    records = tmp_path / "flows.txt"
+    records.write_text("f1 tcp 10.0.0.1:1000 10.0.0.2:80 0.0,0,3,100 "
+                       "0.5,1,3,100\n")
+    out = tmp_path / "o.snkf"
+    rc = run(["ingest", "--input", str(records), "--out", str(out),
+              "--iat-scale", scale])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: inter-arrival scale must be finite and > 0, "
+        f"got {float(scale)!r}"]
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_nonzero():

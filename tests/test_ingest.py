@@ -305,6 +305,14 @@ def test_flow_record_bad_line_reports_position(tmp_path):
 GOOD_LINE = "f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,100 1.5,1,0,200"
 
 
+def test_flow_record_undecodable_byte_names_file_and_line(tmp_path):
+    path = tmp_path / "flows.txt"
+    path.write_bytes(GOOD_LINE.encode() + b"\n# caf\xe9\n")
+    with pytest.raises(ValueError) as exc:
+        read_flow_records(path)
+    assert str(exc.value) == f"{path}:2: byte 0xe9 is not ascii text"
+
+
 @pytest.mark.parametrize("lines, reason", [
     (["f1 tcp 1.1.1.1:10 2.2.2.2:20 nan,0,5,100"], "not finite"),
     (["f1 tcp 1.1.1.1:10 2.2.2.2:20 inf,0,5,100"], "not finite"),

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__, serial
 from .data import build_dataset, load_labels_csv
-from .diagnostics import (detect_gate_anomaly, run_tower_gd,
+from .diagnostics import (detect_gate_anomaly, load_domain_accuracies,
+                          load_loss_column, run_tower_gd,
                           write_convergence_csv)
 from .evaluation import evaluate, split_dataset, write_confusion_csv, \
     write_metrics_csv
@@ -322,26 +323,11 @@ def _domain_accuracies_from_model(model, data):
     return out
 
 
-def _csv_column(path, kind, name, convert=str):
-    """One column of a CSV file; a missing column or a value `convert`
-    rejects is a ValueError naming the file."""
-    with open(_require(path, kind), newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if name not in (reader.fieldnames or ()):
-            raise ValueError(f"{path}: no {name!r} column")
-        try:
-            return [convert(row[name]) for row in reader]
-        except (TypeError, ValueError):   # TypeError: a short row gives None
-            raise ValueError(f"{path}: line {reader.line_num}: bad {name!r} "
-                             f"value") from None
-
-
 def cmd_diag_gate_anomaly(args):
-    losses = _csv_column(args.trace, "loss trace", args.column, float)
+    losses = load_loss_column(_require(args.trace, "loss trace"), args.column)
     if args.domains:
-        domains = dict(zip(
-            _csv_column(args.domains, "domain metrics", "domain"),
-            _csv_column(args.domains, "domain metrics", "accuracy", float)))
+        domains = load_domain_accuracies(_require(args.domains,
+                                                  "domain metrics"))
     else:
         if not (args.model and args.features and args.labels):
             raise ValueError("pass either --domains or --model/--features/"

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fusion
-from .data import LabeledDataset
+from .data import LabeledDataset, text_lines
 # head_forward is unused here; perfbench's tracer wraps diagnostics.head_forward
 from .nn import Tensor, backward, head_forward, no_grad
 
@@ -77,14 +78,17 @@ def estimate_lipschitz(grad_fn, snapshots):
     grads = [np.asarray(grad_fn(s), dtype=np.float64).ravel() for s in snaps]
     best = 0.0
     seen_distinct = False
+    diff = np.empty_like(snaps[0])
     for i in range(len(snaps)):
         for j in range(i + 1, len(snaps)):
-            dw = np.linalg.norm(snaps[i] - snaps[j])
+            # np.sqrt(d @ d) is what np.linalg.norm computes for 1-D d
+            np.subtract(snaps[i], snaps[j], out=diff)
+            dw = np.sqrt(diff @ diff)
             if dw == 0.0:
                 continue
             seen_distinct = True
-            dg = np.linalg.norm(grads[i] - grads[j])
-            best = max(best, dg / dw)
+            np.subtract(grads[i], grads[j], out=diff)
+            best = max(best, np.sqrt(diff @ diff) / dw)
     if not seen_distinct:
         raise ValueError("all parameter snapshots are identical")
     return best
@@ -188,10 +192,14 @@ def detect_gate_anomaly(finetune_losses, per_domain_eval, grace_epochs=4,
     losses = np.asarray(finetune_losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size < grace_epochs + 1:
         raise ValueError(f"need at least {grace_epochs + 1} epochs of losses")
-    increases = [e for e in range(1, losses.size)
-                 if losses[e] > losses[e - 1] * (1.0 + rise_tolerance)]
     accuracies = {d: float(getattr(m, "accuracy", m))
                   for d, m in per_domain_eval.items()}
+    # a NaN compares false, so it would hide a rise and the accuracy gap
+    if not (np.all(np.isfinite(losses))
+            and all(map(math.isfinite, accuracies.values()))):
+        raise ValueError("non-finite loss or domain accuracy")
+    increases = [e for e in range(1, losses.size)
+                 if losses[e] > losses[e - 1] * (1.0 + rise_tolerance)]
 
     reasons, notes = [], []
     post_grace = [e for e in increases if e > grace_epochs]
@@ -210,6 +218,64 @@ def detect_gate_anomaly(finetune_losses, per_domain_eval, grace_epochs=4,
     return AnomalyReport(loss_increase_epochs=increases,
                          per_domain_accuracy=accuracies, gap=gap,
                          flagged=bool(reasons), reasons=reasons, notes=notes)
+
+
+def _csv_rows(path, names):
+    """(line number, values of the `names` columns) per row of a UTF-8 CSV
+    file; a missing column, a short row, a byte that is not UTF-8 or a
+    malformed line is a ValueError naming the file."""
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        reader = csv.DictReader(text_lines(path, fh, "utf-8"))
+        try:
+            for name in names:
+                if name not in (reader.fieldnames or ()):
+                    raise ValueError(f"{path}: no {name!r} column")
+            for row in reader:
+                values = [row[name] for name in names]
+                if None in values:
+                    raise ValueError(f"{path}:{reader.line_num}: row has no "
+                                     f"{names[values.index(None)]!r} value")
+                yield reader.line_num, values
+        except csv.Error as exc:    # DictReader.line_num lags on an error
+            raise ValueError(f"{path}:{reader.reader.line_num}: "
+                             f"{exc}") from None
+
+
+def _finite_value(path, line, name, text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{line}: bad {name!r} value "
+                         f"{text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{line}: {name!r} value {text!r} is not "
+                         f"finite")
+    return value
+
+
+def load_loss_column(path, column):
+    """The finite losses in one column of a per-epoch loss-trace CSV, in
+    row order; any other value is a ValueError naming the file and line."""
+    return [_finite_value(path, line, column, text)
+            for line, (text,) in _csv_rows(path, (column,))]
+
+
+def load_domain_accuracies(path):
+    """{domain: accuracy} from a `domain,accuracy` CSV. An accuracy that is
+    not a number in [0, 1], or a domain named twice, is a ValueError naming
+    the file and line."""
+    accuracies, first_line = {}, {}
+    for line, (domain, text) in _csv_rows(path, ("domain", "accuracy")):
+        accuracy = _finite_value(path, line, "accuracy", text)
+        if not 0.0 <= accuracy <= 1.0:
+            raise ValueError(f"{path}:{line}: accuracy {text!r} is outside "
+                             f"[0, 1]")
+        if domain in first_line:
+            raise ValueError(f"{path}:{line}: domain {domain!r} repeats line "
+                             f"{first_line[domain]}")
+        accuracies[domain], first_line[domain] = accuracy, line
+    return accuracies
 
 
 # -- tower-only full-batch GD runner -----------------------------------------
@@ -260,11 +326,13 @@ class TowerObjective:
                              f"parameter count {self._flat.size}")
         self._flat[:] = vec
 
-    def loss_and_grad(self):
+    def loss_and_grad(self, out=None):
+        """(loss, flat gradient) at the current vector. The gradient is
+        written into `out` in vector order (a fresh vector when None)."""
         total = fusion.tower_forward(self.model, self.inputs, self.labels)[2]
         grads = backward(total, *(self.model.towers[t] for t in self.tasks))
         by_task = dict(zip(self.tasks, grads))
-        flat = np.empty_like(self._flat)
+        flat = np.empty_like(self._flat) if out is None else out
         for t, name, sl in self._slices:
             g = by_task[t].get(name)
             flat[sl] = 0.0 if g is None else g.ravel()
@@ -294,24 +362,28 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
     probe_points = [theta0]
     scale = probe_eps * (1.0 + np.linalg.norm(theta0))
     for _ in range(4):
-        direction = rng.normal(size=theta0.size)
-        probe_points.append(theta0 + scale * direction / np.linalg.norm(direction))
+        # theta0 + scale * direction / |direction|, evaluated in place
+        point = rng.normal(size=theta0.size)
+        norm = np.linalg.norm(point)
+        point *= scale
+        point /= norm
+        point += theta0
+        probe_points.append(point)
     c_hat = estimate_lipschitz(objective.grad_at, probe_points)
     chosen_alpha = alpha
 
+    vec = objective._flat                # the towers view it: GD steps it
+    grad, prev_grad, prev_vec, diff = (np.empty_like(theta0)
+                                       for _ in range(4))
     for attempt in range(max_retries):
         a = chosen_alpha if chosen_alpha is not None else 0.5 / c_hat
         losses = np.zeros(steps + 1)
         snapshots, snapshot_steps = [], []
-        vec = theta0.copy()
-        prev_vec = prev_grad = None
-        diff = np.empty_like(theta0)     # secant numerators, reused
+        vec[:] = theta0
         restart = False
         for t in range(steps + 1):
-            objective.set_vector(vec)
-            loss, grad = objective.loss_and_grad()
-            losses[t] = loss
-            if prev_grad is not None:
+            losses[t] = objective.loss_and_grad(out=grad)[0]
+            if t > 0:
                 # np.sqrt(d @ d) is what np.linalg.norm computes for 1-D d
                 np.subtract(vec, prev_vec, out=diff)
                 dw = np.sqrt(diff @ diff)
@@ -325,9 +397,12 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
             if t % snapshot_every == 0 or t == steps:
                 snapshots.append(vec.copy())
                 snapshot_steps.append(t)
-            prev_vec, prev_grad = vec, grad
             if t < steps:
-                vec = vec - a * grad
+                # vec - a * grad, with the step held in `diff`
+                np.copyto(prev_vec, vec)
+                np.multiply(a, grad, out=diff)
+                vec -= diff
+            grad, prev_grad = prev_grad, grad
         if not restart:
             break
         log.info("lipschitz estimate grew to %.4g at step %d; restarting "

@@ -165,7 +165,9 @@ def backward(loss, *param_sets):
     """Gradients of a scalar loss for every trainable parameter reached.
 
     Returns a tuple with one dict per given ParamSet, keyed by parameter
-    name; frozen or unreached parameters have no entry.
+    name; frozen or unreached parameters have no entry. A returned
+    gradient is valid until the next sweep: a matmul weight's gradient
+    lives in a buffer its leaf reuses (see `tensor`), so copy it to keep it.
     """
     if not isinstance(loss, Tensor) or not loss.requires_grad:
         raise ValueError("loss does not carry a computation graph")

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
+# Elements per Adam block: 256 KiB of float64 per array, so a block's
+# parameter, gradient, moments and scratch pair stay in L2 across the
+# update's 13 elementwise passes.
+ADAM_BLOCK = 1 << 15
+
 
 class MultiAdam:
     """One bias-corrected Adam optimizer spanning several named ParamSets.
 
     First and second moments are keyed by (set name, parameter name) and
     share one step counter. `work` is one pair of flat scratch buffers
-    shared by every parameter, grown to the largest parameter seen; it
-    holds no state between steps.
+    shared by every parameter, grown to the largest block seen (at most
+    `ADAM_BLOCK` elements); it holds no state between steps.
     """
 
     def __init__(self, named_sets, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -27,9 +32,10 @@ class MultiAdam:
     def apply(self, named_grads, lr):
         """One Adam step from {set name: {param name: gradient}}, in place.
 
-        `m`, `v` and each parameter's array are updated in place; every
-        temporary lives in the shared work pair. The operations are those
-        of the textbook expression
+        `m`, `v` and each parameter's array are updated in place, one
+        `ADAM_BLOCK`-element block of the flattened parameter at a time;
+        every temporary lives in the shared work pair. The operations are
+        elementwise and those of the textbook expression
         p - lr * (m / corr1) / (sqrt(v / corr2) + eps), in the same order,
         so the result is bitwise that of evaluating it out of place.
         Parameters without a gradient entry are left untouched.
@@ -41,25 +47,33 @@ class MultiAdam:
             params = self.named_sets[set_name]
             for pname, g in grads.items():
                 p = params[pname].data
+                if not p.flags.c_contiguous:
+                    raise ValueError(f"parameter {set_name}.{pname} is not "
+                                     f"C-contiguous")
                 key = (set_name, pname)
                 if key not in self.m:
                     self.m[key] = np.zeros_like(p)
                     self.v[key] = np.zeros_like(p)
-                m, v = self.m[key], self.v[key]
-                if self.work[0].size < p.size:
-                    self.work = (np.empty(p.size), np.empty(p.size))
-                a, b = (w[:p.size].reshape(p.shape) for w in self.work)
-                m *= self.beta1
-                np.multiply(g, 1.0 - self.beta1, out=a)
-                m += a
-                v *= self.beta2
-                np.multiply(g, g, out=a)
-                a *= 1.0 - self.beta2
-                v += a
-                np.divide(m, corr1, out=a)
-                a *= lr
-                np.divide(v, corr2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                p -= a
+                k = min(p.size, ADAM_BLOCK)
+                if self.work[0].size < k:
+                    self.work = (np.empty(k), np.empty(k))
+                flat = [x.reshape(-1) for x in (p, g, self.m[key],
+                                                 self.v[key])]
+                for start in range(0, p.size, ADAM_BLOCK):
+                    block = slice(start, start + ADAM_BLOCK)
+                    pb, gb, m, v = (x[block] for x in flat)
+                    a, b = (w[:pb.size] for w in self.work)
+                    m *= self.beta1
+                    np.multiply(gb, 1.0 - self.beta1, out=a)
+                    m += a
+                    v *= self.beta2
+                    np.multiply(gb, gb, out=a)
+                    a *= 1.0 - self.beta2
+                    v += a
+                    np.divide(m, corr1, out=a)
+                    a *= lr
+                    np.divide(v, corr2, out=b)
+                    np.sqrt(b, out=b)
+                    b += self.eps
+                    a /= b
+                    pb -= a

@@ -17,6 +17,14 @@ fixed placement matrix) gets no pair, so its gradient is never formed.
 A leaf keeps the first array it receives as its `.grad` and adds later
 arrivals out of place, so closures may hand one array to several parents.
 
+Gradient lifetime: a 2-D leaf weight's gradient from a 2-D matmul is
+written into a buffer the leaf owns and reuses, so a leaf `.grad` (and
+every gradient `nn.model.backward` returns) is valid until the next sweep
+that reaches that leaf; copy it to keep it longer. A leaf whose buffer is
+already pending in the running sweep, or still held as its `.grad` (a
+second sweep without `zero_grad`), gets a fresh array instead, so a weight
+used twice still receives the sum.
+
 Loss contract: `cross_entropy` takes logits (unnormalized scores), not
 probabilities. It evaluates a log-sum-exp, so the loss and its gradient
 (softmax - onehot) / n stay finite and exact for saturated logits.
@@ -54,7 +62,8 @@ def _reduce_to_shape(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "_grad_buf", "_grad_pending")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -62,6 +71,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents = ()
+        self._grad_buf = None        # reused matmul weight-gradient array
+        self._grad_pending = False   # _grad_buf handed out, not yet accumulated
 
     # -- graph plumbing -------------------------------------------------
 
@@ -84,6 +95,18 @@ class Tensor:
     def _accumulate(self, g):
         # out of place: `g` may be shared with another leaf
         self.grad = g if self.grad is None else self.grad + g
+        self._grad_pending = False
+
+    def _weight_grad(self, a, g):
+        """a.T @ g for this 2-D leaf, written into its reused buffer unless
+        that is pending in this sweep or held as `.grad` (module docstring)."""
+        buf = self._grad_buf
+        if self._grad_pending or (buf is not None and buf is self.grad):
+            return a.T @ g
+        if buf is None:
+            buf = self._grad_buf = np.empty(self.data.shape)
+        self._grad_pending = True
+        return np.matmul(a.T, g, out=buf)
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this tensor; accumulates into .grad."""
@@ -166,8 +189,12 @@ class Tensor:
                 ga = g @ np.swapaxes(b, -1, -2)
                 out.append((self, _reduce_to_shape(ga, self.shape)))
             if other.requires_grad:
-                gb = np.swapaxes(a, -1, -2) @ g
-                out.append((other, _reduce_to_shape(gb, other.shape)))
+                if other._backward is None and a.ndim == 2 == b.ndim:
+                    gb = other._weight_grad(a, g)
+                else:
+                    gb = _reduce_to_shape(np.swapaxes(a, -1, -2) @ g,
+                                          other.shape)
+                out.append((other, gb))
             return out
 
         return Tensor._result(out_data, (self, other), backward)

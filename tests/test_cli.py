@@ -560,6 +560,46 @@ def test_gate_anomaly_missing_column_is_a_cli_error(tmp_path, capsys, option,
     assert _cli_errors(capsys) == [f"flowmoe: error: {tmp_path}/{message}"]
 
 
+BAD_ANOMALY_VALUES = [
+    ("trace", "epoch,total\n0,2.0\n1,1.5\n2,1.2\n3,1.0\n4,0.9\n5,nan\n"
+              "6,1.3\n7,1.6\n", "trace.csv:7: 'total' value 'nan' is not finite"),
+    ("trace", "epoch,total\n0,2.0\n1,-inf\n", "trace.csv:3: 'total' value "
+                                                "'-inf' is not finite"),
+    ("trace", "epoch,total\n0,2.0\n1,\n", "trace.csv:3: bad 'total' value ''"),
+    ("domains", "domain,accuracy\nA,0.9\nB,nan\nA,0.3\n",
+     "domains.csv:3: 'accuracy' value 'nan' is not finite"),
+    ("domains", "domain,accuracy\nA,0.9\nB,0.4\nA,0.3\n",
+     "domains.csv:4: domain 'A' repeats line 2"),
+    ("domains", "domain,accuracy\nA,0.9\nB,1.5\n",
+     "domains.csv:3: accuracy '1.5' is outside [0, 1]"),
+    ("domains", "domain,accuracy\nA,-0.1\n",
+     "domains.csv:2: accuracy '-0.1' is outside [0, 1]"),
+    ("domains", "domain,accuracy\nA\n",
+     "domains.csv:2: row has no 'accuracy' value"),
+]
+
+
+@pytest.mark.parametrize("which,text,message", BAD_ANOMALY_VALUES,
+                         ids=["nan-loss", "inf-loss", "empty-loss",
+                              "nan-accuracy", "duplicate-domain",
+                              "accuracy-above-1", "accuracy-below-0",
+                              "short-row"])
+def test_gate_anomaly_bad_value_names_file_and_line(tmp_path, capsys, which,
+                                                    text, message):
+    files = {"trace": "epoch,total\n" + "".join(
+        f"{i},{v}\n" for i, v in enumerate(np.linspace(2.0, 1.0, 8))),
+             "domains": "domain,accuracy\nA,0.9\nB,0.8\n"}
+    files[which] = text
+    for name, body in files.items():
+        (tmp_path / f"{name}.csv").write_text(body)
+    out = tmp_path / "report.txt"
+    rc = run(["diag", "gate-anomaly", "--trace", str(tmp_path / "trace.csv"),
+              "--domains", str(tmp_path / "domains.csv"), "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {tmp_path}/{message}"]
+    assert not out.exists()
+
+
 BAD_CONFIG_VALUES = [("task:app", "experts", "0 x", "expert indices"),
                      ("task:app", "alpha", "half", "a number"),
                      ("fusion", "seed", "1.5", "an integer"),

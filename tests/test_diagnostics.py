@@ -1,10 +1,16 @@
 """Convergence checker on closed-form quadratics; gate anomaly detector."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowmoe.diagnostics import (LossTrace, check_convergence, detect_gate_anomaly,
-                                 estimate_lipschitz)
+                                 estimate_lipschitz, load_domain_accuracies,
+                                 load_loss_column)
 
 
 def quadratic_run(c, alpha, w0=2.0, steps=30):
@@ -143,16 +149,87 @@ def test_anomaly_needs_enough_epochs():
         detect_gate_anomaly([1.0, 0.9], {"a": 0.9, "b": 0.9})
 
 
+def test_anomaly_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="non-finite"):
+        detect_gate_anomaly([2.0, 1.5, 1.2, 1.0, float("nan"), 1.1],
+                            {"a": 0.9})
+    with pytest.raises(ValueError, match="non-finite"):
+        detect_gate_anomaly(np.linspace(1.0, 0.2, 8),
+                            {"a": 0.9, "b": float("nan")})
+
+
+# value-level fuzzing of the gate-anomaly CSVs: numbers (NaN and infinities
+# included), numeric-looking text with CSV specials, and domains from a
+# small pool so that names repeat; no newlines, so row i sits on line i + 2
+FUZZ_VALUE = st.floats().map(repr) \
+    | st.sampled_from(["nan", "inf", "-inf", "1e400", " 0.5", "1_0", ""]) \
+    | st.text(alphabet=' 0123456789.eE+-nainf,"x', max_size=6)
+FUZZ_DOMAIN = st.sampled_from(["A", "B", "a", "A ", "b,c"])
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + rows)
+
+
+def _expected_column(rows, in_range=None, unique=False):
+    """Oracle: (values, None) for a valid file, else (None, first bad line)."""
+    values, seen = [], set()
+    for line, (key, text) in enumerate(rows, 2):
+        try:
+            value = float(text)
+        except ValueError:
+            return None, line
+        if not math.isfinite(value) or (in_range and not
+                                        in_range[0] <= value <= in_range[1]) \
+                or (unique and key in seen):
+            return None, line
+        values.append(value)
+        seen.add(key)
+    return values, None
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(losses=st.lists(FUZZ_VALUE, max_size=8),
+       domains=st.lists(st.tuples(FUZZ_DOMAIN, FUZZ_VALUE), max_size=5))
+def test_gate_anomaly_csv_fuzz_reads_values_or_names_the_line(
+        tmp_path, losses, domains):
+    trace = tmp_path / "loss.csv"
+    _write_csv(trace, ["epoch", "total"],
+               [[i, text] for i, text in enumerate(losses)])
+    expected, bad_line = _expected_column(list(enumerate(losses)))
+    try:
+        assert load_loss_column(trace, "total") == expected
+    except ValueError as exc:
+        assert str(exc).startswith(f"{trace}:{bad_line}: "), str(exc)
+
+    table = tmp_path / "domains.csv"
+    _write_csv(table, ["domain", "accuracy"], [list(r) for r in domains])
+    expected, bad_line = _expected_column(domains, (0.0, 1.0), unique=True)
+    try:
+        got = load_domain_accuracies(table)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{table}:{bad_line}: "), str(exc)
+        return
+    assert list(got.values()) == expected
+    assert list(got) == [d for d, _ in domains]
+
+
 # -- TowerObjective: towers as views into one flat vector -------------------
 
-def _mode1_objective(trained_experts, two_task_data, extra_param=False):
-    from flowmoe.diagnostics import TowerObjective
+def _mode1_fused(trained_experts):
     from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec,
                                 configure_fusion)
     relation = TaskRelation(FusionMode.MODE_I,
                             [TaskSpec("app", experts=(0,)),
                              TaskSpec("encap", experts=(1,))])
-    fused = configure_fusion(list(trained_experts), relation, seed=3)
+    return configure_fusion(list(trained_experts), relation, seed=3)
+
+
+def _mode1_objective(trained_experts, two_task_data, extra_param=False):
+    from flowmoe.diagnostics import TowerObjective
+    fused = _mode1_fused(trained_experts)
     if extra_param:
         # in the vector, but no forward reads it: its gradient is zero
         fused.towers["app"].add("unused", np.ones(3))
@@ -213,3 +290,27 @@ def test_tower_objective_flat_gradient_matches_finite_differences(
         fd = (loss_at(up) - loss_at(down)) / (2.0 * h)
         denom = max(abs(grad[i]), abs(fd), 3e-4)
         assert abs(grad[i] - fd) / denom < 1e-4, (i, grad[i], fd)
+
+
+@pytest.mark.parametrize("rows, alpha", [(200, None), (48, 0.5)],
+                         ids=["restarts", "fixed-alpha"])
+def test_in_place_tower_gd_matches_out_of_place_oracle(
+        trained_experts, two_task_data, rows, alpha):
+    from flowmoe.diagnostics import run_tower_gd
+    from tower_gd_oracle import run_tower_gd_out_of_place
+
+    data = two_task_data[0].subset(np.arange(rows))
+    losses, a, snaps, snap_steps, c_hat, restarts = \
+        run_tower_gd_out_of_place(_mode1_fused(trained_experts), data,
+                                  steps=25, alpha=alpha)
+    if alpha is None:
+        assert restarts >= 1        # the restart path runs too
+    trace, snapshots, snapshot_steps, c_hat_in_place, _ = run_tower_gd(
+        _mode1_fused(trained_experts), data, steps=25, alpha=alpha)
+    assert np.array_equal(trace.losses, losses)
+    assert trace.alpha == a
+    assert c_hat_in_place == c_hat
+    assert snapshot_steps == snap_steps
+    assert len(snapshots) == len(snaps)
+    for mine, theirs in zip(snapshots, snaps):
+        assert np.array_equal(mine, theirs)

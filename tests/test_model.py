@@ -154,3 +154,30 @@ def test_zero_output_head_starts_uniform():
     x = np.random.default_rng(15).random((3, INPUT_DIM))
     probs = softmax(Tensor(eval_forward(head_forward, head, x))).data
     assert np.allclose(probs, 0.25)
+
+
+def test_consecutive_sweeps_reuse_the_weight_gradient_buffer():
+    # the head's fc1.w gradient lives in one buffer across steps, and each
+    # sweep leaves its own values in it: those of a head that never swept
+    head = init_head(np.random.default_rng(16), 3)
+    rng = np.random.default_rng(17)
+
+    def fc1_grad(params, x, labels):
+        loss = cross_entropy(head_forward(params, x), labels)
+        return backward(loss, params)[0]["fc1.w"]
+
+    def fresh_fc1_grad(x, labels):
+        fresh = ParamSet()
+        for name, t in head.items():
+            fresh.add(name, t.data)
+        return fc1_grad(fresh, x, labels)
+
+    steps = [(rng.random((4, INPUT_DIM)), rng.integers(0, 3, size=4))
+             for _ in range(2)]
+    first = fc1_grad(head, *steps[0])
+    first_values = first.copy()
+    assert np.array_equal(first_values, fresh_fc1_grad(*steps[0]))
+    second = fc1_grad(head, *steps[1])
+    assert second is first
+    assert np.array_equal(second, fresh_fc1_grad(*steps[1]))
+    assert not np.array_equal(second, first_values)

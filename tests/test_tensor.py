@@ -254,6 +254,37 @@ def test_leaves_sharing_one_upstream_array_accumulate_separately():
     assert np.array_equal(b.grad, [2.0, 2.0, 2.0])
 
 
+def test_weight_used_by_two_matmuls_gets_the_summed_gradient():
+    # the first matmul closure writes the weight's reused buffer; the
+    # second must not overwrite it while it is still pending in the sweep
+    rng = np.random.default_rng(2)
+    ps = _params_from({"w": rng.normal(size=(5, 4))})
+    x1, x2 = rng.normal(size=(3, 5)), rng.normal(size=(6, 5))
+    c1, c2 = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
+
+    def forward():
+        return ((Tensor(x1) @ ps["w"]) * c1).sum() \
+            + ((Tensor(x2) @ ps["w"]) * c2).sum()
+
+    forward().backward()
+    expected = x1.T @ c1 + x2.T @ c2
+    assert np.allclose(ps["w"].grad, expected, rtol=1e-13, atol=0)
+    check_gradients(lambda: forward().item(), ps, {"w": ps["w"].grad},
+                    rng=rng)
+
+
+def test_second_sweep_without_zero_grad_adds_to_the_weight_gradient():
+    # after one sweep the weight's .grad is its reused buffer; a second
+    # sweep must not write the new gradient into it before adding
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    x1, x2 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+    (Tensor(x1) @ w).sum().backward()
+    (Tensor(x2) @ w).sum().backward()
+    expected = x1.T @ np.ones((3, 4)) + x2.T @ np.ones((3, 4))
+    assert np.allclose(w.grad, expected, rtol=1e-13, atol=0)
+
+
 def test_diamond_graph_accumulates_once_per_path():
     ps = _params_from({"x": np.array([2.0])})
     y = ps["x"] * 3.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import logging
 import platform
@@ -358,7 +359,10 @@ def _add_split_flags(p):
     p.add_argument("--split-seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once (about 2 ms) and shared by
+    every `run` call; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="flowmoe",
         description="Multi-gate mixture-of-experts traffic classification")

@@ -296,7 +296,7 @@ class TowerObjective:
         self.model = model
         self.tasks = list(model.task_ids)
         self.labels = {t: data.labels[t] for t in self.tasks}
-        stacked = Tensor(fusion.concat_representations(model.experts,
+        stacked = Tensor(fusion.concat_representations(model,
                                                        data.features))
         x = Tensor(data.features)
         with no_grad():

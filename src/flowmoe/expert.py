@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,8 @@ from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, backward,
 
 log = logging.getLogger(__name__)
 
-# Rows per eval-encoder block: the largest intermediate, (64, 24, 152) fp64
+# Row-encodings per eval-encoder block (E stacked encoders take
+# EVAL_ROWS // E rows): the largest intermediate, (64, 24, 152) fp64
 # = 1.9 MB, fits in a 4 MiB L2 cache.
 EVAL_ROWS = 64
 
@@ -38,8 +40,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning rate must be finite and positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -69,13 +71,6 @@ class ExpertModel:
         self.encoder.freeze()
         if self.head is not None:
             self.head.freeze()
-
-    def _check_input(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != INPUT_DIM:
-            raise ValueError(f"expected input of length {INPUT_DIM}, "
-                             f"got {x.shape[-1]}")
-        return x
 
 
 def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
@@ -148,24 +143,34 @@ def _evaluate_split(model, data, task_id):
     return loss, acc
 
 
-def expert_representation(model: ExpertModel, x):
+def expert_representation(model, x):
     """Encoder output in eval mode: the representation shared into fusion.
 
-    Rows go through the encoder in blocks of `EVAL_ROWS`, so the per-row
-    intermediates ((rows, 24, 152) fp64 at most) stay in L2 cache and the
-    transient memory does not grow with the row count. The result is
-    bit-identical to one unblocked call: every encoder op works row by row,
-    and its matmuls are stacked 3-D/4-D products whose per-row arithmetic
-    does not depend on how many rows share the call.
+    `model.encoder` is an expert's encoder, or a fused model's E stacked
+    experts (`nn.stack_encoders`), which prepend the expert axis: (E,) +
+    x.shape. Rows go through the encoder in blocks of EVAL_ROWS // E, so
+    a block's intermediates ((EVAL_ROWS, 24, 152) fp64 at most) stay in L2
+    cache and the transient memory does not grow with the row count.
+    The result is bit-identical to one unblocked call, and a stacked pass
+    to one pass per expert: every encoder op works row by row, and its
+    matmuls are stacked per-row products whose arithmetic does not depend
+    on how many rows or experts share the call.
     """
-    x = model._check_input(x)
-    rows = x.reshape(-1, x.shape[-1])
-    out = np.empty(rows.shape)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != INPUT_DIM:
+        raise ValueError(f"expected input of length {INPUT_DIM}, "
+                         f"got {x.shape[-1]}")
+    rows = x.reshape(-1, INPUT_DIM)
+    # a stacked (E, 1, d, e) weight leads with (E,); a plain one with ()
+    lead = model.encoder["attn.q.w"].data.shape[:-3]
+    block_rows = max(1, EVAL_ROWS // math.prod(lead))
+    out = np.empty(lead + rows.shape)
     with no_grad():
-        for start in range(0, rows.shape[0], EVAL_ROWS):
-            block = slice(start, start + EVAL_ROWS)
-            out[block] = encoder_forward(model.encoder, rows[block]).data
-    return out.reshape(x.shape)
+        for start in range(0, rows.shape[0], block_rows):
+            block = slice(start, start + block_rows)
+            out[..., block, :] = encoder_forward(model.encoder,
+                                                 rows[block]).data
+    return out.reshape(lead + x.shape)
 
 
 def expert_predict(model: ExpertModel, x):

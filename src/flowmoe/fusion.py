@@ -26,7 +26,7 @@ from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward
                  cross_entropy, encoder_forward, encoder_shapes,
                  gate_linear_shapes, head_forward, head_shapes,
                  init_gate_linear, init_head, no_grad, seed_streams, softmax,
-                 stack)
+                 stack, stack_encoders)
 
 
 class FusionMode(enum.Enum):
@@ -151,7 +151,12 @@ class TaskRelation:
 class FusedModel:
     """Frozen experts, one gate and one tower (head ParamSet) per task, and
     the relations (with every task's resolved labels) from which
-    `fusion_structure` derived task order, gates, label maps, loss weights."""
+    `fusion_structure` derived task order, gates, label maps, loss weights.
+
+    `encoder` holds the experts' encoders stacked (`nn.stack_encoders`);
+    the experts' tensors are views into it, and `stacked_views[j]` is
+    expert j's `attn.q.w` view as stacked, for an identity check.
+    """
 
     experts: list
     task_ids: list
@@ -160,12 +165,30 @@ class FusedModel:
     relations: list
     label_maps: dict
     loss_weights: dict
+    encoder: ParamSet = None
+    stacked_views: list = None
+
+    def stack_experts(self):
+        encoders = [e.encoder for e in self.experts]
+        self.encoder = stack_encoders(encoders)
+        self.stacked_views = [enc["attn.q.w"].data for enc in encoders]
 
 
-def concat_representations(experts, x):
-    """Stack expert representations: row j = expert j's encoder output."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.stack([expert_representation(e, x) for e in experts])
+def concat_representations(model: FusedModel, x):
+    """(n,) + x.shape expert representations, row j = expert j's encoder
+    output, from one stacked encoder pass over all n experts.
+
+    The pass runs in blocks of EVAL_ROWS // n rows, so a block holds as
+    many row-encodings as one expert's block. If an expert's tensors are no
+    longer views into this model's stack (another fused model sharing that
+    expert has stacked it since, or the model is a deep copy), the experts
+    are stacked again first.
+    """
+    stack = model.encoder["attn.q.w"].data
+    if any(e.encoder["attn.q.w"].data is not view or view.base is not stack
+           for e, view in zip(model.experts, model.stacked_views)):
+        model.stack_experts()
+    return expert_representation(model, x)
 
 
 def _union_labels(experts, subset, explicit):
@@ -249,9 +272,11 @@ def fusion_structure(experts, relations) -> FusedModel:
         for spec in rel.tasks]) for rel in relations]
     for expert in experts:
         expert.freeze()
-    return FusedModel(experts=list(experts), task_ids=list(gates), gates=gates,
-                      towers={}, relations=resolved, label_maps=label_maps,
-                      loss_weights=loss_weights)
+    model = FusedModel(experts=list(experts), task_ids=list(gates),
+                       gates=gates, towers={}, relations=resolved,
+                       label_maps=label_maps, loss_weights=loss_weights)
+    model.stack_experts()
+    return model
 
 
 def configure_fusion(experts, relations, seed=0) -> FusedModel:
@@ -317,6 +342,8 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
             gate.linear.unfreeze()
             named_sets[f"gate.{task}"] = gate.linear
     if unfreeze_experts:
+        # the experts' tensors are views into the stacked encoder, so the
+        # in-place Adam steps also reach the stacked pass
         for i, expert in enumerate(model.experts):
             expert.encoder.unfreeze()
             named_sets[f"expert{i}"] = expert.encoder
@@ -329,7 +356,7 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
         # frozen experts make the representations constant: compute them
         # once, and mix each fixed gate once. A mix sums over experts
         # element by element, so its rows are bitwise a per-batch mix's.
-        cached = concat_representations(model.experts, feats)
+        cached = concat_representations(model, feats)
         with no_grad():
             premixed = {task: gate_output(gate, Tensor(cached)).data
                         for task, gate in model.gates.items()
@@ -377,15 +404,15 @@ class TaskPrediction:
 
 
 def classify_batch(model: FusedModel, X):
-    """One shared expert pass, then per-task gate, one `tower_forward` over
-    all towers, softmax and argmax."""
+    """One stacked pass over all experts, then per-task gate, one
+    `tower_forward` over all towers, softmax and argmax."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(1, -1)
     if X.shape[1] != INPUT_DIM:
         raise ValueError(f"expected input of length {INPUT_DIM}, "
                          f"got {X.shape[1]}")
-    stacked = Tensor(concat_representations(model.experts, X))  # (n, B, 912)
+    stacked = Tensor(concat_representations(model, X))  # (n, B, 912)
     x = Tensor(X)
     out = {}
     with no_grad():
@@ -551,7 +578,10 @@ def load_fusion_config(path):
         ("epochs", "epochs", int, "an integer"),
         ("batch_size", "batch_size", int, "an integer"),
         ("dropout", "dropout_rate", float, "a number")) if key in fu}
-    cfg = dataclasses.replace(cfg, **overrides)
+    try:
+        cfg = dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [fusion] {exc}") from None
     options["unfreeze_experts"] = fu.get("unfreeze_experts", "no").lower() \
         in ("1", "yes", "true")
     options["train_config"] = cfg

@@ -25,7 +25,7 @@ TCP = "TCP"
 UDP = "UDP"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     timestamp: float
     src_ip: str
@@ -126,28 +126,29 @@ def assemble_flows(packets) -> list:
 
     Malformed packets are skipped (counted in a warning), never fatal.
     Flow order follows first appearance; packets within a flow are sorted
-    by timestamp with ties keeping arrival order.
+    by timestamp with ties keeping arrival order. Packets are grouped by
+    the plain tuple of their `FlowKey` fields; the key is built per flow.
     """
-    flows: dict[FlowKey, list] = {}
-    order: list[FlowKey] = []
+    flows: dict[tuple, list] = {}    # insertion order = first appearance
     skipped = 0
     for pkt in packets:
         try:
             pkt.validate()
-            key = FlowKey.of(pkt)
+            a, b = pkt.endpoint_src(), pkt.endpoint_dst()
+            key = (pkt.protocol, b, a) if b < a else (pkt.protocol, a, b)
         except (ValueError, AttributeError, TypeError):
             skipped += 1
             continue
-        if key not in flows:
-            flows[key] = []
-            order.append(key)
-        flows[key].append(pkt)
+        group = flows.get(key)
+        if group is None:
+            group = flows[key] = []
+        group.append(pkt)
     if skipped:
         log.warning("skipped %d malformed packet(s)", skipped)
     out = []
-    for key in order:
-        pkts = sorted(flows[key], key=lambda p: p.timestamp)
-        out.append(Flow(key=key, packets=pkts,
+    for key, group in flows.items():
+        pkts = sorted(group, key=lambda p: p.timestamp)
+        out.append(Flow(key=FlowKey(*key), packets=pkts,
                         forward_endpoint=pkts[0].endpoint_src()))
     return out
 
@@ -191,6 +192,17 @@ LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW = 101
 
 
+# Header layouts read in place with `unpack_from` (no per-record slices):
+# IPv4: version/IHL, total length, flags/fragment offset, protocol, source
+# and destination address; TCP: ports, data offset, window; UDP: ports and
+# length.
+_RECORD = {e: struct.Struct(e + "IIII") for e in "<>"}
+_U16 = struct.Struct(">H")
+_IPV4 = struct.Struct(">BxHxxHxBxxII")
+_TCP = struct.Struct(">HH8xBxH")
+_UDP = struct.Struct(">HHH")
+
+
 def read_pcap(path) -> list:
     """Parse a libpcap file into Packet records (TCP/UDP over IPv4 only).
 
@@ -208,25 +220,26 @@ def read_pcap(path) -> list:
     if magic not in _PCAP_MAGICS:
         raise ValueError(f"{path}: unknown pcap magic")
     endian, tick = _PCAP_MAGICS[magic]
-    linktype = struct.unpack(endian + "I", data[20:24])[0] & 0x0FFFFFFF
+    linktype = struct.unpack_from(endian + "I", data, 20)[0] & 0x0FFFFFFF
+    record = _RECORD[endian].unpack_from
 
     packets = []
     skipped = 0
     offset = 24
     first_ts = None
+    addresses = {}                   # 32-bit address -> dotted quad
     while offset + 16 <= len(data):
-        sec, frac, incl, _orig = struct.unpack(endian + "IIII",
-                                               data[offset:offset + 16])
-        offset += 16
-        frame = data[offset:offset + incl]
-        offset += incl
-        if len(frame) < incl:
+        sec, frac, incl, _orig = record(data, offset)
+        start = offset + 16
+        offset = start + incl
+        if offset > len(data):
             skipped += 1
             break
         ts = sec + frac * tick
         if first_ts is None:
             first_ts = ts
-        pkt = _parse_frame(frame, linktype, ts - first_ts)
+        pkt = _parse_frame(data, start, offset, linktype, ts - first_ts,
+                           addresses)
         if pkt is None:
             skipped += 1
         else:
@@ -236,53 +249,62 @@ def read_pcap(path) -> list:
     return packets
 
 
-def _parse_frame(frame, linktype, ts):
+def _parse_frame(data, start, end, linktype, ts, addresses):
+    """Packet from the frame data[start:end], or None."""
     if linktype == LINKTYPE_ETHERNET:
-        if len(frame) < 14:
+        if end - start < 14:
             return None
-        ethertype = struct.unpack(">H", frame[12:14])[0]
+        ethertype = _U16.unpack_from(data, start + 12)[0]
         off = 14
-        if ethertype == 0x8100 and len(frame) >= 18:  # single VLAN tag
-            ethertype = struct.unpack(">H", frame[16:18])[0]
+        if ethertype == 0x8100 and end - start >= 18:  # single VLAN tag
+            ethertype = _U16.unpack_from(data, start + 16)[0]
             off = 18
         if ethertype != 0x0800:
             return None
-        return _parse_ipv4(frame[off:], ts)
+        return _parse_ipv4(data, start + off, end, ts, addresses)
     if linktype == LINKTYPE_RAW:
-        return _parse_ipv4(frame, ts)
+        return _parse_ipv4(data, start, end, ts, addresses)
     return None
 
 
-def _parse_ipv4(buf, ts):
-    if len(buf) < 20:
+def _dotted(addr, addresses):
+    text = addresses.get(addr)
+    if text is None:
+        text = addresses[addr] = (f"{addr >> 24}.{addr >> 16 & 255}."
+                                  f"{addr >> 8 & 255}.{addr & 255}")
+    return text
+
+
+def _parse_ipv4(data, start, end, ts, addresses):
+    """Packet from the IPv4 datagram data[start:end], or None."""
+    if end - start < 20:
         return None
-    ver_ihl = buf[0]
+    ver_ihl, total_len, flags_frag, proto, src, dst = \
+        _IPV4.unpack_from(data, start)
     if ver_ihl >> 4 != 4:
         return None
     ihl = (ver_ihl & 0x0F) * 4
-    total_len = struct.unpack(">H", buf[2:4])[0]
-    flags_frag = struct.unpack(">H", buf[6:8])[0]
     if flags_frag & 0x1FFF or flags_frag & 0x2000:  # fragmented: no reassembly
         return None
-    proto = buf[9]
-    if proto not in (6, 17) or ihl < 20 or len(buf) < ihl:
+    if proto not in (6, 17) or ihl < 20 or end - start < ihl:
         return None
-    src = ".".join(str(b) for b in buf[12:16])
-    dst = ".".join(str(b) for b in buf[16:20])
-    seg = buf[ihl:min(total_len, len(buf))]
+    seg = start + ihl
+    seg_end = start + min(total_len, end - start)
+    seg_len = seg_end - seg              # < 0 when total_len < ihl
+    src, dst = _dotted(src, addresses), _dotted(dst, addresses)
     if proto == 6:
-        if len(seg) < 20:
+        if seg_len < 20:
             return None
-        sport, dport = struct.unpack(">HH", seg[:4])
-        doff = (seg[12] >> 4) * 4
-        window = struct.unpack(">H", seg[14:16])[0]
-        if doff < 20 or len(seg) < doff:
+        sport, dport, doff_byte, window = _TCP.unpack_from(data, seg)
+        doff = (doff_byte >> 4) * 4
+        if doff < 20 or seg_len < doff:
             return None
-        return Packet(ts, src, sport, dst, dport, TCP, bytes(seg[doff:]), window)
-    if len(seg) < 8:
+        return Packet(ts, src, sport, dst, dport, TCP, data[seg + doff:seg_end],
+                      window)
+    if seg_len < 8:
         return None
-    sport, dport, ulen = struct.unpack(">HHH", seg[:6])
-    payload = bytes(seg[8:max(8, min(ulen, len(seg)))])
+    sport, dport, ulen = _UDP.unpack_from(data, seg)
+    payload = data[seg + 8:seg + max(8, min(ulen, seg_len))]
     return Packet(ts, src, sport, dst, dport, UDP, payload, 0)
 
 

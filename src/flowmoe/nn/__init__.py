@@ -6,7 +6,7 @@ from .model import (FF_DIM, HEAD_DIM, HIDDEN_DIM, INPUT_DIM, N_HEADS, N_TOKENS,
                     TOKEN_DIM, backward, encoder_forward, encoder_shapes,
                     eval_forward, gate_linear_shapes, head_forward,
                     head_shapes, init_encoder, init_gate_linear, init_head,
-                    positional_encoding)
+                    positional_encoding, stack_encoders)
 from .optim import MultiAdam
 
 __all__ = [
@@ -16,7 +16,7 @@ __all__ = [
     "seed_streams", "backward", "encoder_forward", "eval_forward",
     "head_forward", "encoder_shapes", "head_shapes", "gate_linear_shapes",
     "init_encoder", "init_gate_linear", "init_head",
-    "positional_encoding", "MultiAdam",
+    "positional_encoding", "stack_encoders", "MultiAdam",
     "INPUT_DIM", "N_TOKENS", "TOKEN_DIM", "N_HEADS", "HEAD_DIM", "FF_DIM",
     "HIDDEN_DIM",
 ]

@@ -9,9 +9,14 @@ derivative of Ba et al. 2016.
 
 Forward products stay stacked, (B, T, d) @ (d, e): numpy runs one GEMM per
 leading row, so a row's output does not depend on how many rows share the
-call (the blocked eval encoder relies on this). Backward products flatten
-the tokens to 2-D (B*T, d) GEMMs. Each closure forms gradients only for
-parents whose `requires_grad` is set. Forward and backward each allocate a
+call (the blocked eval encoder relies on this). The forward halves also
+accept parameters with leading axes that broadcast against the rows, such
+as (E, 1, d, e) weights and (E, 1, 1, d) vectors for E stacked experts:
+(B, T, d) tokens then give (E, B, T, ...) outputs through the same per-row
+GEMMs, so each expert's slice is bitwise its own pass. Such stacked ops are
+forward-only: a parent that requires grad is a ValueError. Backward
+products flatten the tokens to 2-D (B*T, d) GEMMs. Each closure forms
+gradients only for parents whose `requires_grad` is set. Forward and backward each allocate a
 few buffers per call and work in them in place (`out=`, `*=`); a closure
 reads but never overwrites the forward buffers, so it may run twice.
 """
@@ -30,13 +35,31 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
+def _mean(a):
+    """a.mean(axis=-1, keepdims=True) by np.mean's own arithmetic (a sum
+    reduction, then a division by the count), without its Python-level
+    dispatch, which costs more than the sum on these short rows."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
+def _check_stacked(stacked, parents):
+    """Stacked parameters have no backward: with any parent requiring
+    grad, raise ValueError."""
+    if stacked and any(p.requires_grad for p in parents):
+        raise ValueError("stacked parameters are forward-only: no input or "
+                         "parameter of a stacked op may require grad")
+
+
 def _normalized(r, parents, gamma, beta, eps, input_grads):
     """Node for gamma * (r - mean) / sqrt(var + eps) + beta over the last
     axis. `r` is a fresh array that becomes x-hat in place; `input_grads`
     maps the gradient with respect to `r` to (parent, gradient) pairs."""
-    r -= r.mean(axis=-1, keepdims=True)
+    _check_stacked(gamma.data.ndim > 1, parents + (gamma, beta))
+    r -= _mean(r)
     # the same reductions, in the same order, as np.var: bit-identical
-    var = (r * r).mean(axis=-1, keepdims=True)
+    var = _mean(r * r)
     inv = 1.0 / np.sqrt(var + eps)
     r *= inv
     out_data = gamma.data * r
@@ -47,8 +70,8 @@ def _normalized(r, parents, gamma, beta, eps, input_grads):
         if any(p.requires_grad for p in parents):
             dr = g * gamma.data
             t = dr * r
-            m2 = t.mean(axis=-1, keepdims=True)
-            dr -= dr.mean(axis=-1, keepdims=True)
+            m2 = _mean(t)
+            dr -= _mean(dr)
             np.multiply(r, m2, out=t)
             dr -= t
             dr *= inv
@@ -99,10 +122,11 @@ def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0, eps=1e-5):
 
 
 def _split_heads(a, n_heads, head_dim):
-    """(parts, B, heads, T, head_dim) view of a (B, T, width) array whose
+    """(parts, ..., heads, T, head_dim) view of a (..., T, width) array whose
     width holds one or more parts (q|k|v, or the context) of `n_heads`."""
-    b, t, _ = a.shape
-    return a.reshape(b, t, -1, n_heads, head_dim).transpose(2, 0, 3, 1, 4)
+    n = a.ndim - 2                       # leading axes: rows (and experts)
+    return a.reshape(a.shape[:-1] + (-1, n_heads, head_dim)).transpose(
+        n + 1, *range(n), n + 2, n, n + 3)
 
 
 def attention(x, q, k, v, o, n_heads, collect=None):
@@ -116,26 +140,26 @@ def attention(x, q, k, v, o, n_heads, collect=None):
     (B, heads, T, T), under "attn".
     """
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = q, k, v, o
-    b, t, _ = x.data.shape
-    d = wq.data.shape[1]
+    inner = (x, wq, bq, wk, bk, wv, bv)
+    _check_stacked(wq.data.ndim > 2, inner + (wo, bo))
+    d = wq.data.shape[-1]
     head_dim = d // n_heads
     scale = 1.0 / math.sqrt(head_dim)
-    w = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    w = np.concatenate((wq.data, wk.data, wv.data), axis=-1)
     qkv = np.matmul(x.data, w)
-    qkv += np.concatenate((bq.data, bk.data, bv.data))
+    qkv += np.concatenate((bq.data, bk.data, bv.data), axis=-1)
     qh, kh, vh = _split_heads(qkv, n_heads, head_dim)
     probs = np.matmul(qh, kh.swapaxes(-1, -2))
     probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     if collect is not None:
         collect["attn"] = probs.copy()
-    ctx = np.empty((b, t, d))
+    ctx = np.empty(qkv.shape[:-1] + (d,))
     np.matmul(probs, vh, out=_split_heads(ctx, n_heads, head_dim)[0])
     out_data = np.matmul(ctx, wo.data)
     out_data += bo.data
-    inner = (x, wq, bq, wk, bk, wv, bv)
 
     def backward(g):
         out = []
@@ -146,9 +170,9 @@ def attention(x, q, k, v, o, n_heads, collect=None):
             out.append((bo, g2.sum(axis=0)))
         if not any(p.requires_grad for p in inner):
             return out
-        gctx = (g2 @ wo.data.T).reshape(b, t, d)
+        gctx = (g2 @ wo.data.T).reshape(ctx.shape)
         gctx_h = _split_heads(gctx, n_heads, head_dim)[0]
-        gqkv = np.empty((b, t, 3 * d))
+        gqkv = np.empty(qkv.shape)
         gq, gk, gv = _split_heads(gqkv, n_heads, head_dim)
         np.matmul(probs.swapaxes(-1, -2), gctx_h, out=gv)
         gs = np.matmul(gctx_h, vh.swapaxes(-1, -2))     # d loss / d probs
@@ -179,12 +203,13 @@ def attention(x, q, k, v, o, n_heads, collect=None):
 def feed_forward(x, w1, b1, w2, b2):
     """Position-wise linear -> ReLU -> linear over (B, T, d) tokens, as one
     node. A NaN pre-activation stays NaN and passes no gradient."""
+    inner = (x, w1, b1)
+    _check_stacked(w1.data.ndim > 2, inner + (w2, b2))
     hidden = np.matmul(x.data, w1.data)
     hidden += b1.data
     np.maximum(hidden, 0.0, out=hidden)
     out_data = np.matmul(hidden, w2.data)
     out_data += b2.data
-    inner = (x, w1, b1)
 
     def backward(g):
         out = []

@@ -35,6 +35,7 @@ def positional_encoding(n_tokens=N_TOKENS, dim=TOKEN_DIM):
 
 
 _PE = positional_encoding()
+_PE_TENSOR = Tensor(_PE)
 
 
 def _affine_shapes(prefix, fan_in, fan_out):
@@ -101,6 +102,26 @@ def init_gate_linear(n_inputs) -> ParamSet:
     return _init_params(gate_linear_shapes(n_inputs))
 
 
+def stack_encoders(encoders):
+    """Stack encoder ParamSets for one `encoder_forward` pass over all.
+
+    Returns a frozen ParamSet in which each parameter gets a leading
+    encoder axis plus singleton axes that broadcast over rows and tokens:
+    (E, 1, d, e) weights, (E, 1, 1, d) vectors. Each encoder tensor's
+    `.data` is rebound to its C-contiguous view into the stack, so the
+    stack holds the only copy and an in-place update of an encoder (Adam)
+    reaches it.
+    """
+    stacked = ParamSet()
+    for name, shape in encoder_shapes().items():
+        lead = (len(encoders),) + (1,) * (3 - len(shape))
+        data = np.stack([enc[name].data for enc in encoders])
+        t = stacked.add(name, data.reshape(lead + shape), trainable=False)
+        for enc, view in zip(encoders, t.data):
+            enc[name].data = view.reshape(shape)
+    return stacked
+
+
 def _as_batch(x):
     t = x if isinstance(x, Tensor) else Tensor(x)
     if t.data.ndim == 1:
@@ -113,7 +134,10 @@ def encoder_forward(params, x, train_mode=False, dropout_stream=None,
     """Run the encoder on (B, 912) or (912,) input; returns same leading shape.
 
     The encoder is three fused sublayer ops (`attention`, `add_norm`,
-    `feed_forward`), so training and eval run one code path.
+    `feed_forward`), so training and eval run one code path. With `params`
+    from `stack_encoders`, E encoders run on the shared input at once and
+    the result gains their leading axis, (E, B, 912) or (E, 912), each
+    slice bitwise that encoder's own output; such a pass is forward-only.
     `collect`, when a dict, receives the per-head attention weights under
     key "attn" with shape (B, heads, tokens, tokens).
     """
@@ -123,7 +147,7 @@ def encoder_forward(params, x, train_mode=False, dropout_stream=None,
                          f"got {xt.data.shape[-1]}")
     b = xt.data.shape[0]
     p = params
-    tok = xt.reshape(b, N_TOKENS, TOKEN_DIM) + Tensor(_PE)
+    tok = xt.reshape(b, N_TOKENS, TOKEN_DIM) + _PE_TENSOR
     attn = attention(tok, *((p[f"attn.{n}.w"], p[f"attn.{n}.b"])
                             for n in "qkvo"), N_HEADS, collect=collect)
     h = add_norm(tok, attn, p["ln1.gamma"], p["ln1.beta"],
@@ -133,8 +157,8 @@ def encoder_forward(params, x, train_mode=False, dropout_stream=None,
     out = add_norm(h, ff, p["ln2.gamma"], p["ln2.beta"],
                    *_dropout_mask(ff.shape, train_mode, dropout_stream,
                                   dropout_rate))
-    out = out.reshape(b, INPUT_DIM)
-    return out.reshape(INPUT_DIM) if squeeze else out
+    out = out.reshape(out.shape[:-2] + (INPUT_DIM,))
+    return out.reshape(out.shape[:-2] + (INPUT_DIM,)) if squeeze else out
 
 
 def _dropout_mask(shape, train_mode, stream, rate):
@@ -187,6 +211,6 @@ __all__ = [
     "INPUT_DIM", "N_TOKENS", "TOKEN_DIM", "N_HEADS", "HEAD_DIM", "FF_DIM",
     "HIDDEN_DIM", "positional_encoding", "encoder_shapes", "head_shapes",
     "gate_linear_shapes", "init_encoder", "init_head",
-    "init_gate_linear", "encoder_forward", "head_forward", "backward",
-    "eval_forward", "cross_entropy", "softmax", "relu",
+    "init_gate_linear", "stack_encoders", "encoder_forward", "head_forward",
+    "backward", "eval_forward", "cross_entropy", "softmax", "relu",
 ]

@@ -178,7 +178,7 @@ def test_criterion_03_task_isolation(mode1_runs):
     run = mode1_runs[0]
     fused, test = run["fused"], run["test"]
     X = test.features[:32]
-    reps = concat_representations(fused.experts, X)
+    reps = concat_representations(fused, X)
 
     isolated = True
     for task in fused.task_ids:

@@ -283,6 +283,35 @@ def test_bad_iat_scale_is_a_cli_error(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_a_cli_error(pipeline_dir, tmp_path,
+                                                 capsys, recwarn, lr):
+    out = tmp_path / "e.snke"
+    rc = run(["train-expert", "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(pipeline_dir / "labels.csv"), "--task", "app",
+              "--out", str(out), "--epochs", "1", "--lr", lr])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        "flowmoe: error: learning rate must be finite and positive"]
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_non_finite_fusion_config_learning_rate_is_a_cli_error(tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text("[experts]\nfiles = a.snke\n\n[fusion]\nmode = I\n"
+                   "lr = nan\n\n[task:app]\nexperts = 0\n")
+    out = tmp_path / "o.snke"
+    rc = run(["fuse", "--config", str(cfg), "--features", "f.snkf",
+              "--labels", "l.csv", "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {cfg}: [fusion] learning rate must be finite and "
+        f"positive"]
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_nonzero():
     assert run(["gen", "--nonsense"]) != 0
 

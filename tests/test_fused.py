@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, add_norm, attention,
-                        backward, cross_entropy, encoder_forward, eval_forward,
-                        feed_forward, head_forward, init_encoder, init_head)
+from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
+                        attention, backward, cross_entropy, encoder_forward,
+                        eval_forward, feed_forward, head_forward, init_encoder,
+                        init_head, stack_encoders)
 
 from composed_encoder import composed_encoder_forward
 from gradcheck import check_gradients
@@ -144,3 +145,28 @@ def test_dropout_masks_are_the_old_float_masks_as_booleans():
         assert mask.dtype == np.bool_
         assert np.array_equal(mask, (old.random(shape) < keep)
                               .astype(np.float64))
+
+
+def test_stacked_encoder_pass_is_forward_only():
+    encoders = [init_encoder(np.random.default_rng(j)) for j in range(2)]
+    expected = [eval_forward(encoder_forward, e, np.zeros((3, INPUT_DIM)))
+                for e in encoders]
+    stacked = stack_encoders(encoders)
+    assert stacked.frozen
+    x = np.zeros((3, INPUT_DIM))
+    out = eval_forward(encoder_forward, stacked, x)
+    assert out.shape == (2, 3, INPUT_DIM)
+    assert all(np.array_equal(out[j], expected[j]) for j in range(2))
+    with pytest.raises(ValueError, match="forward-only"):
+        encoder_forward(stacked, Tensor(x, requires_grad=True))
+    with pytest.raises(ValueError, match="forward-only"):
+        feed_forward(Tensor(np.zeros((3, 24, 38)), requires_grad=True),
+                     stacked["ff.1.w"], stacked["ff.1.b"], stacked["ff.2.w"],
+                     stacked["ff.2.b"])
+    stacked["ln2.gamma"].requires_grad = True
+    with pytest.raises(ValueError, match="forward-only"):
+        add_norm(Tensor(np.zeros((2, 3, 24, 38))), Tensor(np.zeros((24, 38))),
+                 stacked["ln2.gamma"], stacked["ln2.beta"])
+    stacked.unfreeze()
+    with pytest.raises(ValueError, match="forward-only"):
+        encoder_forward(stacked, x)

@@ -1,5 +1,6 @@
 """Gate contracts, fusion configuration, fine-tuning, and inference."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -13,11 +14,15 @@ from flowmoe.expert import expert_representation, save_expert
 from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
                             TaskSpec, classify, classify_batch,
                             concat_representations, configure_fusion, fine_tune,
-                            gate_output, gate_weights, load_any_model,
-                            load_fused, load_fusion_config, save_fused,
-                            tower_forward)
-from flowmoe.nn import INPUT_DIM, backward, cross_entropy, head_forward, init_head
+                            fusion_structure, gate_output, gate_weights,
+                            load_any_model, load_fused, load_fusion_config,
+                            save_fused, tower_forward)
+from flowmoe.expert import ExpertModel
+from flowmoe.nn import (INPUT_DIM, backward, cross_entropy, head_forward,
+                        init_encoder, init_head)
 from flowmoe.nn import Tensor, no_grad, softmax
+
+from per_expert_oracle import per_expert_representations
 
 
 def test_gate_default_bit_equal(rng):
@@ -127,20 +132,136 @@ def test_gate_linearity_superposition(rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def _independent(*experts):
+    """Tower-less Mode I model with one task per expert, in order."""
+    return fusion_structure(list(experts), TaskRelation(
+        FusionMode.MODE_I, [TaskSpec(f"t{j}", experts=(j,))
+                            for j in range(len(experts))]))
+
+
 def test_concat_representations_rows(trained_experts, two_task_data, rng):
     app, encap = trained_experts
     x = two_task_data[2].features[0]
-    single = concat_representations([app], x)
+    single = concat_representations(_independent(app), x)
     assert single.shape == (1, INPUT_DIM)
     assert np.array_equal(single[0], expert_representation(app, x))
-    stacked = concat_representations([app, encap], x)
+    stacked = concat_representations(_independent(app, encap), x)
     assert stacked.shape == (2, INPUT_DIM)
     assert np.array_equal(stacked[0], expert_representation(app, x))
     assert np.array_equal(stacked[1], expert_representation(encap, x))
     # permuting experts permutes rows
-    swapped = concat_representations([encap, app], x)
+    swapped = concat_representations(_independent(encap, app), x)
     assert np.array_equal(swapped[0], stacked[1])
     assert np.array_equal(swapped[1], stacked[0])
+
+
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 65])
+@pytest.mark.parametrize("n_experts", [1, 2, 3])
+def test_stacked_pass_matches_per_expert_oracle(n_experts, rows):
+    # blocks of EVAL_ROWS // n rows: 64, 32 and 21 rows for 1, 2, 3 experts
+    experts = [ExpertModel(id=f"e{j}", head=None, label_map=["a", "b"],
+                           encoder=init_encoder(np.random.default_rng(j)))
+               for j in range(n_experts)]
+    x = np.random.default_rng(rows).random((rows, INPUT_DIM))
+    expected = per_expert_representations(experts, x)
+    fused = _independent(*experts)
+    out = concat_representations(fused, x)
+    assert out.shape == (n_experts, rows, INPUT_DIM)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(concat_representations(fused, x[0]), expected[:, 0])
+    # the experts' tensors are C-contiguous views into the stack
+    for j, expert in enumerate(experts):
+        for name, t in expert.encoder.items():
+            assert t.data.base is fused.encoder[name].data
+            assert t.data.flags.c_contiguous
+            assert np.array_equal(t.data, fused.encoder[name].data[j]
+                                  .reshape(t.data.shape))
+
+
+def test_single_flow_classify_matches_its_batch_row(trained_experts,
+                                                    two_task_data):
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=2)
+    rng = np.random.default_rng(7)
+    for task, tower in fused.towers.items():   # zeroed outputs hide mix-ups
+        for t in tower.tensors():
+            t.data = rng.normal(scale=0.05, size=t.data.shape)
+    X = two_task_data[2].features[:40]
+    reps = concat_representations(fused, X)
+    batch = classify_batch(fused, X)
+    for i in range(len(X)):
+        assert np.array_equal(concat_representations(fused, X[i]), reps[:, i])
+        single = classify(fused, X[i])
+        for task in fused.task_ids:
+            assert single[task].label_index == batch[task][0][i]
+            # the towers' 1-row product takes numpy's matrix-vector path,
+            # which may round the last bit differently from the batch GEMM
+            assert np.allclose(single[task].confidences, batch[task][1][i],
+                               rtol=0, atol=1e-15)
+
+
+def test_classify_fine_tune_and_tower_objective_run_one_stacked_pass(
+        trained_experts, two_task_data, monkeypatch):
+    import flowmoe.expert as expert_mod
+    from flowmoe.diagnostics import TowerObjective
+    from flowmoe.expert import TrainConfig
+    weights = []
+    real = expert_mod.encoder_forward
+
+    def recording(params, x, *args, **kwargs):
+        weights.append(params["attn.q.w"].data.shape)
+        return real(params, x, *args, **kwargs)
+
+    monkeypatch.setattr(expert_mod, "encoder_forward", recording)
+    train = two_task_data[0].subset(np.arange(32))
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
+    stacked = (2, 1, 38, 38)
+    classify_batch(fused, train.features)
+    assert weights == [stacked]
+    weights.clear()
+    fine_tune(fused, train, TrainConfig(learning_rate=1e-4, batch_size=32,
+                                        epochs=1, dropout_rate=0.0, seed=1))
+    assert weights == [stacked]
+    weights.clear()
+    TowerObjective(fused, train)
+    assert weights == [stacked]
+
+
+def test_shared_experts_classify_from_encoders_trained_by_either_model(
+        trained_experts, two_task_data):
+    from flowmoe.expert import TrainConfig
+    app, encap = copy.deepcopy(trained_experts)
+    first = configure_fusion([app, encap], _mode1_relation(), seed=3)
+    # the second model stacks the same experts in the other order
+    second = configure_fusion([encap, app], TaskRelation(
+        FusionMode.MODE_I, [TaskSpec("encap", experts=(0,)),
+                            TaskSpec("app", experts=(1,))]), seed=4)
+    X = two_task_data[2].features[:20]
+    before = per_expert_representations(first.experts, X)
+    fine_tune(first, two_task_data[0].subset(np.arange(64)),
+              TrainConfig(learning_rate=1e-3, batch_size=32, epochs=1,
+                          dropout_rate=0.0, seed=1), unfreeze_experts=True)
+    trained = per_expert_representations(first.experts, X)
+    assert not np.array_equal(trained, before)
+    for model in (first, second, first):
+        reps = per_expert_representations(model.experts, X)
+        assert np.array_equal(concat_representations(model, X), reps)
+        with no_grad():
+            gated = {t: gate_output(model.gates[t], Tensor(reps))
+                     for t in model.task_ids}
+            logits = tower_forward(model, gated)[0]
+        for task, (_labels, probs) in classify_batch(model, X).items():
+            assert np.array_equal(probs, softmax(logits[task]).data)
+
+
+def test_deep_copied_model_reads_its_own_experts():
+    experts = [ExpertModel(id=f"e{j}", head=None, label_map=["a", "b"],
+                           encoder=init_encoder(np.random.default_rng(j)))
+               for j in range(2)]
+    clone = copy.deepcopy(_independent(*experts))
+    clone.experts[0].encoder["ff.1.w"].data += 0.1   # in place, as Adam does
+    x = np.random.default_rng(1).random((3, INPUT_DIM))
+    assert np.array_equal(concat_representations(clone, x),
+                          per_expert_representations(clone.experts, x))
 
 
 def _mode1_relation():
@@ -255,7 +376,7 @@ def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,
             assert np.array_equal(expert.head[name].data, arr)
 
     # task isolation at the literal gradient level
-    reps = concat_representations(fused.experts, train.features[:16])
+    reps = concat_representations(fused, train.features[:16])
     x = train.features[:16]
     app_tower, enc_tower = fused.towers["app"], fused.towers["encap"]
     app_tower.unfreeze()
@@ -326,7 +447,7 @@ def test_multitask_tower_forward_contract(trained_experts, two_task_data, mode):
         for t in fused.towers[task].tensors():   # zeroed outputs hide mix-ups
             t.data = rng.normal(scale=0.05, size=t.data.shape)
     features = two_task_data[2].features[:12]
-    stacked = Tensor(concat_representations(fused.experts, features))
+    stacked = Tensor(concat_representations(fused, features))
     x = Tensor(features)
     gated = {t: gate_output(fused.gates[t], stacked, x) for t in fused.task_ids}
     labels = {t: rng.integers(len(fused.label_maps[t]), size=12)

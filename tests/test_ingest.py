@@ -224,6 +224,24 @@ def test_pcap_round_trip_both_endians(tmp_path):
         assert len(flows) == 2
 
 
+def test_pcap_payloads_stop_at_their_own_bounds(tmp_path):
+    # the reader works at offsets into the whole file, so a payload must
+    # stop at the UDP length, the IP total length and the captured frame,
+    # and never run into the next record
+    udp = bytearray(_ipv4("10.0.0.3", "10.0.0.4", 17,
+                          _udp_seg(53, 53, b"abcde")))
+    udp[20 + 4:20 + 6] = struct.pack(">H", 8 + 3)       # UDP length: 3 bytes
+    padded = _ipv4("10.0.0.1", "10.0.0.2", 6, _tcp_seg(1, 2, 3, b"hello"))
+    cut = bytearray(_ipv4("10.0.0.1", "10.0.0.2", 6, _tcp_seg(1, 2, 3, b"cut")))
+    cut[2:4] = struct.pack(">H", len(cut) + 100)         # longer than captured
+    last = _ipv4("10.0.0.3", "10.0.0.4", 17, _udp_seg(53, 53, b"z"))
+    p = tmp_path / "bounds.pcap"
+    _write_pcap(p, [_eth_frame(bytes(udp)), _eth_frame(padded) + b"\0" * 6,
+                    _eth_frame(bytes(cut)), _eth_frame(last)])
+    assert [pk.payload for pk in read_pcap(p)] == [b"abc", b"hello", b"cut",
+                                                   b"z"]
+
+
 def test_pcap_skips_non_ip_and_truncated(tmp_path, caplog):
     arp = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x06" + b"\x00" * 20
     good = _eth_frame(_ipv4("1.2.3.4", "5.6.7.8", 6, _tcp_seg(1, 2, 3, b"x")))

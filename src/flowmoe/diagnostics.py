@@ -21,6 +21,7 @@ from . import fusion
 from .data import LabeledDataset, text_lines
 # head_forward is unused here; perfbench's tracer wraps diagnostics.head_forward
 from .nn import Tensor, backward, head_forward, no_grad
+from .nn.optim import UPDATE_BLOCK
 
 log = logging.getLogger(__name__)
 
@@ -70,27 +71,32 @@ def estimate_lipschitz(grad_fn, snapshots):
 
     A lower bound on the true Lipschitz constant of the gradient; adding
     snapshots can only raise it. Identical pairs are skipped; all-identical
-    snapshots are an error.
+    snapshots are an error. `snapshots` may be any iterable. Every distance
+    is taken first; `grad_fn` is then called once per snapshot, in order,
+    and a snapshot is let go as soon as its gradient is taken.
     """
     snaps = [np.asarray(s, dtype=np.float64).ravel() for s in snapshots]
     if len(snaps) < 2:
         raise ValueError("need at least two parameter snapshots")
-    grads = [np.asarray(grad_fn(s), dtype=np.float64).ravel() for s in snaps]
-    best = 0.0
-    seen_distinct = False
     diff = np.empty_like(snaps[0])
+    pairs = []                       # (i, j, |w_i - w_j|), distinct pairs
     for i in range(len(snaps)):
         for j in range(i + 1, len(snaps)):
             # np.sqrt(d @ d) is what np.linalg.norm computes for 1-D d
             np.subtract(snaps[i], snaps[j], out=diff)
             dw = np.sqrt(diff @ diff)
-            if dw == 0.0:
-                continue
-            seen_distinct = True
-            np.subtract(grads[i], grads[j], out=diff)
-            best = max(best, np.sqrt(diff @ diff) / dw)
-    if not seen_distinct:
+            if dw != 0.0:
+                pairs.append((i, j, dw))
+    if not pairs:
         raise ValueError("all parameter snapshots are identical")
+    grads = []
+    for i in range(len(snaps)):
+        grads.append(np.asarray(grad_fn(snaps[i]), dtype=np.float64).ravel())
+        snaps[i] = None
+    best = 0.0
+    for i, j, dw in pairs:
+        np.subtract(grads[i], grads[j], out=diff)
+        best = max(best, np.sqrt(diff @ diff) / dw)
     return best
 
 
@@ -126,8 +132,13 @@ def check_convergence(trace: LossTrace, c_hat=None, snapshots=None,
         snaps = [np.asarray(s, dtype=np.float64).ravel() for s in snapshots]
         snap_losses = losses[list(snapshot_steps)]
         best_i = int(np.argmin(snap_losses))
-        dists = np.array([np.linalg.norm(s - snaps[best_i]) for s in snaps])
-        dmax = dists.max()
+        diff = np.empty_like(snaps[best_i])
+        dists = []
+        for s in snaps:
+            # np.sqrt(d @ d) is what np.linalg.norm computes for 1-D d
+            np.subtract(s, snaps[best_i], out=diff)
+            dists.append(np.sqrt(diff @ diff))
+        dmax = np.max(dists)
         if dmax > 0:
             report.z_hat = 1.0 / (dmax * dmax)
         report.gap = losses - snap_losses[best_i]
@@ -326,21 +337,40 @@ class TowerObjective:
                              f"parameter count {self._flat.size}")
         self._flat[:] = vec
 
-    def loss_and_grad(self, out=None):
+    def loss_and_grad(self, out=None, change=None):
         """(loss, flat gradient) at the current vector. The gradient is
-        written into `out` in vector order (a fresh vector when None)."""
+        written into `out` in vector order (a fresh vector when None). With
+        `change`, `out` must hold the previous gradient: `change` receives
+        the new gradient minus it, formed slice by slice as each slice of
+        `out` is overwritten."""
         total = fusion.tower_forward(self.model, self.inputs, self.labels)[2]
         grads = backward(total, *(self.model.towers[t] for t in self.tasks))
         by_task = dict(zip(self.tasks, grads))
         flat = np.empty_like(self._flat) if out is None else out
         for t, name, sl in self._slices:
             g = by_task[t].get(name)
-            flat[sl] = 0.0 if g is None else g.ravel()
+            g = 0.0 if g is None else g.ravel()
+            if change is not None:
+                np.subtract(g, flat[sl], out=change[sl])
+            flat[sl] = g
         return total.item(), flat
 
-    def grad_at(self, vec):
-        self.set_vector(vec)
-        return self.loss_and_grad()[1]
+
+def _gd_step(vec, grad, alpha, change, work):
+    """vec - alpha * grad, in place, one `UPDATE_BLOCK` block at a time;
+    `change` receives the new vector minus the old one and its norm is
+    returned. The operations are those of the out-of-place expression,
+    so the new vector and `change` are bitwise the same."""
+    for start in range(0, vec.size, UPDATE_BLOCK):
+        block = slice(start, start + UPDATE_BLOCK)
+        v = vec[block]
+        w = work[:v.size]
+        np.multiply(alpha, grad[block], out=w)
+        np.subtract(v, w, out=w)
+        np.subtract(w, v, out=change[block])
+        v[...] = w
+    # np.sqrt(d @ d) is what np.linalg.norm computes for 1-D d
+    return np.sqrt(change @ change)
 
 
 def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
@@ -353,60 +383,84 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
     alpha <= 1/c_hat, the run restarts from the initial towers with the
     smaller step. c_hat only grows, so the retries terminate.
 
-    Returns (trace, snapshots, snapshot_steps, c_hat, report).
+    A given alpha must be finite and > 0, `snapshot_every` >= 1 and
+    `steps` >= 0 (ValueError); a non-finite loss at any step is an
+    ArithmeticError naming the step.
+
+    Returns (trace, snapshots, snapshot_steps, c_hat, report); snapshot 0
+    is the starting vector.
     """
+    if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    if snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     objective = TowerObjective(model, data)
     theta0 = objective.get_vector()
     rng = np.random.default_rng(seed)
 
-    probe_points = [theta0]
-    scale = probe_eps * (1.0 + np.linalg.norm(theta0))
-    for _ in range(4):
-        # theta0 + scale * direction / |direction|, evaluated in place
-        point = rng.normal(size=theta0.size)
-        norm = np.linalg.norm(point)
-        point *= scale
-        point /= norm
-        point += theta0
-        probe_points.append(point)
-    c_hat = estimate_lipschitz(objective.grad_at, probe_points)
+    def probe_points():
+        yield theta0
+        scale = probe_eps * (1.0 + np.linalg.norm(theta0))
+        for _ in range(4):
+            # theta0 + scale * direction / |direction|, evaluated in place
+            point = rng.normal(size=theta0.size)
+            norm = np.linalg.norm(point)
+            point *= scale
+            point /= norm
+            point += theta0
+            yield point
+
+    start = []                           # (loss, gradient) at theta0
+
+    def grad_at(point):
+        objective.set_vector(point)
+        loss, grad = objective.loss_and_grad()
+        if not start:                    # the first point is theta0
+            start.append((loss, grad))
+        return grad
+
+    c_hat = estimate_lipschitz(grad_at, probe_points())
+    loss0, grad0 = start.pop()
+    if not math.isfinite(loss0):
+        raise ArithmeticError("non-finite tower loss at GD step 0")
     chosen_alpha = alpha
 
     vec = objective._flat                # the towers view it: GD steps it
-    grad, prev_grad, prev_vec, diff = (np.empty_like(theta0)
-                                       for _ in range(4))
-    for attempt in range(max_retries):
-        a = chosen_alpha if chosen_alpha is not None else 0.5 / c_hat
-        losses = np.zeros(steps + 1)
-        snapshots, snapshot_steps = [], []
-        vec[:] = theta0
-        restart = False
-        for t in range(steps + 1):
-            losses[t] = objective.loss_and_grad(out=grad)[0]
-            if t > 0:
-                # np.sqrt(d @ d) is what np.linalg.norm computes for 1-D d
-                np.subtract(vec, prev_vec, out=diff)
-                dw = np.sqrt(diff @ diff)
+    grad, change = np.empty_like(theta0), np.empty_like(theta0)
+    work = np.empty(min(theta0.size, UPDATE_BLOCK))
+    # a diverging run ends at the loss check, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for attempt in range(max_retries):
+            a = chosen_alpha if chosen_alpha is not None else 0.5 / c_hat
+            losses = np.zeros(steps + 1)
+            snapshots, snapshot_steps = [theta0], [0]
+            vec[:] = theta0
+            np.copyto(grad, grad0)
+            losses[0] = loss0
+            restart = False
+            for t in range(1, steps + 1):
+                dw = _gd_step(vec, grad, a, change, work)
+                losses[t] = objective.loss_and_grad(
+                    out=grad, change=change if dw > 0 else None)[0]
+                if not math.isfinite(losses[t]):
+                    raise ArithmeticError(f"non-finite tower loss at GD "
+                                          f"step {t}")
                 if dw > 0:
-                    np.subtract(grad, prev_grad, out=diff)
-                    c_hat = max(c_hat, np.sqrt(diff @ diff) / dw)
+                    c_hat = max(c_hat, np.sqrt(change @ change) / dw)
                     if chosen_alpha is None and a > 1.0 / c_hat \
                             and attempt < max_retries - 1:
                         restart = True
                         break
-            if t % snapshot_every == 0 or t == steps:
-                snapshots.append(vec.copy())
-                snapshot_steps.append(t)
-            if t < steps:
-                # vec - a * grad, with the step held in `diff`
-                np.copyto(prev_vec, vec)
-                np.multiply(a, grad, out=diff)
-                vec -= diff
-            grad, prev_grad = prev_grad, grad
-        if not restart:
-            break
-        log.info("lipschitz estimate grew to %.4g at step %d; restarting "
-                 "with a smaller step (attempt %d)", c_hat, t, attempt + 2)
+                if t % snapshot_every == 0 or t == steps:
+                    snapshots.append(vec.copy())
+                    snapshot_steps.append(t)
+            if not restart:
+                break
+            log.info("lipschitz estimate grew to %.4g at step %d; restarting "
+                     "with a smaller step (attempt %d)", c_hat, t, attempt + 2)
+    del grad, change, grad0              # let go before check_convergence
     trace = LossTrace(losses=losses, alpha=a, method=FULL_BATCH_GD)
     report = check_convergence(trace, c_hat=c_hat, snapshots=snapshots,
                                snapshot_steps=snapshot_steps)

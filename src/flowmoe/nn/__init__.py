@@ -4,8 +4,8 @@ from .fused import add_norm, attention, feed_forward, layer_norm
 from .params import DropoutStream, ParamSet, seed_streams
 from .model import (FF_DIM, HEAD_DIM, HIDDEN_DIM, INPUT_DIM, N_HEADS, N_TOKENS,
                     TOKEN_DIM, backward, encoder_forward, encoder_shapes,
-                    eval_forward, gate_linear_shapes, head_forward,
-                    head_shapes, init_encoder, init_gate_linear, init_head,
+                    gate_linear_shapes, head_forward, head_shapes,
+                    init_encoder, init_gate_linear, init_head,
                     positional_encoding, stack_encoders)
 from .optim import MultiAdam
 
@@ -13,7 +13,7 @@ __all__ = [
     "Tensor", "cross_entropy", "dropout", "layer_norm", "no_grad", "relu",
     "softmax", "stack", "add_norm", "attention", "feed_forward",
     "DropoutStream", "ParamSet",
-    "seed_streams", "backward", "encoder_forward", "eval_forward",
+    "seed_streams", "backward", "encoder_forward",
     "head_forward", "encoder_shapes", "head_shapes", "gate_linear_shapes",
     "init_encoder", "init_gate_linear", "init_head",
     "positional_encoding", "stack_encoders", "MultiAdam",

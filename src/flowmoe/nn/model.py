@@ -14,7 +14,7 @@ import numpy as np
 
 from .fused import add_norm, attention, feed_forward
 from .params import ParamSet
-from .tensor import Tensor, cross_entropy, dropout, no_grad, relu, softmax
+from .tensor import Tensor, cross_entropy, dropout, relu, softmax
 
 INPUT_DIM = 912
 N_TOKENS = 24
@@ -202,15 +202,10 @@ def backward(loss, *param_sets):
                  for ps in param_sets)
 
 
-def eval_forward(fn, *args, **kwargs):
-    with no_grad():
-        return fn(*args, **kwargs).data
-
-
 __all__ = [
     "INPUT_DIM", "N_TOKENS", "TOKEN_DIM", "N_HEADS", "HEAD_DIM", "FF_DIM",
     "HIDDEN_DIM", "positional_encoding", "encoder_shapes", "head_shapes",
     "gate_linear_shapes", "init_encoder", "init_head",
     "init_gate_linear", "stack_encoders", "encoder_forward", "head_forward",
-    "backward", "eval_forward", "cross_entropy", "softmax", "relu",
+    "backward", "cross_entropy", "softmax", "relu",
 ]

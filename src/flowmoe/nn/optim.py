@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Elements per Adam block: 256 KiB of float64 per array, so a block's
-# parameter, gradient, moments and scratch pair stay in L2 across the
-# update's 13 elementwise passes.
-ADAM_BLOCK = 1 << 15
+# Elements per block of an in-place parameter update (Adam here, the
+# tower-GD step in `diagnostics`): 256 KiB of float64 per array, so a
+# block's operands and scratch stay in L2 across the update's elementwise
+# passes (13 for Adam).
+UPDATE_BLOCK = 1 << 15
 
 
 class MultiAdam:
@@ -16,7 +17,7 @@ class MultiAdam:
     First and second moments are keyed by (set name, parameter name) and
     share one step counter. `work` is one pair of flat scratch buffers
     shared by every parameter, grown to the largest block seen (at most
-    `ADAM_BLOCK` elements); it holds no state between steps.
+    `UPDATE_BLOCK` elements); it holds no state between steps.
     """
 
     def __init__(self, named_sets, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -33,7 +34,7 @@ class MultiAdam:
         """One Adam step from {set name: {param name: gradient}}, in place.
 
         `m`, `v` and each parameter's array are updated in place, one
-        `ADAM_BLOCK`-element block of the flattened parameter at a time;
+        `UPDATE_BLOCK`-element block of the flattened parameter at a time;
         every temporary lives in the shared work pair. The operations are
         elementwise and those of the textbook expression
         p - lr * (m / corr1) / (sqrt(v / corr2) + eps), in the same order,
@@ -54,13 +55,13 @@ class MultiAdam:
                 if key not in self.m:
                     self.m[key] = np.zeros_like(p)
                     self.v[key] = np.zeros_like(p)
-                k = min(p.size, ADAM_BLOCK)
+                k = min(p.size, UPDATE_BLOCK)
                 if self.work[0].size < k:
                     self.work = (np.empty(k), np.empty(k))
                 flat = [x.reshape(-1) for x in (p, g, self.m[key],
                                                  self.v[key])]
-                for start in range(0, p.size, ADAM_BLOCK):
-                    block = slice(start, start + ADAM_BLOCK)
+                for start in range(0, p.size, UPDATE_BLOCK):
+                    block = slice(start, start + UPDATE_BLOCK)
                     pb, gb, m, v = (x[block] for x in flat)
                     a, b = (w[:pb.size] for w in self.work)
                     m *= self.beta1

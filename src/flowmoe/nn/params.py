@@ -50,16 +50,9 @@ class ParamSet:
         for t in self._tensors.values():
             t.requires_grad = True
 
-    @property
-    def frozen(self):
-        return all(not t.requires_grad for t in self._tensors.values())
-
     def zero_grad(self):
         for t in self._tensors.values():
             t.grad = None
-
-    def state_dict(self):
-        return {name: t.data.copy() for name, t in self._tensors.items()}
 
     def to_vector(self):
         if not self._tensors:

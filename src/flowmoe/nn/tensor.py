@@ -7,8 +7,7 @@ topological order.
 
 The ops take Tensors only (arithmetic also accepts plain numbers and
 arrays as the other operand). There is no separate numpy path: eval-mode
-forwards run the same ops under `no_grad`, or through `eval_forward`,
-which records no graph and returns the plain array.
+forwards run the same ops under `no_grad`, which records no graph.
 
 Backward contract: a node's closure maps the gradient of its output to
 (parent, gradient) pairs for exactly those parents whose `requires_grad`

@@ -1,0 +1,20 @@
+"""Test-only helpers over `flowmoe.nn`: a graph-free forward, and a
+ParamSet's values and frozen state."""
+
+from flowmoe.nn import no_grad
+
+
+def eval_forward(fn, *args, **kwargs):
+    """fn(*args, **kwargs) as a plain array, with no graph recorded."""
+    with no_grad():
+        return fn(*args, **kwargs).data
+
+
+def state_dict(params):
+    """{name: a copy of its values} for every parameter of a ParamSet."""
+    return {name: t.data.copy() for name, t in params.items()}
+
+
+def frozen(params):
+    """True when no parameter of the ParamSet takes a gradient."""
+    return all(not t.requires_grad for t in params.tensors())

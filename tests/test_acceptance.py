@@ -25,6 +25,7 @@ from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
 from flowmoe.synth import GeneratorSpec, generate_dataset
 
 from gradcheck import check_gradients
+from nn_helpers import state_dict
 import scenarios
 from test_evaluation import naive_metrics
 from test_ingest import brute_force_grouping
@@ -200,7 +201,7 @@ def test_criterion_03_task_isolation(mode1_runs):
 
     # frozen experts bit-identical through a fresh fine-tune
     train = test  # any labeled multi-task data works for this check
-    before = [(e.encoder.state_dict(), e.head.state_dict())
+    before = [(state_dict(e.encoder), state_dict(e.head))
               for e in fused.experts]
     fine_tune(fused, train, TrainConfig(learning_rate=1e-3, batch_size=32,
                                         epochs=1, dropout_rate=0.0, seed=9))

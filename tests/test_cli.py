@@ -312,6 +312,29 @@ def test_non_finite_fusion_config_learning_rate_is_a_cli_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "nan", "alpha must be finite and > 0, got nan"),
+    ("--alpha", "inf", "alpha must be finite and > 0, got inf"),
+    ("--alpha", "-1", "alpha must be finite and > 0, got -1.0"),
+    ("--alpha", "0", "alpha must be finite and > 0, got 0.0"),
+    ("--snapshot-every", "0", "snapshot_every must be >= 1, got 0"),
+    ("--steps", "-1", "steps must be >= 0, got -1"),
+    ("--alpha", "1e300", "non-finite tower loss at GD step 1"),
+])
+def test_degenerate_tower_gd_is_a_cli_error(pipeline_dir, tmp_path, capsys,
+                                            recwarn, flag, value, message):
+    out = tmp_path / "conv"
+    rc = run(["diag", "convergence", "--model",
+              str(pipeline_dir / "fused.snke"), "--features",
+              str(pipeline_dir / "features.snkf"), "--labels",
+              str(pipeline_dir / "labels.csv"), "--steps", "5", flag, value,
+              "--out-prefix", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {message}"]
+    assert not Path(str(out) + ".txt").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_unknown_flag_exits_nonzero():
     assert run(["gen", "--nonsense"]) != 0
 

@@ -12,6 +12,8 @@ from flowmoe.diagnostics import (LossTrace, check_convergence, detect_gate_anoma
                                  estimate_lipschitz, load_domain_accuracies,
                                  load_loss_column)
 
+from nn_helpers import state_dict
+
 
 def quadratic_run(c, alpha, w0=2.0, steps=30):
     """Closed-form GD recurrence oracle for L(w) = c/2 w^2."""
@@ -241,7 +243,7 @@ def test_tower_objective_vector_round_trip_and_views(trained_experts,
                                                      two_task_data):
     fused, obj = _mode1_objective(trained_experts, two_task_data)
     towers = [fused.towers[t] for t in ("app", "encap")]
-    before = [ps.state_dict() for ps in towers]
+    before = [state_dict(ps) for ps in towers]
     vec = obj.get_vector()
     assert np.array_equal(vec, np.concatenate([ps.to_vector() for ps in towers]))
 
@@ -314,3 +316,53 @@ def test_in_place_tower_gd_matches_out_of_place_oracle(
     assert len(snapshots) == len(snaps)
     for mine, theirs in zip(snapshots, snaps):
         assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 25])
+@pytest.mark.parametrize("rows, alpha", [(200, None), (48, 0.5)],
+                         ids=["restarts", "fixed-alpha"])
+def test_tower_gd_edge_cases_match_out_of_place_oracle(
+        trained_experts, two_task_data, rows, alpha, steps):
+    from flowmoe.diagnostics import run_tower_gd
+    from flowmoe.nn.optim import UPDATE_BLOCK
+    from tower_gd_oracle import run_tower_gd_out_of_place
+
+    fused = _mode1_fused(trained_experts)
+    n = sum(fused.towers[t].to_vector().size for t in fused.task_ids)
+    assert n % UPDATE_BLOCK != 0            # a short tail block runs too
+    data = two_task_data[0].subset(np.arange(rows))
+    for every in (1, 7, 25, 40):
+        losses, a, snaps, snap_steps, c_hat, restarts = \
+            run_tower_gd_out_of_place(_mode1_fused(trained_experts), data,
+                                      steps=steps, alpha=alpha,
+                                      snapshot_every=every)
+        if alpha is None and steps == 25:
+            assert restarts >= 1
+        trace, snapshots, snapshot_steps, c_hat_in_place, _ = run_tower_gd(
+            _mode1_fused(trained_experts), data, steps=steps, alpha=alpha,
+            snapshot_every=every)
+        assert np.array_equal(trace.losses, losses)
+        assert trace.alpha == a
+        assert c_hat_in_place == c_hat
+        assert snapshot_steps == snap_steps
+        assert len(snapshots) == len(snaps)
+        for mine, theirs in zip(snapshots, snaps):
+            assert np.array_equal(mine, theirs)
+
+
+def test_tower_gd_traced_peak_stays_within_budget(trained_experts,
+                                                  two_task_data):
+    """The run holds the towers' vector, its start, the gradient, the
+    gradient at the start, one difference vector, the snapshots and the
+    probe points and gradients, which it lets go one by one: about ten
+    parameter-length vectors at its peak."""
+    from flowmoe.diagnostics import run_tower_gd
+    from memtrace import traced_peak
+
+    fused = _mode1_fused(trained_experts)
+    n = sum(fused.towers[t].to_vector().size for t in fused.task_ids)
+    data = two_task_data[0].subset(np.arange(48))
+    (_trace, snapshots, _steps, _c, report), peak = traced_peak(
+        run_tower_gd, fused, data, steps=40)
+    assert len(snapshots) == 5 and report.verdict == "PASS"
+    assert peak / (8 * n) <= 11.0

@@ -10,6 +10,8 @@ from flowmoe.expert import (ExpertModel, TrainConfig, expert_predict,
 from flowmoe.nn import (INPUT_DIM, encoder_forward, head_forward, no_grad,
                         softmax)
 
+from nn_helpers import state_dict
+
 
 def _bit_equal(a, b):
     """Same parameter names in the same order, with bitwise-equal values."""
@@ -167,8 +169,8 @@ def test_freezing_contract(trained_experts, two_task_data):
     from flowmoe.fusion import FusionMode, TaskRelation, TaskSpec, \
         configure_fusion, fine_tune
     app, encap = trained_experts
-    before_enc = app.encoder.state_dict()
-    before_head = app.head.state_dict()
+    before_enc = state_dict(app.encoder)
+    before_head = state_dict(app.head)
     rel = TaskRelation(mode=FusionMode.MODE_I,
                        tasks=[TaskSpec("app", experts=(0,)),
                               TaskSpec("encap", experts=(1,))])

@@ -5,11 +5,12 @@ import pytest
 
 from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
                         attention, backward, cross_entropy, encoder_forward,
-                        eval_forward, feed_forward, head_forward, init_encoder,
-                        init_head, stack_encoders)
+                        feed_forward, head_forward, init_encoder, init_head,
+                        stack_encoders)
 
 from composed_encoder import composed_encoder_forward
 from gradcheck import check_gradients
+from nn_helpers import eval_forward, frozen
 
 B, T, D = 2, 5, 6
 
@@ -152,7 +153,7 @@ def test_stacked_encoder_pass_is_forward_only():
     expected = [eval_forward(encoder_forward, e, np.zeros((3, INPUT_DIM)))
                 for e in encoders]
     stacked = stack_encoders(encoders)
-    assert stacked.frozen
+    assert frozen(stacked)
     x = np.zeros((3, INPUT_DIM))
     out = eval_forward(encoder_forward, stacked, x)
     assert out.shape == (2, 3, INPUT_DIM)

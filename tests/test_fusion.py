@@ -22,6 +22,7 @@ from flowmoe.nn import (INPUT_DIM, backward, cross_entropy, head_forward,
                         init_encoder, init_head)
 from flowmoe.nn import Tensor, no_grad, softmax
 
+from nn_helpers import frozen, state_dict
 from per_expert_oracle import per_expert_representations
 
 
@@ -277,7 +278,7 @@ def test_configure_mode1(trained_experts):
                for g in fused.gates.values())
     assert fused.towers["app"]["fc2.b"].data.size == 3
     assert fused.towers["encap"]["fc2.b"].data.size == 2
-    assert all(e.encoder.frozen for e in fused.experts)
+    assert all(frozen(e.encoder) for e in fused.experts)
 
 
 def test_configure_mode2_union_count(trained_experts):
@@ -362,8 +363,8 @@ def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,
     from flowmoe.expert import TrainConfig
     train = two_task_data[0]
     fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
-    before = [e.encoder.state_dict() for e in fused.experts]
-    before_heads = [e.head.state_dict() for e in fused.experts]
+    before = [state_dict(e.encoder) for e in fused.experts]
+    before_heads = [state_dict(e.head) for e in fused.experts]
     cfg = TrainConfig(learning_rate=1e-4, batch_size=32, epochs=2,
                       dropout_rate=0.0, seed=1)
     fused, trace = fine_tune(fused, train, cfg)
@@ -414,15 +415,16 @@ def test_fine_tune_unfreeze_experts_updates_encoders(trained_experts,
                                                      two_task_data):
     from flowmoe.expert import TrainConfig
     train = two_task_data[0].subset(np.arange(64))
-    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
-    before = fused.experts[0].encoder.state_dict()
+    fused = configure_fusion(copy.deepcopy(list(trained_experts)),
+                             _mode1_relation(), seed=3)
+    before = state_dict(fused.experts[0].encoder)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=1,
                       dropout_rate=0.0, seed=1)
     fused, _ = fine_tune(fused, train, cfg, unfreeze_experts=True)
     changed = any(not np.array_equal(fused.experts[0].encoder[n].data, arr)
                   for n, arr in before.items())
     assert changed
-    assert fused.experts[0].encoder.frozen  # re-locked afterwards
+    assert frozen(fused.experts[0].encoder)  # re-locked afterwards
 
 
 def _relation(mode):

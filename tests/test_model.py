@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
-                        cross_entropy, encoder_forward, eval_forward,
-                        head_forward, init_encoder, init_gate_linear, init_head,
-                        softmax)
+                        cross_entropy, encoder_forward, head_forward,
+                        init_encoder, init_gate_linear, init_head, softmax)
 
 from gradcheck import check_gradients
+from nn_helpers import eval_forward
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import numpy as np
 
 from flowmoe.nn import MultiAdam, ParamSet
-from flowmoe.nn.optim import ADAM_BLOCK
+from flowmoe.nn.optim import UPDATE_BLOCK
 
 
 def _ps(**kw):
@@ -125,8 +125,8 @@ def test_multi_adam_blocks_with_ragged_tails_match_textbook_update():
     # each parameter spans more than one block and ends in a partial one:
     # 912x256 is 7 blocks and a tail, the others one block plus or minus one
     rng = np.random.default_rng(22)
-    shapes = {"w": (912, 256), "over": (ADAM_BLOCK + 1,),
-              "under": (ADAM_BLOCK - 1,)}
+    shapes = {"w": (912, 256), "over": (UPDATE_BLOCK + 1,),
+              "under": (UPDATE_BLOCK - 1,)}
     init = {n: rng.normal(size=sh) for n, sh in shapes.items()}
     ps = _ps(**{n: a.copy() for n, a in init.items()})
     opt = MultiAdam({"s": ps})
@@ -138,7 +138,7 @@ def test_multi_adam_blocks_with_ragged_tails_match_textbook_update():
         opt.apply({"s": grads}, 1e-2)
         ref_p, ref_m, ref_v = _textbook_adam(ref_p, grads, ref_m, ref_v,
                                              step, 1e-2)
-    assert opt.work[0].size == ADAM_BLOCK
+    assert opt.work[0].size == UPDATE_BLOCK
     for n in shapes:
         assert np.array_equal(ps[n].data, ref_p[n])
         assert np.array_equal(opt.m["s", n], ref_m[n])

@@ -20,7 +20,12 @@ def run_tower_gd_out_of_place(model, data, steps=150, alpha=None,
     for _ in range(4):
         direction = rng.normal(size=theta0.size)
         probe_points.append(theta0 + scale * direction / np.linalg.norm(direction))
-    c_hat = estimate_lipschitz(objective.grad_at, probe_points)
+
+    def grad_at(vec):
+        objective.set_vector(vec)
+        return objective.loss_and_grad()[1]
+
+    c_hat = estimate_lipschitz(grad_at, probe_points)
     chosen_alpha = alpha
 
     for attempt in range(max_retries):

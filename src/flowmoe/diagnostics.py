@@ -89,10 +89,12 @@ def estimate_lipschitz(grad_fn, snapshots):
                 pairs.append((i, j, dw))
     if not pairs:
         raise ValueError("all parameter snapshots are identical")
+    del diff                         # not held while the gradients are taken
     grads = []
     for i in range(len(snaps)):
         grads.append(np.asarray(grad_fn(snaps[i]), dtype=np.float64).ravel())
         snaps[i] = None
+    diff = np.empty_like(grads[0])
     best = 0.0
     for i, j, dw in pairs:
         np.subtract(grads[i], grads[j], out=diff)
@@ -298,9 +300,10 @@ class TowerObjective:
     the whole objective is a pure function of the tower parameters; this is
     the regime the plain-GD convergence guarantee speaks about.
 
-    Every tower tensor becomes a C-contiguous view into one flat parameter
-    vector (towers in task order, parameters in ParamSet order), so
-    `set_vector` is a single copy and the towers read its values at once.
+    Every tower tensor becomes a C-contiguous, trainable view into one flat
+    parameter vector (towers in task order, parameters in ParamSet order),
+    so `set_vector` is a single copy and the towers read its values at
+    once. `restore` gives the tensors back their trainable flags.
     """
 
     def __init__(self, model, data: LabeledDataset):
@@ -313,19 +316,20 @@ class TowerObjective:
         with no_grad():
             self.inputs = {t: fusion.gate_output(model.gates[t], stacked, x)
                            for t in self.tasks}
-        self._flat = np.concatenate([model.towers[t].to_vector()
-                                     for t in self.tasks])
-        self._slices = []                # (task, name, slice), vector order
+        tensors = [p for t in self.tasks for p in model.towers[t].tensors()]
+        self._flat = np.empty(sum(p.data.size for p in tensors))
+        self._slices = []                # (tensor, slice), vector order
+        self._trainable = []             # (tensor, flag before unfreezing)
         offset = 0
-        for t in self.tasks:
-            params = model.towers[t]
-            params.unfreeze()
-            for name, tensor in params.items():
-                n = tensor.data.size
-                self._slices.append((t, name, slice(offset, offset + n)))
-                tensor.data = self._flat[offset:offset + n].reshape(
-                    tensor.data.shape)
-                offset += n
+        for tensor in tensors:
+            n = tensor.data.size
+            sl = slice(offset, offset + n)
+            self._flat[sl] = tensor.data.ravel()
+            self._slices.append((tensor, sl))
+            self._trainable.append((tensor, tensor.requires_grad))
+            tensor.data = self._flat[sl].reshape(tensor.data.shape)
+            tensor.requires_grad = True
+            offset += n
 
     def get_vector(self):
         return self._flat.copy()
@@ -337,22 +341,36 @@ class TowerObjective:
                              f"parameter count {self._flat.size}")
         self._flat[:] = vec
 
-    def loss_and_grad(self, out=None, change=None):
+    def restore(self, vec):
+        """Set the towers to `vec` and give each tower tensor back the
+        trainable flag it had when this objective was built."""
+        self.set_vector(vec)
+        for tensor, flag in self._trainable:
+            tensor.requires_grad = flag
+
+    def loss_and_grad(self, out=None):
         """(loss, flat gradient) at the current vector. The gradient is
-        written into `out` in vector order (a fresh vector when None). With
-        `change`, `out` must hold the previous gradient: `change` receives
-        the new gradient minus it, formed slice by slice as each slice of
-        `out` is overwritten."""
-        total = fusion.tower_forward(self.model, self.inputs, self.labels)[2]
-        grads = backward(total, *(self.model.towers[t] for t in self.tasks))
-        by_task = dict(zip(self.tasks, grads))
+        written into `out` in vector order (a fresh vector when None): for
+        the sweep, each 2-D tower weight's reused gradient buffer is its
+        slice of `out`, so the weight gradients land in place and only the
+        other gradients are copied. The buffers are unbound afterwards."""
         flat = np.empty_like(self._flat) if out is None else out
-        for t, name, sl in self._slices:
-            g = by_task[t].get(name)
-            g = 0.0 if g is None else g.ravel()
-            if change is not None:
-                np.subtract(g, flat[sl], out=change[sl])
-            flat[sl] = g
+        for tensor, sl in self._slices:
+            if tensor.data.ndim == 2:
+                tensor._grad_buf = flat[sl].reshape(tensor.data.shape)
+        towers = [self.model.towers[t] for t in self.tasks]
+        try:
+            total = fusion.tower_forward(self.model, self.inputs,
+                                         self.labels)[2]
+            backward(total, *towers)
+            for tensor, sl in self._slices:
+                if tensor.grad is None:
+                    flat[sl] = 0.0
+                elif tensor.grad is not tensor._grad_buf:
+                    flat[sl] = tensor.grad.ravel()
+        finally:
+            for tensor, _sl in self._slices:
+                tensor._grad_buf = tensor.grad = None
         return total.item(), flat
 
 
@@ -385,7 +403,9 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
 
     A given alpha must be finite and > 0, `snapshot_every` >= 1 and
     `steps` >= 0 (ValueError); a non-finite loss at any step is an
-    ArithmeticError naming the step.
+    ArithmeticError naming the step. On return, and on an error after the
+    arguments are checked, the model's towers hold their starting values
+    again, bitwise, with the trainable flags they had before the call.
 
     Returns (trace, snapshots, snapshot_steps, c_hat, report); snapshot 0
     is the starting vector.
@@ -398,6 +418,27 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
         raise ValueError(f"steps must be >= 0, got {steps}")
     objective = TowerObjective(model, data)
     theta0 = objective.get_vector()
+    try:
+        trace, snapshots, snapshot_steps, c_hat = _tower_gd(
+            objective, theta0, steps, alpha, snapshot_every, probe_eps,
+            max_retries, seed)
+    finally:
+        objective.restore(theta0)
+    report = check_convergence(trace, c_hat=c_hat, snapshots=snapshots,
+                               snapshot_steps=snapshot_steps)
+    return trace, snapshots, snapshot_steps, c_hat, report
+
+
+def _tower_gd(objective, theta0, steps, alpha, snapshot_every, probe_eps,
+              max_retries, seed):
+    """`run_tower_gd`'s probe and GD loop on the towers' vector, which it
+    leaves at the last iterate. Besides that vector, `theta0` and the
+    snapshots, the loop holds two gradient vectors: the last gradient, and
+    a spare that takes the step's change and then the new gradient. The
+    last gradient's vector then takes g_t - g_{t-1} and becomes the spare.
+    A restart recomputes the gradient at `theta0` instead of keeping it.
+    The last snapshot is copied after both gradient vectors are let go.
+    Returns (trace, snapshots, snapshot_steps, c_hat)."""
     rng = np.random.default_rng(seed)
 
     def probe_points():
@@ -422,13 +463,13 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
         return grad
 
     c_hat = estimate_lipschitz(grad_at, probe_points())
-    loss0, grad0 = start.pop()
+    loss0, grad = start.pop()
     if not math.isfinite(loss0):
         raise ArithmeticError("non-finite tower loss at GD step 0")
     chosen_alpha = alpha
 
     vec = objective._flat                # the towers view it: GD steps it
-    grad, change = np.empty_like(theta0), np.empty_like(theta0)
+    spare = np.empty_like(theta0)
     work = np.empty(min(theta0.size, UPDATE_BLOCK))
     # a diverging run ends at the loss check, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -437,34 +478,37 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
             losses = np.zeros(steps + 1)
             snapshots, snapshot_steps = [theta0], [0]
             vec[:] = theta0
-            np.copyto(grad, grad0)
+            if attempt > 0:              # bitwise the probe's gradient
+                loss0 = objective.loss_and_grad(out=grad)[0]
             losses[0] = loss0
             restart = False
             for t in range(1, steps + 1):
-                dw = _gd_step(vec, grad, a, change, work)
-                losses[t] = objective.loss_and_grad(
-                    out=grad, change=change if dw > 0 else None)[0]
+                dw = _gd_step(vec, grad, a, spare, work)
+                losses[t] = objective.loss_and_grad(out=spare)[0]
                 if not math.isfinite(losses[t]):
                     raise ArithmeticError(f"non-finite tower loss at GD "
                                           f"step {t}")
                 if dw > 0:
-                    c_hat = max(c_hat, np.sqrt(change @ change) / dw)
-                    if chosen_alpha is None and a > 1.0 / c_hat \
-                            and attempt < max_retries - 1:
-                        restart = True
-                        break
-                if t % snapshot_every == 0 or t == steps:
+                    np.subtract(spare, grad, out=grad)   # g_t - g_{t-1}
+                    c_hat = max(c_hat, np.sqrt(grad @ grad) / dw)
+                grad, spare = spare, grad
+                if dw > 0 and chosen_alpha is None and a > 1.0 / c_hat \
+                        and attempt < max_retries - 1:
+                    restart = True
+                    break
+                if t % snapshot_every == 0 and t < steps:
                     snapshots.append(vec.copy())
                     snapshot_steps.append(t)
             if not restart:
                 break
             log.info("lipschitz estimate grew to %.4g at step %d; restarting "
                      "with a smaller step (attempt %d)", c_hat, t, attempt + 2)
-    del grad, change, grad0              # let go before check_convergence
+    del grad, spare                      # let go before the last snapshot
+    if steps > 0:
+        snapshots.append(vec.copy())
+        snapshot_steps.append(steps)
     trace = LossTrace(losses=losses, alpha=a, method=FULL_BATCH_GD)
-    report = check_convergence(trace, c_hat=c_hat, snapshots=snapshots,
-                               snapshot_steps=snapshot_steps)
-    return trace, snapshots, snapshot_steps, c_hat, report
+    return trace, snapshots, snapshot_steps, c_hat
 
 
 def write_convergence_csv(path, trace: LossTrace, report: ConvergenceReport):

@@ -24,9 +24,9 @@ from .expert import (ExpertModel, TrainConfig, expert_from_container,
                      reject_unexpected)
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward,
                  cross_entropy, encoder_forward, encoder_shapes,
-                 gate_linear_shapes, head_forward, head_shapes,
-                 init_gate_linear, init_head, no_grad, seed_streams, softmax,
-                 stack, stack_encoders)
+                 gate_linear_shapes, gate_mix, head_forward, head_shapes,
+                 init_gate_linear, init_head, mixing_weights, no_grad,
+                 seed_streams, softmax, stack, stack_encoders)
 
 
 class FusionMode(enum.Enum):
@@ -68,37 +68,44 @@ def gate_weights(gate: GateConfig, x):
     """Mixing-weight Tensor over all n experts; fixed gates give (n,).
 
     Trainable gates map the input Tensor `x`, (912,) or (B, 912), to (n,) or
-    (B, n): a softmax over the subset S scattered into zeros, so rows sum
-    to 1 and are 0 outside S. A non-finite weight raises ValueError.
+    (B, n): a softmax over the subset S (`nn.mixing_weights`) scattered
+    into zeros, so rows sum to 1 and are 0 outside S. A non-finite weight
+    raises ValueError. The Tensor carries no graph: `gate_output` is the
+    trainable path.
     """
     if gate.linear is None:
         return Tensor(gate.fixed_delta)
-    local = softmax(x @ gate.linear["w"] + gate.linear["b"])
-    # Tensor has no scatter: a constant 0/1 matmul places the |S| weights
-    placement = np.eye(gate.n_experts)[list(gate.subset)]
-    delta = local @ placement
-    if not np.all(np.isfinite(delta.data)):
+    local = mixing_weights(x.data, gate.linear["w"].data,
+                           gate.linear["b"].data)
+    if not np.all(np.isfinite(local)):
         raise ValueError(f"gate {gate.task_id!r}: non-finite mixing weights")
-    return delta
+    delta = np.zeros(local.shape[:-1] + (gate.n_experts,))
+    delta[..., list(gate.subset)] = local
+    return Tensor(delta)
 
 
 def gate_output(gate: GateConfig, stacked, x=None):
     """Gated input Tensor from `stacked` (n, 912) or (n, B, 912) expert rows.
 
-    A fixed one-expert gate returns that row unchanged; other gates take
-    the `gate_weights`-weighted sum (trainable gates need the input Tensor
-    `x`). Raises ValueError on a wrong row count or non-finite weights.
+    A fixed one-expert gate returns that row unchanged; every other gate is
+    one `gate_mix` node over its subset's rows, with the fixed weights or,
+    for a trainable gate, the softmax of its linear over the input Tensor
+    `x`. Raises ValueError on a wrong row count or non-finite weights.
     """
     if stacked.shape[0] != gate.n_experts:
         raise ValueError(f"expected {gate.n_experts} expert rows, "
                          f"got {stacked.shape[0]}")
     if gate.linear is None and len(gate.subset) == 1:
         return stacked.select(gate.subset[0], axis=0)
-    delta = gate_weights(gate, x)
-    if delta.data.ndim == 2:
-        delta = delta.transpose((1, 0))            # (B, n) -> (n, B)
-    trailing = (1,) * (stacked.data.ndim - delta.data.ndim)
-    return (delta.reshape(delta.shape + trailing) * stacked).sum(axis=0)
+    fixed = linear = None
+    if gate.linear is None:
+        fixed = gate.fixed_delta[list(gate.subset)]
+    else:
+        linear = (gate.linear["w"], gate.linear["b"])
+    try:
+        return gate_mix(stacked, gate.subset, fixed, x, linear)
+    except ValueError as exc:
+        raise ValueError(f"gate {gate.task_id!r}: {exc}") from None
 
 
 def tower_forward(model, gated, labels=None, dropout_stream=None,

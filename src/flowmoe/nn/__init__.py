@@ -1,6 +1,7 @@
 from .tensor import (Tensor, cross_entropy, dropout, no_grad, relu, softmax,
                      stack)
-from .fused import add_norm, attention, feed_forward, layer_norm
+from .fused import (add_norm, attention, feed_forward, gate_mix, layer_norm,
+                    mixing_weights)
 from .params import DropoutStream, ParamSet, seed_streams
 from .model import (FF_DIM, HEAD_DIM, HIDDEN_DIM, INPUT_DIM, N_HEADS, N_TOKENS,
                     TOKEN_DIM, backward, encoder_forward, encoder_shapes,
@@ -11,7 +12,8 @@ from .optim import MultiAdam
 
 __all__ = [
     "Tensor", "cross_entropy", "dropout", "layer_norm", "no_grad", "relu",
-    "softmax", "stack", "add_norm", "attention", "feed_forward",
+    "softmax", "stack", "add_norm", "attention", "feed_forward", "gate_mix",
+    "mixing_weights",
     "DropoutStream", "ParamSet",
     "seed_streams", "backward", "encoder_forward",
     "head_forward", "encoder_shapes", "head_shapes", "gate_linear_shapes",

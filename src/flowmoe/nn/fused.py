@@ -1,8 +1,9 @@
 """Fused ops: one Tensor node and one hand-derived backward closure each.
 
 The encoder runs as three fused sublayers, `attention`, `add_norm` (residual,
-dropout and layer norm) and `feed_forward`, so a training step builds a few
-graph nodes instead of one per primitive. The closures apply reverse mode by
+dropout and layer norm) and `feed_forward`, and a gate's mixing of expert
+rows as one more, `gate_mix`, so a training step builds a few graph nodes
+instead of one per primitive. The closures apply reverse mode by
 hand (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008), with the
 softmax-attention derivatives of Vaswani et al. 2017 and the layer-norm
 derivative of Ba et al. 2016.
@@ -231,3 +232,75 @@ def feed_forward(x, w1, b1, w2, b2):
         return out
 
     return Tensor._result(out_data, inner + (w2, b2), backward)
+
+
+def mixing_weights(x, w, b):
+    """softmax(x @ w + b) over the last axis, as an array: a trainable
+    gate's weights over its subset for input rows `x`, (912,) or (B, 912),
+    by the same operations in the same order as the `softmax` op."""
+    y = np.matmul(x, w)
+    y += b
+    y -= np.maximum.reduce(y, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    return y
+
+
+def gate_mix(stacked, rows, fixed=None, x=None, linear=None):
+    """The gated sum of expert rows `stacked[rows]`, as one node.
+
+    `stacked` holds (n, 912) or (n, B, 912) expert representations and
+    `rows` the gate's expert indices, in the order of its weights. The
+    weights are `fixed`, one number per row, or, for the input Tensor `x`
+    ((912,) or (B, 912)) and the gate's (w, b) Tensor pair `linear`,
+    `mixing_weights(x, w, b)`. The weighted rows are summed in ascending
+    expert order, bitwise a sum over all n rows with zero weights outside
+    `rows`, through one product buffer, so no (n, B, 912) array is formed.
+    The backward forms the gradients of `x`, `w` and `b` through the
+    softmax, and of `stacked` (zero outside `rows`) when it requires grad.
+    A non-finite weight is a ValueError.
+    """
+    data = stacked.data
+    if linear is None:
+        y = np.asarray(fixed, dtype=np.float64)
+        parents = (stacked,)
+    else:
+        w, b = linear
+        y = mixing_weights(x.data, w.data, b.data)
+        parents = (stacked, x, w, b)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite mixing weights")
+    out_data = tmp = None
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        weight = y[..., i, None]             # (1,) or (B, 1)
+        if out_data is None:
+            out_data = data[rows[i]] * weight
+        else:
+            if tmp is None:
+                tmp = np.empty_like(out_data)
+            np.multiply(data[rows[i]], weight, out=tmp)
+            out_data += tmp
+
+    def backward(g):
+        out = []
+        if stacked.requires_grad:
+            gs = np.zeros(data.shape)
+            for i, j in enumerate(rows):
+                np.multiply(g, y[..., i, None], out=gs[j])
+            out.append((stacked, gs))
+        if linear is None or not any(p.requires_grad for p in parents[1:]):
+            return out
+        gy = np.empty(y.shape)               # d loss / d weight, per row
+        for i, j in enumerate(rows):
+            gy[..., i] = np.einsum("...f,...f->...", g, data[j])
+        dot = (gy * y).sum(axis=-1, keepdims=True)
+        gz = y * (gy - dot)                  # through the softmax
+        if w.requires_grad:
+            out.append((w, _rows(x.data).T @ _rows(gz)))
+        if b.requires_grad:
+            out.append((b, _rows(gz).sum(axis=0)))
+        if x.requires_grad:
+            out.append((x, gz @ w.data.T))
+        return out
+
+    return Tensor._result(out_data, parents, backward)

@@ -12,7 +12,8 @@ forwards run the same ops under `no_grad`, which records no graph.
 Backward contract: a node's closure maps the gradient of its output to
 (parent, gradient) pairs for exactly those parents whose `requires_grad`
 is set when the sweep runs. A constant operand (raw input, frozen weight,
-fixed placement matrix) gets no pair, so its gradient is never formed.
+frozen expert representation) gets no pair, so its gradient is never
+formed.
 A leaf keeps the first array it receives as its `.grad` and adds later
 arrivals out of place, so closures may hand one array to several parents.
 
@@ -22,7 +23,8 @@ every gradient `nn.model.backward` returns) is valid until the next sweep
 that reaches that leaf; copy it to keep it longer. A leaf whose buffer is
 already pending in the running sweep, or still held as its `.grad` (a
 second sweep without `zero_grad`), gets a fresh array instead, so a weight
-used twice still receives the sum.
+used twice still receives the sum. A caller may set `_grad_buf` to a
+C-contiguous array of the leaf's shape to receive the gradient there.
 
 Loss contract: `cross_entropy` takes logits (unnormalized scores), not
 probabilities. It evaluates a log-sum-exp, so the loss and its gradient

@@ -63,11 +63,12 @@ def load_container(path, magic):
         name, shape = _tensor_entry(path, entry)
         if name in tensors:
             raise ValueError(f"{path}: duplicate tensor {name!r}")
-        nbytes = math.prod(shape) * 8
-        chunk = data[offset:offset + nbytes]
-        if len(chunk) < nbytes:
+        count = math.prod(shape)
+        nbytes = count * 8
+        if offset + nbytes > len(data):
             raise ValueError(f"{path}: truncated tensor payload at {name!r}")
-        tensors[name] = np.frombuffer(chunk, dtype="<f8").astype(
+        # read in place from the file's bytes: astype makes the one copy
+        tensors[name] = np.frombuffer(data, "<f8", count, offset).astype(
             np.float64).reshape(shape)
         if not np.isfinite(tensors[name]).all():
             raise ValueError(f"{path}: tensor {name!r} holds a non-finite "

@@ -1,0 +1,32 @@
+"""Reference gate mixing composed from primitive Tensor ops.
+
+Test oracle for `flowmoe.fusion.gate_output`, which mixes every gate but a
+one-expert fixed gate in one `gate_mix` node. Here the weights over all n
+experts come from a softmax placed into its subset's columns by a constant
+0/1 matmul, and the mix is a broadcast product summed over the expert axis,
+with a graph node per step.
+"""
+
+import numpy as np
+
+from flowmoe.nn import Tensor, softmax
+
+
+def composed_gate_weights(gate, x):
+    """(n,) or (B, n) mixing-weight Tensor of `gate`, with a graph."""
+    if gate.linear is None:
+        return Tensor(gate.fixed_delta)
+    local = softmax(x @ gate.linear["w"] + gate.linear["b"])
+    placement = np.eye(gate.n_experts)[list(gate.subset)]
+    return local @ placement
+
+
+def composed_gate_output(gate, stacked, x=None):
+    """`gate_output` of `stacked` (n, 912) or (n, B, 912) expert rows."""
+    if gate.linear is None and len(gate.subset) == 1:
+        return stacked.select(gate.subset[0], axis=0)
+    delta = composed_gate_weights(gate, x)
+    if delta.data.ndim == 2:
+        delta = delta.transpose((1, 0))            # (B, n) -> (n, B)
+    trailing = (1,) * (stacked.data.ndim - delta.data.ndim)
+    return (delta.reshape(delta.shape + trailing) * stacked).sum(axis=0)

@@ -1,12 +1,12 @@
-"""Fused sublayer ops: finite differences, the composed-encoder oracle, masks."""
+"""Fused ops: finite differences, the composed-encoder oracle, masks."""
 
 import numpy as np
 import pytest
 
 from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
                         attention, backward, cross_entropy, encoder_forward,
-                        feed_forward, head_forward, init_encoder, init_head,
-                        stack_encoders)
+                        feed_forward, gate_mix, head_forward, init_encoder,
+                        init_head, stack_encoders)
 
 from composed_encoder import composed_encoder_forward
 from gradcheck import check_gradients
@@ -48,11 +48,26 @@ def _add_norm_case(rng, masked):
                                 mask, 0.7 if masked else 1.0)
 
 
+def _gate_mix_case(rng, trainable):
+    # rows out of expert order, and one of the three rows left out; the
+    # op mixes any trailing shape, so tokens stand in for feature rows
+    shapes = {"stacked": (3, B, T, D)}
+    if trainable:
+        shapes.update({"x": (B, T, D), "w": (D, 2), "b": (2,)})
+    ps = _params(rng, shapes)
+    if not trainable:
+        return ps, lambda: gate_mix(ps["stacked"], (2, 0), fixed=[0.3, 0.7])
+    return ps, lambda: gate_mix(ps["stacked"], (2, 0), x=ps["x"],
+                                linear=(ps["w"], ps["b"]))
+
+
 CASES = {
     "attention": _attention_case,
     "feed_forward": _feed_forward_case,
     "add_norm": lambda rng: _add_norm_case(rng, masked=False),
     "add_norm_dropout": lambda rng: _add_norm_case(rng, masked=True),
+    "gate_mix": lambda rng: _gate_mix_case(rng, trainable=True),
+    "gate_mix_fixed": lambda rng: _gate_mix_case(rng, trainable=False),
 }
 
 

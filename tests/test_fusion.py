@@ -22,6 +22,8 @@ from flowmoe.nn import (INPUT_DIM, backward, cross_entropy, head_forward,
                         init_encoder, init_head)
 from flowmoe.nn import Tensor, no_grad, softmax
 
+from composed_gate import composed_gate_output, composed_gate_weights
+from memtrace import traced_peak
 from nn_helpers import frozen, state_dict
 from per_expert_oracle import per_expert_representations
 
@@ -131,6 +133,73 @@ def test_gate_linearity_superposition(rng):
     rhs = (2.0 * gate_output(gate, Tensor(a)).data
            + 3.0 * gate_output(gate, Tensor(b)).data)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def _gate_cases(rng):
+    """Fixed and trainable gates over subsets in and out of expert order."""
+    for subset in ((0, 2), (2, 0, 1), (1,)):
+        yield GateConfig("t", subset, 3)
+        gate = GateConfig.trainable("t", subset, 3)
+        k = len(subset)
+        gate.linear["w"].data = rng.normal(size=(INPUT_DIM, k)) * 0.05
+        gate.linear["b"].data = rng.normal(size=k)
+        yield gate
+
+
+@pytest.mark.parametrize("rows", [None, 9], ids=["one-input", "batch"])
+def test_gate_mix_matches_composed_oracle(rng, rows):
+    lead = () if rows is None else (rows,)
+    for gate in _gate_cases(rng):
+        stacked = rng.normal(size=(3,) + lead + (INPUT_DIM,))
+        x = rng.random(lead + (INPUT_DIM,))
+        out = gate_output(gate, Tensor(stacked), Tensor(x)).data
+        ref = composed_gate_output(gate, Tensor(stacked), Tensor(x)).data
+        assert out.shape == ref.shape == lead + (INPUT_DIM,)
+        assert np.max(np.abs(out - ref)) <= 1e-12, gate
+        if gate.linear is not None:
+            ref_delta = composed_gate_weights(gate, Tensor(x)).data
+            assert np.max(np.abs(gate_weights(gate, Tensor(x)).data
+                                 - ref_delta)) <= 1e-15
+
+
+def test_gate_mix_gradients_match_composed_oracle(rng):
+    stacked = Tensor(rng.normal(size=(3, 9, INPUT_DIM)), requires_grad=True)
+    x = Tensor(rng.random((9, INPUT_DIM)))
+    g = rng.normal(size=(9, INPUT_DIM))
+    for gate in _gate_cases(rng):
+        grads = []
+        params = [stacked] + ([] if gate.linear is None
+                              else gate.linear.tensors())
+        for mix in (gate_output, composed_gate_output):
+            for t in params:
+                t.grad = None
+            mix(gate, stacked, x).backward(g)
+            grads.append([t.grad for t in params])
+        for got, ref in zip(*grads):
+            scale = np.max(np.abs(ref))
+            np.testing.assert_allclose(got, ref, rtol=1e-10,
+                                       atol=1e-12 * scale + 1e-15)
+
+
+def test_gate_mix_holds_no_expert_stack_sized_array(rng):
+    # n = 2 experts, B = 128 rows: the composed mix held the (n, B, 912)
+    # product next to its output and more (B, 912) arrays in its backward
+    n, rows = 2, 128
+    gate = GateConfig.trainable("t", (1, 0), n)
+    gate.linear["w"].data = rng.normal(size=(INPUT_DIM, n)) * 0.05
+    stacked = Tensor(rng.normal(size=(n, rows, INPUT_DIM)))
+    x = Tensor(rng.random((rows, INPUT_DIM)))
+    g = rng.normal(size=(rows, INPUT_DIM))
+
+    def forward_and_backward(mix):
+        gate.linear.zero_grad()
+        mix(gate, stacked, x).backward(g)
+
+    array_bytes = rows * INPUT_DIM * 8         # one (B, 912) array
+    _, peak = traced_peak(forward_and_backward, gate_output)
+    _, composed_peak = traced_peak(forward_and_backward, composed_gate_output)
+    assert peak <= 2.5 * array_bytes < composed_peak
+    assert all(t.grad is not None for t in gate.linear.tensors())
 
 
 def _independent(*experts):

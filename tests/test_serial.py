@@ -202,3 +202,23 @@ def test_loader_fuzz_raises_only_value_error(model_files, tmp_path, data):
             load(broken)
         except ValueError as exc:
             assert str(exc).startswith(f"{broken}: ")
+
+
+def test_container_tensors_round_trip_bitwise_as_owned_arrays(tmp_path):
+    rng = np.random.default_rng(3)
+    tensors = [("a", rng.normal(size=(3, 5))), ("empty", np.zeros((0, 4))),
+               ("b", np.array([-0.0, 5e-324, 1.7976931348623157e308]))]
+    path = tmp_path / "t.snkf"
+    serial.save_container(path, serial.FEATURE_MAGIC, {"kind": "x"}, tensors)
+    _header, loaded = serial.load_container(path, serial.FEATURE_MAGIC)
+    assert list(loaded) == [name for name, _ in tensors]
+    for name, arr in tensors:
+        got = loaded[name]
+        assert got.shape == arr.shape and got.dtype == np.float64
+        assert got.tobytes() == arr.tobytes()        # -0.0 and subnormals too
+        assert got.flags.writeable       # a copy, not a view of the bytes
+    # a payload one byte short is reported at the tensor it cuts
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-1])
+    with pytest.raises(ValueError, match=r"truncated tensor payload at 'b'"):
+        serial.load_container(path, serial.FEATURE_MAGIC)

@@ -26,7 +26,7 @@ from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward
                  cross_entropy, encoder_forward, encoder_shapes,
                  gate_linear_shapes, gate_mix, head_forward, head_shapes,
                  init_gate_linear, init_head, mixing_weights, no_grad,
-                 seed_streams, softmax, stack, stack_encoders)
+                 seed_streams, softmax, stack_encoders)
 
 
 class FusionMode(enum.Enum):
@@ -180,21 +180,25 @@ class FusedModel:
         self.encoder = stack_encoders(encoders)
         self.stacked_views = [enc["attn.q.w"].data for enc in encoders]
 
+    def restack_if_stale(self):
+        """Stack the experts again if an expert's tensors are no longer
+        views into `encoder` (another fused model sharing that expert has
+        stacked it since, or this model is a deep copy)."""
+        stack = self.encoder["attn.q.w"].data
+        if any(e.encoder["attn.q.w"].data is not view or view.base is not stack
+               for e, view in zip(self.experts, self.stacked_views)):
+            self.stack_experts()
+
 
 def concat_representations(model: FusedModel, x):
     """(n,) + x.shape expert representations, row j = expert j's encoder
     output, from one stacked encoder pass over all n experts.
 
     The pass runs in blocks of EVAL_ROWS // n rows, so a block holds as
-    many row-encodings as one expert's block. If an expert's tensors are no
-    longer views into this model's stack (another fused model sharing that
-    expert has stacked it since, or the model is a deep copy), the experts
-    are stacked again first.
+    many row-encodings as one expert's block. The experts are stacked again
+    first if the model's stack is stale (`FusedModel.restack_if_stale`).
     """
-    stack = model.encoder["attn.q.w"].data
-    if any(e.encoder["attn.q.w"].data is not view or view.base is not stack
-           for e, view in zip(model.experts, model.stacked_views)):
-        model.stack_experts()
+    model.restack_if_stale()
     return expert_representation(model, x)
 
 
@@ -320,7 +324,8 @@ def default_finetune_config(mode: FusionMode, seed=0) -> TrainConfig:
 
 def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
               unfreeze_experts=False):
-    """Fine-tune towers (and trainable gates) with frozen experts.
+    """Fine-tune towers and trainable gates, and with `unfreeze_experts`
+    the experts' encoders too, through the model's stacked encoder.
 
     The per-batch loss is the alpha-weighted sum of one cross-entropy per
     task; gradients for task k touch only tower k (and the shared gates /
@@ -350,10 +355,10 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
             named_sets[f"gate.{task}"] = gate.linear
     if unfreeze_experts:
         # the experts' tensors are views into the stacked encoder, so the
-        # in-place Adam steps also reach the stacked pass
-        for i, expert in enumerate(model.experts):
-            expert.encoder.unfreeze()
-            named_sets[f"expert{i}"] = expert.encoder
+        # in-place Adam steps on the stack also reach each expert
+        model.restack_if_stale()
+        model.encoder.unfreeze()
+        named_sets["experts"] = model.encoder
     opt = MultiAdam(named_sets)
 
     feats = data.features
@@ -377,8 +382,7 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
             idx = order[start:start + cfg.batch_size]
             x = Tensor(feats[idx])
             if unfreeze_experts:
-                reps = stack([encoder_forward(e.encoder, x)
-                              for e in model.experts])
+                reps = encoder_forward(model.encoder, x)
             elif len(premixed) < len(model.gates):
                 reps = Tensor(cached[:, idx])
             gated = {task: Tensor(premixed[task][idx]) if task in premixed
@@ -393,13 +397,14 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
             for task, loss in losses.items():
                 totals[task] += loss.item() * w
             total_all += loss_total.item() * w
+            # drop this step's graph before the next step's forward
+            x = reps = gated = _logits = losses = loss_total = None
         row = {"total": total_all / m}
         if not np.isfinite(row["total"]):
             raise ArithmeticError(f"non-finite fine-tune loss at epoch {epoch}")
         row.update({task: totals[task] / m for task in model.task_ids})
         trace.append(row)
-    for expert in model.experts:
-        expert.freeze()
+    model.encoder.freeze()
     return model, trace
 
 

@@ -206,9 +206,10 @@ _UDP = struct.Struct(">HHH")
 def read_pcap(path) -> list:
     """Parse a libpcap file into Packet records (TCP/UDP over IPv4 only).
 
-    Timestamps are rebased to seconds since the first packet. Anything
-    unparseable (non-IP, fragments, truncated records) is skipped and
-    counted.
+    Timestamps are rebased to seconds since the earliest record, so a
+    capture whose records are out of time order keeps every packet with a
+    timestamp >= 0. Anything unparseable (non-IP, fragments, truncated
+    records) is skipped and counted.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -226,7 +227,7 @@ def read_pcap(path) -> list:
     packets = []
     skipped = 0
     offset = 24
-    first_ts = None
+    earliest = math.inf
     addresses = {}                   # 32-bit address -> dotted quad
     while offset + 16 <= len(data):
         sec, frac, incl, _orig = record(data, offset)
@@ -236,14 +237,15 @@ def read_pcap(path) -> list:
             skipped += 1
             break
         ts = sec + frac * tick
-        if first_ts is None:
-            first_ts = ts
-        pkt = _parse_frame(data, start, offset, linktype, ts - first_ts,
-                           addresses)
+        if ts < earliest:
+            earliest = ts
+        pkt = _parse_frame(data, start, offset, linktype, ts, addresses)
         if pkt is None:
             skipped += 1
         else:
             packets.append(pkt)
+    for pkt in packets:
+        pkt.timestamp -= earliest
     if skipped:
         log.warning("%s: skipped %d unparseable record(s)", path, skipped)
     return packets

@@ -1,5 +1,4 @@
-from .tensor import (Tensor, cross_entropy, dropout, no_grad, relu, softmax,
-                     stack)
+from .tensor import Tensor, cross_entropy, dropout, no_grad, relu, softmax
 from .fused import (add_norm, attention, feed_forward, gate_mix, layer_norm,
                     mixing_weights)
 from .params import DropoutStream, ParamSet, seed_streams
@@ -12,7 +11,7 @@ from .optim import MultiAdam
 
 __all__ = [
     "Tensor", "cross_entropy", "dropout", "layer_norm", "no_grad", "relu",
-    "softmax", "stack", "add_norm", "attention", "feed_forward", "gate_mix",
+    "softmax", "add_norm", "attention", "feed_forward", "gate_mix",
     "mixing_weights",
     "DropoutStream", "ParamSet",
     "seed_streams", "backward", "encoder_forward",

@@ -10,14 +10,15 @@ derivative of Ba et al. 2016.
 
 Forward products stay stacked, (B, T, d) @ (d, e): numpy runs one GEMM per
 leading row, so a row's output does not depend on how many rows share the
-call (the blocked eval encoder relies on this). The forward halves also
-accept parameters with leading axes that broadcast against the rows, such
-as (E, 1, d, e) weights and (E, 1, 1, d) vectors for E stacked experts:
-(B, T, d) tokens then give (E, B, T, ...) outputs through the same per-row
-GEMMs, so each expert's slice is bitwise its own pass. Such stacked ops are
-forward-only: a parent that requires grad is a ValueError. Backward
-products flatten the tokens to 2-D (B*T, d) GEMMs. Each closure forms
-gradients only for parents whose `requires_grad` is set. Forward and backward each allocate a
+call (the blocked eval encoder relies on this). The ops also take E stacked
+experts' parameters, (E, 1, d, e) weights and (E, 1, 1, d) vectors, which
+broadcast against the rows: (B, T, d) tokens then give (E, B, T, ...)
+outputs through the same per-row GEMMs, so each expert's slice is bitwise
+its own pass. Backward products flatten the tokens to 2-D (B*T, d) GEMMs,
+one per expert for stacked parameters (a batched product over the expert
+axis, bitwise each expert's own), and an input shared by the experts gets
+its gradients summed over them. Each closure forms gradients only for
+parents whose `requires_grad` is set. Forward and backward each allocate a
 few buffers per call and work in them in place (`out=`, `*=`); a closure
 reads but never overwrites the forward buffers, so it may run twice.
 """
@@ -31,9 +32,34 @@ import numpy as np
 from .tensor import Tensor
 
 
-def _rows(a):
-    """2-D (rows, last axis) view of `a`: tokens flattened for a GEMM."""
-    return a.reshape(-1, a.shape[-1])
+def _rows(a, lead=()):
+    """(*lead, rows, last axis) view of `a`: tokens flattened for a GEMM,
+    per expert when `lead` is the (E,) axis of stacked parameters."""
+    return a.reshape(lead + (-1, a.shape[-1]))
+
+
+def _times_transposed(g, w, lead):
+    """g @ w.T for a (d, e) weight array `w`, per expert for a stacked
+    (E, 1, d, e) one."""
+    return np.matmul(g, w.reshape(lead + w.shape[-2:]).swapaxes(-1, -2))
+
+
+def _weight_grad(a, g, w):
+    """a.T @ g per expert, shaped as the weight `w`."""
+    return np.matmul(a.swapaxes(-1, -2), g).reshape(w.data.shape)
+
+
+def _bias_grad(g, p):
+    """The column sums of `g`'s rows per expert, shaped as the vector `p`."""
+    return g.sum(axis=-2).reshape(p.data.shape)
+
+
+def _input_grad(g, x):
+    """`g` as the gradient of `x`, in `x`'s shape: summed over the expert
+    axis first when `x` is an input the stacked experts share."""
+    if g.size > x.data.size:
+        g = g.sum(axis=0)
+    return g.reshape(x.data.shape)
 
 
 def _mean(a):
@@ -45,19 +71,11 @@ def _mean(a):
     return m
 
 
-def _check_stacked(stacked, parents):
-    """Stacked parameters have no backward: with any parent requiring
-    grad, raise ValueError."""
-    if stacked and any(p.requires_grad for p in parents):
-        raise ValueError("stacked parameters are forward-only: no input or "
-                         "parameter of a stacked op may require grad")
-
-
 def _normalized(r, parents, gamma, beta, eps, input_grads):
     """Node for gamma * (r - mean) / sqrt(var + eps) + beta over the last
     axis. `r` is a fresh array that becomes x-hat in place; `input_grads`
     maps the gradient with respect to `r` to (parent, gradient) pairs."""
-    _check_stacked(gamma.data.ndim > 1, parents + (gamma, beta))
+    lead = gamma.data.shape[:-3]         # (E,) for (E, 1, 1, d), else ()
     r -= _mean(r)
     # the same reductions, in the same order, as np.var: bit-identical
     var = _mean(r * r)
@@ -78,9 +96,9 @@ def _normalized(r, parents, gamma, beta, eps, input_grads):
             dr *= inv
             out += input_grads(dr)
         if gamma.requires_grad:
-            out.append((gamma, _rows(g * r).sum(axis=0)))
+            out.append((gamma, _bias_grad(_rows(g * r, lead), gamma)))
         if beta.requires_grad:
-            out.append((beta, _rows(g).sum(axis=0)))
+            out.append((beta, _bias_grad(_rows(g, lead), beta)))
         return out
 
     return Tensor._result(out_data, parents + (gamma, beta), backward)
@@ -89,7 +107,7 @@ def _normalized(r, parents, gamma, beta, eps, input_grads):
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then scale and shift."""
     return _normalized(x.data.copy(), (x,), gamma, beta, eps,
-                       lambda dr: [(x, dr)])
+                       lambda dr: [(x, _input_grad(dr, x))])
 
 
 def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0, eps=1e-5):
@@ -109,14 +127,14 @@ def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0, eps=1e-5):
     def input_grads(dr):
         out = []
         if x.requires_grad:
-            out.append((x, dr))
+            out.append((x, _input_grad(dr, x)))
         if sub.requires_grad:
             if mask is None:
-                out.append((sub, dr))
+                out.append((sub, _input_grad(dr, sub)))
             else:
                 dsub = dr * mask
                 dsub *= scale
-                out.append((sub, dsub))
+                out.append((sub, _input_grad(dsub, sub)))
         return out
 
     return _normalized(r, (x, sub), gamma, beta, eps, input_grads)
@@ -142,7 +160,7 @@ def attention(x, q, k, v, o, n_heads, collect=None):
     """
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = q, k, v, o
     inner = (x, wq, bq, wk, bk, wv, bv)
-    _check_stacked(wq.data.ndim > 2, inner + (wo, bo))
+    lead = wq.data.shape[:-3]            # (E,) for (E, 1, d, e), else ()
     d = wq.data.shape[-1]
     head_dim = d // n_heads
     scale = 1.0 / math.sqrt(head_dim)
@@ -164,14 +182,14 @@ def attention(x, q, k, v, o, n_heads, collect=None):
 
     def backward(g):
         out = []
-        g2 = _rows(g)
+        g2 = _rows(g, lead)
         if wo.requires_grad:
-            out.append((wo, _rows(ctx).T @ g2))
+            out.append((wo, _weight_grad(_rows(ctx, lead), g2, wo)))
         if bo.requires_grad:
-            out.append((bo, g2.sum(axis=0)))
+            out.append((bo, _bias_grad(g2, bo)))
         if not any(p.requires_grad for p in inner):
             return out
-        gctx = (g2 @ wo.data.T).reshape(ctx.shape)
+        gctx = _times_transposed(g2, wo.data, lead).reshape(ctx.shape)
         gctx_h = _split_heads(gctx, n_heads, head_dim)[0]
         gqkv = np.empty(qkv.shape)
         gq, gk, gv = _split_heads(gqkv, n_heads, head_dim)
@@ -183,19 +201,21 @@ def attention(x, q, k, v, o, n_heads, collect=None):
         gs *= scale                                     # d loss / d q.k
         np.matmul(gs, kh, out=gq)
         np.matmul(gs.swapaxes(-1, -2), qh, out=gk)
-        gqkv2 = _rows(gqkv)
+        gqkv2 = _rows(gqkv, lead)
         if wq.requires_grad or wk.requires_grad or wv.requires_grad:
-            gw = _rows(x.data).T @ gqkv2
+            # an x without the expert axis is shared: it broadcasts
+            x2 = _rows(x.data, lead if x.data.ndim == qkv.ndim else ())
+            gw = np.matmul(x2.swapaxes(-1, -2), gqkv2)
         if bq.requires_grad or bk.requires_grad or bv.requires_grad:
-            gb = gqkv2.sum(axis=0)
+            gb = gqkv2.sum(axis=-2)
         for i, (wp, bp) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
             cols = slice(i * d, (i + 1) * d)
             if wp.requires_grad:
-                out.append((wp, gw[:, cols]))
+                out.append((wp, gw[..., cols].reshape(wp.data.shape)))
             if bp.requires_grad:
-                out.append((bp, gb[cols]))
+                out.append((bp, gb[..., cols].reshape(bp.data.shape)))
         if x.requires_grad:
-            out.append((x, (gqkv2 @ w.T).reshape(x.data.shape)))
+            out.append((x, _input_grad(_times_transposed(gqkv2, w, lead), x)))
         return out
 
     return Tensor._result(out_data, inner + (wo, bo), backward)
@@ -205,7 +225,7 @@ def feed_forward(x, w1, b1, w2, b2):
     """Position-wise linear -> ReLU -> linear over (B, T, d) tokens, as one
     node. A NaN pre-activation stays NaN and passes no gradient."""
     inner = (x, w1, b1)
-    _check_stacked(w1.data.ndim > 2, inner + (w2, b2))
+    lead = w1.data.shape[:-3]            # (E,) for (E, 1, d, e), else ()
     hidden = np.matmul(x.data, w1.data)
     hidden += b1.data
     np.maximum(hidden, 0.0, out=hidden)
@@ -214,21 +234,23 @@ def feed_forward(x, w1, b1, w2, b2):
 
     def backward(g):
         out = []
-        g2, h2 = _rows(g), _rows(hidden)
+        g2, h2 = _rows(g, lead), _rows(hidden, lead)
         if w2.requires_grad:
-            out.append((w2, h2.T @ g2))
+            out.append((w2, _weight_grad(h2, g2, w2)))
         if b2.requires_grad:
-            out.append((b2, g2.sum(axis=0)))
+            out.append((b2, _bias_grad(g2, b2)))
         if not any(p.requires_grad for p in inner):
             return out
-        gh = g2 @ w2.data.T
+        gh = _times_transposed(g2, w2.data, lead)
         gh *= h2 > 0
         if w1.requires_grad:
-            out.append((w1, _rows(x.data).T @ gh))
+            x2 = _rows(x.data, lead if x.data.ndim == hidden.ndim else ())
+            out.append((w1, _weight_grad(x2, gh, w1)))
         if b1.requires_grad:
-            out.append((b1, gh.sum(axis=0)))
+            out.append((b1, _bias_grad(gh, b1)))
         if x.requires_grad:
-            out.append((x, (gh @ w1.data.T).reshape(x.data.shape)))
+            out.append((x, _input_grad(_times_transposed(gh, w1.data, lead),
+                                       x)))
         return out
 
     return Tensor._result(out_data, inner + (w2, b2), backward)

@@ -137,7 +137,8 @@ def encoder_forward(params, x, train_mode=False, dropout_stream=None,
     `feed_forward`), so training and eval run one code path. With `params`
     from `stack_encoders`, E encoders run on the shared input at once and
     the result gains their leading axis, (E, B, 912) or (E, 912), each
-    slice bitwise that encoder's own output; such a pass is forward-only.
+    slice bitwise that encoder's own output (and, in a backward sweep,
+    each encoder's gradients bitwise those of its own pass).
     `collect`, when a dict, receives the per-head attention weights under
     key "attn" with shape (B, heads, tokens, tokens).
     """

@@ -211,33 +211,6 @@ class Tensor:
 
         return Tensor._result(out_data, (self,), backward)
 
-    def transpose(self, axes):
-        axes = tuple(axes)
-        inv = [0] * len(axes)
-        for i, axis in enumerate(axes):
-            inv[axis] = i
-        out_data = self.data.transpose(axes)
-
-        def backward(g):
-            return ((self, g.transpose(inv)),)
-
-        return Tensor._result(out_data, (self,), backward)
-
-    def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.shape
-
-        def backward(g):
-            if axis is None:
-                return ((self, np.full(shape, g, dtype=np.float64)
-                         if np.ndim(g) == 0 else np.broadcast_to(g, shape).copy()),)
-            g2 = g
-            if not keepdims:
-                g2 = np.expand_dims(g2, axis)
-            return ((self, np.broadcast_to(g2, shape).copy()),)
-
-        return Tensor._result(out_data, (self,), backward)
-
     def select(self, index, axis=0):
         """Pick one slice along an axis (integer index, dimension dropped),
         as a view of this tensor's data."""
@@ -253,18 +226,6 @@ class Tensor:
             return ((self, full),)
 
         return Tensor._result(out_data, (self,), backward)
-
-
-def stack(tensors):
-    """Stack equal-shape Tensors along a new leading axis."""
-    tensors = tuple(tensors)
-
-    def backward(g):
-        return tuple((t, g[i].copy()) for i, t in enumerate(tensors)
-                     if t.requires_grad)
-
-    return Tensor._result(np.stack([t.data for t in tensors]), tensors,
-                          backward)
 
 
 # -- nonlinearities and loss ----------------------------------------------

@@ -12,6 +12,8 @@ from flowmoe.nn import (HEAD_DIM, INPUT_DIM, N_HEADS, N_TOKENS, TOKEN_DIM,
                         Tensor, dropout, layer_norm, relu, softmax)
 from flowmoe.nn.model import _PE
 
+from composed_ops import transpose
+
 
 def _maybe_dropout(t, train_mode, stream, rate):
     if not train_mode or rate <= 0.0:
@@ -33,16 +35,17 @@ def composed_encoder_forward(params, x, train_mode=False, dropout_stream=None,
         return t @ params[f"{name}.w"] + params[f"{name}.b"]
 
     def split_heads(t):
-        return t.reshape(b, N_TOKENS, N_HEADS, HEAD_DIM).transpose((0, 2, 1, 3))
+        return transpose(t.reshape(b, N_TOKENS, N_HEADS, HEAD_DIM),
+                         (0, 2, 1, 3))
 
     q = split_heads(proj("attn.q", tok))
     k = split_heads(proj("attn.k", tok))
     v = split_heads(proj("attn.v", tok))
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(HEAD_DIM))
+    scores = (q @ transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(HEAD_DIM))
     weights = softmax(scores, axis=-1)
     if collect is not None:
         collect["attn"] = weights.data.copy()
-    ctx = (weights @ v).transpose((0, 2, 1, 3)).reshape(b, N_TOKENS, TOKEN_DIM)
+    ctx = transpose(weights @ v, (0, 2, 1, 3)).reshape(b, N_TOKENS, TOKEN_DIM)
     attn_out = proj("attn.o", ctx)
     attn_out = _maybe_dropout(attn_out, train_mode, dropout_stream, dropout_rate)
     h = layer_norm(tok + attn_out, params["ln1.gamma"], params["ln1.beta"])

@@ -11,6 +11,8 @@ import numpy as np
 
 from flowmoe.nn import Tensor, softmax
 
+from composed_ops import transpose, tsum
+
 
 def composed_gate_weights(gate, x):
     """(n,) or (B, n) mixing-weight Tensor of `gate`, with a graph."""
@@ -27,6 +29,6 @@ def composed_gate_output(gate, stacked, x=None):
         return stacked.select(gate.subset[0], axis=0)
     delta = composed_gate_weights(gate, x)
     if delta.data.ndim == 2:
-        delta = delta.transpose((1, 0))            # (B, n) -> (n, B)
+        delta = transpose(delta, (1, 0))           # (B, n) -> (n, B)
     trailing = (1,) * (stacked.data.ndim - delta.data.ndim)
-    return (delta.reshape(delta.shape + trailing) * stacked).sum(axis=0)
+    return tsum(delta.reshape(delta.shape + trailing) * stacked, axis=0)

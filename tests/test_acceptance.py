@@ -24,6 +24,7 @@ from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
                         softmax)
 from flowmoe.synth import GeneratorSpec, generate_dataset
 
+from composed_ops import transpose, tsum
 from gradcheck import check_gradients
 from nn_helpers import state_dict
 import scenarios
@@ -65,20 +66,20 @@ def test_criterion_01_gradient_correctness():
     lin.add("b", rng.normal(size=5))
     x9 = rng.normal(size=(6, 9))
     coef = rng.normal(size=(6, 5))
-    check(lambda: ((Tensor(x9) @ lin["w"] + lin["b"]) * coef).sum(), (lin,))
+    check(lambda: tsum((Tensor(x9) @ lin["w"] + lin["b"]) * coef), (lin,))
 
     # relu
     ps = ParamSet()
     ps.add("x", rng.normal(size=(7, 7)) + 0.1)
-    check(lambda: (relu(ps["x"]) * 2.0).sum(), (ps,))
+    check(lambda: tsum(relu(ps["x"]) * 2.0), (ps,))
 
     # dropout in eval mode is the identity path
     ev = ParamSet()
     ev.add("x", rng.normal(size=(5, 5)))
-    check(lambda: (ev["x"] * ev["x"]).sum(), (ev,))
+    check(lambda: tsum(ev["x"] * ev["x"]), (ev,))
     # and with a fixed mask the train path stays differentiable
     mask = DropoutStream(5).mask((5, 5), 0.8)
-    check(lambda: (dropout(ev["x"], mask, 0.8) * 3.0).sum(), (ev,))
+    check(lambda: tsum(dropout(ev["x"], mask, 0.8) * 3.0), (ev,))
 
     # attention sublayer (projections + softmax mixing)
     att = ParamSet()
@@ -90,8 +91,8 @@ def test_criterion_01_gradient_correctness():
     def attention_loss():
         t = Tensor(tokens)
         q, k, v = t @ att["q"], t @ att["k"], t @ att["v"]
-        scores = (q @ k.transpose((0, 2, 1))) * (1.0 / np.sqrt(8))
-        return ((softmax(scores) @ v) * mix).sum()
+        scores = (q @ transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(8))
+        return tsum((softmax(scores) @ v) * mix)
 
     check(attention_loss, (att,))
 
@@ -102,7 +103,7 @@ def test_criterion_01_gradient_correctness():
     ln.add("g", rng.normal(size=10))
     ln.add("b", rng.normal(size=10))
     cf = rng.normal(size=(4, 10))
-    check(lambda: (layer_norm(ln["x"], ln["g"], ln["b"]) * cf).sum(), (ln,))
+    check(lambda: tsum(layer_norm(ln["x"], ln["g"], ln["b"]) * cf), (ln,))
 
     # cross-entropy from logits
     sm = ParamSet()
@@ -138,7 +139,7 @@ def test_criterion_01_gradient_correctness():
     enc = init_encoder(np.random.default_rng(9))
     ex = rng.random((3, INPUT_DIM))
     ecoef = rng.normal(size=(3, INPUT_DIM))
-    check(lambda: (encoder_forward(enc, ex) * ecoef).sum(), (enc,), coords=4)
+    check(lambda: tsum(encoder_forward(enc, ex) * ecoef), (enc,), coords=4)
 
     elapsed = time.time() - started
     _criterion(1, "gradient correctness (finite differences)",

@@ -3,16 +3,26 @@
 import numpy as np
 import pytest
 
-from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
+from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, add_norm,
                         attention, backward, cross_entropy, encoder_forward,
                         feed_forward, gate_mix, head_forward, init_encoder,
                         init_head, stack_encoders)
 
 from composed_encoder import composed_encoder_forward
+from composed_ops import tsum
 from gradcheck import check_gradients
 from nn_helpers import eval_forward, frozen
 
 B, T, D = 2, 5, 6
+E = 2           # stacked cases: (E, 1, d, e) weights, (E, 1, 1, d) vectors
+
+
+def _stacked(shapes):
+    """`shapes` with E experts' parameters stacked; the input "x" stays
+    shared by the experts, and "sub" gets the experts' own rows."""
+    lead = {"x": (), "sub": (E,)}
+    return {name: lead.get(name, (E,) + (1,) * (3 - len(shape))) + shape
+            for name, shape in shapes.items()}
 
 
 def _params(rng, shapes, scale=0.5):
@@ -22,28 +32,31 @@ def _params(rng, shapes, scale=0.5):
     return ps
 
 
-def _attention_case(rng):
+def _attention_case(rng, stacked=False):
     shapes = {"x": (B, T, D)}
     for n in "qkvo":
         shapes.update({f"{n}.w": (D, D), f"{n}.b": (D,)})
-    ps = _params(rng, shapes)
+    ps = _params(rng, _stacked(shapes) if stacked else shapes)
     return ps, lambda: attention(ps["x"], *((ps[f"{n}.w"], ps[f"{n}.b"])
                                             for n in "qkvo"), 2)
 
 
-def _feed_forward_case(rng):
-    ps = _params(rng, {"x": (B, T, D), "w1": (D, 10), "b1": (10,),
-                       "w2": (10, D), "b2": (D,)})
+def _feed_forward_case(rng, stacked=False):
+    shapes = {"x": (B, T, D), "w1": (D, 10), "b1": (10,), "w2": (10, D),
+              "b2": (D,)}
+    ps = _params(rng, _stacked(shapes) if stacked else shapes)
     # push pre-activations away from the ReLU kink
     ps["b1"].data += np.sign(ps["b1"].data) * 0.5
     return ps, lambda: feed_forward(ps["x"], ps["w1"], ps["b1"], ps["w2"],
                                     ps["b2"])
 
 
-def _add_norm_case(rng, masked):
-    ps = _params(rng, {"x": (B, T, D), "sub": (B, T, D), "gamma": (D,),
-                       "beta": (D,)})
-    mask = DropoutStream(4).mask((B, T, D), 0.7) if masked else None
+def _add_norm_case(rng, masked, stacked=False):
+    shapes = {"x": (B, T, D), "sub": (B, T, D), "gamma": (D,), "beta": (D,)}
+    if stacked:
+        shapes = _stacked(shapes)
+    ps = _params(rng, shapes)
+    mask = DropoutStream(4).mask(shapes["sub"], 0.7) if masked else None
     return ps, lambda: add_norm(ps["x"], ps["sub"], ps["gamma"], ps["beta"],
                                 mask, 0.7 if masked else 1.0)
 
@@ -68,19 +81,24 @@ CASES = {
     "add_norm_dropout": lambda rng: _add_norm_case(rng, masked=True),
     "gate_mix": lambda rng: _gate_mix_case(rng, trainable=True),
     "gate_mix_fixed": lambda rng: _gate_mix_case(rng, trainable=False),
+    "attention_stacked": lambda rng: _attention_case(rng, stacked=True),
+    "feed_forward_stacked": lambda rng: _feed_forward_case(rng, stacked=True),
+    "add_norm_dropout_stacked": lambda rng: _add_norm_case(
+        rng, masked=True, stacked=True),
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_fused_op_gradients_match_finite_differences(case):
     # "x" is a trainable input, so the input-gradient branch that the
-    # encoder never reaches (its tokens carry no graph) is checked too
+    # encoder never reaches (its tokens carry no graph) is checked too; in
+    # the stacked cases it is shared by the experts
     rng = np.random.default_rng(30)
     ps, op = CASES[case](rng)
-    coef = rng.normal(size=(B, T, D))
+    coef = rng.normal(size=op().shape)
 
     def loss():
-        return (op() * coef).sum()
+        return tsum(op() * coef)
 
     grads, = backward(loss(), ps)
     assert set(grads) == set(ps.names())
@@ -163,26 +181,50 @@ def test_dropout_masks_are_the_old_float_masks_as_booleans():
                               .astype(np.float64))
 
 
-def test_stacked_encoder_pass_is_forward_only():
-    encoders = [init_encoder(np.random.default_rng(j)) for j in range(2)]
-    expected = [eval_forward(encoder_forward, e, np.zeros((3, INPUT_DIM)))
-                for e in encoders]
-    stacked = stack_encoders(encoders)
+def _stacked_encoders():
+    """(each encoder's values, the E encoders stacked)."""
+    encoders = [init_encoder(np.random.default_rng(j)) for j in range(E)]
+    originals = [{n: t.data.copy() for n, t in e.items()} for e in encoders]
+    return originals, stack_encoders(encoders)
+
+
+def test_stacked_encoder_pass_matches_each_encoders_own_pass():
+    # a loss linear in the output hands each expert's slice the same
+    # upstream gradient as its own pass, so the slices must agree bitwise
+    originals, stacked = _stacked_encoders()
     assert frozen(stacked)
-    x = np.zeros((3, INPUT_DIM))
-    out = eval_forward(encoder_forward, stacked, x)
-    assert out.shape == (2, 3, INPUT_DIM)
-    assert all(np.array_equal(out[j], expected[j]) for j in range(2))
-    with pytest.raises(ValueError, match="forward-only"):
-        encoder_forward(stacked, Tensor(x, requires_grad=True))
-    with pytest.raises(ValueError, match="forward-only"):
-        feed_forward(Tensor(np.zeros((3, 24, 38)), requires_grad=True),
-                     stacked["ff.1.w"], stacked["ff.1.b"], stacked["ff.2.w"],
-                     stacked["ff.2.b"])
-    stacked["ln2.gamma"].requires_grad = True
-    with pytest.raises(ValueError, match="forward-only"):
-        add_norm(Tensor(np.zeros((2, 3, 24, 38))), Tensor(np.zeros((24, 38))),
-                 stacked["ln2.gamma"], stacked["ln2.beta"])
+    rng = np.random.default_rng(36)
+    x = rng.random((3, INPUT_DIM))
+    coef = rng.normal(size=(E, 3, INPUT_DIM))
     stacked.unfreeze()
-    with pytest.raises(ValueError, match="forward-only"):
-        encoder_forward(stacked, x)
+    out = encoder_forward(stacked, x)
+    assert out.shape == (E, 3, INPUT_DIM)
+    grads, = backward(tsum(out * coef), stacked)
+    for j, values in enumerate(originals):
+        own = ParamSet()
+        for name, data in values.items():
+            own.add(name, data)
+        own_out = encoder_forward(own, x)
+        assert np.array_equal(out.data[j], own_out.data)
+        own_grads, = backward(tsum(own_out * coef[j]), own)
+        for name, g in own_grads.items():
+            assert np.array_equal(grads[name][j].reshape(g.shape), g), name
+
+
+def test_stacked_encoder_gradients_match_finite_differences():
+    # criterion 01's check on E = 2 stacked encoders and a shared input
+    # that requires grad (its gradient sums over the experts)
+    _, stacked = _stacked_encoders()
+    stacked.unfreeze()
+    rng = np.random.default_rng(37)
+    inputs = ParamSet()
+    inputs.add("x", rng.random((2, INPUT_DIM)))
+    coef = rng.normal(size=(E, 2, INPUT_DIM))
+
+    def loss():
+        return tsum(encoder_forward(stacked, inputs["x"]) * coef)
+
+    for ps, grads in zip((stacked, inputs), backward(loss(), stacked, inputs)):
+        assert set(grads) == set(ps.names())
+        check_gradients(lambda: loss().item(), ps, grads, rel_tol=1e-4,
+                        max_coords=4, rng=rng)

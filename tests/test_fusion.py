@@ -493,7 +493,8 @@ def test_fine_tune_unfreeze_experts_updates_encoders(trained_experts,
     changed = any(not np.array_equal(fused.experts[0].encoder[n].data, arr)
                   for n, arr in before.items())
     assert changed
-    assert frozen(fused.experts[0].encoder)  # re-locked afterwards
+    # re-locked afterwards, the stack it trained included
+    assert frozen(fused.experts[0].encoder) and frozen(fused.encoder)
 
 
 def _relation(mode):

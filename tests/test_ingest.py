@@ -190,11 +190,13 @@ def _eth_frame(ip_packet):
     return b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + ip_packet
 
 
-def _write_pcap(path, frames, big_endian=False, ts0=1000.0):
+def _write_pcap(path, frames, big_endian=False, ts0=1000.0, times=None):
+    """Frames stamped `times`, by default ts0 + 0.25 s per record."""
     e = ">" if big_endian else "<"
     blob = struct.pack(e + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
-    for i, frame in enumerate(frames):
-        ts = ts0 + 0.25 * i
+    if times is None:
+        times = [ts0 + 0.25 * i for i in range(len(frames))]
+    for ts, frame in zip(times, frames):
         sec, usec = int(ts), int(round((ts - int(ts)) * 1e6))
         blob += struct.pack(e + "IIII", sec, usec, len(frame), len(frame))
         blob += frame
@@ -222,6 +224,31 @@ def test_pcap_round_trip_both_endians(tmp_path):
         assert pkts[2].protocol == "UDP" and pkts[2].payload == b"dns"
         flows = assemble_flows(pkts)
         assert len(flows) == 2
+
+
+def test_pcap_out_of_order_records_keep_every_packet(tmp_path, caplog):
+    # timestamps rebase to the earliest record, not the first: a packet
+    # stamped before the first record must not come out negative (and be
+    # dropped by assemble_flows as malformed)
+    frames = [_eth_frame(_ipv4("10.0.0.1", "10.0.0.2", 6,
+                               _tcp_seg(1234, 80, 4096, bytes([i]))))
+              for i in range(3)]
+    frames.append(_eth_frame(_ipv4("10.0.0.3", "10.0.0.4", 17,
+                                   _udp_seg(53, 53, b"q"))))
+    times = [1000.0, 999.0, 1000.5, 998.5]
+    p = tmp_path / "unordered.pcap"
+    _write_pcap(p, frames, times=times)
+    with caplog.at_level("WARNING"):
+        pkts = read_pcap(p)
+        flows = assemble_flows(pkts)
+    assert "skipped" not in caplog.text
+    assert [pk.timestamp for pk in pkts] == [t - 998.5 for t in times]
+    assert sum(len(f.packets) for f in flows) == len(frames)
+    for flow in flows:
+        stamps = [pk.timestamp for pk in flow.packets]
+        assert stamps == sorted(stamps) and min(stamps) >= 0.0
+    assert [pk.payload for pk in flows[0].packets] == [b"\x01", b"\x00",
+                                                       b"\x02"]
 
 
 def test_pcap_payloads_stop_at_their_own_bounds(tmp_path):

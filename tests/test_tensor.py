@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from flowmoe.nn import (DropoutStream, ParamSet, Tensor, cross_entropy, dropout,
-                        layer_norm, no_grad, relu, softmax, stack)
+                        layer_norm, no_grad, relu, softmax)
 
+from composed_ops import tsum
 from gradcheck import check_gradients
 
 
@@ -78,7 +79,7 @@ def test_backward_requires_graph():
 def test_no_grad_skips_graph():
     p = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
-        out = (p * 2.0).sum()
+        out = tsum(p * 2.0)
     assert not out.requires_grad
 
 
@@ -90,7 +91,7 @@ def test_grad_add_mul_broadcast():
         return float(((ps["a"].data * 2.0 + ps["b"].data) ** 2).sum())
 
     out = ps["a"] * 2.0 + ps["b"]
-    loss = (out * out).sum()
+    loss = tsum(out * out)
     loss.backward()
     grads = {n: t.grad for n, t in ps.items()}
     check_gradients(loss_fn, ps, grads, rng=rng)
@@ -102,7 +103,7 @@ def test_grad_matmul_stacked():
     x = rng.normal(size=(3, 6, 5))
 
     def forward():
-        return (Tensor(x) @ ps["w"]).sum()
+        return tsum(Tensor(x) @ ps["w"])
 
     loss = forward()
     loss.backward()
@@ -116,7 +117,7 @@ def test_grad_softmax():
     coef = rng.normal(size=(4, 5))
 
     def forward():
-        return (softmax(ps["z"]) * coef).sum()
+        return tsum(softmax(ps["z"]) * coef)
 
     forward().backward()
     check_gradients(lambda: forward().item(), ps, {"z": ps["z"].grad}, rng=rng)
@@ -130,7 +131,7 @@ def test_grad_layer_norm():
     coef = rng.normal(size=(3, 8))
 
     def forward():
-        return (layer_norm(ps["x"], ps["gamma"], ps["beta"]) * coef).sum()
+        return tsum(layer_norm(ps["x"], ps["gamma"], ps["beta"]) * coef)
 
     forward().backward()
     grads = {n: t.grad for n, t in ps.items()}
@@ -142,7 +143,7 @@ def test_grad_relu():
     ps = _params_from({"x": rng.normal(size=(6, 6)) + 0.05})
 
     def forward():
-        return (relu(ps["x"]) * 3.0).sum()
+        return tsum(relu(ps["x"]) * 3.0)
 
     forward().backward()
     check_gradients(lambda: forward().item(), ps, {"x": ps["x"].grad}, rng=rng)
@@ -163,20 +164,6 @@ def test_grad_softmax_cross_entropy_matches_probability_gap():
     assert np.allclose(ps["z"].grad, expect, atol=1e-12)
 
 
-def test_grad_stack():
-    rng = np.random.default_rng(8)
-    ps = _params_from({"a": rng.normal(size=(3, 4)),
-                       "b": rng.normal(size=(3, 4))})
-    coef = rng.normal(size=(2, 3, 4))
-
-    def forward():
-        return (stack([ps["a"], ps["b"]]) * coef).sum()
-
-    forward().backward()
-    grads = {n: t.grad for n, t in ps.items()}
-    check_gradients(lambda: forward().item(), ps, grads, rng=rng)
-
-
 def test_grad_dropout_with_fixed_mask():
     rng = np.random.default_rng(7)
     ps = _params_from({"x": rng.normal(size=(5, 5))})
@@ -184,7 +171,7 @@ def test_grad_dropout_with_fixed_mask():
 
     def forward():
         d = dropout(ps["x"], mask, 0.8)
-        return (d * d).sum()
+        return tsum(d * d)
 
     forward().backward()
     check_gradients(lambda: forward().item(), ps, {"x": ps["x"].grad}, rng=rng)
@@ -208,7 +195,7 @@ def test_dropout_stream_deterministic():
 
 def test_grad_absent_for_unused_parameter():
     ps = _params_from({"used": np.ones(3), "unused": np.ones(3)})
-    loss = (ps["used"] * 2.0).sum()
+    loss = tsum(ps["used"] * 2.0)
     loss.backward()
     assert ps["used"].grad is not None
     assert ps["unused"].grad is None
@@ -218,7 +205,7 @@ def test_frozen_parameter_gets_no_gradient():
     ps = _params_from({"w": np.ones(3)})
     ps.freeze()
     x = Tensor(np.ones(3), requires_grad=True)
-    loss = (ps["w"] * x).sum()
+    loss = tsum(ps["w"] * x)
     loss.backward()
     assert ps["w"].grad is None
     assert x.grad is not None
@@ -226,7 +213,7 @@ def test_frozen_parameter_gets_no_gradient():
 
 def test_select_gradient_scatters():
     ps = _params_from({"m": np.arange(12.0).reshape(3, 4)})
-    loss = ps["m"].select(1, axis=0).sum()
+    loss = tsum(ps["m"].select(1, axis=0))
     loss.backward()
     expect = np.zeros((3, 4))
     expect[1] = 1.0
@@ -238,7 +225,7 @@ def test_shared_upstream_gradient_is_not_mutated_by_accumulation():
     # contribution must not leak into b: d/dx (2x + 3x + 2x) = 7
     x = Tensor(np.array([1.0]), requires_grad=True)
     a, b = x * 2.0, x * 3.0
-    ((a + b) + a).sum().backward()
+    tsum((a + b) + a).backward()
     assert np.array_equal(x.grad, [7.0])
 
 
@@ -247,7 +234,7 @@ def test_leaves_sharing_one_upstream_array_accumulate_separately():
     # a copy; a second sweep must add into each leaf's gradient alone
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    loss = (a + b).sum()
+    loss = tsum(a + b)
     loss.backward()
     loss.backward()
     assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
@@ -263,8 +250,8 @@ def test_weight_used_by_two_matmuls_gets_the_summed_gradient():
     c1, c2 = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
 
     def forward():
-        return ((Tensor(x1) @ ps["w"]) * c1).sum() \
-            + ((Tensor(x2) @ ps["w"]) * c2).sum()
+        return tsum((Tensor(x1) @ ps["w"]) * c1) \
+            + tsum((Tensor(x2) @ ps["w"]) * c2)
 
     forward().backward()
     expected = x1.T @ c1 + x2.T @ c2
@@ -279,8 +266,8 @@ def test_second_sweep_without_zero_grad_adds_to_the_weight_gradient():
     rng = np.random.default_rng(3)
     w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     x1, x2 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
-    (Tensor(x1) @ w).sum().backward()
-    (Tensor(x2) @ w).sum().backward()
+    tsum(Tensor(x1) @ w).backward()
+    tsum(Tensor(x2) @ w).backward()
     expected = x1.T @ np.ones((3, 4)) + x2.T @ np.ones((3, 4))
     assert np.allclose(w.grad, expected, rtol=1e-13, atol=0)
 
@@ -288,7 +275,7 @@ def test_second_sweep_without_zero_grad_adds_to_the_weight_gradient():
 def test_diamond_graph_accumulates_once_per_path():
     ps = _params_from({"x": np.array([2.0])})
     y = ps["x"] * 3.0
-    loss = (y * y).sum()  # d/dx (3x)^2 = 18x = 36
+    loss = tsum(y * y)  # d/dx (3x)^2 = 18x = 36
     loss.backward()
     assert np.allclose(ps["x"].grad, [36.0])
 
@@ -313,7 +300,7 @@ def _check_constant_operand(op, param_shape, const_shape, param_first, seed):
     coef = rng.normal(size=out.shape)
     pairs = list(out._backward(coef))
     assert [parent for parent, _ in pairs] == [ps["p"]]
-    (out * coef).sum().backward()
+    tsum(out * coef).backward()
     assert const.grad is None
     check_gradients(lambda: float((build().data * coef).sum()), ps,
                     {"p": ps["p"].grad}, rng=rng)
@@ -342,15 +329,12 @@ def test_mul_add_constant_operand(name, param_shape, const_shape, param_first):
                             seed=11)
 
 
-def test_layer_norm_and_stack_skip_constant_parents():
+def test_layer_norm_skips_constant_parents():
     rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
     gamma, beta = Tensor(np.ones(8)), Tensor(np.zeros(8))
     out = layer_norm(x, gamma, beta)
     assert [p for p, _ in out._backward(np.ones((3, 8)))] == [x]
-    const = Tensor(np.ones((3, 8)))
-    stacked = stack([const, x])
-    assert [p for p, _ in stacked._backward(np.ones((2, 3, 8)))] == [x]
 
 
 def test_relu_non_finite_and_negative_inputs():
@@ -359,5 +343,5 @@ def test_relu_non_finite_and_negative_inputs():
     y = relu(t)
     assert np.isnan(y.data[0])                        # NaN is not hidden
     assert np.array_equal(y.data[1:], [np.inf, 0.0, 0.0, 0.0, 0.0, 3.0])
-    y.sum().backward()
+    tsum(y).backward()
     assert np.array_equal(t.grad, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])

@@ -75,10 +75,16 @@ def _prepare_out(path):
 
 
 def _parse_ratios(text):
-    parts = [float(x) for x in text.split(",")]
+    """The three ratios of a --split value; a ValueError names the flag
+    and the text."""
+    try:
+        parts = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
-        raise ValueError("split needs three comma-separated ratios")
-    return tuple(parts)
+        raise ValueError(f"--split {text!r}: expected three comma-separated "
+                         f"numbers")
+    return parts
 
 
 def _load_dataset(features_path, labels_path, label_maps=None, tasks=None):
@@ -220,30 +226,27 @@ def cmd_fuse(args):
 def cmd_classify(args):
     kind, model = load_any_model(_require(args.model, "model"))
     ids, feats, _ = serial.load_features(_require(args.features))
+    if kind == "expert":
+        task = model.task_id or "label"
+        probs = expert_predict(model, feats)
+        batch = {task: (np.argmax(probs, axis=1), probs)}
+        label_maps = {task: model.label_map}
+    else:
+        batch = classify_batch(model, feats)
+        label_maps = model.label_maps
     out = _prepare_out(args.out)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        if kind == "expert":
-            w.writerow(["flow_id", model.task_id or "label",
-                        f"{model.task_id or 'label'}_confidence"])
-            probs = expert_predict(model, feats)
-            idx = np.argmax(probs, axis=1)
-            for fid, i, p in zip(ids, idx, probs):
-                w.writerow([fid, model.label_map[i], repr(float(p[i]))])
-        else:
-            header = ["flow_id"]
-            for task in model.task_ids:
-                header += [task, f"{task}_confidence"]
-            w.writerow(header)
-            batch = classify_batch(model, feats)
-            for row_i, fid in enumerate(ids):
-                row = [fid]
-                for task in model.task_ids:
-                    indices, probs = batch[task]
-                    i = indices[row_i]
-                    row += [model.label_maps[task][i],
-                            repr(float(probs[row_i, i]))]
-                w.writerow(row)
+        header = ["flow_id"]
+        for task in batch:
+            header += [task, f"{task}_confidence"]
+        w.writerow(header)
+        for row_i, fid in enumerate(ids):
+            row = [fid]
+            for task, (indices, probs) in batch.items():
+                i = indices[row_i]
+                row += [label_maps[task][i], repr(float(probs[row_i, i]))]
+            w.writerow(row)
     log.info("classified %d flow(s) -> %s", len(ids), out)
     _log_run(out, "classify", "-", [args.model, args.features])
     return 0

@@ -200,8 +200,15 @@ def detect_gate_anomaly(finetune_losses, per_domain_eval, grace_epochs=4,
 
     `per_domain_eval` maps domain name to an accuracy (or any object with an
     .accuracy attribute). Rises smaller than `rise_tolerance` (relative) are
-    treated as noise.
+    treated as noise. A threshold or tolerance that is not finite or is
+    below 0, or a negative grace period, is a ValueError naming it.
     """
+    for name, value in (("gap_threshold", gap_threshold),
+                        ("rise_tolerance", rise_tolerance)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if grace_epochs < 0:
+        raise ValueError(f"grace_epochs must be >= 0, got {grace_epochs!r}")
     losses = np.asarray(finetune_losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size < grace_epochs + 1:
         raise ValueError(f"need at least {grace_epochs + 1} epochs of losses")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ def split_dataset(data: LabeledDataset, ratios=(0.75, 0.10, 0.15), seed=0):
     warning). Split sizes always hit the largest-remainder targets exactly.
     """
     ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or not all(map(math.isfinite, ratios)):
+        raise ValueError(f"split ratios {ratios} are not three finite "
+                         f"numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios {ratios} do not sum to 1")
     if any(r < 0 for r in ratios):

@@ -18,7 +18,7 @@ from .data import LabeledDataset
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, backward,
                  cross_entropy, encoder_forward, encoder_shapes, head_forward,
                  head_shapes, init_encoder, init_head, no_grad, seed_streams,
-                 softmax)
+                 softmax_rows)
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +185,7 @@ def expert_predict(model: ExpertModel, x):
     """
     rep = expert_representation(model, x)
     with no_grad():
-        return softmax(head_forward(model.head, rep)).data
+        return softmax_rows(head_forward(model.head, rep).data)
 
 
 def write_loss_trace(path, trace):

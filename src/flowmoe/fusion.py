@@ -26,7 +26,7 @@ from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward
                  cross_entropy, encoder_forward, encoder_shapes,
                  gate_linear_shapes, gate_mix, head_forward, head_shapes,
                  init_gate_linear, init_head, mixing_weights, no_grad,
-                 seed_streams, softmax, stack_encoders)
+                 seed_streams, softmax_rows, stack_encoders)
 
 
 class FusionMode(enum.Enum):
@@ -382,7 +382,7 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
             idx = order[start:start + cfg.batch_size]
             x = Tensor(feats[idx])
             if unfreeze_experts:
-                reps = encoder_forward(model.encoder, x)
+                reps = encoder_forward(model.encoder, x.data)
             elif len(premixed) < len(model.gates):
                 reps = Tensor(cached[:, idx])
             gated = {task: Tensor(premixed[task][idx]) if task in premixed
@@ -431,7 +431,7 @@ def classify_batch(model: FusedModel, X):
         gated = {task: gate_output(model.gates[task], stacked, x)
                  for task in model.task_ids}
         for task, logits in tower_forward(model, gated)[0].items():
-            probs = softmax(logits).data
+            probs = softmax_rows(logits.data)
             out[task] = (np.argmax(probs, axis=1), probs)
     return out
 

@@ -1,6 +1,7 @@
-from .tensor import Tensor, cross_entropy, dropout, no_grad, relu, softmax
-from .fused import (add_norm, attention, feed_forward, gate_mix, layer_norm,
-                    mixing_weights)
+from .tensor import Tensor, dropout, no_grad, relu
+from .fused import (add_norm, attention, cross_entropy, feed_forward,
+                    gate_mix, mixing_weights, softmax_rows,
+                    softmax_rows_backward)
 from .params import DropoutStream, ParamSet, seed_streams
 from .model import (FF_DIM, HEAD_DIM, HIDDEN_DIM, INPUT_DIM, N_HEADS, N_TOKENS,
                     TOKEN_DIM, backward, encoder_forward, encoder_shapes,
@@ -10,9 +11,9 @@ from .model import (FF_DIM, HEAD_DIM, HIDDEN_DIM, INPUT_DIM, N_HEADS, N_TOKENS,
 from .optim import MultiAdam
 
 __all__ = [
-    "Tensor", "cross_entropy", "dropout", "layer_norm", "no_grad", "relu",
-    "softmax", "add_norm", "attention", "feed_forward", "gate_mix",
-    "mixing_weights",
+    "Tensor", "dropout", "no_grad", "relu",
+    "add_norm", "attention", "cross_entropy", "feed_forward", "gate_mix",
+    "mixing_weights", "softmax_rows", "softmax_rows_backward",
     "DropoutStream", "ParamSet",
     "seed_streams", "backward", "encoder_forward",
     "head_forward", "encoder_shapes", "head_shapes", "gate_linear_shapes",

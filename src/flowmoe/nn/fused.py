@@ -1,12 +1,15 @@
 """Fused ops: one Tensor node and one hand-derived backward closure each.
 
 The encoder runs as three fused sublayers, `attention`, `add_norm` (residual,
-dropout and layer norm) and `feed_forward`, and a gate's mixing of expert
-rows as one more, `gate_mix`, so a training step builds a few graph nodes
-instead of one per primitive. The closures apply reverse mode by
-hand (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008), with the
-softmax-attention derivatives of Vaswani et al. 2017 and the layer-norm
-derivative of Ba et al. 2016.
+dropout and layer norm) and `feed_forward`, a gate's mixing of expert rows
+as one more, `gate_mix`, and the loss as `cross_entropy`, so a training step
+builds a few graph nodes instead of one per primitive. The closures apply
+reverse mode by hand (Griewank & Walther, *Evaluating Derivatives*, SIAM
+2008), with the softmax-attention derivatives of Vaswani et al. 2017 and
+the layer-norm derivative of Ba et al. 2016. The softmax and its backward
+are written once, as the in-place array helpers `softmax_rows` and
+`softmax_rows_backward`, which attention, gate mixing and the library's
+inference probabilities all call.
 
 Forward products stay stacked, (B, T, d) @ (d, e): numpy runs one GEMM per
 leading row, so a row's output does not depend on how many rows share the
@@ -16,11 +19,15 @@ broadcast against the rows: (B, T, d) tokens then give (E, B, T, ...)
 outputs through the same per-row GEMMs, so each expert's slice is bitwise
 its own pass. Backward products flatten the tokens to 2-D (B*T, d) GEMMs,
 one per expert for stacked parameters (a batched product over the expert
-axis, bitwise each expert's own), and an input shared by the experts gets
-its gradients summed over them. Each closure forms gradients only for
+axis, bitwise each expert's own). An input the experts share is a
+constant: it takes no gradient. Each closure forms gradients only for
 parents whose `requires_grad` is set. Forward and backward each allocate a
 few buffers per call and work in them in place (`out=`, `*=`); a closure
 reads but never overwrites the forward buffers, so it may run twice.
+
+Loss contract: `cross_entropy` takes logits (unnormalized scores), not
+probabilities. It evaluates a log-sum-exp, so the loss and its gradient
+(softmax - onehot) / n stay finite and exact for saturated logits.
 """
 
 from __future__ import annotations
@@ -54,14 +61,6 @@ def _bias_grad(g, p):
     return g.sum(axis=-2).reshape(p.data.shape)
 
 
-def _input_grad(g, x):
-    """`g` as the gradient of `x`, in `x`'s shape: summed over the expert
-    axis first when `x` is an input the stacked experts share."""
-    if g.size > x.data.size:
-        g = g.sum(axis=0)
-    return g.reshape(x.data.shape)
-
-
 def _mean(a):
     """a.mean(axis=-1, keepdims=True) by np.mean's own arithmetic (a sum
     reduction, then a division by the count), without its Python-level
@@ -71,11 +70,70 @@ def _mean(a):
     return m
 
 
-def _normalized(r, parents, gamma, beta, eps, input_grads):
-    """Node for gamma * (r - mean) / sqrt(var + eps) + beta over the last
-    axis. `r` is a fresh array that becomes x-hat in place; `input_grads`
-    maps the gradient with respect to `r` to (parent, gradient) pairs."""
+def softmax_rows(y):
+    """Softmax over the last axis of the array `y`, in place: shift by the
+    row max, exp, divide by the row sum. Returns `y`."""
+    y -= np.maximum.reduce(y, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    return y
+
+
+def softmax_rows_backward(y, g):
+    """The gradient through `y = softmax_rows(z)`, y * (g - sum(g * y))
+    per row, written over `g`, the gradient with respect to `y`. Returns
+    `g`."""
+    g -= np.add.reduce(g * y, axis=-1, keepdims=True)
+    g *= y
+    return g
+
+
+def cross_entropy(logits, labels):
+    """Mean negative log-likelihood of the true classes, as a scalar Tensor.
+
+    `logits` are unnormalized scores, (k,) or (n, k); the loss is
+    mean(logsumexp(z) - z[label]) and its gradient (softmax(z) - onehot) / n.
+    `labels` is an int index or an int array matching the leading dimension.
+    """
+    z = logits.data.reshape(1, -1) if logits.data.ndim == 1 else logits.data
+    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    n, k = z.shape
+    if lab.shape != (n,):
+        raise ValueError(f"labels shape {lab.shape} does not match batch {n}")
+    if np.any(lab < 0) or np.any(lab >= k):
+        raise ValueError(f"label index out of range for {k} classes")
+    rows = np.arange(n)
+    shifted = z - z.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    total = expd.sum(axis=1, keepdims=True)
+    loss = (np.log(total[:, 0]) - shifted[rows, lab]).mean()
+
+    def backward(g):
+        gz = expd / total
+        gz[rows, lab] -= 1.0
+        gz *= g / n
+        return ((logits, gz.reshape(logits.shape)),)
+
+    return Tensor._result(np.float64(loss), (logits,), backward)
+
+
+def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0, eps=1e-5):
+    """Layer norm of x + dropout(sub) over the last axis, as one node: a
+    sublayer's residual connection, gamma * (r - mean) / sqrt(var + eps)
+    + beta for r = x + dropout(sub).
+
+    `mask` is a boolean array of `sub`'s shape for inverted dropout with
+    keep probability `keep_prob`; None means no dropout.
+    """
     lead = gamma.data.shape[:-3]         # (E,) for (E, 1, 1, d), else ()
+    if mask is None:
+        r = x.data + sub.data
+    else:
+        scale = 1.0 / keep_prob
+        r = sub.data * mask
+        r *= scale
+        r += x.data
+    # r becomes x-hat in place
     r -= _mean(r)
     # the same reductions, in the same order, as np.var: bit-identical
     var = _mean(r * r)
@@ -86,7 +144,7 @@ def _normalized(r, parents, gamma, beta, eps, input_grads):
 
     def backward(g):
         out = []
-        if any(p.requires_grad for p in parents):
+        if x.requires_grad or sub.requires_grad:
             dr = g * gamma.data
             t = dr * r
             m2 = _mean(t)
@@ -94,50 +152,20 @@ def _normalized(r, parents, gamma, beta, eps, input_grads):
             np.multiply(r, m2, out=t)
             dr -= t
             dr *= inv
-            out += input_grads(dr)
+            if x.requires_grad:
+                out.append((x, dr.reshape(x.data.shape)))
+            if sub.requires_grad:
+                if mask is not None:
+                    dr = dr * mask
+                    dr *= scale
+                out.append((sub, dr.reshape(sub.data.shape)))
         if gamma.requires_grad:
             out.append((gamma, _bias_grad(_rows(g * r, lead), gamma)))
         if beta.requires_grad:
             out.append((beta, _bias_grad(_rows(g, lead), beta)))
         return out
 
-    return Tensor._result(out_data, parents + (gamma, beta), backward)
-
-
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last axis, then scale and shift."""
-    return _normalized(x.data.copy(), (x,), gamma, beta, eps,
-                       lambda dr: [(x, _input_grad(dr, x))])
-
-
-def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0, eps=1e-5):
-    """layer_norm(x + dropout(sub)): a sublayer's residual connection.
-
-    `mask` is a boolean array of `sub`'s shape for inverted dropout with
-    keep probability `keep_prob`; None means no dropout.
-    """
-    if mask is None:
-        r = x.data + sub.data
-    else:
-        scale = 1.0 / keep_prob
-        r = sub.data * mask
-        r *= scale
-        r += x.data
-
-    def input_grads(dr):
-        out = []
-        if x.requires_grad:
-            out.append((x, _input_grad(dr, x)))
-        if sub.requires_grad:
-            if mask is None:
-                out.append((sub, _input_grad(dr, sub)))
-            else:
-                dsub = dr * mask
-                dsub *= scale
-                out.append((sub, _input_grad(dsub, sub)))
-        return out
-
-    return _normalized(r, (x, sub), gamma, beta, eps, input_grads)
+    return Tensor._result(out_data, (x, sub, gamma, beta), backward)
 
 
 def _split_heads(a, n_heads, head_dim):
@@ -148,15 +176,13 @@ def _split_heads(a, n_heads, head_dim):
         n + 1, *range(n), n + 2, n, n + 3)
 
 
-def attention(x, q, k, v, o, n_heads, collect=None):
+def attention(x, q, k, v, o, n_heads):
     """Multi-head self-attention over (B, T, d_in) tokens, as one node.
 
     `q`, `k`, `v` and `o` are (weight, bias) Tensor pairs. The q|k|v
     projections run as one product over the weights concatenated per call;
     each head's scores are scaled by 1/sqrt(head_dim) and softmax-normalized
     over the keys; the merged heads go through the `o` projection.
-    `collect`, when a dict, receives a copy of the softmax weights,
-    (B, heads, T, T), under "attn".
     """
     (wq, bq), (wk, bk), (wv, bv), (wo, bo) = q, k, v, o
     inner = (x, wq, bq, wk, bk, wv, bv)
@@ -170,11 +196,7 @@ def attention(x, q, k, v, o, n_heads, collect=None):
     qh, kh, vh = _split_heads(qkv, n_heads, head_dim)
     probs = np.matmul(qh, kh.swapaxes(-1, -2))
     probs *= scale
-    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    if collect is not None:
-        collect["attn"] = probs.copy()
+    softmax_rows(probs)
     ctx = np.empty(qkv.shape[:-1] + (d,))
     np.matmul(probs, vh, out=_split_heads(ctx, n_heads, head_dim)[0])
     out_data = np.matmul(ctx, wo.data)
@@ -195,9 +217,7 @@ def attention(x, q, k, v, o, n_heads, collect=None):
         gq, gk, gv = _split_heads(gqkv, n_heads, head_dim)
         np.matmul(probs.swapaxes(-1, -2), gctx_h, out=gv)
         gs = np.matmul(gctx_h, vh.swapaxes(-1, -2))     # d loss / d probs
-        dot = np.multiply(gs, probs)
-        gs -= dot.sum(axis=-1, keepdims=True)
-        gs *= probs
+        softmax_rows_backward(probs, gs)
         gs *= scale                                     # d loss / d q.k
         np.matmul(gs, kh, out=gq)
         np.matmul(gs.swapaxes(-1, -2), qh, out=gk)
@@ -215,7 +235,8 @@ def attention(x, q, k, v, o, n_heads, collect=None):
             if bp.requires_grad:
                 out.append((bp, gb[..., cols].reshape(bp.data.shape)))
         if x.requires_grad:
-            out.append((x, _input_grad(_times_transposed(gqkv2, w, lead), x)))
+            gx = _times_transposed(gqkv2, w, lead)
+            out.append((x, gx.reshape(x.data.shape)))
         return out
 
     return Tensor._result(out_data, inner + (wo, bo), backward)
@@ -249,8 +270,8 @@ def feed_forward(x, w1, b1, w2, b2):
         if b1.requires_grad:
             out.append((b1, _bias_grad(gh, b1)))
         if x.requires_grad:
-            out.append((x, _input_grad(_times_transposed(gh, w1.data, lead),
-                                       x)))
+            gx = _times_transposed(gh, w1.data, lead)
+            out.append((x, gx.reshape(x.data.shape)))
         return out
 
     return Tensor._result(out_data, inner + (w2, b2), backward)
@@ -258,14 +279,10 @@ def feed_forward(x, w1, b1, w2, b2):
 
 def mixing_weights(x, w, b):
     """softmax(x @ w + b) over the last axis, as an array: a trainable
-    gate's weights over its subset for input rows `x`, (912,) or (B, 912),
-    by the same operations in the same order as the `softmax` op."""
+    gate's weights over its subset for input rows `x`, (912,) or (B, 912)."""
     y = np.matmul(x, w)
     y += b
-    y -= np.maximum.reduce(y, axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= np.add.reduce(y, axis=-1, keepdims=True)
-    return y
+    return softmax_rows(y)
 
 
 def gate_mix(stacked, rows, fixed=None, x=None, linear=None):
@@ -315,8 +332,7 @@ def gate_mix(stacked, rows, fixed=None, x=None, linear=None):
         gy = np.empty(y.shape)               # d loss / d weight, per row
         for i, j in enumerate(rows):
             gy[..., i] = np.einsum("...f,...f->...", g, data[j])
-        dot = (gy * y).sum(axis=-1, keepdims=True)
-        gz = y * (gy - dot)                  # through the softmax
+        gz = softmax_rows_backward(y, gy)    # through the softmax
         if w.requires_grad:
             out.append((w, _rows(x.data).T @ _rows(gz)))
         if b.requires_grad:

@@ -1,9 +1,10 @@
 """Network building blocks: transformer encoder, two-layer heads, gradients.
 
-The encoder reshapes the 912-value flow feature vector into 24 tokens of
-38 features, runs one 2-head self-attention layer plus a position-wise
-feed-forward (38 -> 152 -> 38), each with residual connection and layer
-norm, and flattens back to 912. Each sublayer is one fused op (`fused`).
+The encoder reshapes raw (rows, 912) flow feature arrays into 24 tokens of
+38 features plus a positional encoding, runs one 2-head self-attention
+layer plus a position-wise feed-forward (38 -> 152 -> 38), each with
+residual connection and layer norm, and flattens back to 912. Each
+sublayer is one fused op (`fused`).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import math
 
 import numpy as np
 
-from .fused import add_norm, attention, feed_forward
+from .fused import add_norm, attention, cross_entropy, feed_forward
 from .params import ParamSet
-from .tensor import Tensor, cross_entropy, dropout, relu, softmax
+from .tensor import Tensor, dropout, relu
 
 INPUT_DIM = 912
 N_TOKENS = 24
@@ -35,7 +36,6 @@ def positional_encoding(n_tokens=N_TOKENS, dim=TOKEN_DIM):
 
 
 _PE = positional_encoding()
-_PE_TENSOR = Tensor(_PE)
 
 
 def _affine_shapes(prefix, fan_in, fan_out):
@@ -122,35 +122,28 @@ def stack_encoders(encoders):
     return stacked
 
 
-def _as_batch(x):
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    if t.data.ndim == 1:
-        return t.reshape(1, -1), True
-    return t, False
-
-
 def encoder_forward(params, x, train_mode=False, dropout_stream=None,
-                    dropout_rate=0.2, collect=None):
-    """Run the encoder on (B, 912) or (912,) input; returns same leading shape.
+                    dropout_rate=0.2):
+    """Run the encoder on a raw (B, 912) feature array; returns a (B, 912)
+    Tensor.
 
-    The encoder is three fused sublayer ops (`attention`, `add_norm`,
-    `feed_forward`), so training and eval run one code path. With `params`
-    from `stack_encoders`, E encoders run on the shared input at once and
-    the result gains their leading axis, (E, B, 912) or (E, 912), each
-    slice bitwise that encoder's own output (and, in a backward sweep,
-    each encoder's gradients bitwise those of its own pass).
-    `collect`, when a dict, receives the per-head attention weights under
-    key "attn" with shape (B, heads, tokens, tokens).
+    The positional encoding is added to the tokens in numpy, so the input
+    takes no gradient; the encoder is three fused sublayer ops
+    (`attention`, `add_norm`, `feed_forward`), so training and eval run
+    one code path. With `params` from `stack_encoders`, E encoders run on
+    the input at once and the result gains their leading axis,
+    (E, B, 912), each slice bitwise that encoder's own output (and, in a
+    backward sweep, each encoder's gradients bitwise those of its own
+    pass).
     """
-    xt, squeeze = _as_batch(x)
-    if xt.data.shape[-1] != INPUT_DIM:
-        raise ValueError(f"expected input of length {INPUT_DIM}, "
-                         f"got {xt.data.shape[-1]}")
-    b = xt.data.shape[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+        raise ValueError(f"expected (rows, {INPUT_DIM}) input, "
+                         f"got shape {x.shape}")
     p = params
-    tok = xt.reshape(b, N_TOKENS, TOKEN_DIM) + _PE_TENSOR
+    tok = Tensor(x.reshape(-1, N_TOKENS, TOKEN_DIM) + _PE)
     attn = attention(tok, *((p[f"attn.{n}.w"], p[f"attn.{n}.b"])
-                            for n in "qkvo"), N_HEADS, collect=collect)
+                            for n in "qkvo"), N_HEADS)
     h = add_norm(tok, attn, p["ln1.gamma"], p["ln1.beta"],
                  *_dropout_mask(attn.shape, train_mode, dropout_stream,
                                 dropout_rate))
@@ -158,8 +151,7 @@ def encoder_forward(params, x, train_mode=False, dropout_stream=None,
     out = add_norm(h, ff, p["ln2.gamma"], p["ln2.beta"],
                    *_dropout_mask(ff.shape, train_mode, dropout_stream,
                                   dropout_rate))
-    out = out.reshape(out.shape[:-2] + (INPUT_DIM,))
-    return out.reshape(out.shape[:-2] + (INPUT_DIM,)) if squeeze else out
+    return out.reshape(out.shape[:-2] + (INPUT_DIM,))
 
 
 def _dropout_mask(shape, train_mode, stream, rate):
@@ -175,8 +167,12 @@ def _dropout_mask(shape, train_mode, stream, rate):
 
 def head_forward(params, x, train_mode=False, dropout_stream=None,
                  dropout_rate=0.2):
-    """Two-layer head: linear -> ReLU -> dropout -> linear (logits)."""
-    xt, squeeze = _as_batch(x)
+    """Two-layer head: linear -> ReLU -> dropout -> linear (logits), on
+    (B, 912) or (912,) input."""
+    xt = x if isinstance(x, Tensor) else Tensor(x)
+    squeeze = xt.data.ndim == 1
+    if squeeze:
+        xt = xt.reshape(1, -1)
     h = relu(xt @ params["fc1.w"] + params["fc1.b"])
     mask, keep = _dropout_mask(h.shape, train_mode, dropout_stream,
                                dropout_rate)
@@ -208,5 +204,5 @@ __all__ = [
     "HIDDEN_DIM", "positional_encoding", "encoder_shapes", "head_shapes",
     "gate_linear_shapes", "init_encoder", "init_head",
     "init_gate_linear", "stack_encoders", "encoder_forward", "head_forward",
-    "backward", "cross_entropy", "softmax", "relu",
+    "backward", "cross_entropy", "relu",
 ]

@@ -54,11 +54,6 @@ class ParamSet:
         for t in self._tensors.values():
             t.grad = None
 
-    def to_vector(self):
-        if not self._tensors:
-            return np.zeros(0)
-        return np.concatenate([t.data.ravel() for t in self._tensors.values()])
-
 
 class DropoutStream:
     """Counter-based deterministic mask source (Philox).

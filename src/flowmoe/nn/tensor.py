@@ -1,9 +1,11 @@
 """Minimal fp64 reverse-mode autodiff over numpy arrays.
 
-Only the operations needed by the encoder/gate/tower networks are
-implemented. Every tensor is float64; forward values are plain numpy
-arrays and the graph is a DAG of backward closures walked in reverse
-topological order.
+The Tensor and its general ops, add, multiply, matmul, reshape, select,
+relu and dropout, from which the heads, towers, one-expert gates and the
+encoder's output are built. The encoder sublayers, gate mixing and the
+loss are fused ops (`fused`). Every tensor is float64; forward values are
+plain numpy arrays and the graph is a DAG of backward closures walked in
+reverse topological order.
 
 The ops take Tensors only (arithmetic also accepts plain numbers and
 arrays as the other operand). There is no separate numpy path: eval-mode
@@ -25,10 +27,6 @@ already pending in the running sweep, or still held as its `.grad` (a
 second sweep without `zero_grad`), gets a fresh array instead, so a weight
 used twice still receives the sum. A caller may set `_grad_buf` to a
 C-contiguous array of the leaf's shape to receive the gradient there.
-
-Loss contract: `cross_entropy` takes logits (unnormalized scores), not
-probabilities. It evaluates a log-sum-exp, so the loss and its gradient
-(softmax - onehot) / n stay finite and exact for saturated logits.
 """
 
 from __future__ import annotations
@@ -228,7 +226,7 @@ class Tensor:
         return Tensor._result(out_data, (self,), backward)
 
 
-# -- nonlinearities and loss ----------------------------------------------
+# -- nonlinearities ---------------------------------------------------------
 
 def relu(x):
     """max(x, 0); a NaN input stays NaN (and passes no gradient)."""
@@ -239,18 +237,6 @@ def relu(x):
     return Tensor._result(np.maximum(x.data, 0.0), (x,), backward)
 
 
-def softmax(x, axis=-1):
-    y = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)                  # one buffer: shift, exp, normalize
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((x, y * (g - dot)),)
-
-    return Tensor._result(y, (x,), backward)
-
-
 def dropout(x, mask, keep_prob):
     """Inverted dropout with a precomputed boolean (or 0/1) mask."""
     scale = 1.0 / keep_prob
@@ -259,32 +245,3 @@ def dropout(x, mask, keep_prob):
         return ((x, g * mask * scale),)
 
     return Tensor._result(x.data * mask * scale, (x,), backward)
-
-
-def cross_entropy(logits, labels):
-    """Mean negative log-likelihood of the true classes, as a scalar Tensor.
-
-    `logits` are unnormalized scores, (k,) or (n, k); the loss is
-    mean(logsumexp(z) - z[label]) and its gradient (softmax(z) - onehot) / n.
-    `labels` is an int index or an int array matching the leading dimension.
-    """
-    z = logits.data.reshape(1, -1) if logits.data.ndim == 1 else logits.data
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    n, k = z.shape
-    if lab.shape != (n,):
-        raise ValueError(f"labels shape {lab.shape} does not match batch {n}")
-    if np.any(lab < 0) or np.any(lab >= k):
-        raise ValueError(f"label index out of range for {k} classes")
-    rows = np.arange(n)
-    shifted = z - z.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    total = expd.sum(axis=1, keepdims=True)
-    loss = (np.log(total[:, 0]) - shifted[rows, lab]).mean()
-
-    def backward(g):
-        gz = expd / total
-        gz[rows, lab] -= 1.0
-        gz *= g / n
-        return ((logits, gz.reshape(logits.shape)),)
-
-    return Tensor._result(np.float64(loss), (logits,), backward)

@@ -9,10 +9,9 @@ so one `DropoutStream` seed gives both encoders the same masks.
 import math
 
 from flowmoe.nn import (HEAD_DIM, INPUT_DIM, N_HEADS, N_TOKENS, TOKEN_DIM,
-                        Tensor, dropout, layer_norm, relu, softmax)
-from flowmoe.nn.model import _PE
+                        Tensor, dropout, positional_encoding, relu)
 
-from composed_ops import transpose
+from composed_ops import layer_norm, softmax, transpose
 
 
 def _maybe_dropout(t, train_mode, stream, rate):
@@ -25,11 +24,10 @@ def _maybe_dropout(t, train_mode, stream, rate):
 
 
 def composed_encoder_forward(params, x, train_mode=False, dropout_stream=None,
-                             dropout_rate=0.2, collect=None):
+                             dropout_rate=0.2):
     """`encoder_forward` on (B, 912) input, built from primitive ops."""
-    xt = x if isinstance(x, Tensor) else Tensor(x)
-    b = xt.data.shape[0]
-    tok = xt.reshape(b, N_TOKENS, TOKEN_DIM) + Tensor(_PE)
+    b = x.shape[0]
+    tok = Tensor(x).reshape(b, N_TOKENS, TOKEN_DIM) + positional_encoding()
 
     def proj(name, t):
         return t @ params[f"{name}.w"] + params[f"{name}.b"]
@@ -43,8 +41,6 @@ def composed_encoder_forward(params, x, train_mode=False, dropout_stream=None,
     v = split_heads(proj("attn.v", tok))
     scores = (q @ transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(HEAD_DIM))
     weights = softmax(scores, axis=-1)
-    if collect is not None:
-        collect["attn"] = weights.data.copy()
     ctx = transpose(weights @ v, (0, 2, 1, 3)).reshape(b, N_TOKENS, TOKEN_DIM)
     attn_out = proj("attn.o", ctx)
     attn_out = _maybe_dropout(attn_out, train_mode, dropout_stream, dropout_rate)

@@ -9,9 +9,9 @@ with a graph node per step.
 
 import numpy as np
 
-from flowmoe.nn import Tensor, softmax
+from flowmoe.nn import Tensor
 
-from composed_ops import transpose, tsum
+from composed_ops import softmax, transpose, tsum
 
 
 def composed_gate_weights(gate, x):

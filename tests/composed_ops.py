@@ -27,3 +27,36 @@ def tsum(t, axis=None, keepdims=False):
 
     return Tensor._result(t.data.sum(axis=axis, keepdims=keepdims), (t,),
                           backward)
+
+
+def softmax(x, axis=-1):
+    """Softmax over `axis` as a graph node, with its own arithmetic: the
+    oracle for `flowmoe.nn.softmax_rows` and its backward."""
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)                  # one buffer: shift, exp, normalize
+    y /= y.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return ((x, y * (g - dot)),)
+
+    return Tensor._result(y, (x,), backward)
+
+
+def rsqrt(t):
+    """1 / sqrt(t) elementwise as a graph node."""
+    y = 1.0 / np.sqrt(t.data)
+
+    def backward(g):
+        return ((t, g * -0.5 * y ** 3),)
+
+    return Tensor._result(y, (t,), backward)
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """gamma * (x - mean) / sqrt(var + eps) + beta over the last axis, one
+    node per step: the oracle for the normalization in `flowmoe.nn.add_norm`."""
+    inv_d = 1.0 / x.shape[-1]
+    centered = x + tsum(x, axis=-1, keepdims=True) * -inv_d
+    var = tsum(centered * centered, axis=-1, keepdims=True) * inv_d
+    return centered * rsqrt(var + eps) * gamma + beta

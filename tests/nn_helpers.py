@@ -1,5 +1,7 @@
 """Test-only helpers over `flowmoe.nn`: a graph-free forward, and a
-ParamSet's values and frozen state."""
+ParamSet's values, flat vector and frozen state."""
+
+import numpy as np
 
 from flowmoe.nn import no_grad
 
@@ -18,3 +20,10 @@ def state_dict(params):
 def frozen(params):
     """True when no parameter of the ParamSet takes a gradient."""
     return all(not t.requires_grad for t in params.tensors())
+
+
+def to_vector(params):
+    """Every parameter of the ParamSet raveled into one array, in order."""
+    if not len(params):
+        return np.zeros(0)
+    return np.concatenate([t.data.ravel() for t in params.tensors()])

@@ -18,13 +18,13 @@ from flowmoe.fusion import (GateConfig, concat_representations, fine_tune,
                             gate_output, gate_weights)
 from flowmoe.ingest import ExtractionConfig, Packet, assemble_flows, \
     extract_features
-from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
-                        cross_entropy, dropout, encoder_forward, head_forward,
-                        init_encoder, init_gate_linear, init_head, relu,
-                        softmax)
+from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
+                        backward, cross_entropy, dropout, encoder_forward,
+                        head_forward, init_encoder, init_gate_linear,
+                        init_head, relu)
 from flowmoe.synth import GeneratorSpec, generate_dataset
 
-from composed_ops import transpose, tsum
+from composed_ops import softmax, transpose, tsum
 from gradcheck import check_gradients
 from nn_helpers import state_dict
 import scenarios
@@ -96,14 +96,14 @@ def test_criterion_01_gradient_correctness():
 
     check(attention_loss, (att,))
 
-    # layer norm
-    from flowmoe.nn import layer_norm
+    # layer norm: add_norm with a constant zero sublayer
     ln = ParamSet()
     ln.add("x", rng.normal(size=(4, 10)))
     ln.add("g", rng.normal(size=10))
     ln.add("b", rng.normal(size=10))
     cf = rng.normal(size=(4, 10))
-    check(lambda: tsum(layer_norm(ln["x"], ln["g"], ln["b"]) * cf), (ln,))
+    zero = Tensor(np.zeros((4, 10)))
+    check(lambda: tsum(add_norm(ln["x"], zero, ln["g"], ln["b"]) * cf), (ln,))
 
     # cross-entropy from logits
     sm = ParamSet()

@@ -96,6 +96,26 @@ def test_classify_csv_has_task_columns(pipeline_dir):
     assert len(lines) == 1 + 160  # 4 classes x 40 flows
 
 
+def test_classify_csv_of_an_expert_model(pipeline_dir, tmp_path):
+    import csv
+
+    from flowmoe import serial
+    from flowmoe.expert import expert_predict, load_expert
+    pred = tmp_path / "app.csv"
+    assert run(["classify", "--model", str(pipeline_dir / "app.snke"),
+                "--features", str(pipeline_dir / "features.snkf"),
+                "--out", str(pred)]) == 0
+    model = load_expert(pipeline_dir / "app.snke")
+    ids, feats, _ = serial.load_features(pipeline_dir / "features.snkf")
+    probs = expert_predict(model, feats)
+    expected = [["flow_id", "app", "app_confidence"]]
+    for fid, p in zip(ids, probs):
+        i = int(np.argmax(p))
+        expected.append([fid, model.label_map[i], repr(float(p[i]))])
+    with open(pred, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == expected
+
+
 def test_eval_metrics_reasonable(pipeline_dir):
     rows = (pipeline_dir / "metrics.metrics.csv").read_text().splitlines()
     assert rows[0] == "task_id,accuracy,macro_precision,macro_f1"
@@ -151,6 +171,47 @@ def test_diag_gate_anomaly_with_domains_csv(tmp_path):
     text = out.read_text()
     assert "flagged: True" in text
     assert "gap" in text
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--gap-threshold", "nan", "gap_threshold must be finite and >= 0, got nan"),
+    ("--gap-threshold", "inf", "gap_threshold must be finite and >= 0, got inf"),
+    ("--gap-threshold", "-1",
+     "gap_threshold must be finite and >= 0, got -1.0"),
+    ("--grace", "-3", "grace_epochs must be >= 0, got -3"),
+])
+def test_degenerate_gate_anomaly_is_a_cli_error(tmp_path, capsys, flag, value,
+                                                message):
+    # a 0.89 accuracy gap, flagged at the default threshold
+    trace = tmp_path / "loss.csv"
+    trace.write_text("epoch,total\n" + "".join(
+        f"{i},{v}\n" for i, v in enumerate([2.0, 1.5, 1.2, 1.0, 0.9, 0.8])))
+    domains = tmp_path / "domains.csv"
+    domains.write_text("domain,accuracy\niptas,0.99\nvpn,0.10\n")
+    out = tmp_path / "anomaly.txt"
+    rc = run(["diag", "gate-anomaly", "--trace", str(trace), "--domains",
+              str(domains), "--out", str(out), flag, value])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split, message", [
+    ("nan,0.5,0.5", "split ratios (nan, 0.5, 0.5) are not three finite "
+                    "numbers"),
+    ("x,0.5,0.5", "--split 'x,0.5,0.5': expected three comma-separated "
+                  "numbers"),
+    ("0.5,0.5", "--split '0.5,0.5': expected three comma-separated numbers"),
+])
+def test_bad_split_is_a_cli_error(pipeline_dir, tmp_path, capsys, split,
+                                  message):
+    out = tmp_path / "e.snke"
+    rc = run(["train-expert", "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(pipeline_dir / "labels.csv"), "--task", "app",
+              "--out", str(out), "--epochs", "1", "--split", split])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {message}"]
+    assert not out.exists()
 
 
 def test_fuse_with_flags_instead_of_config(pipeline_dir, tmp_path):

@@ -12,7 +12,7 @@ from flowmoe.diagnostics import (LossTrace, check_convergence, detect_gate_anoma
                                  estimate_lipschitz, load_domain_accuracies,
                                  load_loss_column)
 
-from nn_helpers import state_dict
+from nn_helpers import state_dict, to_vector
 
 
 def quadratic_run(c, alpha, w0=2.0, steps=30):
@@ -245,7 +245,7 @@ def test_tower_objective_vector_round_trip_and_views(trained_experts,
     towers = [fused.towers[t] for t in ("app", "encap")]
     before = [state_dict(ps) for ps in towers]
     vec = obj.get_vector()
-    assert np.array_equal(vec, np.concatenate([ps.to_vector() for ps in towers]))
+    assert np.array_equal(vec, np.concatenate([to_vector(ps) for ps in towers]))
 
     obj.set_vector(vec)
     for ps, state in zip(towers, before):
@@ -257,7 +257,7 @@ def test_tower_objective_vector_round_trip_and_views(trained_experts,
 
     new = np.random.default_rng(0).normal(size=vec.size)
     obj.set_vector(new)
-    assert np.array_equal(np.concatenate([ps.to_vector() for ps in towers]),
+    assert np.array_equal(np.concatenate([to_vector(ps) for ps in towers]),
                           new)
     with pytest.raises(ValueError):
         obj.set_vector(new[:-1])
@@ -274,7 +274,7 @@ def test_tower_objective_flat_gradient_matches_finite_differences(
     assert grad.shape == theta.shape
 
     # "unused" is the app tower's last parameter; the app tower comes first
-    n_app = fused.towers["app"].to_vector().size
+    n_app = to_vector(fused.towers["app"]).size
     unused = np.arange(n_app - 3, n_app)
     assert np.array_equal(grad[unused], np.zeros(3))
 
@@ -328,7 +328,7 @@ def test_tower_gd_edge_cases_match_out_of_place_oracle(
     from tower_gd_oracle import run_tower_gd_out_of_place
 
     fused = _mode1_fused(trained_experts)
-    n = sum(fused.towers[t].to_vector().size for t in fused.task_ids)
+    n = sum(to_vector(fused.towers[t]).size for t in fused.task_ids)
     assert n % UPDATE_BLOCK != 0            # a short tail block runs too
     data = two_task_data[0].subset(np.arange(rows))
     for every in (1, 7, 25, 40):
@@ -362,7 +362,7 @@ def test_tower_gd_traced_peak_stays_within_budget(trained_experts,
     from memtrace import traced_peak
 
     fused = _mode1_fused(trained_experts)
-    n = sum(fused.towers[t].to_vector().size for t in fused.task_ids)
+    n = sum(to_vector(fused.towers[t]).size for t in fused.task_ids)
     data = two_task_data[0].subset(np.arange(48))
     (_trace, snapshots, _steps, _c, report), peak = traced_peak(
         run_tower_gd, fused, data, steps=40)

@@ -76,6 +76,9 @@ def test_split_rejects_bad_ratios():
     ds = _dataset([0, 1] * 10)
     with pytest.raises(ValueError):
         split_dataset(ds, ratios=(0.75, 0.10, 0.20))
+    for ratios in ((0.5, 0.5), (float("nan"), 0.5, 0.5)):
+        with pytest.raises(ValueError, match="not three finite numbers"):
+            split_dataset(ds, ratios=ratios)
 
 
 def test_all_correct_metrics():

@@ -7,9 +7,9 @@ from flowmoe.data import build_dataset
 from flowmoe.expert import (ExpertModel, TrainConfig, expert_predict,
                             expert_representation, load_expert, save_expert,
                             train_expert, write_loss_trace)
-from flowmoe.nn import (INPUT_DIM, encoder_forward, head_forward, no_grad,
-                        softmax)
+from flowmoe.nn import INPUT_DIM, encoder_forward, head_forward, no_grad
 
+from composed_ops import softmax
 from nn_helpers import state_dict
 
 
@@ -99,10 +99,10 @@ def test_representation_equals_instrumented_predict(trained_experts,
     app, _ = trained_experts
     x = two_task_data[2].features[3]
     with no_grad():
-        hidden = encoder_forward(app.encoder, x)
+        hidden = encoder_forward(app.encoder, x[None])
         probs = softmax(head_forward(app.head, hidden)).data
-    assert np.array_equal(expert_representation(app, x), hidden.data)
-    assert np.allclose(expert_predict(app, x), probs, atol=0)
+    assert np.array_equal(expert_representation(app, x), hidden.data[0])
+    assert np.allclose(expert_predict(app, x), probs[0], atol=0)
 
 
 def test_blocked_eval_is_bit_identical_to_one_pass(trained_experts,

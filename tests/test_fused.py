@@ -3,26 +3,19 @@
 import numpy as np
 import pytest
 
-from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, add_norm,
+from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
                         attention, backward, cross_entropy, encoder_forward,
                         feed_forward, gate_mix, head_forward, init_encoder,
-                        init_head, stack_encoders)
+                        init_head, softmax_rows, softmax_rows_backward,
+                        stack_encoders)
 
 from composed_encoder import composed_encoder_forward
-from composed_ops import tsum
+from composed_ops import softmax, tsum
 from gradcheck import check_gradients
 from nn_helpers import eval_forward, frozen
 
 B, T, D = 2, 5, 6
 E = 2           # stacked cases: (E, 1, d, e) weights, (E, 1, 1, d) vectors
-
-
-def _stacked(shapes):
-    """`shapes` with E experts' parameters stacked; the input "x" stays
-    shared by the experts, and "sub" gets the experts' own rows."""
-    lead = {"x": (), "sub": (E,)}
-    return {name: lead.get(name, (E,) + (1,) * (3 - len(shape))) + shape
-            for name, shape in shapes.items()}
 
 
 def _params(rng, shapes, scale=0.5):
@@ -32,32 +25,45 @@ def _params(rng, shapes, scale=0.5):
     return ps
 
 
+def _case_params(rng, shapes, stacked):
+    """(ParamSet over `shapes`, the input "x"). Unstacked, "x" is one of
+    the parameters. Stacked, each other entry holds E experts' parameters
+    ("sub" the experts' own rows), and "x" is a constant Tensor the
+    experts share, as the encoder's tokens are."""
+    if not stacked:
+        ps = _params(rng, shapes)
+        return ps, ps["x"]
+    x = Tensor(rng.normal(size=shapes.pop("x")) * 0.5)
+    lead = {"sub": (E,)}
+    return _params(rng, {
+        name: lead.get(name, (E,) + (1,) * (3 - len(shape))) + shape
+        for name, shape in shapes.items()}), x
+
+
 def _attention_case(rng, stacked=False):
     shapes = {"x": (B, T, D)}
     for n in "qkvo":
         shapes.update({f"{n}.w": (D, D), f"{n}.b": (D,)})
-    ps = _params(rng, _stacked(shapes) if stacked else shapes)
-    return ps, lambda: attention(ps["x"], *((ps[f"{n}.w"], ps[f"{n}.b"])
-                                            for n in "qkvo"), 2)
+    ps, x = _case_params(rng, shapes, stacked)
+    return ps, lambda: attention(x, *((ps[f"{n}.w"], ps[f"{n}.b"])
+                                      for n in "qkvo"), 2)
 
 
 def _feed_forward_case(rng, stacked=False):
     shapes = {"x": (B, T, D), "w1": (D, 10), "b1": (10,), "w2": (10, D),
               "b2": (D,)}
-    ps = _params(rng, _stacked(shapes) if stacked else shapes)
+    ps, x = _case_params(rng, shapes, stacked)
     # push pre-activations away from the ReLU kink
     ps["b1"].data += np.sign(ps["b1"].data) * 0.5
-    return ps, lambda: feed_forward(ps["x"], ps["w1"], ps["b1"], ps["w2"],
+    return ps, lambda: feed_forward(x, ps["w1"], ps["b1"], ps["w2"],
                                     ps["b2"])
 
 
 def _add_norm_case(rng, masked, stacked=False):
     shapes = {"x": (B, T, D), "sub": (B, T, D), "gamma": (D,), "beta": (D,)}
-    if stacked:
-        shapes = _stacked(shapes)
-    ps = _params(rng, shapes)
-    mask = DropoutStream(4).mask(shapes["sub"], 0.7) if masked else None
-    return ps, lambda: add_norm(ps["x"], ps["sub"], ps["gamma"], ps["beta"],
+    ps, x = _case_params(rng, shapes, stacked)
+    mask = DropoutStream(4).mask(ps["sub"].shape, 0.7) if masked else None
+    return ps, lambda: add_norm(x, ps["sub"], ps["gamma"], ps["beta"],
                                 mask, 0.7 if masked else 1.0)
 
 
@@ -90,9 +96,9 @@ CASES = {
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_fused_op_gradients_match_finite_differences(case):
-    # "x" is a trainable input, so the input-gradient branch that the
-    # encoder never reaches (its tokens carry no graph) is checked too; in
-    # the stacked cases it is shared by the experts
+    # "x" is a trainable input outside the stacked cases, so the
+    # input-gradient branch that the encoder never reaches (its tokens
+    # carry no graph) is checked too
     rng = np.random.default_rng(30)
     ps, op = CASES[case](rng)
     coef = rng.normal(size=op().shape)
@@ -129,13 +135,9 @@ def encoder():
 
 def test_fused_encoder_matches_composed_oracle_in_eval_mode(encoder):
     x = np.random.default_rng(33).random((7, INPUT_DIM))
-    fused_attn, composed_attn = {}, {}
-    fused = eval_forward(encoder_forward, encoder, x, collect=fused_attn)
-    composed = eval_forward(composed_encoder_forward, encoder, x,
-                            collect=composed_attn)
+    fused = eval_forward(encoder_forward, encoder, x)
+    composed = eval_forward(composed_encoder_forward, encoder, x)
     np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(fused_attn["attn"], composed_attn["attn"],
-                               rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("train_mode", [False, True])
@@ -212,19 +214,32 @@ def test_stacked_encoder_pass_matches_each_encoders_own_pass():
 
 
 def test_stacked_encoder_gradients_match_finite_differences():
-    # criterion 01's check on E = 2 stacked encoders and a shared input
-    # that requires grad (its gradient sums over the experts)
+    # criterion 01's check on E = 2 stacked encoders sharing one input
     _, stacked = _stacked_encoders()
     stacked.unfreeze()
     rng = np.random.default_rng(37)
-    inputs = ParamSet()
-    inputs.add("x", rng.random((2, INPUT_DIM)))
+    x = rng.random((2, INPUT_DIM))
     coef = rng.normal(size=(E, 2, INPUT_DIM))
 
     def loss():
-        return tsum(encoder_forward(stacked, inputs["x"]) * coef)
+        return tsum(encoder_forward(stacked, x) * coef)
 
-    for ps, grads in zip((stacked, inputs), backward(loss(), stacked, inputs)):
-        assert set(grads) == set(ps.names())
-        check_gradients(lambda: loss().item(), ps, grads, rel_tol=1e-4,
-                        max_coords=4, rng=rng)
+    grads, = backward(loss(), stacked)
+    assert set(grads) == set(stacked.names())
+    check_gradients(lambda: loss().item(), stacked, grads, rel_tol=1e-4,
+                    max_coords=4, rng=rng)
+
+
+def test_softmax_rows_matches_the_composed_op_bitwise():
+    # rows spanning +-1e3 (the shift keeps exp finite) and a row of equal
+    # values; both halves against the oracle op's own arithmetic
+    rng = np.random.default_rng(38)
+    z = np.concatenate([rng.uniform(-1e3, 1e3, size=(5, 7)),
+                        np.full((1, 7), 1e3)])
+    g = rng.normal(size=z.shape)
+    node = softmax(Tensor(z, requires_grad=True))
+    y = softmax_rows(z.copy())
+    assert np.array_equal(y, node.data)
+    assert np.array_equal(y[-1], np.full(7, 1.0 / 7))
+    (_, ref_grad), = node._backward(g)
+    assert np.array_equal(softmax_rows_backward(y, g.copy()), ref_grad)

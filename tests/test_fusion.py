@@ -20,9 +20,10 @@ from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
 from flowmoe.expert import ExpertModel
 from flowmoe.nn import (INPUT_DIM, backward, cross_entropy, head_forward,
                         init_encoder, init_head)
-from flowmoe.nn import Tensor, no_grad, softmax
+from flowmoe.nn import Tensor, no_grad
 
 from composed_gate import composed_gate_output, composed_gate_weights
+from composed_ops import softmax
 from memtrace import traced_peak
 from nn_helpers import frozen, state_dict
 from per_expert_oracle import per_expert_representations

@@ -39,13 +39,20 @@ from .synth import GeneratorSpec, emit_files
 
 log = logging.getLogger("flowmoe")
 
+HASH_BLOCK = 1 << 16         # bytes per read when hashing a stage's inputs
+
 
 def _sha256_files(paths):
+    """SHA-256 (first 16 hex digits) of the files' bytes, concatenated in
+    order; None entries are skipped. Each file is read in blocks of
+    HASH_BLOCK bytes, so hashing adds no file-sized buffer to a stage."""
     h = hashlib.sha256()
     for p in paths:
         if p is None:
             continue
-        h.update(Path(p).read_bytes())
+        with open(p, "rb") as fh:
+            while block := fh.read(HASH_BLOCK):
+                h.update(block)
     return h.hexdigest()[:16]
 
 
@@ -93,6 +100,27 @@ def _load_dataset(features_path, labels_path, label_maps=None, tasks=None):
     return build_dataset(ids, feats, labels, label_maps=label_maps, tasks=tasks)
 
 
+def _load_parts(args, names, label_maps=None, tasks=None):
+    """The named parts ("train", "val", "test", or "all" alone for the whole
+    set) of the --features/--labels dataset, split by --split/--split-seed.
+    Only the parts are returned, so the unsplit dataset is let go once
+    `split_dataset` has copied them."""
+    data = _load_dataset(args.features, args.labels, label_maps=label_maps,
+                         tasks=tasks)
+    if names == ("all",):
+        return (data,)
+    parts = dict(zip(("train", "val", "test"), split_dataset(
+        data, _parse_ratios(args.split), seed=args.split_seed)))
+    return tuple(parts[name] for name in names)
+
+
+def _load_headless_experts(paths):
+    """Expert models read and checked from their files, without their
+    heads: a fused model reads only the encoders."""
+    return [dataclasses.replace(load_expert(_require(p, "expert model")),
+                                head=None) for p in paths]
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_gen(args):
@@ -130,12 +158,11 @@ def cmd_ingest(args):
 
 
 def cmd_train_expert(args):
-    data = _load_dataset(args.features, args.labels, tasks=[args.task])
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, dropout_rate=args.dropout,
                       seed=args.seed)
-    train, val, test = split_dataset(data, _parse_ratios(args.split),
-                                     seed=args.split_seed)
+    train, val, test = _load_parts(args, ("train", "val", "test"),
+                                   tasks=[args.task])
     model, trace = train_expert(train, cfg, val_data=val, task_id=args.task,
                                 expert_id=args.expert_id or args.task)
     out = _prepare_out(args.out)
@@ -158,7 +185,7 @@ def _flag_based_fusion(args):
     if mode is FusionMode.MODE_III:
         raise ValueError("refinement fusion needs --config with a "
                          "[nesting] section")
-    experts = [load_expert(_require(p, "expert model")) for p in args.experts]
+    experts = _load_headless_experts(args.experts)
     if mode is FusionMode.MODE_I:
         tasks = []
         for i, expert in enumerate(experts):
@@ -193,18 +220,15 @@ def cmd_fuse(args):
                              f"--config, which declares the whole fusion")
         expert_paths, relation, options = load_fusion_config(
             _require(args.config, "fusion config"))
-        experts = [load_expert(_require(p, "expert model"))
-                   for p in expert_paths]
+        experts = _load_headless_experts(expert_paths)
     else:
         if not args.experts:
             raise ValueError("--mode needs --experts with model paths")
+        expert_paths = args.experts
         experts, relation, options = _flag_based_fusion(args)
     fused = configure_fusion(experts, relation, seed=options["seed"])
-    data = _load_dataset(args.features, args.labels,
-                         label_maps=fused.label_maps,
+    train, = _load_parts(args, ("train",), label_maps=fused.label_maps,
                          tasks=fused.task_ids)
-    train, _val, _test = split_dataset(data, _parse_ratios(args.split),
-                                       seed=args.split_seed)
     fused, trace = fine_tune(fused, train, options["train_config"],
                              unfreeze_experts=options["unfreeze_experts"])
     out = _prepare_out(args.out)
@@ -219,7 +243,7 @@ def cmd_fuse(args):
     log.info("fused %d expert(s) into %d task(s) -> %s",
              len(experts), len(fused.task_ids), out)
     _log_run(out, "fuse", options["seed"],
-             [args.config, args.features, args.labels])
+             [args.config, *expert_paths, args.features, args.labels])
     return 0
 
 
@@ -252,14 +276,6 @@ def cmd_classify(args):
     return 0
 
 
-def _select_part(data, args):
-    if args.part == "all":
-        return data
-    train, val, test = split_dataset(data, _parse_ratios(args.split),
-                                     seed=args.split_seed)
-    return {"train": train, "val": val, "test": test}[args.part]
-
-
 def cmd_eval(args):
     kind, model = load_any_model(_require(args.model, "model"))
     if kind == "expert":
@@ -268,9 +284,7 @@ def cmd_eval(args):
     else:
         tasks = [args.task] if args.task else list(model.task_ids)
         maps = {t: model.label_maps[t] for t in tasks}
-    data = _load_dataset(args.features, args.labels, label_maps=maps,
-                         tasks=tasks)
-    part = _select_part(data, args)
+    part, = _load_parts(args, (args.part,), label_maps=maps, tasks=tasks)
     metrics = evaluate(model, part, tasks)
     prefix = _prepare_out(args.out_prefix)
     write_metrics_csv(str(prefix) + ".metrics.csv", metrics)
@@ -291,9 +305,8 @@ def cmd_diag_convergence(args):
     kind, model = load_any_model(_require(args.model, "model"))
     if kind != "fused":
         raise ValueError("convergence diagnostics need a fused model")
-    data = _load_dataset(args.features, args.labels,
-                         label_maps=model.label_maps, tasks=model.task_ids)
-    part = _select_part(data, args)
+    part, = _load_parts(args, (args.part,), label_maps=model.label_maps,
+                        tasks=model.task_ids)
     trace, _snaps, _steps, c_hat, report = run_tower_gd(
         model, part, steps=args.steps, alpha=args.alpha,
         snapshot_every=args.snapshot_every, seed=args.seed)
@@ -339,18 +352,17 @@ def cmd_diag_gate_anomaly(args):
         kind, model = load_any_model(_require(args.model, "model"))
         if kind != "fused":
             raise ValueError("gate anomaly diagnostics need a fused model")
-        data = _load_dataset(args.features, args.labels,
-                             label_maps=model.label_maps,
-                             tasks=model.task_ids)
-        part = _select_part(data, args)
+        part, = _load_parts(args, (args.part,), label_maps=model.label_maps,
+                            tasks=model.task_ids)
         domains = _domain_accuracies_from_model(model, part)
     report = detect_gate_anomaly(losses, domains, grace_epochs=args.grace,
                                  gap_threshold=args.gap_threshold)
     out = _prepare_out(args.out)
     out.write_text(report.summary() + "\n", encoding="utf-8")
     log.info("gate anomaly flagged: %s", report.flagged)
-    _log_run(out, "diag-gate-anomaly", "-",
-             [args.trace, args.domains or args.model])
+    inputs = [args.domains] if args.domains else \
+        [args.model, args.features, args.labels]
+    _log_run(out, "diag-gate-anomaly", "-", [args.trace, *inputs])
     return 0
 
 

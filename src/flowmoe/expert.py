@@ -23,11 +23,12 @@ from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, backward,
 log = logging.getLogger(__name__)
 
 # Row-encodings per eval-encoder block (E stacked encoders take
-# EVAL_ROWS // E rows). The largest intermediate, (64, 24, 152) fp64 =
-# 1.8 MiB, fits a 2 MiB per-core L2: on a 2-vCPU Xeon with that L2, 480
+# EVAL_ROWS // E rows). The largest intermediate, (32, 24, 152) fp64 =
+# 0.9 MiB, fits a 2 MiB per-core L2: on a 2-vCPU Xeon with that L2, 480
 # flows x 2 experts at 16/32/64/128 rows took 74.3/69.2/70.2/73.7 ms
-# (medians of 21, bitwise-equal outputs), so 32 and 64 tie within noise.
-EVAL_ROWS = 64
+# (medians of 21, bitwise-equal outputs). 32 ties 64 within noise and
+# halves the pass's transient memory (1.74 against 3.41 MiB traced).
+EVAL_ROWS = 32
 
 
 @dataclass
@@ -60,8 +61,9 @@ class EpochStats:
 
 @dataclass
 class ExpertModel:
-    """An encoder plus its private head; an expert loaded from a fused model
-    file has `head=None`, since fusion reads only the encoder."""
+    """An encoder plus its private head. Fusion reads only the encoder, so
+    an expert loaded from a fused model file, and one that `flowmoe fuse`
+    loads from an expert file, has `head=None`."""
 
     id: str
     encoder: ParamSet
@@ -81,6 +83,7 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
 
     `data` must carry exactly one task unless `task_id` picks one. A task
     whose training split holds fewer than two distinct classes is rejected.
+    Each epoch is scored on `val_data`, unless it is None or has no rows.
     """
     if task_id is None:
         if len(data.task_ids) != 1:
@@ -130,7 +133,7 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
         stats = EpochStats(epoch=epoch, train_loss=total / m)
         if not np.isfinite(stats.train_loss):
             raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
-        if val_data is not None:
+        if val_data is not None and val_data.n_samples:
             stats.val_loss, stats.val_acc = _evaluate_split(
                 model, val_data, task_id)
         trace.append(stats)

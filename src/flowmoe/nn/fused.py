@@ -172,7 +172,8 @@ def _split_heads(a, n_heads, head_dim):
     """(parts, ..., heads, T, head_dim) view of a (..., T, width) array whose
     width holds one or more parts (q|k|v, or the context) of `n_heads`."""
     n = a.ndim - 2                       # leading axes: rows (and experts)
-    return a.reshape(a.shape[:-1] + (-1, n_heads, head_dim)).transpose(
+    parts = a.shape[-1] // (n_heads * head_dim)     # not -1: rows may be 0
+    return a.reshape(a.shape[:-1] + (parts, n_heads, head_dim)).transpose(
         n + 1, *range(n), n + 2, n, n + 3)
 
 

@@ -18,3 +18,10 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def traced_cli_peak(argv):
+    """(exit code, traced peak in bytes) of one `flowmoe.cli.run` stage;
+    path arguments may be Path objects."""
+    from flowmoe.cli import run
+    return traced_peak(run, [str(a) for a in argv])

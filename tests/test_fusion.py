@@ -229,7 +229,7 @@ def test_concat_representations_rows(trained_experts, two_task_data, rng):
 @pytest.mark.parametrize("rows", [1, 31, 32, 33, 65])
 @pytest.mark.parametrize("n_experts", [1, 2, 3])
 def test_stacked_pass_matches_per_expert_oracle(n_experts, rows):
-    # blocks of EVAL_ROWS // n rows: 64, 32 and 21 rows for 1, 2, 3 experts
+    # blocks of EVAL_ROWS // n rows: 32, 16 and 10 rows for 1, 2, 3 experts
     experts = [ExpertModel(id=f"e{j}", head=None, label_map=["a", "b"],
                            encoder=init_encoder(np.random.default_rng(j)))
                for j in range(n_experts)]
@@ -283,7 +283,8 @@ def test_classify_fine_tune_and_tower_objective_run_one_stacked_pass(
         return real(params, x, *args, **kwargs)
 
     monkeypatch.setattr(expert_mod, "encoder_forward", recording)
-    train = two_task_data[0].subset(np.arange(32))
+    # one block of the two-expert stack: EVAL_ROWS // 2 rows
+    train = two_task_data[0].subset(np.arange(expert_mod.EVAL_ROWS // 2))
     fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
     stacked = (2, 1, 38, 38)
     classify_batch(fused, train.features)
@@ -426,6 +427,99 @@ def test_classify_batch_equals_per_sample(trained_experts, two_task_data):
             assert batch[task][0][i] == single[task].label_index
             assert np.allclose(batch[task][1][i], single[task].confidences,
                                atol=1e-15)
+
+
+def _random_heads(fused, seed):
+    """Random towers and trainable-gate linears (zero-initialized ones hide
+    mix-ups and make the gates input-independent)."""
+    rng = np.random.default_rng(seed)
+    for params in [*fused.towers.values(),
+                   *(g.linear for g in fused.gates.values()
+                     if g.linear is not None)]:
+        for t in params.tensors():
+            t.data = rng.normal(scale=0.05, size=t.data.shape)
+    return fused
+
+
+def _recording_tower_rows(monkeypatch):
+    """The row count of every `tower_forward` call, as a list."""
+    import flowmoe.fusion as fusion
+    rows = []
+    real = fusion.tower_forward
+
+    def recording(model, gated, *args, **kwargs):
+        rows.append(next(iter(gated.values())).shape[0])
+        return real(model, gated, *args, **kwargs)
+
+    monkeypatch.setattr(fusion, "tower_forward", recording)
+    return rows
+
+
+@pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
+def test_chunked_classify_matches_one_pass(trained_experts, mode,
+                                           monkeypatch):
+    import flowmoe.fusion as fusion
+    fused = _random_heads(configure_fusion(list(trained_experts),
+                                           _relation(mode), seed=3), 5)
+    X = np.random.default_rng(701).random((701, INPUT_DIM))
+    rows = _recording_tower_rows(monkeypatch)
+    chunked = classify_batch(fused, X)
+    assert rows == [256, 256, 189] and fusion.CLASSIFY_ROWS == 256
+    monkeypatch.setattr(fusion, "CLASSIFY_ROWS", len(X))
+    whole = classify_batch(fused, X)
+    assert rows[3:] == [701]
+    for task in fused.task_ids:
+        assert np.array_equal(chunked[task][0], whole[task][0])
+        if mode is FusionMode.MODE_III:
+            # a (912, 2) gate product's bits depend on the call's row count
+            assert np.allclose(chunked[task][1], whole[task][1],
+                               rtol=0, atol=1e-15)
+        else:
+            assert np.array_equal(chunked[task][1], whole[task][1])
+
+
+@pytest.mark.parametrize("n, chunks", [(35, [16, 19]), (36, [16, 20]),
+                                       (37, [16, 16, 5]), (3, [3])])
+def test_classify_tail_below_five_rows_joins_the_previous_chunk(
+        trained_experts, monkeypatch, n, chunks):
+    import flowmoe.fusion as fusion
+    fused = _random_heads(configure_fusion(list(trained_experts),
+                                           _mode1_relation(), seed=3), 5)
+    X = np.random.default_rng(n).random((n, INPUT_DIM))
+    monkeypatch.setattr(fusion, "CLASSIFY_ROWS", 16)
+    rows = _recording_tower_rows(monkeypatch)
+    chunked = classify_batch(fused, X)
+    assert rows == chunks
+    monkeypatch.setattr(fusion, "CLASSIFY_ROWS", n)
+    whole = classify_batch(fused, X)
+    for task in fused.task_ids:
+        assert np.array_equal(chunked[task][0], whole[task][0])
+        assert np.array_equal(chunked[task][1], whole[task][1])
+
+
+def test_classify_of_no_rows_gives_empty_outputs(trained_experts):
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
+    out = classify_batch(fused, np.zeros((0, INPUT_DIM)))
+    for task in fused.task_ids:
+        indices, probs = out[task]
+        assert indices.shape == (0,)
+        assert probs.shape == (0, len(fused.label_maps[task]))
+
+
+@pytest.mark.parametrize("mode", [FusionMode.MODE_I, FusionMode.MODE_III],
+                         ids=lambda m: m.value)
+def test_classify_transient_memory_does_not_grow_with_rows(trained_experts,
+                                                           mode):
+    fused = _random_heads(configure_fusion(list(trained_experts),
+                                           _relation(mode), seed=3), 5)
+    transient = []
+    for n in (256, 2048):
+        X = np.random.default_rng(n).random((n, INPUT_DIM))
+        out, peak = traced_peak(classify_batch, fused, X)
+        outputs = sum(a.nbytes for pair in out.values() for a in pair)
+        transient.append(peak - outputs)
+    # one pass would hold the (2, n, 912) representations: +26 MB at 2,048
+    assert abs(transient[1] - transient[0]) < 1e6, transient
 
 
 def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,

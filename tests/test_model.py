@@ -5,7 +5,8 @@ import pytest
 
 from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
                         cross_entropy, encoder_forward, head_forward,
-                        init_encoder, init_gate_linear, init_head)
+                        init_encoder, init_gate_linear, init_head,
+                        stack_encoders)
 
 from composed_ops import softmax
 from gradcheck import check_gradients
@@ -24,6 +25,18 @@ def test_encoder_output_length(encoder):
     batch = eval_forward(encoder_forward, encoder,
                          np.random.default_rng(2).random((5, INPUT_DIM)))
     assert batch.shape == (5, INPUT_DIM)
+
+
+def test_encoder_of_no_rows_gives_no_rows(encoder):
+    out = eval_forward(encoder_forward, encoder, np.zeros((0, INPUT_DIM)))
+    assert out.shape == (0, INPUT_DIM)
+
+
+def test_stacked_encoder_of_no_rows_gives_no_rows():
+    stacked = stack_encoders([init_encoder(np.random.default_rng(j))
+                              for j in range(3)])
+    out = eval_forward(encoder_forward, stacked, np.zeros((0, INPUT_DIM)))
+    assert out.shape == (3, 0, INPUT_DIM)
 
 
 def test_encoder_rejects_wrong_length(encoder):

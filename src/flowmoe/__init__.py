@@ -20,9 +20,9 @@ from .fusion import (FusedModel, FusionMode, GateConfig, TaskRelation,
                      concat_representations, configure_fusion,
                      default_finetune_config, fine_tune, gate_output,
                      gate_weights, load_fused, save_fused, tower_forward)
-from .ingest import (ExtractionConfig, FeatureVector, Flow, FlowKey, Packet,
-                     assemble_flows, extract_features, flows_to_features,
-                     read_flow_records, read_pcap, write_flow_records)
+from .ingest import (ExtractionConfig, Flow, FlowKey, Packet, assemble_flows,
+                     extract_features, flows_to_features, read_flow_records,
+                     read_pcap, write_flow_records)
 from .synth import ClassProfile, GeneratorSpec, generate_dataset
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "classify_batch", "concat_representations", "configure_fusion",
     "default_finetune_config", "fine_tune", "gate_output", "gate_weights",
     "load_fused", "save_fused", "tower_forward", "ExtractionConfig",
-    "FeatureVector", "Flow", "FlowKey", "Packet", "assemble_flows",
+    "Flow", "FlowKey", "Packet", "assemble_flows",
     "extract_features", "flows_to_features", "read_flow_records", "read_pcap",
     "write_flow_records", "ClassProfile", "GeneratorSpec", "generate_dataset",
     "__version__",

@@ -126,12 +126,14 @@ def _load_headless_experts(paths):
 def cmd_gen(args):
     spec = GeneratorSpec.from_config(_require(args.spec, "generator spec"))
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed {args.seed}: expected an integer >= 0")
         spec.seed = args.seed
     flows_out = _prepare_out(args.out_flows)
     labels_out = _prepare_out(args.out_labels)
-    dataset = emit_files(spec, flows_out, labels_out)
+    n_flows = emit_files(spec, flows_out, labels_out)
     log.info("generated %d flows over %d task(s) -> %s, %s",
-             dataset.n_samples, len(dataset.task_ids), flows_out, labels_out)
+             n_flows, len(spec.tasks), flows_out, labels_out)
     _log_run(flows_out, "gen", spec.seed, [args.spec])
     return 0
 
@@ -163,6 +165,9 @@ def cmd_train_expert(args):
                       seed=args.seed)
     train, val, test = _load_parts(args, ("train", "val", "test"),
                                    tasks=[args.task])
+    if test.n_samples == 0:
+        raise ValueError(f"empty evaluation set: --split {args.split} leaves "
+                         f"no test rows")
     model, trace = train_expert(train, cfg, val_data=val, task_id=args.task,
                                 expert_id=args.expert_id or args.task)
     out = _prepare_out(args.out)
@@ -326,6 +331,11 @@ def _domain_accuracies_from_model(model, data):
     if len(model.task_ids) != 1:
         raise ValueError("per-domain evaluation needs a single-task "
                          "(category expansion) fused model")
+    ids = [expert.id for expert in model.experts]
+    shared = [i for i in ids if ids.count(i) > 1]
+    if shared:
+        raise ValueError(f"experts share the id {shared[0]!r}, so their "
+                         f"domains cannot be told apart")
     task = model.task_ids[0]
     union = model.label_maps[task]
     preds = classify_batch(model, data.features)[task][0]
@@ -507,3 +517,7 @@ def run(argv=None) -> int:
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -111,16 +111,6 @@ class ExtractionConfig:
         return self.nb + 4 * self.npkt
 
 
-@dataclass
-class FeatureVector:
-    pay: np.ndarray
-    hdr: np.ndarray
-
-    @property
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.pay, self.hdr.reshape(-1)])
-
-
 def assemble_flows(packets) -> list:
     """Group packets into bidirectional five-tuple flows.
 
@@ -153,30 +143,29 @@ def assemble_flows(packets) -> list:
     return out
 
 
-def extract_features(flow: Flow, cfg: ExtractionConfig = None) -> FeatureVector:
-    """Build the PAY + HDR feature vector for one flow."""
+def extract_features(flow: Flow, cfg: ExtractionConfig = None) -> np.ndarray:
+    """The flat PAY + HDR feature row of one flow: `nb` payload values, then
+    four header values for each of `npkt` packet slots."""
     if cfg is None:
         cfg = ExtractionConfig()
     if not flow.packets:
         raise ValueError("empty flow")
+    row = np.zeros(cfg.dim)
+    stream = b"".join(p.payload for p in flow.packets)
+    pay = np.frombuffer(stream, dtype=np.uint8, count=min(len(stream), cfg.nb))
+    np.divide(pay, 255.0, out=row[:pay.size])
 
-    stream = b"".join(p.payload for p in flow.packets)[: cfg.nb]
-    pay = np.zeros(cfg.nb)
-    if stream:
-        pay[: len(stream)] = np.frombuffer(stream, dtype=np.uint8) / 255.0
-
-    hdr = np.zeros((cfg.npkt, 4))
     s_len, s_win, s_iat, s_dir = cfg.hdr_scales
+    cells = []
     prev_ts = None
-    for row, pkt in enumerate(flow.packets[: cfg.npkt]):
+    for pkt in flow.packets[: cfg.npkt]:
         iat = 0.0 if prev_ts is None else pkt.timestamp - prev_ts
         prev_ts = pkt.timestamp
         window = pkt.tcp_window if pkt.protocol == TCP else 0
-        hdr[row, 0] = len(pkt.payload) / s_len
-        hdr[row, 1] = window / s_win
-        hdr[row, 2] = min(max(iat / s_iat, 0.0), 1.0)
-        hdr[row, 3] = flow.direction(pkt) / s_dir
-    return FeatureVector(pay=pay, hdr=hdr)
+        cells += (len(pkt.payload) / s_len, window / s_win,
+                  min(max(iat / s_iat, 0.0), 1.0), flow.direction(pkt) / s_dir)
+    row[cfg.nb:cfg.nb + len(cells)] = cells
+    return row
 
 
 # -- pcap reading ----------------------------------------------------------
@@ -416,5 +405,5 @@ def flows_to_features(flows, cfg=None):
     ids = [f.flow_id for f in flows]
     mat = np.zeros((len(flows), cfg.dim))
     for i, flow in enumerate(flows):
-        mat[i] = extract_features(flow, cfg).flat
+        mat[i] = extract_features(flow, cfg)
     return ids, mat

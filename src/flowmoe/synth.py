@@ -9,6 +9,7 @@ centroids, so classes are separable by construction.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +53,12 @@ class GeneratorSpec:
     profiles: dict | None = None     # optional explicit ClassProfile overrides
 
     def __post_init__(self):
-        if self.separation <= 0:
-            raise ValueError("separation factor must be positive")
+        if not (math.isfinite(self.separation) and self.separation > 0):
+            raise ValueError(f"separation factor must be finite and > 0, "
+                             f"got {self.separation!r}")
+        if self.flows_per_class < 1:
+            raise ValueError(f"flows_per_class must be >= 1, got "
+                             f"{self.flows_per_class!r}")
         for cname, assignment in self.class_labels.items():
             for task, label in assignment.items():
                 if task not in self.tasks:
@@ -87,26 +92,57 @@ class GeneratorSpec:
 
     @classmethod
     def from_config(cls, path) -> "GeneratorSpec":
+        """Parse the INI generator spec: [tasks] (task = labels), [classes]
+        (class = one label per task), optional [generator] settings and
+        [nesting]. A missing or empty section, a value that does not
+        convert and a spec the constructor rejects are ValueErrors naming
+        the file, and the section and key where there is one."""
         cp = configparser.ConfigParser()
-        read = cp.read(path)
-        if not read:
+        if not cp.read(path):
             raise ValueError(f"cannot read generator config {path}")
-        gen = cp["generator"] if "generator" in cp else {}
+        for section in ("tasks", "classes"):
+            if section not in cp or not cp[section]:
+                raise ValueError(f"{path}: missing or empty [{section}] section")
+
+        def value(key, kind, default, expected, valid):
+            text = cp["generator"].get(key) if "generator" in cp else None
+            if text is None:
+                return default
+            try:
+                number = kind(text)
+            except ValueError:
+                number = None
+            if number is None or not valid(number):
+                raise ValueError(f"{path}: [generator] {key} = {text!r}: "
+                                 f"expected {expected}")
+            return number
+
+        def count(key, default):
+            return value(key, int, default, "an integer >= 1", lambda n: n >= 1)
+
         tasks = {t: cp["tasks"][t].split() for t in cp["tasks"]}
         class_labels = {}
         for cname in cp["classes"]:
             values = cp["classes"][cname].split()
             if len(values) != len(tasks):
-                raise ValueError(f"class {cname!r}: expected one label per task")
+                raise ValueError(f"{path}: [classes] {cname}: expected one "
+                                 f"label per task ({len(tasks)}), got "
+                                 f"{len(values)}")
             class_labels[cname] = dict(zip(tasks, values))
+        extraction = ExtractionConfig(nb=count("nb", 784),
+                                      npkt=count("npkt", 32))
+        flows_per_class = count("flows_per_class", 200)
+        seed = value("seed", int, 0, "an integer >= 0", lambda n: n >= 0)
+        separation = value("separation", float, 3.0, "a finite number > 0",
+                           lambda x: math.isfinite(x) and x > 0)
         nesting = dict(cp["nesting"]) if "nesting" in cp else None
-        extraction = ExtractionConfig(nb=int(gen.get("nb", 784)),
-                                      npkt=int(gen.get("npkt", 32)))
-        return cls(tasks=tasks, class_labels=class_labels,
-                   flows_per_class=int(gen.get("flows_per_class", 200)),
-                   seed=int(gen.get("seed", 0)),
-                   separation=float(gen.get("separation", 3.0)),
-                   nesting=nesting, extraction=extraction)
+        try:
+            return cls(tasks=tasks, class_labels=class_labels,
+                       flows_per_class=flows_per_class, seed=seed,
+                       separation=separation, nesting=nesting,
+                       extraction=extraction)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def default_profile(name, class_index, spec) -> ClassProfile:
@@ -133,38 +169,40 @@ def default_profile(name, class_index, spec) -> ClassProfile:
     )
 
 
-def _synth_flow(profile, rng, flow_index, class_index, cfg) -> Flow:
+def _synth_flow(profile, rng, flow_index, class_index) -> Flow:
     lo, hi = profile.flow_len_range
     n = min(int(rng.integers(lo, hi + 1)), profile.pkt_len_mean.size)
-    lens = np.clip(np.rint(profile.pkt_len_mean[:n]
-                           + rng.normal(0.0, profile.pkt_len_sigma, size=n)),
-                   0, 1460).astype(int)
+    lens = np.rint(profile.pkt_len_mean[:n]
+                   + rng.normal(0.0, profile.pkt_len_sigma, size=n))
+    lens = np.clip(lens, 0, 1460, out=lens).astype(int)
     total = int(lens.sum())
-    pos = np.arange(total) % profile.payload_mean.size
-    stream = np.clip(np.rint(profile.payload_mean[pos]
-                             + rng.normal(0.0, profile.payload_sigma, size=total)),
-                     0, 255).astype(np.uint8).tobytes()
+    stream = rng.normal(0.0, profile.payload_sigma, size=total)
+    stream += np.resize(profile.payload_mean, total)
+    stream = np.clip(np.rint(stream, out=stream), 0, 255,
+                     out=stream).astype(np.uint8).tobytes()
     iats = np.exp(rng.normal(profile.iat_log_mu, profile.iat_log_sigma, size=n))
     iats[0] = 0.0
     ts = np.cumsum(iats)
-    dirs = (rng.random(n) >= profile.fwd_prob[:n]).astype(int)
-    dirs[0] = 0  # the first packet defines the forward endpoint
-    windows = np.clip(np.rint(rng.normal(profile.window_mean,
-                                         profile.window_sigma, size=n)),
-                      0, 65535).astype(int)
+    dirs = rng.random(n) >= profile.fwd_prob[:n]
+    dirs[0] = False  # the first packet defines the forward endpoint
+    windows = np.rint(rng.normal(profile.window_mean, profile.window_sigma,
+                                 size=n))
+    windows = np.clip(windows, 0, 65535, out=windows).astype(int)
+    if profile.protocol != TCP:  # drawn anyway, so later draws do not shift
+        windows[:] = 0
 
     client = (f"10.{(flow_index >> 8) & 255}.{flow_index & 255}.2",
               1024 + (flow_index % 50000))
     server = (f"172.16.{class_index % 250}.1", 443)
     packets = []
     offset = 0
-    for i in range(n):
-        payload = stream[offset:offset + lens[i]]
-        offset += lens[i]
-        src, dst = (client, server) if dirs[i] == 0 else (server, client)
-        packets.append(Packet(float(ts[i]), src[0], src[1], dst[0], dst[1],
-                              profile.protocol, payload,
-                              int(windows[i]) if profile.protocol == TCP else 0))
+    for t, length, backward, window in zip(ts.tolist(), lens.tolist(),
+                                           dirs.tolist(), windows.tolist()):
+        src, dst = (server, client) if backward else (client, server)
+        packets.append(Packet(t, src[0], src[1], dst[0], dst[1],
+                              profile.protocol, stream[offset:offset + length],
+                              window))
+        offset += length
     return Flow(key=FlowKey.of(packets[0]), packets=packets,
                 forward_endpoint=client, flow_id=f"f{flow_index:06d}")
 
@@ -180,27 +218,25 @@ def generate_flows(spec: GeneratorSpec):
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=spec.seed, spawn_key=(2, ci)))
         for _ in range(spec.flows_per_class):
-            flows.append(_synth_flow(profile, rng, flow_index, ci, spec.extraction))
+            flows.append(_synth_flow(profile, rng, flow_index, ci))
             for task in spec.tasks:
                 names_by_task[task].append(spec.class_labels[cname][task])
             flow_index += 1
     return flows, names_by_task
 
 
-def _dataset_from_flows(spec, flows, names_by_task) -> LabeledDataset:
+def generate_dataset(spec: GeneratorSpec) -> LabeledDataset:
+    """The spec's flows as an in-memory labeled feature dataset."""
+    flows, names_by_task = generate_flows(spec)
     ids, mat = flows_to_features(flows, spec.extraction)
     labels_by_task = {task: dict(zip(ids, names))
                       for task, names in names_by_task.items()}
     return build_dataset(ids, mat, labels_by_task, label_maps=spec.tasks)
 
 
-def generate_dataset(spec: GeneratorSpec) -> LabeledDataset:
-    return _dataset_from_flows(spec, *generate_flows(spec))
-
-
-def emit_files(spec: GeneratorSpec, flows_path, labels_path) -> LabeledDataset:
-    """Write the flow-record file + labels CSV and return the dataset."""
+def emit_files(spec: GeneratorSpec, flows_path, labels_path) -> int:
+    """Write the flow-record file + labels CSV and return the flow count."""
     flows, names_by_task = generate_flows(spec)
     write_flow_records(flows, flows_path)
     write_labels_csv(labels_path, [f.flow_id for f in flows], names_by_task)
-    return _dataset_from_flows(spec, flows, names_by_task)
+    return len(flows)

@@ -348,10 +348,10 @@ def test_criterion_10_ingestion_and_metric_oracles():
                                                     f.key.endpoint_b]))
             if {id(p) for p in f.packets} != {id(p) for p in oracle[key]}:
                 flows_ok = False
-            fv = extract_features(f, cfg)
-            if fv.flat.shape != (cfg.nb + 4 * cfg.npkt,):
+            row = extract_features(f, cfg)
+            if row.shape != (cfg.nb + 4 * cfg.npkt,):
                 features_ok = False
-            if fv.pay.min() < 0.0 or fv.pay.max() > 1.0:
+            if row[:cfg.nb].min() < 0.0 or row[:cfg.nb].max() > 1.0:
                 features_ok = False
 
     metrics_ok = True

@@ -2,7 +2,10 @@
 
 import filecmp
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -860,3 +863,140 @@ def test_fuse_stage_traced_peak_stays_within_budget(pipeline_dir, tmp_path):
         "--out", tmp_path / "fused.snke"])
     assert code == 0
     assert peak <= 19.0 * 2**20, peak / 2**20
+
+
+BAD_GEN_SPECS = [
+    ("no-classes", GEN_CFG.split("[classes]")[0],
+     "missing or empty [classes] section"),
+    ("no-tasks", GEN_CFG.replace("[tasks]\napp = video chat mail\n"
+                                 "encap = plain vpn\n", ""),
+     "missing or empty [tasks] section"),
+    ("seed", GEN_CFG.replace("seed = 13", "seed = x"),
+     "[generator] seed = 'x': expected an integer >= 0"),
+    ("flows_per_class", GEN_CFG.replace("flows_per_class = 40",
+                                        "flows_per_class = 0"),
+     "[generator] flows_per_class = '0': expected an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in BAD_GEN_SPECS],
+                         ids=[case[0] for case in BAD_GEN_SPECS])
+def test_bad_generator_spec_is_a_cli_error(tmp_path, capsys, text, message):
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(text)
+    flows, labels = tmp_path / "flows.txt", tmp_path / "labels.csv"
+    rc = run(["gen", "--spec", str(spec), "--out-flows", str(flows),
+              "--out-labels", str(labels)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {spec}: {message}"]
+    assert not flows.exists() and not labels.exists()
+
+
+def test_negative_gen_seed_flag_is_a_cli_error(tmp_path, capsys):
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(GEN_CFG)
+    flows = tmp_path / "flows.txt"
+    rc = run(["gen", "--spec", str(spec), "--seed", "-1", "--out-flows",
+              str(flows), "--out-labels", str(tmp_path / "labels.csv")])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        "flowmoe: error: --seed -1: expected an integer >= 0"]
+    assert not flows.exists()
+
+
+def test_gen_builds_no_feature_matrix(tmp_path, monkeypatch):
+    import flowmoe.data
+    import flowmoe.ingest
+    import flowmoe.synth
+    calls = []
+    for module in (flowmoe.synth, flowmoe.ingest, flowmoe.data):
+        for name in ("flows_to_features", "build_dataset"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _n=name, **k: calls.append(_n))
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(GEN_CFG)
+    assert run(["gen", "--spec", str(spec),
+                "--out-flows", str(tmp_path / "flows.txt"),
+                "--out-labels", str(tmp_path / "labels.csv")]) == 0
+    assert calls == []
+    records = (tmp_path / "flows.txt").read_text().splitlines()[1:]
+    assert len(records) == 160      # 4 classes x 40 flows
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(GEN_CFG.replace("seed = 13", "seed = x"))
+    import flowmoe
+    src = str(Path(flowmoe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowmoe.cli", "gen", "--spec", str(spec),
+         "--out-flows", str(tmp_path / "flows.txt"),
+         "--out-labels", str(tmp_path / "labels.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().endswith(
+        "[generator] seed = 'x': expected an integer >= 0")
+
+
+def test_ingest_with_non_default_extraction_matches_oracle(pipeline_dir,
+                                                           tmp_path):
+    import prep_oracle
+    from flowmoe import serial
+    from flowmoe.ingest import ExtractionConfig, read_flow_records
+    out = tmp_path / "features.snkf"
+    assert run(["ingest", "--input", str(pipeline_dir / "flows.txt"),
+                "--out", str(out), "--nb", "100", "--npkt", "6",
+                "--iat-scale", "0.05"]) == 0
+    ids, feats, _ = serial.load_features(out)
+    cfg = ExtractionConfig(nb=100, npkt=6,
+                           hdr_scales=(1500.0, 65535.0, 0.05, 1.0))
+    flows = read_flow_records(pipeline_dir / "flows.txt")
+    assert ids == [f.flow_id for f in flows]
+    want = np.stack([prep_oracle.extract_features(f, cfg).flat for f in flows])
+    assert feats.tobytes() == want.tobytes()
+
+
+def test_train_expert_without_test_rows_writes_nothing(pipeline_dir, tmp_path,
+                                                       capsys):
+    out = tmp_path / "app.snke"
+    rc = run(["train-expert", "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(pipeline_dir / "labels.csv"), "--task", "app",
+              "--split", "0.9,0.1,0", "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        "flowmoe: error: empty evaluation set: --split 0.9,0.1,0 leaves no "
+        "test rows"]
+    assert not out.exists()
+    assert not Path(str(out) + ".loss.csv").exists()
+
+
+def test_gate_anomaly_rejects_experts_that_share_an_id(pipeline_dir, tmp_path,
+                                                       capsys):
+    from flowmoe.data import load_labels_csv, write_labels_csv
+    source = load_labels_csv(pipeline_dir / "labels.csv")
+    ids = sorted(source["app"])
+    labels = tmp_path / "labels.csv"
+    write_labels_csv(labels, ids, {"union": [source["app"][f] for f in ids]})
+    app = str(pipeline_dir / "app.snke")
+    model = tmp_path / "twice.snke"
+    assert run(["fuse", "--mode", "II", "--experts", app, app,
+                "--features", str(pipeline_dir / "features.snkf"),
+                "--labels", str(labels), "--epochs", "1",
+                "--out", str(model)]) == 0
+    trace = tmp_path / "trace.csv"
+    trace.write_text("epoch,total\n" + "\n".join(
+        f"{i},{v}" for i, v in enumerate(np.linspace(1.0, 0.05, 8))) + "\n")
+    out = tmp_path / "report.txt"
+    capsys.readouterr()
+    rc = run(["diag", "gate-anomaly", "--trace", str(trace),
+              "--model", str(model),
+              "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(labels), "--part", "all", "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        "flowmoe: error: experts share the id 'app', so their domains "
+        "cannot be told apart"]
+    assert not out.exists()

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from flowmoe.ingest import (ExtractionConfig, Flow, FlowKey, Packet,
                             assemble_flows, extract_features, flows_to_features,
                             read_flow_records, read_pcap, write_flow_records)
+from flowmoe.synth import GeneratorSpec, generate_flows
+
+import prep_oracle
 
 
 def _pkt(ts, src, sport, dst, dport, proto="TCP", payload=b"", window=0):
@@ -100,26 +103,31 @@ def _simple_flow(payloads, proto="TCP", window=100, nb=16, npkt=4):
     return assemble_flows(pkts)[0], ExtractionConfig(nb=nb, npkt=npkt)
 
 
+def _pay_hdr(row, cfg):
+    """The payload slice and the (npkt, 4) header view of a feature row."""
+    return row[:cfg.nb], row[cfg.nb:].reshape(cfg.npkt, 4)
+
+
 def test_pay_normalization_endpoints():
     flow, cfg = _simple_flow([bytes([0x00, 0xFF, 0x80])])
-    fv = extract_features(flow, cfg)
-    assert fv.pay[0] == 0.0
-    assert fv.pay[1] == 1.0
-    assert np.isclose(fv.pay[2], 0x80 / 255)
+    pay, _ = _pay_hdr(extract_features(flow, cfg), cfg)
+    assert pay[0] == 0.0
+    assert pay[1] == 1.0
+    assert np.isclose(pay[2], 0x80 / 255)
 
 
 def test_udp_window_column_zero():
     flow, cfg = _simple_flow([b"ab", b"cd"], proto="UDP", window=999)
-    fv = extract_features(flow, cfg)
-    assert np.all(fv.hdr[:, 1] == 0.0)
+    _, hdr = _pay_hdr(extract_features(flow, cfg), cfg)
+    assert np.all(hdr[:, 1] == 0.0)
 
 
 def test_two_packet_flow_padding_and_first_iat():
     flow, cfg = _simple_flow([b"ab", b"cd"], nb=8, npkt=32)
-    fv = extract_features(flow, cfg)
-    assert fv.hdr[0, 2] == 0.0               # no predecessor
-    assert np.isclose(fv.hdr[1, 2], 0.5)     # 0.5 s on the default 1 s scale
-    assert np.all(fv.hdr[2:] == 0.0)
+    _, hdr = _pay_hdr(extract_features(flow, cfg), cfg)
+    assert hdr[0, 2] == 0.0               # no predecessor
+    assert np.isclose(hdr[1, 2], 0.5)     # 0.5 s on the default 1 s scale
+    assert np.all(hdr[2:] == 0.0)
 
 
 def test_empty_flow_rejected():
@@ -136,18 +144,20 @@ def test_flat_length_exact_for_any_flow_size():
         payloads = [bytes(rng.integers(0, 256, size=rng.integers(0, 60),
                                        dtype=np.uint8)) for _ in range(n_pkts)]
         flow, _ = _simple_flow(payloads, nb=cfg.nb, npkt=cfg.npkt)
-        fv = extract_features(flow, cfg)
-        assert fv.flat.shape == (cfg.nb + 4 * cfg.npkt,)
-        assert np.all(fv.pay >= 0.0) and np.all(fv.pay <= 1.0)
+        row = extract_features(flow, cfg)
+        assert row.shape == (cfg.nb + 4 * cfg.npkt,)
+        pay, _ = _pay_hdr(row, cfg)
+        assert np.all(pay >= 0.0) and np.all(pay <= 1.0)
 
 
 def test_truncation_is_monotone():
     base = bytes(range(256)) * 4            # 1024 bytes > nb=784
     flow_a, cfg = _simple_flow([base])
     flow_b, _ = _simple_flow([base + b"extra bytes beyond the budget"])
-    a = extract_features(flow_a, cfg=ExtractionConfig())
-    b = extract_features(flow_b, cfg=ExtractionConfig())
-    assert np.array_equal(a.pay, b.pay)
+    cfg = ExtractionConfig()
+    a = extract_features(flow_a, cfg=cfg)
+    b = extract_features(flow_b, cfg=cfg)
+    assert np.array_equal(a[:cfg.nb], b[:cfg.nb])
 
 
 def test_direction_symmetry():
@@ -159,12 +169,12 @@ def test_direction_symmetry():
              else flow.key.endpoint_b)
     swapped = Flow(key=flow.key, packets=flow.packets, forward_endpoint=other,
                    flow_id=flow.flow_id)
-    a = extract_features(flow, cfg)
-    b = extract_features(swapped, cfg)
+    a_pay, a_hdr = _pay_hdr(extract_features(flow, cfg), cfg)
+    b_pay, b_hdr = _pay_hdr(extract_features(swapped, cfg), cfg)
     n = len(payloads)
-    assert np.array_equal(a.hdr[:, :3], b.hdr[:, :3])
-    assert np.array_equal(a.hdr[:n, 3], 1.0 - b.hdr[:n, 3])
-    assert np.array_equal(a.pay, b.pay)
+    assert np.array_equal(a_hdr[:, :3], b_hdr[:, :3])
+    assert np.array_equal(a_hdr[:n, 3], 1.0 - b_hdr[:n, 3])
+    assert np.array_equal(a_pay, b_pay)
 
 
 # -- pcap -------------------------------------------------------------------
@@ -327,17 +337,18 @@ def test_flow_record_round_trip(tmp_path):
     assert back[0].flow_id == "f0001"
     a = extract_features(flow, cfg)
     b = extract_features(back[0], cfg)
-    assert np.array_equal(a.flat, b.flat)
+    assert np.array_equal(a, b)
 
 
 def test_flow_record_without_payload_keeps_length(tmp_path):
     path = tmp_path / "flows.txt"
     path.write_text("f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,100 1.5,1,0,200\n")
     flows = read_flow_records(path)
-    fv = extract_features(flows[0], ExtractionConfig(nb=8, npkt=2))
-    assert np.all(fv.pay == 0.0)
-    assert fv.hdr[0, 0] == 5 / 1500.0
-    assert fv.hdr[1, 3] == 1.0
+    cfg = ExtractionConfig(nb=8, npkt=2)
+    pay, hdr = _pay_hdr(extract_features(flows[0], cfg), cfg)
+    assert np.all(pay == 0.0)
+    assert hdr[0, 0] == 5 / 1500.0
+    assert hdr[1, 3] == 1.0
 
 
 def test_flow_record_bad_line_reports_position(tmp_path):
@@ -385,9 +396,9 @@ def test_flow_record_bad_values_are_rejected(tmp_path, lines, reason):
 def test_flow_record_huge_finite_timestamp_is_clamped(tmp_path):
     path = tmp_path / "flows.txt"
     path.write_text("f1 udp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,0 1e308,1,0,0\n")
-    fv = extract_features(read_flow_records(path)[0],
-                          ExtractionConfig(nb=8, npkt=2))
-    assert fv.hdr[1, 2] == 1.0
+    cfg = ExtractionConfig(nb=8, npkt=2)
+    _, hdr = _pay_hdr(extract_features(read_flow_records(path)[0], cfg), cfg)
+    assert hdr[1, 2] == 1.0
 
 
 # value-level fuzzing: each field mostly in range, sometimes drawn from
@@ -453,3 +464,74 @@ def test_flows_to_features_shapes():
     ids, mat = flows_to_features([flow])
     assert ids == [flow.flow_id]
     assert mat.shape == (1, 912)
+
+
+# -- byte identity with the packet-by-packet oracle ---------------------------
+
+def _assert_rows_match_oracle(flows, cfg):
+    """extract_features and every flows_to_features row equal the oracle's
+    flat vector bit for bit."""
+    ids, mat = flows_to_features(flows, cfg)
+    assert ids == [f.flow_id for f in flows]
+    for flow, row in zip(flows, mat):
+        want = prep_oracle.extract_features(flow, cfg).flat
+        assert extract_features(flow, cfg).tobytes() == want.tobytes()
+        assert row.tobytes() == want.tobytes()
+
+
+CONFIGS = [ExtractionConfig(),
+           ExtractionConfig(nb=100, npkt=6,
+                            hdr_scales=(1500.0, 65535.0, 0.05, 1.0))]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "nb100-npkt6-iat0.05"])
+def test_features_of_synthetic_flows_match_oracle(cfg):
+    spec = GeneratorSpec(tasks={"app": ["a", "b", "c", "d"]},
+                         class_labels={f"c{i}": {"app": "abcd"[i]}
+                                       for i in range(4)},
+                         flows_per_class=6, seed=3)
+    flows, _ = generate_flows(spec)
+    assert {f.key.protocol for f in flows} == {"TCP", "UDP"}
+    _assert_rows_match_oracle(flows, cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "nb100-npkt6-iat0.05"])
+def test_features_of_pcap_flows_past_both_bounds_match_oracle(tmp_path, cfg):
+    # 40 packets of up to 60 payload bytes each: past npkt packets and past
+    # nb bytes for both configurations; one UDP flow, one all-empty flow
+    rng = np.random.default_rng(4)
+    frames, times = [], []
+    for i in range(40):
+        fwd = i % 3 != 1
+        payload = bytes(rng.integers(0, 256, size=int(rng.integers(0, 61)),
+                                     dtype=np.uint8))
+        a, b = ("10.0.0.1", 1234), ("10.0.0.2", 80)
+        src, dst = (a, b) if fwd else (b, a)
+        frames.append(_eth_frame(_ipv4(src[0], dst[0], 6, _tcp_seg(
+            src[1], dst[1], int(rng.integers(0, 65536)), payload))))
+        times.append(1000.0 + 0.01 * i + float(rng.random()) * 0.005)
+        frames.append(_eth_frame(_ipv4("10.0.0.3", "10.0.0.4", 17,
+                                       _udp_seg(53, 5353, payload[:30]))))
+        times.append(1000.2 + 0.5 * i)
+        frames.append(_eth_frame(_ipv4("10.0.0.5", "10.0.0.6", 6,
+                                       _tcp_seg(9, 10, 100, b""))))
+        times.append(1000.0 + 0.3 * i)
+    path = tmp_path / "long.pcap"
+    _write_pcap(path, frames, times=times)
+    flows = assemble_flows(read_pcap(path))
+    assert len(flows) == 3
+    for flow in flows[:2]:
+        assert len(flow.packets) > cfg.npkt
+        assert sum(len(p.payload) for p in flow.packets) > cfg.nb
+    assert all(p.payload == b"" for p in flows[2].packets)
+    _assert_rows_match_oracle(flows, cfg)
+
+
+@pytest.mark.parametrize("payloads", [
+    [b""], [b"", b"", b""], [b"", b"\x01\xff", b""],
+    [bytes(range(16))], [bytes(range(10)), bytes(range(7))]],
+    ids=["one-empty", "all-empty", "empty-around", "exactly-nb", "past-nb"])
+@pytest.mark.parametrize("proto", ["TCP", "UDP"])
+def test_features_of_short_and_empty_flows_match_oracle(payloads, proto):
+    flow, cfg = _simple_flow(payloads, proto=proto, window=777)
+    _assert_rows_match_oracle([flow], cfg)

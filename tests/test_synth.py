@@ -1,10 +1,17 @@
 """Synthetic generator: determinism, separability oracle, nesting, round trip."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from flowmoe.ingest import ExtractionConfig, flows_to_features, read_flow_records
-from flowmoe.synth import GeneratorSpec, emit_files, generate_dataset
+from flowmoe.data import build_dataset, load_labels_csv
+from flowmoe.ingest import (TCP, UDP, ExtractionConfig, flows_to_features,
+                            read_flow_records)
+from flowmoe.synth import (GeneratorSpec, _synth_flow, default_profile,
+                           emit_files, generate_dataset, generate_flows)
+
+import prep_oracle
 
 
 def nearest_centroid_accuracy(features, labels, train_frac=0.5, seed=0):
@@ -96,11 +103,58 @@ def test_round_trip_through_flow_records(tmp_path):
     spec = three_class_spec(flows_per_class=8)
     flows_path = tmp_path / "flows.txt"
     labels_path = tmp_path / "labels.csv"
-    direct = emit_files(spec, flows_path, labels_path)
-    back = read_flow_records(flows_path)
-    ids, mat = flows_to_features(back, spec.extraction)
-    assert ids == direct.flow_ids
-    assert np.array_equal(mat, direct.features)
+    assert emit_files(spec, flows_path, labels_path) == 24
+    direct = generate_dataset(spec)
+    ids, mat = flows_to_features(read_flow_records(flows_path), spec.extraction)
+    back = build_dataset(ids, mat, load_labels_csv(labels_path),
+                         label_maps=spec.tasks)
+    assert back.flow_ids == direct.flow_ids
+    assert back.features.tobytes() == direct.features.tobytes()
+    assert np.array_equal(back.labels["app"], direct.labels["app"])
+
+
+def _flow_fields(flow):
+    """Everything a flow carries, with the types of its numbers."""
+    return (flow.flow_id, flow.key, flow.forward_endpoint,
+            [(type(p.timestamp), type(p.tcp_window), p) for p in flow.packets])
+
+
+@pytest.mark.parametrize("protocol", [TCP, UDP])
+@pytest.mark.parametrize("nb, longer", [(16, True), (20000, False)],
+                         ids=["stream-longer-than-means",
+                              "stream-shorter-than-means"])
+def test_synth_flow_matches_oracle(protocol, nb, longer):
+    spec = three_class_spec()
+    spec.extraction = ExtractionConfig(nb=nb, npkt=12)
+    profile = dataclasses.replace(default_profile("c", 0, spec),
+                                  protocol=protocol)
+    rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for i in range(20):
+        flow = _synth_flow(profile, rng, i, 3)
+        want = prep_oracle.synth_flow(profile, oracle_rng, i, 3)
+        assert _flow_fields(flow) == _flow_fields(want)
+        total = sum(len(p.payload) for p in flow.packets)
+        assert (total > profile.payload_mean.size) == longer
+    assert rng.random() == oracle_rng.random()      # the same draws
+
+
+def test_generate_flows_matches_oracle_with_non_default_extraction():
+    spec = GeneratorSpec(tasks={"app": [f"l{i}" for i in range(6)]},
+                         class_labels={f"c{i}": {"app": f"l{i}"}
+                                       for i in range(6)},
+                         flows_per_class=5, seed=3,
+                         extraction=ExtractionConfig(nb=40, npkt=6))
+    flows, names = generate_flows(spec)
+    want = []
+    for ci, cname in enumerate(spec.class_labels):
+        profile = default_profile(cname, ci, spec)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=spec.seed, spawn_key=(2, ci)))
+        for _ in range(spec.flows_per_class):
+            want.append(prep_oracle.synth_flow(profile, rng, len(want), ci))
+    assert {f.key.protocol for f in flows} == {TCP, UDP}
+    assert [_flow_fields(f) for f in flows] == [_flow_fields(f) for f in want]
+    assert names["app"] == [f"l{i}" for i in range(6) for _ in range(5)]
 
 
 def test_generator_config_parsing(tmp_path):
@@ -117,3 +171,53 @@ def test_generator_config_parsing(tmp_path):
     ds = generate_dataset(spec)
     assert ds.n_samples == 14
     assert set(ds.task_ids) == {"app", "encap"}
+
+
+GEN_BODY = {"generator": "seed = 1\nflows_per_class = 3\n",
+            "tasks": "app = a b\n", "classes": "c0 = a\nc1 = b\n"}
+
+
+def _write_spec(tmp_path, body):
+    path = tmp_path / "gen.cfg"
+    path.write_text("".join(f"[{name}]\n{text}\n" for name, text in body.items()
+                            if text is not None))
+    return path
+
+
+@pytest.mark.parametrize("section", ["tasks", "classes"])
+@pytest.mark.parametrize("text", [None, ""], ids=["missing", "empty"])
+def test_generator_config_without_tasks_or_classes(tmp_path, section, text):
+    path = _write_spec(tmp_path, {**GEN_BODY, section: text})
+    with pytest.raises(ValueError) as info:
+        GeneratorSpec.from_config(path)
+    assert str(info.value) == f"{path}: missing or empty [{section}] section"
+
+
+@pytest.mark.parametrize("key, text, expected", [
+    ("seed", "x", "an integer >= 0"), ("seed", "-1", "an integer >= 0"),
+    ("flows_per_class", "0", "an integer >= 1"),
+    ("flows_per_class", "2.5", "an integer >= 1"),
+    ("nb", "0", "an integer >= 1"), ("npkt", "many", "an integer >= 1"),
+    ("separation", "0", "a finite number > 0"),
+    ("separation", "nan", "a finite number > 0")])
+def test_generator_config_bad_value_names_file_section_and_key(
+        tmp_path, key, text, expected):
+    path = _write_spec(tmp_path, {**GEN_BODY,
+                                  "generator": f"{key} = {text}\n"})
+    with pytest.raises(ValueError) as info:
+        GeneratorSpec.from_config(path)
+    assert str(info.value) == (f"{path}: [generator] {key} = {text!r}: "
+                               f"expected {expected}")
+
+
+def test_generator_config_rejected_spec_names_file(tmp_path):
+    path = _write_spec(tmp_path, {**GEN_BODY, "classes": "c0 = a\nc1 = z\n"})
+    with pytest.raises(ValueError) as info:
+        GeneratorSpec.from_config(path)
+    assert str(info.value) == (f"{path}: class 'c1': label 'z' not declared "
+                               f"for task 'app'")
+
+
+def test_spec_rejects_fewer_than_one_flow_per_class():
+    with pytest.raises(ValueError, match="flows_per_class must be >= 1"):
+        three_class_spec(flows_per_class=0)

@@ -19,7 +19,7 @@ from .fusion import (FusedModel, FusionMode, GateConfig, TaskRelation,
                      TaskSpec, classify, classify_batch,
                      concat_representations, configure_fusion,
                      default_finetune_config, fine_tune, gate_output,
-                     gate_weights, load_fused, save_fused, tower_forward)
+                     load_fused, save_fused, tower_forward)
 from .ingest import (ExtractionConfig, Flow, FlowKey, Packet, assemble_flows,
                      extract_features, flows_to_features, read_flow_records,
                      read_pcap, write_flow_records)
@@ -34,7 +34,7 @@ __all__ = [
     "save_expert", "train_expert", "FusedModel", "FusionMode", "GateConfig",
     "TaskRelation", "TaskSpec", "classify",
     "classify_batch", "concat_representations", "configure_fusion",
-    "default_finetune_config", "fine_tune", "gate_output", "gate_weights",
+    "default_finetune_config", "fine_tune", "gate_output",
     "load_fused", "save_fused", "tower_forward", "ExtractionConfig",
     "Flow", "FlowKey", "Packet", "assemble_flows",
     "extract_features", "flows_to_features", "read_flow_records", "read_pcap",

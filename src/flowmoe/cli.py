@@ -40,6 +40,8 @@ from .synth import GeneratorSpec, emit_files
 log = logging.getLogger("flowmoe")
 
 HASH_BLOCK = 1 << 16         # bytes per read when hashing a stage's inputs
+# the --split parts in split order, each with the name of the set it is
+SPLIT_PARTS = {"train": "training", "val": "validation", "test": "evaluation"}
 
 
 def _sha256_files(paths):
@@ -100,17 +102,21 @@ def _load_dataset(features_path, labels_path, label_maps=None, tasks=None):
     return build_dataset(ids, feats, labels, label_maps=label_maps, tasks=tasks)
 
 
-def _load_parts(args, names, label_maps=None, tasks=None):
+def _load_parts(args, names, label_maps=None, tasks=None, optional=()):
     """The named parts ("train", "val", "test", or "all" alone for the whole
-    set) of the --features/--labels dataset, split by --split/--split-seed.
-    Only the parts are returned, so the unsplit dataset is let go once
-    `split_dataset` has copied them."""
+    set) of the --features/--labels dataset, split by --split/--split-seed;
+    a part left empty is a ValueError unless `optional`. Only the parts are
+    returned, so the unsplit dataset is let go once they are copied."""
     data = _load_dataset(args.features, args.labels, label_maps=label_maps,
                          tasks=tasks)
     if names == ("all",):
         return (data,)
-    parts = dict(zip(("train", "val", "test"), split_dataset(
+    parts = dict(zip(SPLIT_PARTS, split_dataset(
         data, _parse_ratios(args.split), seed=args.split_seed)))
+    for name in names:
+        if parts[name].n_samples == 0 and name not in optional:
+            raise ValueError(f"empty {SPLIT_PARTS[name]} set: --split "
+                             f"{args.split} leaves no {name} rows")
     return tuple(parts[name] for name in names)
 
 
@@ -164,10 +170,7 @@ def cmd_train_expert(args):
                       epochs=args.epochs, dropout_rate=args.dropout,
                       seed=args.seed)
     train, val, test = _load_parts(args, ("train", "val", "test"),
-                                   tasks=[args.task])
-    if test.n_samples == 0:
-        raise ValueError(f"empty evaluation set: --split {args.split} leaves "
-                         f"no test rows")
+                                   tasks=[args.task], optional=("val",))
     model, trace = train_expert(train, cfg, val_data=val, task_id=args.task,
                                 expert_id=args.expert_id or args.task)
     out = _prepare_out(args.out)

@@ -20,7 +20,7 @@ import numpy as np
 from . import fusion
 from .data import LabeledDataset, text_lines
 # head_forward is unused here; perfbench's tracer wraps diagnostics.head_forward
-from .nn import Tensor, backward, head_forward, no_grad
+from .nn import backward, head_forward
 from .nn.optim import UPDATE_BLOCK
 
 log = logging.getLogger(__name__)
@@ -305,7 +305,8 @@ class TowerObjective:
 
     Freezing experts and fixing gates makes each tower's input constant, so
     the whole objective is a pure function of the tower parameters; this is
-    the regime the plain-GD convergence guarantee speaks about.
+    the regime the plain-GD convergence guarantee speaks about. The inputs
+    are formed once, as `fusion.gated_inputs` (N, 912) arrays.
 
     Every tower tensor becomes a C-contiguous, trainable view into one flat
     parameter vector (towers in task order, parameters in ParamSet order),
@@ -317,12 +318,7 @@ class TowerObjective:
         self.model = model
         self.tasks = list(model.task_ids)
         self.labels = {t: data.labels[t] for t in self.tasks}
-        stacked = Tensor(fusion.concat_representations(model,
-                                                       data.features))
-        x = Tensor(data.features)
-        with no_grad():
-            self.inputs = {t: fusion.gate_output(model.gates[t], stacked, x)
-                           for t in self.tasks}
+        self.inputs = fusion.gated_inputs(model, data.features, self.tasks)
         tensors = [p for t in self.tasks for p in model.towers[t].tensors()]
         self._flat = np.empty(sum(p.data.size for p in tensors))
         self._slices = []                # (tensor, slice), vector order

@@ -25,14 +25,14 @@ from .expert import (ExpertModel, TrainConfig, expert_from_container,
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward,
                  cross_entropy, encoder_forward, encoder_shapes,
                  gate_linear_shapes, gate_mix, head_forward, head_shapes,
-                 init_gate_linear, init_head, mixing_weights, no_grad,
-                 seed_streams, softmax_rows, stack_encoders)
+                 init_gate_linear, init_head, no_grad, seed_streams,
+                 softmax_rows, stack_encoders)
 
 
-# Rows per `classify_batch` chunk (the stacked encoder inside a chunk still
-# runs in blocks of EVAL_ROWS // n rows, see expert.py). On a 2-vCPU Xeon
-# with 1 BLAS thread, 480 flows through a two-expert model in 256-row
-# chunks ran as fast as one pass; 128-row chunks cost 6%, 32-row 10%.
+# Rows per `gated_chunks` chunk, in which classification, the fine-tune
+# pre-mix and tower GD form their gated inputs. On a 2-vCPU Xeon with 1 BLAS
+# thread, 480 flows through a two-expert model in 256-row chunks classified
+# as fast as in one pass; 128-row chunks cost 6%, 32-row 10%.
 CLASSIFY_ROWS = 256
 # A (912, 256) tower product of 1 to 4 rows takes numpy's matrix-vector
 # path, whose rows differ in the last bits from a larger call's; a tail
@@ -75,26 +75,6 @@ class GateConfig:
         return cls(task_id, subset, n_experts, linear)
 
 
-def gate_weights(gate: GateConfig, x):
-    """Mixing-weight Tensor over all n experts; fixed gates give (n,).
-
-    Trainable gates map the input Tensor `x`, (912,) or (B, 912), to (n,) or
-    (B, n): a softmax over the subset S (`nn.mixing_weights`) scattered
-    into zeros, so rows sum to 1 and are 0 outside S. A non-finite weight
-    raises ValueError. The Tensor carries no graph: `gate_output` is the
-    trainable path.
-    """
-    if gate.linear is None:
-        return Tensor(gate.fixed_delta)
-    local = mixing_weights(x.data, gate.linear["w"].data,
-                           gate.linear["b"].data)
-    if not np.all(np.isfinite(local)):
-        raise ValueError(f"gate {gate.task_id!r}: non-finite mixing weights")
-    delta = np.zeros(local.shape[:-1] + (gate.n_experts,))
-    delta[..., list(gate.subset)] = local
-    return Tensor(delta)
-
-
 def gate_output(gate: GateConfig, stacked, x=None):
     """Gated input Tensor from `stacked` (n, 912) or (n, B, 912) expert rows.
 
@@ -121,8 +101,8 @@ def gate_output(gate: GateConfig, stacked, x=None):
 
 def tower_forward(model, gated, labels=None, dropout_stream=None,
                   dropout_rate=0.0):
-    """Each task's tower on its gated input Tensor (`gated`: task -> (912,)
-    or (B, 912)), in train mode when a `dropout_stream` is given.
+    """Each task's tower on its gated input (`gated`: task -> (912,) or
+    (B, 912) Tensor or array), in train mode given a `dropout_stream`.
 
     Returns (logits, losses, total): per-task logits and, given `labels`
     (task -> class indices), per-task cross-entropies and their sum weighted
@@ -211,6 +191,41 @@ def concat_representations(model: FusedModel, x):
     """
     model.restack_if_stale()
     return expert_representation(model, x)
+
+
+def gated_chunks(model: FusedModel, X, tasks, cache=None):
+    """Yield (row slice, {task: gated input Tensor, no graph}) per chunk of
+    CLASSIFY_ROWS rows of the (N, 912) X; a tail under MIN_TOWER_ROWS rows
+    joins the previous chunk. A chunk is one stacked `concat_representations`
+    pass, copied into `cache` ((E, N, 912)) if given, then `gate_output` per
+    task; one-expert fixed gates are views into it. It is let go before the
+    next pass, so a consumer that drops `gated` after each step holds one.
+    """
+    bounds = list(range(0, len(X), CLASSIFY_ROWS)) + [len(X)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < MIN_TOWER_ROWS:
+        del bounds[-2]
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
+        stacked = Tensor(concat_representations(model, X[rows]))
+        if cache is not None:
+            cache[:, rows] = stacked.data
+        with no_grad():
+            gated = {task: gate_output(model.gates[task], stacked,
+                                       Tensor(X[rows])) for task in tasks}
+        stacked = None
+        yield rows, gated
+        gated = None
+
+
+def gated_inputs(model: FusedModel, X, tasks, cache=None):
+    """{task: (N, 912) gated input array} for `tasks` over the rows X, filled
+    chunk by chunk from `gated_chunks(model, X, tasks, cache)`."""
+    out = {task: np.empty((X.shape[0], INPUT_DIM)) for task in tasks}
+    for rows, gated in gated_chunks(model, X, tasks, cache):
+        for task, tensor in gated.items():
+            out[task][rows] = tensor.data
+        gated = tensor = None        # let the chunk go before the next pass
+    return out
 
 
 def _union_labels(experts, subset, explicit):
@@ -340,7 +355,10 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
 
     The per-batch loss is the alpha-weighted sum of one cross-entropy per
     task; gradients for task k touch only tower k (and the shared gates /
-    experts when trainable). Returns (model, per-epoch loss traces).
+    experts when trainable). Frozen experts' representations are constant:
+    each fixed gate's (N, 912) input is formed once by `gated_inputs`, in
+    whose pass the (E, N, 912) representations are cached only for
+    trainable gates, which mix per batch. Returns (model, loss traces).
     """
     if cfg is None:
         cfg = default_finetune_config(model.relations[0].mode)
@@ -374,16 +392,12 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
 
     feats = data.features
     m = feats.shape[0]
-    premixed = {}
+    premixed, cached = {}, None
     if not unfreeze_experts:
-        # frozen experts make the representations constant: compute them
-        # once, and mix each fixed gate once. A mix sums over experts
-        # element by element, so its rows are bitwise a per-batch mix's.
-        cached = concat_representations(model, feats)
-        with no_grad():
-            premixed = {task: gate_output(gate, Tensor(cached)).data
-                        for task, gate in model.gates.items()
-                        if gate.linear is None}
+        fixed = [t for t, g in model.gates.items() if g.linear is None]
+        if len(fixed) < len(model.gates):
+            cached = np.empty((len(model.experts), m, INPUT_DIM))
+        premixed = gated_inputs(model, feats, fixed, cached)
     trace = []
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(m)
@@ -394,9 +408,9 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
             x = Tensor(feats[idx])
             if unfreeze_experts:
                 reps = encoder_forward(model.encoder, x.data)
-            elif len(premixed) < len(model.gates):
+            elif cached is not None:
                 reps = Tensor(cached[:, idx])
-            gated = {task: Tensor(premixed[task][idx]) if task in premixed
+            gated = {task: premixed[task][idx] if task in premixed
                      else gate_output(model.gates[task], reps, x)
                      for task in model.task_ids}
             _logits, losses, loss_total = tower_forward(
@@ -429,38 +443,25 @@ class TaskPrediction:
 def classify_batch(model: FusedModel, X):
     """Per task, (label indices, class probabilities) for the rows of X.
 
-    Rows go through in chunks of CLASSIFY_ROWS: one stacked pass over all
+    Rows go through in `gated_chunks`: per chunk, one stacked pass over all
     experts, the gates, one `tower_forward` over all towers, softmax and
-    argmax per chunk, written into arrays allocated once, so the transient
-    memory does not grow with the row count. A tail of fewer than
-    MIN_TOWER_ROWS rows joins the previous chunk.
+    argmax, written into arrays allocated once, so the transient memory
+    does not grow with the row count.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != INPUT_DIM:
         raise ValueError(f"expected input of length {INPUT_DIM}, "
                          f"got {X.shape[1]}")
-    n = X.shape[0]
-    out = {task: (np.empty(n, dtype=np.intp),
-                  np.empty((n, len(model.label_maps[task]))))
+    out = {task: (np.empty(X.shape[0], dtype=np.intp),
+                  np.empty((X.shape[0], len(model.label_maps[task]))))
            for task in model.task_ids}
-    bounds = list(range(0, n, CLASSIFY_ROWS)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] < MIN_TOWER_ROWS:
-        del bounds[-2]
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = X[start:stop]
-        stacked = Tensor(concat_representations(model, rows))  # (E, B, 912)
-        x = Tensor(rows)
+    for rows, gated in gated_chunks(model, X, model.task_ids):
         with no_grad():
-            gated = {task: gate_output(model.gates[task], stacked, x)
-                     for task in model.task_ids}
             for task, logits in tower_forward(model, gated)[0].items():
                 indices, probs = out[task]
-                probs[start:stop] = softmax_rows(logits.data)
-                np.argmax(probs[start:stop], axis=1, out=indices[start:stop])
-        # let this chunk's arrays go before the next chunk's pass
-        stacked = x = gated = logits = None
+                probs[rows] = softmax_rows(logits.data)
+                np.argmax(probs[rows], axis=1, out=indices[rows])
+        gated = logits = None        # let the chunk go before the next pass
     return out
 
 

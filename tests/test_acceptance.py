@@ -15,15 +15,16 @@ from flowmoe.diagnostics import (LossTrace, check_convergence,
 from flowmoe.evaluation import compute_metrics
 from flowmoe.expert import TrainConfig, train_expert
 from flowmoe.fusion import (GateConfig, concat_representations, fine_tune,
-                            gate_output, gate_weights)
+                            gate_output)
 from flowmoe.ingest import ExtractionConfig, Packet, assemble_flows, \
     extract_features
 from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
                         backward, cross_entropy, dropout, encoder_forward,
                         head_forward, init_encoder, init_gate_linear,
-                        init_head, relu)
+                        init_head, mixing_weights, relu)
 from flowmoe.synth import GeneratorSpec, generate_dataset
 
+from composed_gate import composed_gate_weights
 from composed_ops import softmax, transpose, tsum
 from gradcheck import check_gradients
 from nn_helpers import state_dict
@@ -167,11 +168,19 @@ def test_criterion_02_gate_mode_contracts():
     trainable = GateConfig.trainable("t", (0, 2), n)
     trainable.linear["w"].data = rng.normal(
         size=trainable.linear["w"].data.shape)
-    delta = gate_weights(trainable, Tensor(inputs)).data
-    simplex_ok = (np.all(delta >= 0.0)
-                  and np.max(np.abs(delta.sum(axis=1) - 1.0)) < 1e-12
+    weights = mixing_weights(inputs, trainable.linear["w"].data,
+                             trainable.linear["b"].data)
+    delta = composed_gate_weights(trainable, Tensor(inputs)).data
+    # expert 1 is outside the subset: its NaN rows must not reach the mix
+    outside = stacked.copy()
+    outside[1] = np.nan
+    mixed = gate_output(trainable, Tensor(outside), Tensor(inputs)).data
+    simplex_ok = (np.all(weights > 0.0)
+                  and np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-12
+                  and np.max(np.abs(delta[:, [0, 2]] - weights)) <= 1e-15
                   and np.all(delta[:, 1] == 0.0)
-                  and np.all(delta[:, [0, 2]] > 0.0))
+                  and np.array_equal(mixed, weights[:, :1] * stacked[0]
+                                     + weights[:, 1:] * stacked[2]))
     _criterion(2, "gate mode contracts over 1000 inputs",
                default_ok and topk_ok and simplex_ok)
 

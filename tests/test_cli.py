@@ -973,6 +973,49 @@ def test_train_expert_without_test_rows_writes_nothing(pipeline_dir, tmp_path,
     assert not Path(str(out) + ".loss.csv").exists()
 
 
+EMPTY_PART_STAGES = {
+    "train-expert": lambda d, out: [
+        "train-expert", "--task", "app", "--epochs", "1", "--out",
+        out / "e.snke"],
+    "fuse": lambda d, out: [
+        "fuse", "--config", d / "fusion.cfg", "--out", out / "fused.snke"],
+    "eval": lambda d, out: [
+        "eval", "--model", d / "fused.snke", "--out-prefix", out / "m"],
+    "diag-convergence": lambda d, out: [
+        "diag", "convergence", "--model", d / "fused.snke", "--steps", "3",
+        "--out-prefix", out / "conv"],
+    "diag-gate-anomaly": lambda d, out: [
+        "diag", "gate-anomaly", "--trace", d / "fused.snke.loss.csv",
+        "--model", d / "fused.snke", "--out", out / "anomaly.txt"],
+}
+
+
+@pytest.mark.parametrize("stage, split, message", [
+    ("train-expert", "0,0.5,0.5", "empty training set: --split 0,0.5,0.5 "
+                                  "leaves no train rows"),
+    ("fuse", "0,0.5,0.5", "empty training set: --split 0,0.5,0.5 leaves no "
+                          "train rows"),
+    ("eval", "0.5,0.5,0", "empty evaluation set: --split 0.5,0.5,0 leaves "
+                          "no test rows"),
+    ("diag-convergence", "0,0.5,0.5", "empty training set: --split "
+                                      "0,0.5,0.5 leaves no train rows"),
+    ("diag-gate-anomaly", "0.5,0.5,0", "empty evaluation set: --split "
+                                       "0.5,0.5,0 leaves no test rows"),
+])
+def test_empty_split_part_is_one_cli_error(pipeline_dir, tmp_path, capsys,
+                                           stage, split, message):
+    argv = EMPTY_PART_STAGES[stage](pipeline_dir, tmp_path) + [
+        "--features", pipeline_dir / "features.snkf",
+        "--labels", pipeline_dir / "labels.csv", "--split", split]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # no numpy warning first
+        rc = run([str(a) for a in argv])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"flowmoe: error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gate_anomaly_rejects_experts_that_share_an_id(pipeline_dir, tmp_path,
                                                        capsys):
     from flowmoe.data import load_labels_csv, write_labels_csv

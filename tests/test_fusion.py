@@ -14,12 +14,12 @@ from flowmoe.expert import expert_representation, save_expert
 from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
                             TaskSpec, classify, classify_batch,
                             concat_representations, configure_fusion, fine_tune,
-                            fusion_structure, gate_output, gate_weights,
-                            load_any_model, load_fused, load_fusion_config,
+                            fusion_structure, gate_output, gated_chunks,
+                            gated_inputs, load_any_model, load_fused, load_fusion_config,
                             save_fused, tower_forward)
 from flowmoe.expert import ExpertModel
 from flowmoe.nn import (INPUT_DIM, backward, cross_entropy, head_forward,
-                        init_encoder, init_head)
+                        init_encoder, init_head, mixing_weights)
 from flowmoe.nn import Tensor, no_grad
 
 from composed_gate import composed_gate_output, composed_gate_weights
@@ -74,8 +74,9 @@ def test_gate_trainable_uniform_at_zero_init(rng):
     x = rng.normal(size=INPUT_DIM)
     stacked = rng.normal(size=(3, INPUT_DIM))
     gate = GateConfig.trainable("t", (0, 1, 2), 3)
-    delta = gate_weights(gate, Tensor(x)).data
-    assert np.allclose(delta, 1.0 / 3.0)
+    weights = mixing_weights(x, gate.linear["w"].data, gate.linear["b"].data)
+    assert np.allclose(weights, 1.0 / 3.0)
+    assert np.array_equal(weights, composed_gate_weights(gate, Tensor(x)).data)
     out = gate_output(gate, Tensor(stacked), Tensor(x)).data
     assert np.allclose(out, stacked.mean(axis=0), atol=1e-12)
 
@@ -83,11 +84,22 @@ def test_gate_trainable_uniform_at_zero_init(rng):
 def test_gate_trainable_simplex_support(rng):
     gate = GateConfig.trainable("t", (1, 3), 5)
     gate.linear["w"].data = rng.normal(size=gate.linear["w"].data.shape)
+    w, b = gate.linear["w"].data, gate.linear["b"].data
     for _ in range(20):
-        delta = gate_weights(gate, Tensor(rng.normal(size=INPUT_DIM))).data
-        assert np.all(delta >= 0)
-        assert abs(delta.sum() - 1.0) < 1e-12
+        x = rng.normal(size=INPUT_DIM)
+        weights = mixing_weights(x, w, b)
+        assert np.all(weights >= 0)
+        assert abs(weights.sum() - 1.0) < 1e-12
+        delta = composed_gate_weights(gate, Tensor(x)).data
+        assert np.max(np.abs(delta[[1, 3]] - weights)) <= 1e-15
         assert delta[0] == delta[2] == delta[4] == 0.0
+        # experts outside the subset weigh nothing: NaN rows never reach
+        # the mix, which is the subset's rows under the subset's weights
+        stacked = np.full((5, INPUT_DIM), np.nan)
+        stacked[[1, 3]] = rng.normal(size=(2, INPUT_DIM))
+        out = gate_output(gate, Tensor(stacked), Tensor(x)).data
+        assert np.array_equal(out, weights[0] * stacked[1]
+                              + weights[1] * stacked[3])
 
 
 # A NaN gate weight makes every mixing weight NaN; the check must raise
@@ -159,8 +171,10 @@ def test_gate_mix_matches_composed_oracle(rng, rows):
         assert np.max(np.abs(out - ref)) <= 1e-12, gate
         if gate.linear is not None:
             ref_delta = composed_gate_weights(gate, Tensor(x)).data
-            assert np.max(np.abs(gate_weights(gate, Tensor(x)).data
-                                 - ref_delta)) <= 1e-15
+            weights = mixing_weights(x, gate.linear["w"].data,
+                                     gate.linear["b"].data)
+            assert np.max(np.abs(weights - ref_delta[..., list(gate.subset)])
+                          ) <= 1e-15
 
 
 def test_gate_mix_gradients_match_composed_oracle(rng):
@@ -520,6 +534,71 @@ def test_classify_transient_memory_does_not_grow_with_rows(trained_experts,
         transient.append(peak - outputs)
     # one pass would hold the (2, n, 912) representations: +26 MB at 2,048
     assert abs(transient[1] - transient[0]) < 1e6, transient
+
+
+def _random_experts(n):
+    return [ExpertModel(id=f"e{j}", head=None, label_map=[f"l{j}", f"l{j + 1}"],
+                        encoder=init_encoder(np.random.default_rng(j)))
+            for j in range(n)]
+
+
+def _fixed_gate_model():
+    """Tower-less model over two random experts with every fixed gate kind:
+    one-expert (Mode I) and uniform over both (Mode II)."""
+    return fusion_structure(_random_experts(2), [
+        TaskRelation(FusionMode.MODE_I, [TaskSpec("t0", experts=(0,)),
+                                          TaskSpec("t1", experts=(1,))]),
+        TaskRelation(FusionMode.MODE_II, [TaskSpec("union", experts=(0, 1))])])
+
+
+@pytest.mark.parametrize("n, chunks", [(516, [256, 260]),
+                                       (600, [256, 256, 88])])
+def test_gated_inputs_match_one_gate_output_over_the_whole_stack(n, chunks):
+    # 516 rows leave a 4-row tail, which joins the last chunk
+    model = _fixed_gate_model()
+    X = np.random.default_rng(n).random((n, INPUT_DIM))
+    whole = concat_representations(model, X)
+    with no_grad():
+        want = {t: gate_output(g, Tensor(whole)).data
+                for t, g in model.gates.items()}
+    tasks = model.task_ids
+    assert [rows.stop - rows.start
+            for rows, _ in gated_chunks(model, X, tasks)] == chunks
+    cache = np.empty_like(whole)
+    got = gated_inputs(model, X, tasks, cache)
+    assert list(got) == tasks
+    for task in tasks:
+        assert np.array_equal(got[task], want[task]), task
+    assert np.array_equal(cache, whole)
+    # no gated task: the pass only fills the cache
+    cache[...] = np.nan
+    assert gated_inputs(model, X, [], cache) == {}
+    assert np.array_equal(cache, whole)
+
+
+def test_fine_tune_and_tower_objective_memory_does_not_grow_with_rows():
+    from flowmoe.data import LabeledDataset
+    from flowmoe.diagnostics import TowerObjective
+    from flowmoe.expert import TrainConfig
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=128, epochs=1,
+                      dropout_rate=0.0, seed=1)
+    transient = {"fine_tune": [], "TowerObjective": []}
+    for n in (300, 1200):
+        model = configure_fusion(_random_experts(2), TaskRelation(
+            FusionMode.MODE_II, [TaskSpec("u", experts=(0, 1))]), seed=1)
+        rng = np.random.default_rng(n)
+        data = LabeledDataset(rng.random((n, INPUT_DIM)),
+                              {"u": rng.integers(0, 3, n)},
+                              {"u": ["l0", "l1", "l2"]}, list(range(n)))
+        inputs = n * INPUT_DIM * 8           # the task's (n, 912) input
+        _, peak = traced_peak(fine_tune, model, data, cfg)
+        transient["fine_tune"].append(peak - inputs)
+        _, peak = traced_peak(TowerObjective, model, data)
+        transient["TowerObjective"].append(peak - inputs)
+    # a whole-n pass held the (2, n, 912) representations: +12.5 MiB for
+    # fine_tune and +18.8 MiB for TowerObjective at 1,200 rows
+    for name, (small, large) in transient.items():
+        assert abs(large - small) < 1e6, (name, small, large)
 
 
 def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,

@@ -290,6 +290,9 @@ def cmd_eval(args):
         tasks = [args.task or model.task_id]
         maps = {tasks[0]: model.label_map}
     else:
+        if args.task and args.task not in model.task_ids:
+            raise ValueError(f"--task {args.task!r}: the fused model's tasks "
+                             f"are {model.task_ids}")
         tasks = [args.task] if args.task else list(model.task_ids)
         maps = {t: model.label_maps[t] for t in tasks}
     part, = _load_parts(args, (args.part,), label_maps=maps, tasks=tasks)
@@ -329,8 +332,8 @@ def cmd_diag_convergence(args):
     return 0
 
 
-def _domain_accuracies_from_model(model, data):
-    """Per-source-domain accuracy of a category-expansion fused model."""
+def _check_domain_model(model):
+    """ValueError unless the model has one task and distinct expert ids."""
     if len(model.task_ids) != 1:
         raise ValueError("per-domain evaluation needs a single-task "
                          "(category expansion) fused model")
@@ -339,6 +342,10 @@ def _domain_accuracies_from_model(model, data):
     if shared:
         raise ValueError(f"experts share the id {shared[0]!r}, so their "
                          f"domains cannot be told apart")
+
+
+def _domain_accuracies_from_model(model, data):
+    """Per-source-domain accuracy of a model `_check_domain_model` passed."""
     task = model.task_ids[0]
     union = model.label_maps[task]
     preds = classify_batch(model, data.features)[task][0]
@@ -365,6 +372,7 @@ def cmd_diag_gate_anomaly(args):
         kind, model = load_any_model(_require(args.model, "model"))
         if kind != "fused":
             raise ValueError("gate anomaly diagnostics need a fused model")
+        _check_domain_model(model)
         part, = _load_parts(args, (args.part,), label_maps=model.label_maps,
                             tasks=model.task_ids)
         domains = _domain_accuracies_from_model(model, part)

@@ -17,7 +17,7 @@ from . import serial
 from .data import LabeledDataset
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, backward,
                  cross_entropy, encoder_forward, encoder_shapes, head_forward,
-                 head_shapes, init_encoder, init_head, no_grad, seed_streams,
+                 head_shapes, init_encoder, init_head, seed_streams,
                  softmax_rows)
 
 log = logging.getLogger(__name__)
@@ -143,9 +143,8 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
 def _evaluate_split(model, data, task_id):
     labels = data.labels[task_id]
     rep = expert_representation(model, data.features)
-    with no_grad():
-        logits = head_forward(model.head, rep)
-        loss = cross_entropy(logits, labels).item()
+    logits = head_forward(model.head, rep)
+    loss = cross_entropy(logits, labels).item()
     acc = float((np.argmax(logits.data, axis=1) == labels).mean())
     return loss, acc
 
@@ -172,11 +171,9 @@ def expert_representation(model, x):
     lead = model.encoder["attn.q.w"].data.shape[:-3]
     block_rows = max(1, EVAL_ROWS // math.prod(lead))
     out = np.empty(lead + rows.shape)
-    with no_grad():
-        for start in range(0, rows.shape[0], block_rows):
-            block = slice(start, start + block_rows)
-            out[..., block, :] = encoder_forward(model.encoder,
-                                                 rows[block]).data
+    for start in range(0, rows.shape[0], block_rows):
+        block = slice(start, start + block_rows)
+        out[..., block, :] = encoder_forward(model.encoder, rows[block]).data
     return out.reshape(lead + x.shape)
 
 
@@ -187,8 +184,7 @@ def expert_predict(model: ExpertModel, x):
     matrix-vector path and change the last bit of the result.
     """
     rep = expert_representation(model, x)
-    with no_grad():
-        return softmax_rows(head_forward(model.head, rep).data)
+    return softmax_rows(head_forward(model.head, rep).data)
 
 
 def write_loss_trace(path, trace):

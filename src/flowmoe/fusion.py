@@ -25,7 +25,7 @@ from .expert import (ExpertModel, TrainConfig, expert_from_container,
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward,
                  cross_entropy, encoder_forward, encoder_shapes,
                  gate_linear_shapes, gate_mix, head_forward, head_shapes,
-                 init_gate_linear, init_head, no_grad, seed_streams,
+                 init_gate_linear, init_head, seed_streams,
                  softmax_rows, stack_encoders)
 
 
@@ -52,7 +52,6 @@ class GateConfig:
     subset: tuple               # expert indices S
     n_experts: int
     linear: ParamSet = None     # trainable; None: fixed, uniform over S
-    fixed_delta: np.ndarray = dataclasses.field(init=False, default=None)
 
     def __post_init__(self):
         self.subset = tuple(int(j) for j in self.subset)
@@ -63,10 +62,6 @@ class GateConfig:
         if len(set(self.subset)) != len(self.subset):
             raise ValueError(f"gate {self.task_id!r}: subset {self.subset} "
                              f"names an expert twice")
-        if self.linear is None:
-            delta = np.zeros(self.n_experts)
-            delta[list(self.subset)] = 1.0 / len(self.subset)
-            self.fixed_delta = delta
 
     @classmethod
     def trainable(cls, task_id, subset, n_experts, linear=None):
@@ -78,21 +73,18 @@ class GateConfig:
 def gate_output(gate: GateConfig, stacked, x=None):
     """Gated input Tensor from `stacked` (n, 912) or (n, B, 912) expert rows.
 
-    A fixed one-expert gate returns that row unchanged; every other gate is
-    one `gate_mix` node over its subset's rows, with the fixed weights or,
-    for a trainable gate, the softmax of its linear over the input Tensor
+    Every gate is one `gate_mix` node over its subset's rows, a new array,
+    weighing each row 1/|S| (a one-expert gate gives its row bit for bit) or,
+    for a trainable gate, by the softmax of its linear over the input Tensor
     `x`. Raises ValueError on a wrong row count or non-finite weights.
     """
     if stacked.shape[0] != gate.n_experts:
         raise ValueError(f"expected {gate.n_experts} expert rows, "
                          f"got {stacked.shape[0]}")
-    if gate.linear is None and len(gate.subset) == 1:
-        return stacked.select(gate.subset[0], axis=0)
-    fixed = linear = None
     if gate.linear is None:
-        fixed = gate.fixed_delta[list(gate.subset)]
+        fixed, linear = np.full(len(gate.subset), 1.0 / len(gate.subset)), None
     else:
-        linear = (gate.linear["w"], gate.linear["b"])
+        fixed, linear = None, (gate.linear["w"], gate.linear["b"])
     try:
         return gate_mix(stacked, gate.subset, fixed, x, linear)
     except ValueError as exc:
@@ -194,12 +186,12 @@ def concat_representations(model: FusedModel, x):
 
 
 def gated_chunks(model: FusedModel, X, tasks, cache=None):
-    """Yield (row slice, {task: gated input Tensor, no graph}) per chunk of
+    """Yield (row slice, {task: gated input Tensor}) per chunk of
     CLASSIFY_ROWS rows of the (N, 912) X; a tail under MIN_TOWER_ROWS rows
     joins the previous chunk. A chunk is one stacked `concat_representations`
     pass, copied into `cache` ((E, N, 912)) if given, then `gate_output` per
-    task; one-expert fixed gates are views into it. It is let go before the
-    next pass, so a consumer that drops `gated` after each step holds one.
+    task, each a new array. It is let go before the next pass, so a consumer
+    that drops `gated` after each step holds one.
     """
     bounds = list(range(0, len(X), CLASSIFY_ROWS)) + [len(X)]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] < MIN_TOWER_ROWS:
@@ -209,9 +201,8 @@ def gated_chunks(model: FusedModel, X, tasks, cache=None):
         stacked = Tensor(concat_representations(model, X[rows]))
         if cache is not None:
             cache[:, rows] = stacked.data
-        with no_grad():
-            gated = {task: gate_output(model.gates[task], stacked,
-                                       Tensor(X[rows])) for task in tasks}
+        gated = {task: gate_output(model.gates[task], stacked,
+                                   Tensor(X[rows])) for task in tasks}
         stacked = None
         yield rows, gated
         gated = None
@@ -267,6 +258,9 @@ def fusion_structure(experts, relations) -> FusedModel:
                 raise ValueError(f"duplicate task {task!r}")
             if not np.isfinite(spec.alpha):
                 raise ValueError(f"task {task!r}: non-finite loss weight")
+            if spec.alpha < 0:
+                raise ValueError(f"task {task!r}: negative loss weight "
+                                 f"{spec.alpha}")
             # the gate checks the subset before any expert is looked up
             if relation.mode is FusionMode.MODE_I:
                 if len(subset) != 1:
@@ -444,9 +438,9 @@ def classify_batch(model: FusedModel, X):
     """Per task, (label indices, class probabilities) for the rows of X.
 
     Rows go through in `gated_chunks`: per chunk, one stacked pass over all
-    experts, the gates, one `tower_forward` over all towers, softmax and
-    argmax, written into arrays allocated once, so the transient memory
-    does not grow with the row count.
+    experts, the gates (each a new gated array), one `tower_forward` over
+    all towers, softmax and argmax, written into arrays allocated once, so
+    the transient memory does not grow with the row count.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != INPUT_DIM:
@@ -456,18 +450,23 @@ def classify_batch(model: FusedModel, X):
                   np.empty((X.shape[0], len(model.label_maps[task]))))
            for task in model.task_ids}
     for rows, gated in gated_chunks(model, X, model.task_ids):
-        with no_grad():
-            for task, logits in tower_forward(model, gated)[0].items():
-                indices, probs = out[task]
-                probs[rows] = softmax_rows(logits.data)
-                np.argmax(probs[rows], axis=1, out=indices[rows])
+        for task, logits in tower_forward(model, gated)[0].items():
+            indices, probs = out[task]
+            probs[rows] = softmax_rows(logits.data)
+            np.argmax(probs[rows], axis=1, out=indices[rows])
         gated = logits = None        # let the chunk go before the next pass
     return out
 
 
 def classify(model: FusedModel, x):
-    """Per-task attribute values for one flow; ties break to the lowest index."""
-    batch = classify_batch(model, np.asarray(x, dtype=np.float64))
+    """Per-task attribute values for one flow of shape (912,) or (1, 912);
+    ties break to the lowest index."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape not in ((INPUT_DIM,), (1, INPUT_DIM)):
+        raise ValueError(f"classify takes one flow of shape ({INPUT_DIM},) "
+                         f"or (1, {INPUT_DIM}), got {x.shape}; use "
+                         f"classify_batch for several flows")
+    batch = classify_batch(model, x)
     result = {}
     for task, (indices, probs) in batch.items():
         idx = int(indices[0])

@@ -1,4 +1,4 @@
-from .tensor import Tensor, dropout, no_grad, relu
+from .tensor import Tensor, dropout, relu
 from .fused import (add_norm, attention, cross_entropy, feed_forward,
                     gate_mix, mixing_weights, softmax_rows,
                     softmax_rows_backward)
@@ -11,7 +11,7 @@ from .model import (FF_DIM, HEAD_DIM, HIDDEN_DIM, INPUT_DIM, N_HEADS, N_TOKENS,
 from .optim import MultiAdam
 
 __all__ = [
-    "Tensor", "dropout", "no_grad", "relu",
+    "Tensor", "dropout", "relu",
     "add_norm", "attention", "cross_entropy", "feed_forward", "gate_mix",
     "mixing_weights", "softmax_rows", "softmax_rows_backward",
     "DropoutStream", "ParamSet",

@@ -1,15 +1,16 @@
 """Minimal fp64 reverse-mode autodiff over numpy arrays.
 
-The Tensor and its general ops, add, multiply, matmul, reshape, select,
-relu and dropout, from which the heads, towers, one-expert gates and the
-encoder's output are built. The encoder sublayers, gate mixing and the
-loss are fused ops (`fused`). Every tensor is float64; forward values are
-plain numpy arrays and the graph is a DAG of backward closures walked in
-reverse topological order.
+The Tensor and its general ops, add, multiply, matmul, reshape, relu and
+dropout, from which the heads, towers and the encoder's output are built.
+The encoder sublayers, gate mixing and the loss are fused ops (`fused`).
+Every tensor is float64; forward values are plain numpy arrays and the
+graph is a DAG of backward closures walked in reverse topological order.
 
 The ops take Tensors only (arithmetic also accepts plain numbers and
-arrays as the other operand). There is no separate numpy path: eval-mode
-forwards run the same ops under `no_grad`, which records no graph.
+arrays as the other operand). There is no separate numpy path. An op's
+result records its parents and backward exactly when a parent requires
+grad: an op over frozen weights and raw inputs records nothing, and an
+eval-mode forward of trainable weights records a graph dropped with it.
 
 Backward contract: a node's closure maps the gradient of its output to
 (parent, gradient) pairs for exactly those parents whose `requires_grad`
@@ -32,22 +33,6 @@ C-contiguous array of the leaf's shape to receive the gradient there.
 from __future__ import annotations
 
 import numpy as np
-
-_GRAD_ENABLED = True
-
-
-class no_grad:
-    """Context manager that skips graph construction (eval-mode forwards)."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-
 
 def _reduce_to_shape(grad, shape):
     """Sum a broadcast gradient back down to the original operand shape."""
@@ -78,7 +63,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward):
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -206,22 +191,6 @@ class Tensor:
 
         def backward(g):
             return ((self, g.reshape(old)),)
-
-        return Tensor._result(out_data, (self,), backward)
-
-    def select(self, index, axis=0):
-        """Pick one slice along an axis (integer index, dimension dropped),
-        as a view of this tensor's data."""
-        sl = [slice(None)] * self.data.ndim
-        sl[axis] = index
-        sl = tuple(sl)
-        out_data = self.data[sl]
-        shape = self.shape
-
-        def backward(g):
-            full = np.zeros(shape, dtype=np.float64)
-            full[sl] = g
-            return ((self, full),)
 
         return Tensor._result(out_data, (self,), backward)
 

@@ -6,6 +6,21 @@ import numpy as np
 from flowmoe.nn import Tensor
 
 
+def select(t, index, axis=0):
+    """`t.data` at one integer `index` along `axis` (that axis dropped) as a
+    graph node whose backward scatters into zeros of `t`'s shape."""
+    sl = [slice(None)] * t.data.ndim
+    sl[axis] = index
+    sl = tuple(sl)
+
+    def backward(g):
+        full = np.zeros(t.shape)
+        full[sl] = g
+        return ((t, full),)
+
+    return Tensor._result(t.data[sl], (t,), backward)
+
+
 def transpose(t, axes):
     """`t.data.transpose(axes)` as a graph node."""
     inverse = np.argsort(axes)

@@ -1,15 +1,13 @@
-"""Test-only helpers over `flowmoe.nn`: a graph-free forward, and a
+"""Test-only helpers over `flowmoe.nn`: a forward's values, and a
 ParamSet's values, flat vector and frozen state."""
 
 import numpy as np
 
-from flowmoe.nn import no_grad
-
 
 def eval_forward(fn, *args, **kwargs):
-    """fn(*args, **kwargs) as a plain array, with no graph recorded."""
-    with no_grad():
-        return fn(*args, **kwargs).data
+    """fn(*args, **kwargs) as a plain array; a graph it recorded over
+    trainable parameters is dropped with the Tensor."""
+    return fn(*args, **kwargs).data
 
 
 def state_dict(params):

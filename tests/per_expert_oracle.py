@@ -7,7 +7,7 @@ stacked afterwards.
 import numpy as np
 
 from flowmoe.expert import EVAL_ROWS
-from flowmoe.nn import encoder_forward, no_grad
+from flowmoe.nn import encoder_forward
 
 
 def per_expert_representations(experts, x):
@@ -15,10 +15,8 @@ def per_expert_representations(experts, x):
     x = np.asarray(x, dtype=np.float64)
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty((len(experts),) + rows.shape)
-    with no_grad():
-        for j, expert in enumerate(experts):
-            for start in range(0, rows.shape[0], EVAL_ROWS):
-                block = slice(start, start + EVAL_ROWS)
-                out[j, block] = encoder_forward(expert.encoder,
-                                                rows[block]).data
+    for j, expert in enumerate(experts):
+        for start in range(0, rows.shape[0], EVAL_ROWS):
+            block = slice(start, start + EVAL_ROWS)
+            out[j, block] = encoder_forward(expert.encoder, rows[block]).data
     return out.reshape((len(experts),) + x.shape)

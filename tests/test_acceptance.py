@@ -25,7 +25,7 @@ from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
 from flowmoe.synth import GeneratorSpec, generate_dataset
 
 from composed_gate import composed_gate_weights
-from composed_ops import softmax, transpose, tsum
+from composed_ops import select, softmax, transpose, tsum
 from gradcheck import check_gradients
 from nn_helpers import state_dict
 import scenarios
@@ -124,7 +124,7 @@ def test_criterion_01_gradient_correctness():
         delta = softmax(Tensor(gx) @ gate["w"] + gate["b"])
         mixed = None
         for j in range(3):
-            term = delta.select(j, axis=1).reshape(4, 1) * Tensor(stacked[j])
+            term = select(delta, j, axis=1).reshape(4, 1) * Tensor(stacked[j])
             mixed = term if mixed is None else mixed + term
         return cross_entropy(head_forward(gtower, mixed), glabels)
 

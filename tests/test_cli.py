@@ -990,6 +990,19 @@ EMPTY_PART_STAGES = {
 }
 
 
+@pytest.fixture(scope="module")
+def single_task_dir(pipeline_dir, tmp_path_factory):
+    """A directory holding `fused.snke`, a one-task Mode I model of the
+    pipeline's app expert, and its loss trace."""
+    d = tmp_path_factory.mktemp("single")
+    assert run(["fuse", "--mode", "I",
+                "--experts", str(pipeline_dir / "app.snke"),
+                "--features", str(pipeline_dir / "features.snkf"),
+                "--labels", str(pipeline_dir / "labels.csv"), "--epochs", "1",
+                "--out", str(d / "fused.snke")]) == 0
+    return d
+
+
 @pytest.mark.parametrize("stage, split, message", [
     ("train-expert", "0,0.5,0.5", "empty training set: --split 0,0.5,0.5 "
                                   "leaves no train rows"),
@@ -1003,8 +1016,13 @@ EMPTY_PART_STAGES = {
                                        "0.5,0.5,0 leaves no test rows"),
 ])
 def test_empty_split_part_is_one_cli_error(pipeline_dir, tmp_path, capsys,
-                                           stage, split, message):
-    argv = EMPTY_PART_STAGES[stage](pipeline_dir, tmp_path) + [
+                                           request, stage, split, message):
+    models = pipeline_dir
+    if stage == "diag-gate-anomaly":
+        # per-domain accuracy needs a one-task model, checked before the data
+        models = request.getfixturevalue("single_task_dir")
+        capsys.readouterr()
+    argv = EMPTY_PART_STAGES[stage](models, tmp_path) + [
         "--features", pipeline_dir / "features.snkf",
         "--labels", pipeline_dir / "labels.csv", "--split", split]
     with warnings.catch_warnings():
@@ -1043,3 +1061,31 @@ def test_gate_anomaly_rejects_experts_that_share_an_id(pipeline_dir, tmp_path,
         "flowmoe: error: experts share the id 'app', so their domains "
         "cannot be told apart"]
     assert not out.exists()
+
+
+def test_gate_anomaly_checks_the_model_before_reading_data(pipeline_dir,
+                                                          tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    rc = run(["diag", "gate-anomaly",
+              "--trace", str(pipeline_dir / "fused.snke.loss.csv"),
+              "--model", str(pipeline_dir / "fused.snke"),
+              "--features", str(tmp_path / "missing.snkf"),
+              "--labels", str(tmp_path / "missing.csv"), "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        "flowmoe: error: per-domain evaluation needs a single-task "
+        "(category expansion) fused model"]
+    assert not out.exists()
+
+
+def test_eval_of_a_task_the_fused_model_lacks_is_one_cli_error(
+        pipeline_dir, tmp_path, capsys):
+    rc = run(["eval", "--model", str(pipeline_dir / "fused.snke"),
+              "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(pipeline_dir / "labels.csv"),
+              "--task", "nosuch", "--out-prefix", str(tmp_path / "m")])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        "flowmoe: error: --task 'nosuch': the fused model's tasks are "
+        "['app', 'encap']"]
+    assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ from flowmoe.data import build_dataset
 from flowmoe.expert import (ExpertModel, TrainConfig, expert_predict,
                             expert_representation, load_expert, save_expert,
                             train_expert, write_loss_trace)
-from flowmoe.nn import INPUT_DIM, encoder_forward, head_forward, no_grad
+from flowmoe.nn import INPUT_DIM, encoder_forward, head_forward
 
 from composed_ops import softmax
 from nn_helpers import state_dict
@@ -98,9 +98,8 @@ def test_representation_equals_instrumented_predict(trained_experts,
     # oracle: rerun the full predict pipeline capturing the hidden activation
     app, _ = trained_experts
     x = two_task_data[2].features[3]
-    with no_grad():
-        hidden = encoder_forward(app.encoder, x[None])
-        probs = softmax(head_forward(app.head, hidden)).data
+    hidden = encoder_forward(app.encoder, x[None])
+    probs = softmax(head_forward(app.head, hidden)).data
     assert np.array_equal(expert_representation(app, x), hidden.data[0])
     assert np.allclose(expert_predict(app, x), probs[0], atol=0)
 

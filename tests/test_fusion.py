@@ -2,6 +2,7 @@
 
 import copy
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 
 import flowmoe
 from flowmoe import serial
-from flowmoe.expert import expert_representation, save_expert
+from flowmoe.expert import (expert_predict, expert_representation,
+                            save_expert)
 from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
                             TaskSpec, classify, classify_batch,
                             concat_representations, configure_fusion, fine_tune,
@@ -18,9 +20,9 @@ from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
                             gated_inputs, load_any_model, load_fused, load_fusion_config,
                             save_fused, tower_forward)
 from flowmoe.expert import ExpertModel
-from flowmoe.nn import (INPUT_DIM, backward, cross_entropy, head_forward,
-                        init_encoder, init_head, mixing_weights)
-from flowmoe.nn import Tensor, no_grad
+from flowmoe.nn import (INPUT_DIM, Tensor, backward, cross_entropy,
+                        encoder_forward, head_forward, init_encoder,
+                        init_head, mixing_weights)
 
 from composed_gate import composed_gate_output, composed_gate_weights
 from composed_ops import softmax
@@ -54,10 +56,41 @@ def test_fixed_gate_mix_of_all_rows_slices_to_the_batch_mix(rng, subset):
         assert np.array_equal(full[idx], batch)
 
 
-def test_gate_topk_subset_weights():
-    gate = GateConfig("t", (0, 2), 4)
-    assert np.allclose(gate.fixed_delta, [0.5, 0.0, 0.5, 0.0])
-    assert gate.fixed_delta.sum() == 1.0
+def test_gate_topk_subset_weights(rng):
+    # a fixed gate weighs its subset's rows 1/|S| and the others nothing:
+    # NaN rows outside the subset never reach the mix
+    stacked = np.full((4, 3, INPUT_DIM), np.nan)
+    stacked[[0, 2]] = rng.normal(size=(2, 3, INPUT_DIM))
+    out = gate_output(GateConfig("t", (0, 2), 4), Tensor(stacked)).data
+    assert np.array_equal(out, stacked[0] * 0.5 + stacked[2] * 0.5)
+
+
+@pytest.mark.parametrize("lead", [(), (7,)], ids=["one-input", "batch"])
+def test_one_expert_fixed_gate_is_its_expert_row(rng, lead):
+    stacked = Tensor(rng.normal(size=(3,) + lead + (INPUT_DIM,)),
+                     requires_grad=True)
+    out = gate_output(GateConfig("t", (1,), 3), stacked)
+    assert np.array_equal(out.data, stacked.data[1])
+    assert not np.shares_memory(out.data, stacked.data)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    assert np.array_equal(stacked.grad[1], g)
+    assert not stacked.grad[[0, 2]].any()
+
+
+def test_one_expert_gate_gradient_reaches_only_its_expert():
+    # unfrozen experts: the stacked encoder's gradient is zero in every
+    # parameter of the expert the gate does not read
+    model = _fixed_gate_model()
+    model.encoder.unfreeze()
+    reps = encoder_forward(model.encoder,
+                           np.random.default_rng(5).random((3, INPUT_DIM)))
+    out = gate_output(model.gates["t1"], reps)
+    assert np.array_equal(out.data, reps.data[1])
+    out.backward(np.random.default_rng(6).normal(size=out.shape))
+    for name, t in model.encoder.items():
+        assert not t.grad[0].any(), name
+    assert model.encoder["ff.1.w"].grad[1].any()
 
 
 @pytest.mark.parametrize("make", [
@@ -331,10 +364,9 @@ def test_shared_experts_classify_from_encoders_trained_by_either_model(
     for model in (first, second, first):
         reps = per_expert_representations(model.experts, X)
         assert np.array_equal(concat_representations(model, X), reps)
-        with no_grad():
-            gated = {t: gate_output(model.gates[t], Tensor(reps))
-                     for t in model.task_ids}
-            logits = tower_forward(model, gated)[0]
+        gated = {t: gate_output(model.gates[t], Tensor(reps))
+                 for t in model.task_ids}
+        logits = tower_forward(model, gated)[0]
         for task, (_labels, probs) in classify_batch(model, X).items():
             assert np.array_equal(probs, softmax(logits[task]).data)
 
@@ -423,9 +455,8 @@ def test_classify_matches_standalone_path(trained_experts, two_task_data):
         for task, expert in (("app", fused.experts[0]),
                              ("encap", fused.experts[1])):
             rep = expert_representation(expert, x)
-            with no_grad():
-                logits = tower_forward(fused, {task: Tensor(rep)})[0][task]
-                probs = softmax(logits).data
+            logits = tower_forward(fused, {task: Tensor(rep)})[0][task]
+            probs = softmax(logits).data
             assert np.argmax(probs) == result[task].label_index
             assert np.allclose(probs, result[task].confidences, atol=1e-15)
             assert abs(result[task].confidences.sum() - 1.0) < 1e-9
@@ -520,6 +551,68 @@ def test_classify_of_no_rows_gives_empty_outputs(trained_experts):
         assert probs.shape == (0, len(fused.label_maps[task]))
 
 
+def test_classify_takes_exactly_one_flow(trained_experts, two_task_data):
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
+    X = two_task_data[2].features
+    flat, row = classify(fused, X[0]), classify(fused, X[:1])
+    for task in fused.task_ids:
+        assert flat[task].label_index == row[task].label_index
+        assert np.array_equal(flat[task].confidences, row[task].confidences)
+    for bad in (X[:3], X[:0], X[0, :100], X[None, :1]):
+        shape = re.escape(str(bad.shape))
+        with pytest.raises(ValueError, match=f"got {shape}; use classify_batch"):
+            classify(fused, bad)
+
+
+@pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
+def test_eval_gives_the_same_bits_on_trainable_and_frozen_models(
+        trained_experts, two_task_data, mode):
+    # a trainable model records a graph during evaluation; its outputs
+    # must not differ from a frozen copy's
+    X = two_task_data[2].features[:40]
+    trainable = _random_heads(configure_fusion(
+        copy.deepcopy(list(trained_experts)), _relation(mode), seed=3), 5)
+    frozen_model = copy.deepcopy(trainable)
+    trainable.encoder.unfreeze()
+    for params in frozen_model.towers.values():
+        params.freeze()
+    for gate in frozen_model.gates.values():
+        if gate.linear is not None:
+            gate.linear.freeze()
+    assert np.array_equal(expert_representation(trainable, X),
+                          expert_representation(frozen_model, X))
+    got, want = classify_batch(trainable, X), classify_batch(frozen_model, X)
+    for task in trainable.task_ids:
+        assert np.array_equal(got[task][0], want[task][0])
+        assert np.array_equal(got[task][1], want[task][1])
+    expert = copy.deepcopy(trained_experts[0])
+    expert.encoder.unfreeze()
+    expert.head.unfreeze()
+    trainable_reps = expert_representation(expert, X)
+    trainable_probs = expert_predict(expert, X)
+    expert.freeze()
+    assert np.array_equal(trainable_reps, expert_representation(expert, X))
+    assert np.array_equal(trainable_probs, expert_predict(expert, X))
+
+
+def test_negative_loss_weight_in_a_fusion_config_is_rejected(
+        trained_experts, tmp_path):
+    cfg = tmp_path / "fusion.cfg"
+    text = ("[experts]\nfiles = a.snke b.snke\n\n[fusion]\nmode = I\n\n"
+            "[task:app]\nexperts = 0\nalpha = {}\n\n"
+            "[task:encap]\nexperts = 1\n")
+    cfg.write_text(text.format("-1"))
+    relation = load_fusion_config(cfg)[1]
+    with pytest.raises(ValueError,
+                       match=r"^task 'app': negative loss weight -1\.0$"):
+        configure_fusion(list(trained_experts), relation)
+    # a zero weight trains that task's tower not at all, but is allowed
+    cfg.write_text(text.format("0"))
+    fused = configure_fusion(list(trained_experts),
+                             load_fusion_config(cfg)[1])
+    assert fused.loss_weights == {"app": 0.0, "encap": 1.0}
+
+
 @pytest.mark.parametrize("mode", [FusionMode.MODE_I, FusionMode.MODE_III],
                          ids=lambda m: m.value)
 def test_classify_transient_memory_does_not_grow_with_rows(trained_experts,
@@ -558,9 +651,8 @@ def test_gated_inputs_match_one_gate_output_over_the_whole_stack(n, chunks):
     model = _fixed_gate_model()
     X = np.random.default_rng(n).random((n, INPUT_DIM))
     whole = concat_representations(model, X)
-    with no_grad():
-        want = {t: gate_output(g, Tensor(whole)).data
-                for t, g in model.gates.items()}
+    want = {t: gate_output(g, Tensor(whole)).data
+            for t, g in model.gates.items()}
     tasks = model.task_ids
     assert [rows.stop - rows.start
             for rows, _ in gated_chunks(model, X, tasks)] == chunks

@@ -8,7 +8,7 @@ from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
                         init_encoder, init_gate_linear, init_head,
                         stack_encoders)
 
-from composed_ops import softmax
+from composed_ops import select, softmax
 from gradcheck import check_gradients
 from nn_helpers import eval_forward
 
@@ -125,7 +125,7 @@ def test_gate_linear_gradients():
         delta = softmax(logits)  # (5, 3)
         mixed = None
         for j in range(3):
-            term = delta.select(j, axis=1).reshape(5, 1) * Tensor(stacked[j])
+            term = select(delta, j, axis=1).reshape(5, 1) * Tensor(stacked[j])
             mixed = term if mixed is None else mixed + term
         out = head_forward(tower, mixed)
         return cross_entropy(out, labels)

@@ -114,6 +114,10 @@ def _nan_alpha(header):
     _task(header, 0)["alpha"] = float("nan")
 
 
+def _negative_alpha(header):
+    _task(header, 0)["alpha"] = -0.5
+
+
 def _repeated_label(header):
     _task(header, 1)["labels"] = ["x", "y", "x"]
 
@@ -132,6 +136,7 @@ def _no_relations(header):
                         r"twice"),
     (_unknown_mode, "'IV' is not a valid FusionMode"),
     (_nan_alpha, "task 'verdict': non-finite loss weight"),
+    (_negative_alpha, "task 'verdict': negative loss weight -0.5"),
     (_repeated_label, r"task 'tool': label map \['x', 'y', 'x'\] names a "
                       r"label twice"),
     (_no_relations, "no tasks declared"),

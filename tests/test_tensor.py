@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from flowmoe.nn import (DropoutStream, ParamSet, Tensor, add_norm,
-                        cross_entropy, dropout, no_grad, relu)
+                        cross_entropy, dropout, relu)
 
-from composed_ops import softmax, tsum
+from composed_ops import select, softmax, tsum
 from gradcheck import check_gradients
 
 
@@ -76,11 +76,23 @@ def test_backward_requires_graph():
         t.backward()
 
 
-def test_no_grad_skips_graph():
-    p = Tensor(np.ones(3), requires_grad=True)
-    with no_grad():
-        out = tsum(p * 2.0)
+def test_op_over_frozen_inputs_records_no_graph():
+    ps = _params_from({"w": np.ones((3, 2))})
+    ps.freeze()
+    x = Tensor(np.ones((4, 3)))
+    out = relu(x @ ps["w"] + 1.0)
     assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+
+
+def test_op_with_a_trainable_parent_records_a_graph():
+    ps = _params_from({"w": np.ones((3, 2))})
+    x = Tensor(np.ones((4, 3)))
+    hidden = x @ ps["w"]
+    out = relu(hidden + 1.0)
+    assert out.requires_grad and out._backward is not None
+    assert out._parents[0]._parents[0] is hidden
+    assert hidden._parents == (x, ps["w"])
 
 
 def test_grad_add_mul_broadcast():
@@ -215,7 +227,7 @@ def test_frozen_parameter_gets_no_gradient():
 
 def test_select_gradient_scatters():
     ps = _params_from({"m": np.arange(12.0).reshape(3, 4)})
-    loss = tsum(ps["m"].select(1, axis=0))
+    loss = tsum(select(ps["m"], 1, axis=0))
     loss.backward()
     expect = np.zeros((3, 4))
     expect[1] = 1.0

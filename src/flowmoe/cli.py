@@ -33,8 +33,8 @@ from .expert import (TrainConfig, expert_predict, load_expert, save_expert,
 from .fusion import (FusionMode, TaskRelation, TaskSpec, classify_batch,
                      configure_fusion, default_finetune_config, fine_tune,
                      load_any_model, load_fusion_config, save_fused)
-from .ingest import (ExtractionConfig, flows_to_features, read_flow_records,
-                     read_pcap, assemble_flows)
+from .ingest import (ExtractionConfig, flows_to_features, is_pcap,
+                     read_flow_records, read_pcap, assemble_flows)
 from .synth import GeneratorSpec, emit_files
 
 log = logging.getLogger("flowmoe")
@@ -148,10 +148,7 @@ def cmd_ingest(args):
     src = _require(args.input)
     cfg = ExtractionConfig(nb=args.nb, npkt=args.npkt,
                            hdr_scales=(1500.0, 65535.0, args.iat_scale, 1.0))
-    with open(src, "rb") as fh:
-        magic = fh.read(4)
-    if magic in (b"\xa1\xb2\xc3\xd4", b"\xd4\xc3\xb2\xa1",
-                 b"\xa1\xb2\x3c\x4d", b"\x4d\x3c\xb2\xa1"):
+    if is_pcap(src):
         flows = assemble_flows(read_pcap(src))
     else:
         flows = read_flow_records(src)

@@ -20,12 +20,14 @@ import numpy as np
 from . import fusion
 from .data import LabeledDataset, text_lines
 # head_forward is unused here; perfbench's tracer wraps diagnostics.head_forward
-from .nn import backward, head_forward
+from .nn import backward, head_forward, training
 from .nn.optim import UPDATE_BLOCK
 
 log = logging.getLogger(__name__)
 
 FULL_BATCH_GD = "full-batch-gd"
+RISE_TOLERANCE = 0.005          # relative loss rise taken as noise
+PROBE_EPS, MAX_RETRIES = 1e-3, 8    # tower GD: c_hat probe radius, attempts
 
 
 @dataclass
@@ -194,19 +196,18 @@ class AnomalyReport:
 
 
 def detect_gate_anomaly(finetune_losses, per_domain_eval, grace_epochs=4,
-                        gap_threshold=0.15, rise_tolerance=0.005) -> AnomalyReport:
+                        gap_threshold=0.15) -> AnomalyReport:
     """Flag a fine-tune run whose loss rises after the grace period or whose
     per-source-domain accuracies diverge beyond the threshold.
 
     `per_domain_eval` maps domain name to an accuracy (or any object with an
-    .accuracy attribute). Rises smaller than `rise_tolerance` (relative) are
-    treated as noise. A threshold or tolerance that is not finite or is
-    below 0, or a negative grace period, is a ValueError naming it.
+    .accuracy attribute). Rises smaller than `RISE_TOLERANCE` (relative) are
+    treated as noise. A threshold that is not finite or is below 0, or a
+    negative grace period, is a ValueError naming it.
     """
-    for name, value in (("gap_threshold", gap_threshold),
-                        ("rise_tolerance", rise_tolerance)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if not (math.isfinite(gap_threshold) and gap_threshold >= 0):
+        raise ValueError(f"gap_threshold must be finite and >= 0, "
+                         f"got {gap_threshold!r}")
     if grace_epochs < 0:
         raise ValueError(f"grace_epochs must be >= 0, got {grace_epochs!r}")
     losses = np.asarray(finetune_losses, dtype=np.float64)
@@ -219,7 +220,7 @@ def detect_gate_anomaly(finetune_losses, per_domain_eval, grace_epochs=4,
             and all(map(math.isfinite, accuracies.values()))):
         raise ValueError("non-finite loss or domain accuracy")
     increases = [e for e in range(1, losses.size)
-                 if losses[e] > losses[e - 1] * (1.0 + rise_tolerance)]
+                 if losses[e] > losses[e - 1] * (1.0 + RISE_TOLERANCE)]
 
     reasons, notes = [], []
     post_grace = [e for e in increases if e > grace_epochs]
@@ -308,10 +309,10 @@ class TowerObjective:
     the regime the plain-GD convergence guarantee speaks about. The inputs
     are formed once, as `fusion.gated_inputs` (N, 912) arrays.
 
-    Every tower tensor becomes a C-contiguous, trainable view into one flat
-    parameter vector (towers in task order, parameters in ParamSet order),
-    so `set_vector` is a single copy and the towers read its values at
-    once. `restore` gives the tensors back their trainable flags.
+    Every tower tensor becomes a C-contiguous view into one flat parameter
+    vector (towers in task order, parameters in ParamSet order), so
+    `set_vector` is a single copy and the towers read its values at once.
+    The towers take a gradient only inside `loss_and_grad`.
     """
 
     def __init__(self, model, data: LabeledDataset):
@@ -322,16 +323,13 @@ class TowerObjective:
         tensors = [p for t in self.tasks for p in model.towers[t].tensors()]
         self._flat = np.empty(sum(p.data.size for p in tensors))
         self._slices = []                # (tensor, slice), vector order
-        self._trainable = []             # (tensor, flag before unfreezing)
         offset = 0
         for tensor in tensors:
             n = tensor.data.size
             sl = slice(offset, offset + n)
             self._flat[sl] = tensor.data.ravel()
             self._slices.append((tensor, sl))
-            self._trainable.append((tensor, tensor.requires_grad))
             tensor.data = self._flat[sl].reshape(tensor.data.shape)
-            tensor.requires_grad = True
             offset += n
 
     def get_vector(self):
@@ -343,13 +341,6 @@ class TowerObjective:
             raise ValueError(f"vector shape {vec.shape} does not match "
                              f"parameter count {self._flat.size}")
         self._flat[:] = vec
-
-    def restore(self, vec):
-        """Set the towers to `vec` and give each tower tensor back the
-        trainable flag it had when this objective was built."""
-        self.set_vector(vec)
-        for tensor, flag in self._trainable:
-            tensor.requires_grad = flag
 
     def loss_and_grad(self, out=None):
         """(loss, flat gradient) at the current vector. The gradient is
@@ -363,9 +354,10 @@ class TowerObjective:
                 tensor._grad_buf = flat[sl].reshape(tensor.data.shape)
         towers = [self.model.towers[t] for t in self.tasks]
         try:
-            total = fusion.tower_forward(self.model, self.inputs,
-                                         self.labels)[2]
-            backward(total, *towers)
+            with training(*towers):
+                total = fusion.tower_forward(self.model, self.inputs,
+                                             self.labels)[2]
+                backward(total, *towers)
             for tensor, sl in self._slices:
                 if tensor.grad is None:
                     flat[sl] = 0.0
@@ -395,7 +387,7 @@ def _gd_step(vec, grad, alpha, change, work):
 
 
 def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
-                 probe_eps=1e-3, max_retries=8, seed=0):
+                 seed=0):
     """Full-batch GD on the towers with alpha = 0.5 / c_hat (unless given).
 
     c_hat starts from probe points around the start and keeps the running
@@ -408,7 +400,7 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
     `steps` >= 0 (ValueError); a non-finite loss at any step is an
     ArithmeticError naming the step. On return, and on an error after the
     arguments are checked, the model's towers hold their starting values
-    again, bitwise, with the trainable flags they had before the call.
+    again, bitwise, and frozen.
 
     Returns (trace, snapshots, snapshot_steps, c_hat, report); snapshot 0
     is the starting vector.
@@ -423,17 +415,15 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
     theta0 = objective.get_vector()
     try:
         trace, snapshots, snapshot_steps, c_hat = _tower_gd(
-            objective, theta0, steps, alpha, snapshot_every, probe_eps,
-            max_retries, seed)
+            objective, theta0, steps, alpha, snapshot_every, seed)
     finally:
-        objective.restore(theta0)
+        objective.set_vector(theta0)
     report = check_convergence(trace, c_hat=c_hat, snapshots=snapshots,
                                snapshot_steps=snapshot_steps)
     return trace, snapshots, snapshot_steps, c_hat, report
 
 
-def _tower_gd(objective, theta0, steps, alpha, snapshot_every, probe_eps,
-              max_retries, seed):
+def _tower_gd(objective, theta0, steps, alpha, snapshot_every, seed):
     """`run_tower_gd`'s probe and GD loop on the towers' vector, which it
     leaves at the last iterate. Besides that vector, `theta0` and the
     snapshots, the loop holds two gradient vectors: the last gradient, and
@@ -446,7 +436,7 @@ def _tower_gd(objective, theta0, steps, alpha, snapshot_every, probe_eps,
 
     def probe_points():
         yield theta0
-        scale = probe_eps * (1.0 + np.linalg.norm(theta0))
+        scale = PROBE_EPS * (1.0 + np.linalg.norm(theta0))
         for _ in range(4):
             # theta0 + scale * direction / |direction|, evaluated in place
             point = rng.normal(size=theta0.size)
@@ -476,7 +466,7 @@ def _tower_gd(objective, theta0, steps, alpha, snapshot_every, probe_eps,
     work = np.empty(min(theta0.size, UPDATE_BLOCK))
     # a diverging run ends at the loss check, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for attempt in range(max_retries):
+        for attempt in range(MAX_RETRIES):
             a = chosen_alpha if chosen_alpha is not None else 0.5 / c_hat
             losses = np.zeros(steps + 1)
             snapshots, snapshot_steps = [theta0], [0]
@@ -496,7 +486,7 @@ def _tower_gd(objective, theta0, steps, alpha, snapshot_every, probe_eps,
                     c_hat = max(c_hat, np.sqrt(grad @ grad) / dw)
                 grad, spare = spare, grad
                 if dw > 0 and chosen_alpha is None and a > 1.0 / c_hat \
-                        and attempt < max_retries - 1:
+                        and attempt < MAX_RETRIES - 1:
                     restart = True
                     break
                 if t % snapshot_every == 0 and t < steps:

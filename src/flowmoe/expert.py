@@ -18,7 +18,7 @@ from .data import LabeledDataset
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, backward,
                  cross_entropy, encoder_forward, encoder_shapes, head_forward,
                  head_shapes, init_encoder, init_head, seed_streams,
-                 softmax_rows)
+                 softmax_rows, training)
 
 log = logging.getLogger(__name__)
 
@@ -71,11 +71,6 @@ class ExpertModel:
     label_map: list
     task_id: str = ""
 
-    def freeze(self):
-        self.encoder.freeze()
-        if self.head is not None:
-            self.head.freeze()
-
 
 def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
                  task_id=None, expert_id=None):
@@ -83,7 +78,8 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
 
     `data` must carry exactly one task unless `task_id` picks one. A task
     whose training split holds fewer than two distinct classes is rejected.
-    Each epoch is scored on `val_data`, unless it is None or has no rows.
+    Each epoch is scored on `val_data`, unless it is None or has no rows,
+    outside the `training` scope of its batch loop.
     """
     if task_id is None:
         if len(data.task_ids) != 1:
@@ -116,20 +112,21 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(m)
         total = 0.0
-        for start in range(0, m, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            rep = encoder_forward(encoder, feats[idx], train_mode=True,
-                                  dropout_stream=stream,
-                                  dropout_rate=cfg.dropout_rate)
-            logits = head_forward(head, rep, train_mode=True,
-                                  dropout_stream=stream,
-                                  dropout_rate=cfg.dropout_rate)
-            loss = cross_entropy(logits, labels[idx])
-            enc_g, head_g = backward(loss, encoder, head)
-            opt.apply({"encoder": enc_g, "head": head_g}, cfg.learning_rate)
-            total += loss.item() * len(idx)
-            # drop this step's graph before the next step's forward
-            rep = logits = loss = None
+        with training(encoder, head):
+            for start in range(0, m, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                rep = encoder_forward(encoder, feats[idx], train_mode=True,
+                                      dropout_stream=stream,
+                                      dropout_rate=cfg.dropout_rate)
+                logits = head_forward(head, rep, train_mode=True,
+                                      dropout_stream=stream,
+                                      dropout_rate=cfg.dropout_rate)
+                loss = cross_entropy(logits, labels[idx])
+                enc_g, head_g = backward(loss, encoder, head)
+                opt.apply({"encoder": enc_g, "head": head_g}, cfg.learning_rate)
+                total += loss.item() * len(idx)
+                # drop this step's graph before the next step's forward
+                rep = logits = loss = None
         stats = EpochStats(epoch=epoch, train_loss=total / m)
         if not np.isfinite(stats.train_loss):
             raise ArithmeticError(f"non-finite training loss at epoch {epoch}")

@@ -26,7 +26,7 @@ from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward
                  cross_entropy, encoder_forward, encoder_shapes,
                  gate_linear_shapes, gate_mix, head_forward, head_shapes,
                  init_gate_linear, init_head, seed_streams,
-                 softmax_rows, stack_encoders)
+                 softmax_rows, stack_encoders, training)
 
 
 # Rows per `gated_chunks` chunk, in which classification, the fine-tune
@@ -64,10 +64,8 @@ class GateConfig:
                              f"names an expert twice")
 
     @classmethod
-    def trainable(cls, task_id, subset, n_experts, linear=None):
-        if linear is None:
-            linear = init_gate_linear(len(subset))
-        return cls(task_id, subset, n_experts, linear)
+    def trainable(cls, task_id, subset, n_experts):
+        return cls(task_id, subset, n_experts, init_gate_linear(len(subset)))
 
 
 def gate_output(gate: GateConfig, stacked, x=None):
@@ -236,7 +234,7 @@ def _union_labels(experts, subset, explicit):
 
 
 def fusion_structure(experts, relations) -> FusedModel:
-    """The tower-less FusedModel the relations declare; experts get locked.
+    """The tower-less FusedModel the relations declare, experts stacked.
 
     Mode I: one fixed gate per task, bound to its expert.
     Mode II: one uniform fixed gate over the sources; labels are their union.
@@ -301,8 +299,6 @@ def fusion_structure(experts, relations) -> FusedModel:
     resolved = [dataclasses.replace(rel, tasks=[
         dataclasses.replace(spec, labels=list(label_maps[spec.task_id]))
         for spec in rel.tasks]) for rel in relations]
-    for expert in experts:
-        expert.freeze()
     model = FusedModel(experts=list(experts), task_ids=list(gates),
                        gates=gates, towers={}, relations=resolved,
                        label_maps=label_maps, loss_weights=loss_weights)
@@ -352,7 +348,8 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
     experts when trainable). Frozen experts' representations are constant:
     each fixed gate's (N, 912) input is formed once by `gated_inputs`, in
     whose pass the (E, N, 912) representations are cached only for
-    trainable gates, which mix per batch. Returns (model, loss traces).
+    trainable gates, which mix per batch. Only the epochs run in `training`,
+    over the sets they update. Returns (model, loss traces).
     """
     if cfg is None:
         cfg = default_finetune_config(model.relations[0].mode)
@@ -368,19 +365,13 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
     shuffle_rng = np.random.default_rng(shuffle_seed)
     stream = DropoutStream(drop_seed)
 
-    named_sets = {}
-    for task, tower in model.towers.items():
-        tower.unfreeze()
-        named_sets[f"tower.{task}"] = tower
-    for task, gate in model.gates.items():
-        if gate.linear is not None:
-            gate.linear.unfreeze()
-            named_sets[f"gate.{task}"] = gate.linear
+    named_sets = {f"tower.{t}": tower for t, tower in model.towers.items()}
+    named_sets.update({f"gate.{t}": g.linear for t, g in model.gates.items()
+                       if g.linear is not None})
     if unfreeze_experts:
         # the experts' tensors are views into the stacked encoder, so the
         # in-place Adam steps on the stack also reach each expert
         model.restack_if_stale()
-        model.encoder.unfreeze()
         named_sets["experts"] = model.encoder
     opt = MultiAdam(named_sets)
 
@@ -393,37 +384,37 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
             cached = np.empty((len(model.experts), m, INPUT_DIM))
         premixed = gated_inputs(model, feats, fixed, cached)
     trace = []
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(m)
-        totals = {task: 0.0 for task in model.task_ids}
-        total_all = 0.0
-        for start in range(0, m, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            x = Tensor(feats[idx])
-            if unfreeze_experts:
-                reps = encoder_forward(model.encoder, x.data)
-            elif cached is not None:
-                reps = Tensor(cached[:, idx])
-            gated = {task: premixed[task][idx] if task in premixed
-                     else gate_output(model.gates[task], reps, x)
-                     for task in model.task_ids}
-            _logits, losses, loss_total = tower_forward(
-                model, gated, {t: data.labels[t][idx] for t in gated},
-                dropout_stream=stream, dropout_rate=cfg.dropout_rate)
-            grads = backward(loss_total, *named_sets.values())
-            opt.apply(dict(zip(named_sets, grads)), cfg.learning_rate)
-            w = len(idx)
-            for task, loss in losses.items():
-                totals[task] += loss.item() * w
-            total_all += loss_total.item() * w
-            # drop this step's graph before the next step's forward
-            x = reps = gated = _logits = losses = loss_total = None
-        row = {"total": total_all / m}
-        if not np.isfinite(row["total"]):
-            raise ArithmeticError(f"non-finite fine-tune loss at epoch {epoch}")
-        row.update({task: totals[task] / m for task in model.task_ids})
-        trace.append(row)
-    model.encoder.freeze()
+    with training(*named_sets.values()):
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(m)
+            totals = {task: 0.0 for task in model.task_ids}
+            total_all = 0.0
+            for start in range(0, m, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                x = Tensor(feats[idx])
+                if unfreeze_experts:
+                    reps = encoder_forward(model.encoder, x.data)
+                elif cached is not None:
+                    reps = Tensor(cached[:, idx])
+                gated = {task: premixed[task][idx] if task in premixed
+                         else gate_output(model.gates[task], reps, x)
+                         for task in model.task_ids}
+                _logits, losses, loss_total = tower_forward(
+                    model, gated, {t: data.labels[t][idx] for t in gated},
+                    dropout_stream=stream, dropout_rate=cfg.dropout_rate)
+                grads = backward(loss_total, *named_sets.values())
+                opt.apply(dict(zip(named_sets, grads)), cfg.learning_rate)
+                w = len(idx)
+                for task, loss in losses.items():
+                    totals[task] += loss.item() * w
+                total_all += loss_total.item() * w
+                # drop this step's graph before the next step's forward
+                x = reps = gated = _logits = losses = loss_total = None
+            row = {"total": total_all / m}
+            if not np.isfinite(row["total"]):
+                raise ArithmeticError(f"non-finite fine-tune loss at epoch {epoch}")
+            row.update({task: totals[task] / m for task in model.task_ids})
+            trace.append(row)
     return model, trace
 
 
@@ -562,17 +553,40 @@ def fused_from_container(path, header, tensors) -> FusedModel:
 
 # -- declarative fusion config ------------------------------------------------
 
+# the keys each section may hold; [nesting] holds fine labels, any of them
+_CONFIG_KEYS = {
+    "experts": {"files"},
+    "fusion": {"mode", "seed", "lr", "epochs", "batch_size", "dropout",
+               "unfreeze_experts"},
+    "task:": {"experts", "labels", "alpha"},
+}
+
 def load_fusion_config(path):
     """Parse the INI fusion config into (expert_paths, relations, options).
 
     Sections: [experts] files = <paths>; [fusion] mode/seed/lr/epochs/
-    batch_size/dropout (the fine-tune settings); one [task:<id>] per task (experts = indices,
-    labels/alpha optional); [nesting] for refinement. A value that does not
-    convert is a ValueError naming the file, section and key.
+    batch_size/dropout (the fine-tune settings) and unfreeze_experts (a
+    ConfigParser boolean); one [task:<id>] per task (experts = indices,
+    labels/alpha optional); [nesting] for refinement. An unknown section or
+    key, or a value that does not convert, is a ValueError naming the file,
+    section and key.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ValueError(f"cannot read fusion config {path}")
+    # [DEFAULT] first: its keys also show up in every other section
+    for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
+        if section == "nesting":
+            continue
+        known = _CONFIG_KEYS.get("task:" if section.startswith("task:")
+                                 else section)
+        if known is None:
+            raise ValueError(f"{path}: [{section}]: unknown section; expected "
+                             f"[experts], [fusion], [task:<id>] or [nesting]")
+        for key in cp[section]:
+            if key not in known:
+                raise ValueError(f"{path}: [{section}] {key}: unknown key; "
+                                 f"expected one of {', '.join(sorted(known))}")
     if "experts" not in cp or "files" not in cp["experts"]:
         raise ValueError(f"{path}: missing [experts] files = ...")
     expert_paths = cp["experts"]["files"].split()
@@ -622,10 +636,18 @@ def load_fusion_config(path):
         cfg = dataclasses.replace(cfg, **overrides)
     except ValueError as exc:
         raise ValueError(f"{path}: [fusion] {exc}") from None
-    options["unfreeze_experts"] = fu.get("unfreeze_experts", "no").lower() \
-        in ("1", "yes", "true")
+    options["unfreeze_experts"] = value(
+        "fusion", "unfreeze_experts", _config_boolean, False,
+        "a boolean (1/0, yes/no, true/false or on/off)")
     options["train_config"] = cfg
     return expert_paths, relation, options
+
+
+def _config_boolean(text):
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if state is None:
+        raise ValueError(text)
+    return state
 
 
 def load_any_model(path):

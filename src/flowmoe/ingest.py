@@ -170,6 +170,7 @@ def extract_features(flow: Flow, cfg: ExtractionConfig = None) -> np.ndarray:
 
 # -- pcap reading ----------------------------------------------------------
 
+# first 4 bytes read little-endian; a big-endian file's come out byte-reversed
 _PCAP_MAGICS = {
     0xA1B2C3D4: ("<", 1e-6),   # little-endian, microseconds
     0xD4C3B2A1: (">", 1e-6),
@@ -192,6 +193,12 @@ _TCP = struct.Struct(">HH8xBxH")
 _UDP = struct.Struct(">HHH")
 
 
+def is_pcap(path):
+    """True when the file at `path` starts with a pcap magic number."""
+    with open(path, "rb") as fh:
+        return int.from_bytes(fh.read(4), "little") in _PCAP_MAGICS
+
+
 def read_pcap(path) -> list:
     """Parse a libpcap file into Packet records (TCP/UDP over IPv4 only).
 
@@ -204,9 +211,7 @@ def read_pcap(path) -> list:
         data = fh.read()
     if len(data) < 24:
         raise ValueError(f"{path}: not a pcap file (too short)")
-    magic = struct.unpack("<I", data[:4])[0]
-    if magic not in _PCAP_MAGICS:
-        magic = struct.unpack(">I", data[:4])[0]
+    magic = int.from_bytes(data[:4], "little")
     if magic not in _PCAP_MAGICS:
         raise ValueError(f"{path}: unknown pcap magic")
     endian, tick = _PCAP_MAGICS[magic]

@@ -38,6 +38,8 @@ import numpy as np
 
 from .tensor import Tensor
 
+LN_EPS = 1e-5                   # layer norm's variance offset
+
 
 def _rows(a, lead=()):
     """(*lead, rows, last axis) view of `a`: tokens flattened for a GEMM,
@@ -117,9 +119,9 @@ def cross_entropy(logits, labels):
     return Tensor._result(np.float64(loss), (logits,), backward)
 
 
-def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0, eps=1e-5):
+def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0):
     """Layer norm of x + dropout(sub) over the last axis, as one node: a
-    sublayer's residual connection, gamma * (r - mean) / sqrt(var + eps)
+    sublayer's residual connection, gamma * (r - mean) / sqrt(var + LN_EPS)
     + beta for r = x + dropout(sub).
 
     `mask` is a boolean array of `sub`'s shape for inverted dropout with
@@ -137,7 +139,7 @@ def add_norm(x, sub, gamma, beta, mask=None, keep_prob=1.0, eps=1e-5):
     r -= _mean(r)
     # the same reductions, in the same order, as np.var: bit-identical
     var = _mean(r * r)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     r *= inv
     out_data = gamma.data * r
     out_data += beta.data

@@ -26,10 +26,10 @@ FF_DIM = 4 * TOKEN_DIM
 HIDDEN_DIM = 256
 
 
-def positional_encoding(n_tokens=N_TOKENS, dim=TOKEN_DIM):
-    pe = np.zeros((n_tokens, dim))
-    pos = np.arange(n_tokens)[:, None]
-    div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
+def positional_encoding():
+    pe = np.zeros((N_TOKENS, TOKEN_DIM))
+    pos = np.arange(N_TOKENS)[:, None]
+    div = np.exp(np.arange(0, TOKEN_DIM, 2) * (-math.log(10000.0) / TOKEN_DIM))
     pe[:, 0::2] = np.sin(pos * div)
     pe[:, 1::2] = np.cos(pos * div[: pe[:, 1::2].shape[1]])
     return pe
@@ -105,7 +105,7 @@ def init_gate_linear(n_inputs) -> ParamSet:
 def stack_encoders(encoders):
     """Stack encoder ParamSets for one `encoder_forward` pass over all.
 
-    Returns a frozen ParamSet in which each parameter gets a leading
+    Returns a ParamSet in which each parameter gets a leading
     encoder axis plus singleton axes that broadcast over rows and tokens:
     (E, 1, d, e) weights, (E, 1, 1, d) vectors. Each encoder tensor's
     `.data` is rebound to its C-contiguous view into the stack, so the
@@ -116,7 +116,7 @@ def stack_encoders(encoders):
     for name, shape in encoder_shapes().items():
         lead = (len(encoders),) + (1,) * (3 - len(shape))
         data = np.stack([enc[name].data for enc in encoders])
-        t = stacked.add(name, data.reshape(lead + shape), trainable=False)
+        t = stacked.add(name, data.reshape(lead + shape))
         for enc, view in zip(encoders, t.data):
             enc[name].data = view.reshape(shape)
     return stacked

@@ -9,6 +9,7 @@ import numpy as np
 # block's operands and scratch stay in L2 across the update's elementwise
 # passes (13 for Adam).
 UPDATE_BLOCK = 1 << 15
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # Adam's (Kingma & Ba, 2015)
 
 
 class MultiAdam:
@@ -20,11 +21,8 @@ class MultiAdam:
     `UPDATE_BLOCK` elements); it holds no state between steps.
     """
 
-    def __init__(self, named_sets, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, named_sets):
         self.named_sets = dict(named_sets)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m: dict[tuple, np.ndarray] = {}
         self.v: dict[tuple, np.ndarray] = {}
@@ -42,8 +40,8 @@ class MultiAdam:
         Parameters without a gradient entry are left untouched.
         """
         self.step += 1
-        corr1 = 1.0 - self.beta1 ** self.step
-        corr2 = 1.0 - self.beta2 ** self.step
+        corr1 = 1.0 - BETA1 ** self.step
+        corr2 = 1.0 - BETA2 ** self.step
         for set_name, grads in named_grads.items():
             params = self.named_sets[set_name]
             for pname, g in grads.items():
@@ -64,17 +62,17 @@ class MultiAdam:
                     block = slice(start, start + UPDATE_BLOCK)
                     pb, gb, m, v = (x[block] for x in flat)
                     a, b = (w[:pb.size] for w in self.work)
-                    m *= self.beta1
-                    np.multiply(gb, 1.0 - self.beta1, out=a)
+                    m *= BETA1
+                    np.multiply(gb, 1.0 - BETA1, out=a)
                     m += a
-                    v *= self.beta2
+                    v *= BETA2
                     np.multiply(gb, gb, out=a)
-                    a *= 1.0 - self.beta2
+                    a *= 1.0 - BETA2
                     v += a
                     np.divide(m, corr1, out=a)
                     a *= lr
                     np.divide(v, corr2, out=b)
                     np.sqrt(b, out=b)
-                    b += self.eps
+                    b += EPS
                     a /= b
                     pb -= a

@@ -1,6 +1,12 @@
-"""Named parameter sets and deterministic randomness for training."""
+"""Named parameter sets, the training scope and deterministic randomness.
+
+Parameters are frozen at rest: `training(*param_sets)` makes exactly the
+given sets take a gradient, and only while its block runs.
+"""
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -17,10 +23,10 @@ class ParamSet:
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
 
-    def add(self, name, data, trainable=True):
+    def add(self, name, data):
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
+        t = Tensor(np.array(data, dtype=np.float64))
         self._tensors[name] = t
         return t
 
@@ -42,17 +48,22 @@ class ParamSet:
     def tensors(self):
         return list(self._tensors.values())
 
-    def freeze(self):
-        for t in self._tensors.values():
-            t.requires_grad = False
-
-    def unfreeze(self):
-        for t in self._tensors.values():
-            t.requires_grad = True
-
     def zero_grad(self):
         for t in self._tensors.values():
             t.grad = None
+
+
+@contextlib.contextmanager
+def training(*param_sets):
+    """The tensors of `param_sets` take a gradient inside the block only."""
+    tensors = [t for ps in param_sets for t in ps.tensors()]
+    for t in tensors:
+        t.requires_grad = True
+    try:
+        yield
+    finally:
+        for t in tensors:
+            t.requires_grad = False
 
 
 class DropoutStream:

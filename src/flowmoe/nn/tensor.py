@@ -9,8 +9,8 @@ graph is a DAG of backward closures walked in reverse topological order.
 The ops take Tensors only (arithmetic also accepts plain numbers and
 arrays as the other operand). There is no separate numpy path. An op's
 result records its parents and backward exactly when a parent requires
-grad: an op over frozen weights and raw inputs records nothing, and an
-eval-mode forward of trainable weights records a graph dropped with it.
+grad, which a parameter does only inside `params.training`: an op over
+parameters at rest and raw inputs records nothing.
 
 Backward contract: a node's closure maps the gradient of its output to
 (parent, gradient) pairs for exactly those parents whose `requires_grad`

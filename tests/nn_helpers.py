@@ -1,5 +1,6 @@
 """Test-only helpers over `flowmoe.nn`: a forward's values, and a
-ParamSet's values, flat vector and frozen state."""
+ParamSet's values, flat vector and frozen state, and a ParamSet made
+trainable for tests that run the sweep by hand."""
 
 import numpy as np
 
@@ -18,6 +19,14 @@ def state_dict(params):
 def frozen(params):
     """True when no parameter of the ParamSet takes a gradient."""
     return all(not t.requires_grad for t in params.tensors())
+
+
+def trainable(params):
+    """The ParamSet, with every parameter taking a gradient from now on, for
+    tests that sweep by hand; the library trains only in `nn.training`."""
+    for t in params.tensors():
+        t.requires_grad = True
+    return params
 
 
 def to_vector(params):

@@ -21,7 +21,7 @@ from flowmoe.ingest import ExtractionConfig, Packet, assemble_flows, \
 from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
                         backward, cross_entropy, dropout, encoder_forward,
                         head_forward, init_encoder, init_gate_linear,
-                        init_head, mixing_weights, relu)
+                        init_head, mixing_weights, relu, training)
 from flowmoe.synth import GeneratorSpec, generate_dataset
 
 from composed_gate import composed_gate_weights
@@ -55,8 +55,9 @@ def test_criterion_01_gradient_correctness():
 
     def check(loss_fn, params, coords=12):
         nonlocal worst
-        loss = loss_fn()
-        for ps, grads in zip(params, backward(loss, *params)):
+        with training(*params):
+            all_grads = backward(loss_fn(), *params)
+        for ps, grads in zip(params, all_grads):
             err = check_gradients(lambda: loss_fn().item(), ps, grads,
                                   rel_tol=1e-4, max_coords=coords, rng=rng)
             worst = max(worst, err)
@@ -192,15 +193,14 @@ def test_criterion_03_task_isolation(mode1_runs):
     reps = concat_representations(fused, X)
 
     isolated = True
+    towers = list(fused.towers.values())
     for task in fused.task_ids:
-        for tower in fused.towers.values():
-            tower.unfreeze()
+        for tower in towers:
             tower.zero_grad()
         gated = gate_output(fused.gates[task], Tensor(reps), Tensor(X)).data
-        loss = cross_entropy(
-            head_forward(fused.towers[task], Tensor(gated)),
-            test.labels[task][:32])
-        loss.backward()
+        with training(*towers):
+            cross_entropy(head_forward(fused.towers[task], Tensor(gated)),
+                          test.labels[task][:32]).backward()
         for other, tower in fused.towers.items():
             grads_present = any(t.grad is not None and np.any(t.grad)
                                 for t in tower.tensors())

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from flowmoe.cli import run
+from flowmoe.fusion import load_fusion_config
 
 from memtrace import traced_cli_peak
 
@@ -429,6 +430,43 @@ def test_pcap_ingest_command(tmp_path):
     assert feats[0, 0] == ord("a") / 255.0
 
 
+@pytest.mark.parametrize("magic, per_second", [(0xA1B2C3D4, 10**6),
+                                                (0xA1B23C4D, 10**9)],
+                         ids=["microseconds", "nanoseconds"])
+def test_pcap_ingest_reads_each_magic_in_both_byte_orders(tmp_path, magic,
+                                                          per_second):
+    # one two-packet TCP flow, written little- and big-endian
+    import struct
+    from flowmoe import serial
+
+    def frame(src, dst, sport, dport, payload):
+        return (b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00"
+                + struct.pack(">BBHHHBBH", 0x45, 0, 40 + len(payload), 1, 0,
+                              64, 6, 0)
+                + bytes(src) + bytes(dst)
+                + struct.pack(">HHIIBBHHH", sport, dport, 0, 0, 0x50, 0x18,
+                              4096, 0, 0) + payload)
+
+    records = [(7, 0, frame([10, 0, 0, 1], [10, 0, 0, 2], 1234, 80, b"abc")),
+               (7, per_second // 4,
+                frame([10, 0, 0, 2], [10, 0, 0, 1], 80, 1234, b"de"))]
+    written = []
+    for order in "<>":
+        blob = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+        for sec, frac, data in records:
+            blob += struct.pack(order + "IIII", sec, frac, len(data),
+                                len(data)) + data
+        cap = tmp_path / f"cap{len(written)}.pcap"
+        cap.write_bytes(blob)
+        out = tmp_path / f"cap{len(written)}.snkf"
+        assert run(["ingest", "--input", str(cap), "--out", str(out)]) == 0
+        _ids, feats, _header = serial.load_features(out)
+        assert feats.shape == (1, 912)
+        assert feats[0, :5].tolist() == [v / 255.0 for v in b"abcde"]
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_fused_eval_runs_the_experts_once(pipeline_dir, tmp_path, monkeypatch):
     import flowmoe.fusion as fusion
     from flowmoe.cli import _load_dataset
@@ -745,6 +783,58 @@ def test_bad_fusion_config_value_names_file_section_and_key(
     assert rc == 1
     assert _cli_errors(capsys) == [f"flowmoe: error: {cfg}: [{section}] "
                                    f"{key} = {text!r}: expected {expected}"]
+
+
+FUSION_CONFIG_TYPOS = [
+    ("fusion", "learning_rate", "0.5",
+     "[fusion] learning_rate: unknown key; expected one of batch_size, "
+     "dropout, epochs, lr, mode, seed, unfreeze_experts"),
+    ("fusion", "unfreeze_experts", "maybe",
+     "[fusion] unfreeze_experts = 'maybe': expected a boolean (1/0, yes/no, "
+     "true/false or on/off)"),
+    ("task:app", "alhpa", "3",
+     "[task:app] alhpa: unknown key; expected one of alpha, experts, labels"),
+    ("experts", "file", "b.snke",
+     "[experts] file: unknown key; expected one of files"),
+    ("tsak:x", "experts", "0",
+     "[tsak:x]: unknown section; expected [experts], [fusion], [task:<id>] "
+     "or [nesting]"),
+    ("DEFAULT", "seed", "1",
+     "[DEFAULT]: unknown section; expected [experts], [fusion], [task:<id>] "
+     "or [nesting]"),
+]
+
+
+@pytest.mark.parametrize("section, key, text, message", FUSION_CONFIG_TYPOS,
+                         ids=[case[1] for case in FUSION_CONFIG_TYPOS])
+def test_fusion_config_typo_is_one_error_naming_file_section_and_key(
+        tmp_path, capsys, section, key, text, message):
+    # each of these mistakes used to be read as a default value
+    body = {"experts": {"files": "a.snke"}, "fusion": {"mode": "I"},
+            "task:app": {"experts": "0"}}
+    body.setdefault(section, {})[key] = text
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        + "\n" for name, items in body.items()))
+    out = tmp_path / "o.snke"
+    rc = run(["fuse", "--config", str(cfg), "--features", "f.snkf",
+              "--labels", "l.csv", "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {cfg}: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("on", True), ("Yes", True), ("1", True), ("true", True),
+    ("off", False), ("no", False), ("0", False), ("FALSE", False)])
+def test_fusion_config_reads_every_configparser_boolean(tmp_path, text,
+                                                        expected):
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text("[experts]\nfiles = a.snke\n\n[fusion]\nmode = I\n"
+                   f"unfreeze_experts = {text}\n\n[task:app]\nexperts = 0\n"
+                   "\n[nesting]\nany = label\n")
+    assert load_fusion_config(cfg)[2]["unfreeze_experts"] is expected
 
 
 @pytest.mark.parametrize("flag", [["--experts", "a.snke"], ["--task", "t"],

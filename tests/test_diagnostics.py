@@ -12,7 +12,7 @@ from flowmoe.diagnostics import (LossTrace, check_convergence, detect_gate_anoma
                                  estimate_lipschitz, load_domain_accuracies,
                                  load_loss_column)
 
-from nn_helpers import state_dict, to_vector
+from nn_helpers import frozen, state_dict, to_vector
 
 
 def quadratic_run(c, alpha, w0=2.0, steps=30):
@@ -374,14 +374,12 @@ def test_tower_gd_leaves_the_towers_as_it_found_them(trained_experts,
                                                      two_task_data):
     from flowmoe.diagnostics import run_tower_gd
 
+    # frozen, with their starting values bitwise, after a run or an error
     fused = _mode1_fused(trained_experts)
-    fused.towers["encap"]["fc2.b"].requires_grad = False
     # a non-zero output layer, so that a huge step overflows
     fc2 = fused.towers["app"]["fc2.w"]
     fc2.data = np.random.default_rng(2).normal(size=fc2.data.shape) * 0.1
     before = {t: state_dict(fused.towers[t]) for t in fused.task_ids}
-    flags = {t: [p.requires_grad for p in fused.towers[t].tensors()]
-             for t in fused.task_ids}
     data = two_task_data[0].subset(np.arange(48))
     runs = [lambda: run_tower_gd(fused, data, steps=10, alpha=0.5),
             # a diverging run ends in an error, and restores them too
@@ -390,8 +388,7 @@ def test_tower_gd_leaves_the_towers_as_it_found_them(trained_experts,
     for run in runs:
         run()
         for t in fused.task_ids:
-            assert [p.requires_grad for p in fused.towers[t].tensors()] \
-                == flags[t]
+            assert frozen(fused.towers[t])
             for name, arr in before[t].items():
                 tensor = fused.towers[t][name]
                 assert np.array_equal(tensor.data, arr), (t, name)

@@ -7,12 +7,12 @@ from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
                         attention, backward, cross_entropy, encoder_forward,
                         feed_forward, gate_mix, head_forward, init_encoder,
                         init_head, softmax_rows, softmax_rows_backward,
-                        stack_encoders)
+                        stack_encoders, training)
 
 from composed_encoder import composed_encoder_forward
 from composed_ops import softmax, tsum
 from gradcheck import check_gradients
-from nn_helpers import eval_forward, frozen
+from nn_helpers import eval_forward, frozen, trainable
 
 B, T, D = 2, 5, 6
 E = 2           # stacked cases: (E, 1, d, e) weights, (E, 1, 1, d) vectors
@@ -22,7 +22,7 @@ def _params(rng, shapes, scale=0.5):
     ps = ParamSet()
     for name, shape in shapes.items():
         ps.add(name, rng.normal(size=shape) * scale)
-    return ps
+    return trainable(ps)
 
 
 def _case_params(rng, shapes, stacked):
@@ -149,12 +149,13 @@ def test_fused_encoder_gradients_match_composed_oracle(encoder, train_mode):
     head = init_head(np.random.default_rng(35), 3)
 
     def run(forward):
-        rep = forward(encoder, x, train_mode=train_mode,
-                      dropout_stream=DropoutStream(8))
-        loss = cross_entropy(head_forward(head, rep, train_mode=train_mode,
-                                          dropout_stream=DropoutStream(9)),
-                             labels)
-        return rep.data, loss.item(), backward(loss, encoder, head)
+        with training(encoder, head):
+            rep = forward(encoder, x, train_mode=train_mode,
+                          dropout_stream=DropoutStream(8))
+            loss = cross_entropy(
+                head_forward(head, rep, train_mode=train_mode,
+                             dropout_stream=DropoutStream(9)), labels)
+            return rep.data, loss.item(), backward(loss, encoder, head)
 
     rep, loss, (enc_g, head_g) = run(encoder_forward)
     ref_rep, ref_loss, (ref_enc_g, ref_head_g) = run(composed_encoder_forward)
@@ -198,17 +199,18 @@ def test_stacked_encoder_pass_matches_each_encoders_own_pass():
     rng = np.random.default_rng(36)
     x = rng.random((3, INPUT_DIM))
     coef = rng.normal(size=(E, 3, INPUT_DIM))
-    stacked.unfreeze()
-    out = encoder_forward(stacked, x)
+    with training(stacked):
+        out = encoder_forward(stacked, x)
+        grads, = backward(tsum(out * coef), stacked)
     assert out.shape == (E, 3, INPUT_DIM)
-    grads, = backward(tsum(out * coef), stacked)
     for j, values in enumerate(originals):
         own = ParamSet()
         for name, data in values.items():
             own.add(name, data)
-        own_out = encoder_forward(own, x)
+        with training(own):
+            own_out = encoder_forward(own, x)
+            own_grads, = backward(tsum(own_out * coef[j]), own)
         assert np.array_equal(out.data[j], own_out.data)
-        own_grads, = backward(tsum(own_out * coef[j]), own)
         for name, g in own_grads.items():
             assert np.array_equal(grads[name][j].reshape(g.shape), g), name
 
@@ -216,7 +218,7 @@ def test_stacked_encoder_pass_matches_each_encoders_own_pass():
 def test_stacked_encoder_gradients_match_finite_differences():
     # criterion 01's check on E = 2 stacked encoders sharing one input
     _, stacked = _stacked_encoders()
-    stacked.unfreeze()
+    trainable(stacked)
     rng = np.random.default_rng(37)
     x = rng.random((2, INPUT_DIM))
     coef = rng.normal(size=(E, 2, INPUT_DIM))

@@ -22,7 +22,7 @@ from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
 from flowmoe.expert import ExpertModel
 from flowmoe.nn import (INPUT_DIM, Tensor, backward, cross_entropy,
                         encoder_forward, head_forward, init_encoder,
-                        init_head, mixing_weights)
+                        init_head, mixing_weights, training)
 
 from composed_gate import composed_gate_output, composed_gate_weights
 from composed_ops import softmax
@@ -82,12 +82,12 @@ def test_one_expert_gate_gradient_reaches_only_its_expert():
     # unfrozen experts: the stacked encoder's gradient is zero in every
     # parameter of the expert the gate does not read
     model = _fixed_gate_model()
-    model.encoder.unfreeze()
-    reps = encoder_forward(model.encoder,
-                           np.random.default_rng(5).random((3, INPUT_DIM)))
-    out = gate_output(model.gates["t1"], reps)
+    with training(model.encoder):
+        reps = encoder_forward(model.encoder,
+                               np.random.default_rng(5).random((3, INPUT_DIM)))
+        out = gate_output(model.gates["t1"], reps)
+        out.backward(np.random.default_rng(6).normal(size=out.shape))
     assert np.array_equal(out.data, reps.data[1])
-    out.backward(np.random.default_rng(6).normal(size=out.shape))
     for name, t in model.encoder.items():
         assert not t.grad[0].any(), name
     assert model.encoder["ff.1.w"].grad[1].any()
@@ -216,12 +216,13 @@ def test_gate_mix_gradients_match_composed_oracle(rng):
     g = rng.normal(size=(9, INPUT_DIM))
     for gate in _gate_cases(rng):
         grads = []
-        params = [stacked] + ([] if gate.linear is None
-                              else gate.linear.tensors())
+        sets = [] if gate.linear is None else [gate.linear]
+        params = [stacked] + [t for ps in sets for t in ps.tensors()]
         for mix in (gate_output, composed_gate_output):
             for t in params:
                 t.grad = None
-            mix(gate, stacked, x).backward(g)
+            with training(*sets):
+                mix(gate, stacked, x).backward(g)
             grads.append([t.grad for t in params])
         for got, ref in zip(*grads):
             scale = np.max(np.abs(ref))
@@ -241,7 +242,8 @@ def test_gate_mix_holds_no_expert_stack_sized_array(rng):
 
     def forward_and_backward(mix):
         gate.linear.zero_grad()
-        mix(gate, stacked, x).backward(g)
+        with training(gate.linear):
+            mix(gate, stacked, x).backward(g)
 
     array_bytes = rows * INPUT_DIM * 8         # one (B, 912) array
     _, peak = traced_peak(forward_and_backward, gate_output)
@@ -567,32 +569,29 @@ def test_classify_takes_exactly_one_flow(trained_experts, two_task_data):
 @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
 def test_eval_gives_the_same_bits_on_trainable_and_frozen_models(
         trained_experts, two_task_data, mode):
-    # a trainable model records a graph during evaluation; its outputs
-    # must not differ from a frozen copy's
+    # inside a training scope evaluation records a graph; its outputs
+    # must not differ from those of the same model at rest
     X = two_task_data[2].features[:40]
-    trainable = _random_heads(configure_fusion(
+    model = _random_heads(configure_fusion(
         copy.deepcopy(list(trained_experts)), _relation(mode), seed=3), 5)
-    frozen_model = copy.deepcopy(trainable)
-    trainable.encoder.unfreeze()
-    for params in frozen_model.towers.values():
-        params.freeze()
-    for gate in frozen_model.gates.values():
-        if gate.linear is not None:
-            gate.linear.freeze()
-    assert np.array_equal(expert_representation(trainable, X),
-                          expert_representation(frozen_model, X))
-    got, want = classify_batch(trainable, X), classify_batch(frozen_model, X)
-    for task in trainable.task_ids:
-        assert np.array_equal(got[task][0], want[task][0])
-        assert np.array_equal(got[task][1], want[task][1])
-    expert = copy.deepcopy(trained_experts[0])
-    expert.encoder.unfreeze()
-    expert.head.unfreeze()
-    trainable_reps = expert_representation(expert, X)
-    trainable_probs = expert_predict(expert, X)
-    expert.freeze()
-    assert np.array_equal(trainable_reps, expert_representation(expert, X))
-    assert np.array_equal(trainable_probs, expert_predict(expert, X))
+    expert = trained_experts[0]
+
+    def evaluate():
+        return (expert_representation(model, X), classify_batch(model, X),
+                expert_representation(expert, X), expert_predict(expert, X))
+
+    at_rest = evaluate()
+    with training(model.encoder, *model.towers.values(),
+                  *(g.linear for g in model.gates.values()
+                    if g.linear is not None), expert.encoder, expert.head):
+        assert encoder_forward(model.encoder, X[:2]).requires_grad
+        scoped = evaluate()
+    assert np.array_equal(scoped[0], at_rest[0])
+    for task in model.task_ids:
+        assert np.array_equal(scoped[1][task][0], at_rest[1][task][0])
+        assert np.array_equal(scoped[1][task][1], at_rest[1][task][1])
+    assert np.array_equal(scoped[2], at_rest[2])
+    assert np.array_equal(scoped[3], at_rest[3])
 
 
 def test_negative_loss_weight_in_a_fusion_config_is_rejected(
@@ -715,12 +714,11 @@ def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,
     reps = concat_representations(fused, train.features[:16])
     x = train.features[:16]
     app_tower, enc_tower = fused.towers["app"], fused.towers["encap"]
-    app_tower.unfreeze()
-    enc_tower.unfreeze()
     gated = gate_output(fused.gates["app"], Tensor(reps), Tensor(x)).data
-    loss = cross_entropy(head_forward(app_tower, Tensor(gated)),
-                         train.labels["app"][:16])
-    app_grads, enc_grads = backward(loss, app_tower, enc_tower)
+    with training(app_tower, enc_tower):
+        loss = cross_entropy(head_forward(app_tower, Tensor(gated)),
+                             train.labels["app"][:16])
+        app_grads, enc_grads = backward(loss, app_tower, enc_tower)
     assert set(app_grads) == set(app_tower.names())
     assert enc_grads == {}
 
@@ -790,7 +788,9 @@ def test_multitask_tower_forward_contract(trained_experts, two_task_data, mode):
     gated = {t: gate_output(fused.gates[t], stacked, x) for t in fused.task_ids}
     labels = {t: rng.integers(len(fused.label_maps[t]), size=12)
               for t in fused.task_ids}
-    logits, losses, total = tower_forward(fused, gated, labels)
+    with training(*fused.towers.values()):
+        logits, losses, total = tower_forward(fused, gated, labels)
+        grads = backward(total, *fused.towers.values())
     assert list(logits) == list(losses) == fused.task_ids
 
     # oracle: each tower and cross-entropy by hand, alpha-weighted sum in
@@ -805,7 +805,6 @@ def test_multitask_tower_forward_contract(trained_experts, two_task_data, mode):
         term = ce * fused.loss_weights[task]
         expected = term if expected is None else expected + term
     assert total.item() == expected
-    grads = backward(total, *fused.towers.values())
     assert all(set(g) == set(fused.towers[t].names())
                for t, g in zip(fused.towers, grads))
 

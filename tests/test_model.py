@@ -6,7 +6,7 @@ import pytest
 from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
                         cross_entropy, encoder_forward, head_forward,
                         init_encoder, init_gate_linear, init_head,
-                        stack_encoders)
+                        stack_encoders, training)
 
 from composed_ops import select, softmax
 from gradcheck import check_gradients
@@ -80,8 +80,8 @@ def test_encoder_gradients_match_finite_differences(encoder):
         logits = head_forward(head, rep)
         return cross_entropy(logits, labels)
 
-    loss = forward()
-    enc_grads, head_grads = backward(loss, encoder, head)
+    with training(encoder, head):
+        enc_grads, head_grads = backward(forward(), encoder, head)
     check_gradients(lambda: forward().item(), encoder, enc_grads,
                     max_coords=6, rng=rng)
     check_gradients(lambda: forward().item(), head, head_grads,
@@ -103,8 +103,8 @@ def test_encoder_train_mode_gradients(encoder):
                               dropout_stream=DropoutStream(22))
         return cross_entropy(logits, labels)
 
-    loss = forward()
-    enc_grads, head_grads = backward(loss, encoder, head)
+    with training(encoder, head):
+        enc_grads, head_grads = backward(forward(), encoder, head)
     check_gradients(lambda: forward().item(), encoder, enc_grads,
                     max_coords=4, rng=rng)
     check_gradients(lambda: forward().item(), head, head_grads,
@@ -130,8 +130,8 @@ def test_gate_linear_gradients():
         out = head_forward(tower, mixed)
         return cross_entropy(out, labels)
 
-    loss = forward()
-    gate_grads, tower_grads = backward(loss, gate, tower)
+    with training(gate, tower):
+        gate_grads, tower_grads = backward(forward(), gate, tower)
     check_gradients(lambda: forward().item(), gate, gate_grads,
                     max_coords=8, rng=rng)
     check_gradients(lambda: forward().item(), tower, tower_grads,
@@ -139,15 +139,13 @@ def test_gate_linear_gradients():
 
 
 def test_frozen_encoder_receives_no_gradients(encoder):
+    # only the head is in the training scope; the encoder stays frozen
     head = init_head(np.random.default_rng(12), 2)
-    frozen = ParamSet()
-    for name, t in encoder.items():
-        frozen.add(name, t.data.copy())
-    frozen.freeze()
     x = np.random.default_rng(13).random((2, INPUT_DIM))
-    loss = cross_entropy(head_forward(head, encoder_forward(frozen, x)),
-                         np.array([0, 1]))
-    enc_grads, head_grads = backward(loss, frozen, head)
+    with training(head):
+        loss = cross_entropy(head_forward(head, encoder_forward(encoder, x)),
+                             np.array([0, 1]))
+        enc_grads, head_grads = backward(loss, encoder, head)
     assert enc_grads == {}
     assert set(head_grads) == set(head.names())
 
@@ -166,8 +164,9 @@ def test_consecutive_sweeps_reuse_the_weight_gradient_buffer():
     rng = np.random.default_rng(17)
 
     def fc1_grad(params, x, labels):
-        loss = cross_entropy(head_forward(params, x), labels)
-        return backward(loss, params)[0]["fc1.w"]
+        with training(params):
+            loss = cross_entropy(head_forward(params, x), labels)
+            return backward(loss, params)[0]["fc1.w"]
 
     def fresh_fc1_grad(x, labels):
         fresh = ParamSet()

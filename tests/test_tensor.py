@@ -10,13 +10,14 @@ from flowmoe.nn import (DropoutStream, ParamSet, Tensor, add_norm,
 
 from composed_ops import select, softmax, tsum
 from gradcheck import check_gradients
+from nn_helpers import trainable
 
 
-def _params_from(values):
+def _params_from(values, train=True):
     ps = ParamSet()
     for name, v in values.items():
         ps.add(name, v)
-    return ps
+    return trainable(ps) if train else ps
 
 
 def test_relu_values():
@@ -77,8 +78,8 @@ def test_backward_requires_graph():
 
 
 def test_op_over_frozen_inputs_records_no_graph():
-    ps = _params_from({"w": np.ones((3, 2))})
-    ps.freeze()
+    # a ParamSet's tensors take no gradient until a training scope says so
+    ps = _params_from({"w": np.ones((3, 2))}, train=False)
     x = Tensor(np.ones((4, 3)))
     out = relu(x @ ps["w"] + 1.0)
     assert not out.requires_grad
@@ -216,8 +217,7 @@ def test_grad_absent_for_unused_parameter():
 
 
 def test_frozen_parameter_gets_no_gradient():
-    ps = _params_from({"w": np.ones(3)})
-    ps.freeze()
+    ps = _params_from({"w": np.ones(3)}, train=False)
     x = Tensor(np.ones(3), requires_grad=True)
     loss = tsum(ps["w"] * x)
     loss.backward()

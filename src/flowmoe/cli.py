@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -58,12 +59,25 @@ def _sha256_files(paths):
     return h.hexdigest()[:16]
 
 
+def _blas_fields():
+    """numpy's bundled OpenBLAS kernel and thread count, or `unknown`."""
+    lib = next((ctypes.CDLL(str(p)) for p in Path(np.__file__).parent.parent
+                .glob("numpy.libs/libscipy_openblas64_*")), None)
+    core = getattr(lib, "scipy_openblas_get_corename64_", None)
+    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    for func, restype in ((core, ctypes.c_char_p), (threads, ctypes.c_int)):
+        if func is not None:
+            func.argtypes, func.restype = [], restype
+    return (f"blas_core={'unknown' if core is None else core().decode()} "
+            f"blas_threads={'unknown' if threads is None else threads()}")
+
+
 def _log_run(primary_output, command, seed, config_paths):
     log_path = Path(primary_output).parent / "run.log"
     line = (f"{datetime.now(timezone.utc).isoformat()} cmd={command} "
             f"seed={seed} config_sha256={_sha256_files(config_paths)} "
             f"flowmoe={__version__} numpy={np.__version__} "
-            f"python={platform.python_version()}\n")
+            f"python={platform.python_version()} {_blas_fields()}\n")
     log_path.parent.mkdir(parents=True, exist_ok=True)
     with open(log_path, "a", encoding="utf-8") as fh:
         fh.write(line)
@@ -200,14 +214,10 @@ def _flag_based_fusion(args):
         task = args.task or "union"
         tasks = [TaskSpec(task_id=task, experts=tuple(range(len(experts))))]
     relation = TaskRelation(mode=mode, tasks=tasks)
-    overrides = {field: value for field, value in (
-        ("learning_rate", args.lr), ("epochs", args.epochs),
-        ("batch_size", args.batch_size), ("dropout_rate", args.dropout))
-        if value is not None}
-    seed = 0 if args.seed is None else args.seed
-    cfg = dataclasses.replace(default_finetune_config(mode, seed=seed),
-                              **overrides)
-    options = {"seed": seed, "unfreeze_experts": False, "train_config": cfg}
+    cfg = default_finetune_config(
+        mode, seed=args.seed, learning_rate=args.lr, epochs=args.epochs,
+        batch_size=args.batch_size, dropout_rate=args.dropout)
+    options = {"seed": cfg.seed, "unfreeze_experts": False, "train_config": cfg}
     return experts, relation, options
 
 

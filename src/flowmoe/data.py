@@ -1,9 +1,11 @@
-"""Labeled flow datasets and the flow_id,task_id,label CSV format."""
+"""Labeled flow datasets, the label CSV format and the one INI reader."""
 
 from __future__ import annotations
 
+import configparser
 import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -81,6 +83,72 @@ def text_lines(path, fh, encoding):
             raise ValueError(f"{path}:{lineno}: byte 0x{byte:02x} is not "
                              f"{encoding} text") from None
         yield line
+
+
+@dataclass(frozen=True)
+class Key:
+    """How `read_ini` converts, checks and defaults one key's text."""
+
+    convert: Callable
+    default: object = None
+    expected: str = ""
+    valid: Callable = lambda value: True
+
+    def read(self, path, section, key, text):
+        try:
+            value = self.convert(text)
+            if self.valid(value):
+                return value
+        except (ValueError, LookupError):
+            pass
+        raise ValueError(f"{path}: [{section}] {key} = {text!r}: expected "
+                         f"{self.expected}")
+
+
+BOOLEAN = Key(lambda text: configparser.ConfigParser.BOOLEAN_STATES[
+    text.lower()], False, "a boolean (1/0, yes/no, true/false or on/off)")
+
+
+def read_ini(path, schema):
+    """{section: {key: value}} from the UTF-8 INI file at `path`. `schema`
+    maps a section to {key: Key}, or to one Key for a section that takes
+    any key (None if absent); "task:" covers [task:<id>]. Keys keep their
+    case, `%` is literal, any fault is a ValueError starting with `path`."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            cp.read_file(text_lines(path, fh, "utf-8"), source=str(path))
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror}") from None
+    except (configparser.DuplicateSectionError,
+            configparser.DuplicateOptionError) as exc:
+        key = f" {exc.option}" if hasattr(exc, "option") else ""
+        raise ValueError(f"{path}:{exc.lineno}: [{exc.section}]{key}: "
+                         f"repeated") from None
+    except configparser.ParsingError as exc:    # no header, or no "="
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise ValueError(f"{path}:{lineno}: not a key = value line under a "
+                         f"[section] header") from None
+    out = {name: None if isinstance(spec, Key) else
+           {key: how.default for key, how in spec.items()}
+           for name, spec in schema.items() if not name.endswith(":")}
+    names = [f"[{name}<id>]" if name.endswith(":") else f"[{name}]"
+             for name in schema]
+    for name in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
+        spec = schema.get(name[:name.find(":") + 1] or name)  # task:x -> task:
+        if spec is None:
+            raise ValueError(f"{path}: [{name}]: unknown section; expected "
+                             f"{', '.join(names[:-1])} or {names[-1]}")
+        keys = dict.fromkeys(cp[name], spec) if isinstance(spec, Key) else spec
+        for key in cp[name]:
+            if key not in keys:
+                raise ValueError(f"{path}: [{name}] {key}: unknown key; "
+                                 f"expected one of {', '.join(sorted(keys))}")
+        out[name] = {key: how.read(path, name, key, cp[name][key])
+                     if key in cp[name] else how.default
+                     for key, how in keys.items()}
+    return out
 
 
 def load_labels_csv(path):

@@ -10,7 +10,6 @@ learn during fine-tuning, under one alpha-weighted multi-task loss.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import enum
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial
-from .data import LabeledDataset
+from .data import BOOLEAN, Key, LabeledDataset, read_ini
 from .expert import (ExpertModel, TrainConfig, expert_from_container,
                      expert_representation, params_from_container,
                      reject_unexpected)
@@ -329,13 +328,14 @@ def _check_nesting(coarse_labels, fine_labels, nesting):
             + (f"parents of {bad_parent} are not coarse labels" if bad_parent else ""))
 
 
-def default_finetune_config(mode: FusionMode, seed=0) -> TrainConfig:
-    """Scenario fine-tune defaults: batch 128; lr 1e-4 for independent-task
-    fusion, 1e-3 otherwise."""
-    lr = 1e-4 if mode is FusionMode.MODE_I else 1e-3
-    epochs = 5 if mode is FusionMode.MODE_I else 10
-    return TrainConfig(learning_rate=lr, batch_size=128, epochs=epochs,
-                       dropout_rate=0.0, seed=seed)
+def default_finetune_config(mode: FusionMode, **overrides) -> TrainConfig:
+    """Scenario fine-tune defaults (batch 128, seed 0; lr 1e-4 in Mode I,
+    else 1e-3), each replaced by a TrainConfig override that is not None."""
+    mode_i = mode is FusionMode.MODE_I
+    fields = dict(learning_rate=1e-4 if mode_i else 1e-3, batch_size=128,
+                  epochs=5 if mode_i else 10, dropout_rate=0.0, seed=0)
+    fields.update((k, v) for k, v in overrides.items() if v is not None)
+    return TrainConfig(**fields)
 
 
 def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
@@ -553,101 +553,41 @@ def fused_from_container(path, header, tensors) -> FusedModel:
 
 # -- declarative fusion config ------------------------------------------------
 
-# the keys each section may hold; [nesting] holds fine labels, any of them
-_CONFIG_KEYS = {
-    "experts": {"files"},
-    "fusion": {"mode", "seed", "lr", "epochs", "batch_size", "dropout",
-               "unfreeze_experts"},
-    "task:": {"experts", "labels", "alpha"},
+_INTEGER, _NUMBER = Key(int, None, "an integer"), Key(float, None, "a number")
+_FUSION_SCHEMA = {
+    "experts": {"files": Key(str.split)},
+    "fusion": {"mode": Key(lambda text: FusionMode(text.upper()),
+                           FusionMode.MODE_I, "I, II or III"),
+               "seed": Key(int, 0, "an integer"), "epochs": _INTEGER,
+               "batch_size": _INTEGER, "lr": _NUMBER, "dropout": _NUMBER,
+               "unfreeze_experts": BOOLEAN},
+    "task:": {"experts": Key(lambda text: tuple(map(int, text.split())), (),
+                             "expert indices"),
+              "labels": Key(str.split), "alpha": Key(float, 1.0, "a number")},
+    "nesting": Key(str),            # fine label -> coarse label
 }
 
+
 def load_fusion_config(path):
-    """Parse the INI fusion config into (expert_paths, relations, options).
-
-    Sections: [experts] files = <paths>; [fusion] mode/seed/lr/epochs/
-    batch_size/dropout (the fine-tune settings) and unfreeze_experts (a
-    ConfigParser boolean); one [task:<id>] per task (experts = indices,
-    labels/alpha optional); [nesting] for refinement. An unknown section or
-    key, or a value that does not convert, is a ValueError naming the file,
-    section and key.
-    """
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ValueError(f"cannot read fusion config {path}")
-    # [DEFAULT] first: its keys also show up in every other section
-    for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
-        if section == "nesting":
-            continue
-        known = _CONFIG_KEYS.get("task:" if section.startswith("task:")
-                                 else section)
-        if known is None:
-            raise ValueError(f"{path}: [{section}]: unknown section; expected "
-                             f"[experts], [fusion], [task:<id>] or [nesting]")
-        for key in cp[section]:
-            if key not in known:
-                raise ValueError(f"{path}: [{section}] {key}: unknown key; "
-                                 f"expected one of {', '.join(sorted(known))}")
-    if "experts" not in cp or "files" not in cp["experts"]:
+    """(expert_paths, relation, options) from an INI fusion config."""
+    ini = read_ini(path, _FUSION_SCHEMA)
+    expert_paths, fu = ini["experts"]["files"], ini["fusion"]
+    if expert_paths is None:
         raise ValueError(f"{path}: missing [experts] files = ...")
-    expert_paths = cp["experts"]["files"].split()
-    fu = cp["fusion"] if "fusion" in cp else {}
-
-    def value(section, key, kind, default, expected):
-        text = cp[section].get(key) if section in cp else None
-        if text is None:
-            return default
-        try:
-            return kind(text)
-        except ValueError:
-            raise ValueError(f"{path}: [{section}] {key} = {text!r}: expected "
-                             f"{expected}") from None
-    try:
-        mode = FusionMode(fu.get("mode", "I").strip().upper())
-    except ValueError:
-        raise ValueError(f"{path}: unknown fusion mode {fu.get('mode')!r}") from None
-
-    tasks = []
-    for section in cp.sections():
-        if not section.startswith("task:"):
-            continue
-        body = cp[section]
-        tasks.append(TaskSpec(
-            task_id=section[5:],
-            experts=value(section, "experts",
-                          lambda text: tuple(int(i) for i in text.split()),
-                          (), "expert indices"),
-            labels=body["labels"].split() if "labels" in body else None,
-            alpha=value(section, "alpha", float, 1.0, "a number"),
-        ))
+    tasks = [TaskSpec(name[5:], **keys) for name, keys in ini.items()
+             if name.startswith("task:")]
     if not tasks:
         raise ValueError(f"{path}: no [task:...] sections")
-    nesting = dict(cp["nesting"]) if "nesting" in cp else None
-    relation = TaskRelation(mode=mode, tasks=tasks, nesting=nesting)
-
-    options = {"seed": value("fusion", "seed", int, 0, "an integer")}
-    cfg = default_finetune_config(mode, seed=options["seed"])
-    overrides = {field: value("fusion", key, kind, None, what)
-                 for key, field, kind, what in (
-        ("lr", "learning_rate", float, "a number"),
-        ("epochs", "epochs", int, "an integer"),
-        ("batch_size", "batch_size", int, "an integer"),
-        ("dropout", "dropout_rate", float, "a number")) if key in fu}
-    try:
-        cfg = dataclasses.replace(cfg, **overrides)
+    try:    # the mode's task rules and the fine-tune settings
+        relation = TaskRelation(fu["mode"], tasks, ini["nesting"])
+        cfg = default_finetune_config(
+            fu["mode"], seed=fu["seed"], learning_rate=fu["lr"],
+            epochs=fu["epochs"], batch_size=fu["batch_size"],
+            dropout_rate=fu["dropout"])
     except ValueError as exc:
         raise ValueError(f"{path}: [fusion] {exc}") from None
-    options["unfreeze_experts"] = value(
-        "fusion", "unfreeze_experts", _config_boolean, False,
-        "a boolean (1/0, yes/no, true/false or on/off)")
-    options["train_config"] = cfg
-    return expert_paths, relation, options
-
-
-def _config_boolean(text):
-    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
-    if state is None:
-        raise ValueError(text)
-    return state
+    return expert_paths, relation, {"seed": fu["seed"], "train_config": cfg,
+                                    "unfreeze_experts": fu["unfreeze_experts"]}
 
 
 def load_any_model(path):

@@ -50,6 +50,10 @@ class Packet:
                 raise ValueError(f"port {port} out of range")
         if not isinstance(self.payload, (bytes, bytearray)):
             raise ValueError("payload must be a byte sequence")
+        self.validate_window_and_timestamp()
+
+    def validate_window_and_timestamp(self):
+        """The checks of `validate` that can differ within a flow record."""
         if not 0 <= self.tcp_window <= 65535:
             raise ValueError(f"tcp window {self.tcp_window} out of range")
         if not math.isfinite(self.timestamp) or self.timestamp < 0:
@@ -397,7 +401,10 @@ def _parse_record_line(line) -> Flow:
         src, dst = (fwd, rev) if direction == 0 else (rev, fwd)
         packets.append(Packet(ts, src[0], src[1], dst[0], dst[1], proto,
                               payload, window if proto == TCP else 0))
-        packets[-1].validate()
+        if len(packets) == 1:   # protocol and ports are the line's: once
+            packets[0].validate()
+        else:
+            packets[-1].validate_window_and_timestamp()
     packets.sort(key=lambda p: p.timestamp)
     key = FlowKey.of(packets[0])
     return Flow(key=key, packets=packets, forward_endpoint=fwd, flow_id=flow_id)

@@ -8,13 +8,12 @@ centroids, so classes are separable by construction.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, build_dataset, write_labels_csv
+from .data import Key, LabeledDataset, build_dataset, read_ini, write_labels_csv
 from .ingest import (TCP, UDP, ExtractionConfig, Flow, FlowKey, Packet,
                      flows_to_features, write_flow_records)
 
@@ -92,57 +91,38 @@ class GeneratorSpec:
 
     @classmethod
     def from_config(cls, path) -> "GeneratorSpec":
-        """Parse the INI generator spec: [tasks] (task = labels), [classes]
-        (class = one label per task), optional [generator] settings and
-        [nesting]. A missing or empty section, a value that does not
-        convert and a spec the constructor rejects are ValueErrors naming
-        the file, and the section and key where there is one."""
-        cp = configparser.ConfigParser()
-        if not cp.read(path):
-            raise ValueError(f"cannot read generator config {path}")
+        """Parse the INI generator spec; errors are ValueErrors naming it."""
+        ini = read_ini(path, _SPEC_SCHEMA)
+        tasks, gen = ini["tasks"], ini["generator"]
         for section in ("tasks", "classes"):
-            if section not in cp or not cp[section]:
+            if not ini[section]:
                 raise ValueError(f"{path}: missing or empty [{section}] section")
-
-        def value(key, kind, default, expected, valid):
-            text = cp["generator"].get(key) if "generator" in cp else None
-            if text is None:
-                return default
-            try:
-                number = kind(text)
-            except ValueError:
-                number = None
-            if number is None or not valid(number):
-                raise ValueError(f"{path}: [generator] {key} = {text!r}: "
-                                 f"expected {expected}")
-            return number
-
-        def count(key, default):
-            return value(key, int, default, "an integer >= 1", lambda n: n >= 1)
-
-        tasks = {t: cp["tasks"][t].split() for t in cp["tasks"]}
-        class_labels = {}
-        for cname in cp["classes"]:
-            values = cp["classes"][cname].split()
-            if len(values) != len(tasks):
+        for cname, labels in ini["classes"].items():
+            if len(labels) != len(tasks):
                 raise ValueError(f"{path}: [classes] {cname}: expected one "
                                  f"label per task ({len(tasks)}), got "
-                                 f"{len(values)}")
-            class_labels[cname] = dict(zip(tasks, values))
-        extraction = ExtractionConfig(nb=count("nb", 784),
-                                      npkt=count("npkt", 32))
-        flows_per_class = count("flows_per_class", 200)
-        seed = value("seed", int, 0, "an integer >= 0", lambda n: n >= 0)
-        separation = value("separation", float, 3.0, "a finite number > 0",
-                           lambda x: math.isfinite(x) and x > 0)
-        nesting = dict(cp["nesting"]) if "nesting" in cp else None
+                                 f"{len(labels)}")
         try:
-            return cls(tasks=tasks, class_labels=class_labels,
-                       flows_per_class=flows_per_class, seed=seed,
-                       separation=separation, nesting=nesting,
-                       extraction=extraction)
+            return cls(tasks, {cname: dict(zip(tasks, labels))
+                               for cname, labels in ini["classes"].items()},
+                       gen["flows_per_class"], gen["seed"], gen["separation"],
+                       ini["nesting"], ExtractionConfig(gen["nb"], gen["npkt"]))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+_SPEC_SCHEMA = {
+    "generator": {
+        "nb": Key(int, 784, "an integer >= 1", lambda n: n >= 1),
+        "npkt": Key(int, 32, "an integer >= 1", lambda n: n >= 1),
+        "flows_per_class": Key(int, 200, "an integer >= 1", lambda n: n >= 1),
+        "seed": Key(int, 0, "an integer >= 0", lambda n: n >= 0),
+        "separation": Key(float, 3.0, "a finite number > 0",
+                          lambda x: math.isfinite(x) and x > 0)},
+    "tasks": Key(str.split),
+    "classes": Key(str.split),
+    "nesting": Key(str),            # fine label -> coarse label
+}
 
 
 def default_profile(name, class_index, spec) -> ClassProfile:

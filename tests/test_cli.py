@@ -3,6 +3,7 @@
 import filecmp
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -980,6 +981,155 @@ def test_bad_generator_spec_is_a_cli_error(tmp_path, capsys, text, message):
     assert rc == 1
     assert _cli_errors(capsys) == [f"flowmoe: error: {spec}: {message}"]
     assert not flows.exists() and not labels.exists()
+
+
+# Per file kind: its text, its settings section, that section's keys and
+# the sections it may hold.
+INI_FILES = {
+    "gen": (GEN_CFG, "generator", "flows_per_class, nb, npkt, seed, "
+            "separation", "[generator], [tasks], [classes] or [nesting]"),
+    "fuse": (FUSE_CFG.format(app="a.snke", encap="e.snke"), "fusion",
+             "batch_size, dropout, epochs, lr, mode, seed, unfreeze_experts",
+             "[experts], [fusion], [task:<id>] or [nesting]")}
+
+
+def _ini_fault(kind, fault):
+    """The file text with `fault`, and the regex the error line must match
+    after "flowmoe: error: <path>"."""
+    text, section, keys, sections = INI_FILES[kind]
+    header = f"[{section}]\n"
+    n_lines = text.count("\n")
+    return {
+        "unknown-section": (text + "\n[extra]\nx = 1\n", re.escape(
+            f": [extra]: unknown section; expected {sections}")),
+        "unknown-key": (text.replace(header, header + "sede = 4\n"), re.escape(
+            f": [{section}] sede: unknown key; expected one of {keys}")),
+        "repeated-section": (text + f"\n{header}seed = 2\n",
+                             f":{n_lines + 2}: " + re.escape(
+                                 f"[{section}]: repeated")),
+        "repeated-key": (text.replace(header, header + "seed = 2\n"),
+                         r":\d+: " + re.escape(f"[{section}] seed: repeated")),
+        "no-header": ("seed = 1\n" + text, re.escape(
+            ":1: not a key = value line under a [section] header")),
+        "not-utf8": (text.encode() + b"# caf\xe9\n",
+                     f":{n_lines + 1}: byte 0xe9 is not utf-8 text"),
+        "default-with-keys": ("[DEFAULT]\nseed = 1\n\n" + text, re.escape(
+            f": [DEFAULT]: unknown section; expected {sections}")),
+    }[fault]
+
+
+@pytest.mark.parametrize("fault", ["unknown-section", "unknown-key",
+                                   "repeated-section", "repeated-key",
+                                   "no-header", "not-utf8",
+                                   "default-with-keys"])
+@pytest.mark.parametrize("kind", ["gen", "fuse"])
+def test_ini_fault_is_one_cli_error_naming_the_file(tmp_path, capsys, kind,
+                                                    fault):
+    text, tail = _ini_fault(kind, fault)
+    cfg = tmp_path / f"{kind}.cfg"
+    cfg.write_bytes(text.encode() if isinstance(text, str) else text)
+    outs = [tmp_path / "a.out", tmp_path / "b.out"]
+    if kind == "gen":
+        argv = ["gen", "--spec", str(cfg), "--out-flows", str(outs[0]),
+                "--out-labels", str(outs[1])]
+    else:
+        argv = ["fuse", "--config", str(cfg), "--features", "f.snkf",
+                "--labels", "l.csv", "--out", str(outs[0])]
+    assert run(argv) == 1
+    errors = _cli_errors(capsys)
+    assert len(errors) == 1, errors
+    assert re.fullmatch(re.escape(f"flowmoe: error: {cfg}") + tail,
+                        errors[0]), errors[0]
+    assert not any(out.exists() for out in outs)
+
+
+MIXED_CASE_GEN = """\
+[generator]
+seed = 3
+flows_per_class = 12
+
+[tasks]
+Verdict = Benign Evil%
+Tool = ToolA ToolB To%(x)s
+
+[classes]
+C0 = Benign ToolA
+C1 = Evil% ToolB
+C2 = Evil% To%(x)s
+
+[nesting]
+ToolA = Benign
+ToolB = Evil%
+To%(x)s = Evil%
+"""
+
+
+def test_mixed_case_keys_and_percent_labels_generate_and_fuse(pipeline_dir,
+                                                              tmp_path):
+    """Keys of [tasks], [classes] and [nesting] keep their case and `%` is
+    literal, in a generator spec and in a Mode III fusion config."""
+    from flowmoe.data import load_labels_csv
+    from flowmoe.fusion import load_fused
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(MIXED_CASE_GEN)
+    flows, labels = tmp_path / "flows.txt", tmp_path / "labels.csv"
+    assert run(["gen", "--spec", str(spec), "--out-flows", str(flows),
+                "--out-labels", str(labels)]) == 0
+    by_task = load_labels_csv(labels)
+    assert list(by_task) == ["Verdict", "Tool"]
+    assert set(by_task["Tool"].values()) == {"ToolA", "ToolB", "To%(x)s"}
+    feats = tmp_path / "features.snkf"
+    assert run(["ingest", "--input", str(flows), "--out", str(feats)]) == 0
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text(
+        f"[experts]\nfiles = {pipeline_dir / 'app.snke'} "
+        f"{pipeline_dir / 'encap.snke'}\n\n[fusion]\nmode = III\nepochs = 1\n\n"
+        "[task:Verdict]\nexperts = 0 1\nlabels = Benign Evil%\n\n"
+        "[task:Tool]\nexperts = 0 1\nlabels = ToolA ToolB To%(x)s\n\n"
+        "[nesting]\n" + MIXED_CASE_GEN.split("[nesting]\n")[1])
+    fused = tmp_path / "fused.snke"
+    assert run(["fuse", "--config", str(cfg), "--features", str(feats),
+                "--labels", str(labels), "--out", str(fused)]) == 0
+    model = load_fused(fused)
+    assert model.label_maps == {"Verdict": ["Benign", "Evil%"],
+                                "Tool": ["ToolA", "ToolB", "To%(x)s"]}
+    assert model.relations[0].nesting == {
+        "ToolA": "Benign", "ToolB": "Evil%", "To%(x)s": "Evil%"}
+
+
+def _run_log_fields(path):
+    line = path.read_text().splitlines()[-1]
+    return dict(field.split("=", 1) for field in line.split()[1:])
+
+
+def test_run_log_names_the_blas_kernel_and_thread_count(pipeline_dir):
+    fields = _run_log_fields(pipeline_dir / "run.log")
+    bundled = list((Path(np.__file__).parent.parent / "numpy.libs")
+                   .glob("libscipy_openblas64_*"))
+    if not bundled:
+        pytest.skip("this numpy bundles no scipy-openblas library")
+    assert re.fullmatch(r"\w+", fields["blas_core"])
+    assert fields["blas_core"] != "unknown"
+    assert int(fields["blas_threads"]) >= 1
+
+
+@pytest.mark.parametrize("missing", ["library", "symbols"])
+def test_run_log_blas_fields_read_unknown_without_the_library(
+        tmp_path, monkeypatch, missing):
+    import flowmoe.cli
+    if missing == "library":
+        monkeypatch.setattr(np, "__file__",
+                            str(tmp_path / "numpy" / "__init__.py"))
+    else:
+        monkeypatch.setattr(flowmoe.cli.ctypes, "CDLL", lambda path: object())
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(GEN_CFG)
+    assert run(["gen", "--spec", str(spec), "--out-flows",
+                str(tmp_path / "flows.txt"), "--out-labels",
+                str(tmp_path / "labels.csv")]) == 0
+    fields = _run_log_fields(tmp_path / "run.log")
+    assert (fields["blas_core"], fields["blas_threads"]) == ("unknown",
+                                                             "unknown")
 
 
 def test_negative_gen_seed_flag_is_a_cli_error(tmp_path, capsys):

@@ -381,8 +381,19 @@ def test_flow_record_undecodable_byte_names_file_and_line(tmp_path):
     (["f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,65536,100"], "length 65536"),
     (["f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,-1,100"], "length -1"),
     ([GOOD_LINE, "# a comment", GOOD_LINE], "'f1' already used on line 1"),
+    # the line's ports are checked once, after packet 1's own fields
+    (["f1 tcp 1.1.1.1:99999 2.2.2.2:20 0.0,7,5,100"], "direction 7"),
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:70000 0.0,1,5,100"], "port 70000"),
+    (["f1 tcp 1.1.1.1:99999 2.2.2.2:20 0.0,0,5,100 -1.0,0,5,100"],
+     "port 99999"),
+    # later packets still check their window and timestamp
+    (["f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,100 1.0,1,5,99999"],
+     "window 99999"),
+    (["f1 udp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,0 nan,1,5,0"], "not finite"),
 ], ids=["nan-ts", "inf-ts", "negative-ts", "direction", "port", "window",
-        "octet", "three-octets", "len-high", "len-negative", "duplicate-id"])
+        "octet", "three-octets", "len-high", "len-negative", "duplicate-id",
+        "port-and-direction", "port-of-reverse-source", "port-and-later-ts",
+        "later-window", "later-ts"])
 def test_flow_record_bad_values_are_rejected(tmp_path, lines, reason):
     path = tmp_path / "flows.txt"
     path.write_text("\n".join(lines) + "\n")

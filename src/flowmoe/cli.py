@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import dataclasses
 import functools
 import hashlib
 import logging
@@ -134,11 +133,9 @@ def _load_parts(args, names, label_maps=None, tasks=None, optional=()):
     return tuple(parts[name] for name in names)
 
 
-def _load_headless_experts(paths):
-    """Expert models read and checked from their files, without their
-    heads: a fused model reads only the encoders."""
-    return [dataclasses.replace(load_expert(_require(p, "expert model")),
-                                head=None) for p in paths]
+def _load_experts(paths):
+    """Expert models read and checked whole from their files."""
+    return [load_expert(_require(p, "expert model")) for p in paths]
 
 
 # -- subcommands -------------------------------------------------------------
@@ -204,7 +201,7 @@ def _flag_based_fusion(args):
     if mode is FusionMode.MODE_III:
         raise ValueError("refinement fusion needs --config with a "
                          "[nesting] section")
-    experts = _load_headless_experts(args.experts)
+    experts = _load_experts(args.experts)
     if mode is FusionMode.MODE_I:
         tasks = []
         for i, expert in enumerate(experts):
@@ -235,13 +232,14 @@ def cmd_fuse(args):
                              f"--config, which declares the whole fusion")
         expert_paths, relation, options = load_fusion_config(
             _require(args.config, "fusion config"))
-        experts = _load_headless_experts(expert_paths)
+        experts = _load_experts(expert_paths)
     else:
         if not args.experts:
             raise ValueError("--mode needs --experts with model paths")
         expert_paths = args.experts
         experts, relation, options = _flag_based_fusion(args)
     fused = configure_fusion(experts, relation, seed=options["seed"])
+    experts = None      # the fused model holds copies; let the heads go
     train, = _load_parts(args, ("train",), label_maps=fused.label_maps,
                          tasks=fused.task_ids)
     fused, trace = fine_tune(fused, train, options["train_config"],
@@ -256,7 +254,7 @@ def cmd_fuse(args):
             w.writerow([epoch, repr(row["total"])]
                        + [repr(row[t]) for t in fused.task_ids])
     log.info("fused %d expert(s) into %d task(s) -> %s",
-             len(experts), len(fused.task_ids), out)
+             len(fused.experts), len(fused.task_ids), out)
     _log_run(out, "fuse", options["seed"],
              [args.config, *expert_paths, args.features, args.labels])
     return 0

@@ -40,6 +40,8 @@ def split_dataset(data: LabeledDataset, ratios=(0.75, 0.10, 0.15), seed=0):
     if any(r < 0 for r in ratios):
         raise ValueError("negative split ratio")
     m = data.n_samples
+    if m == 0:
+        raise ValueError("the dataset is empty: it has no rows to split")
     targets = _largest_remainder(m, ratios)
     rng = np.random.default_rng(seed)
 

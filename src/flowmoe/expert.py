@@ -61,9 +61,9 @@ class EpochStats:
 
 @dataclass
 class ExpertModel:
-    """An encoder plus its private head. Fusion reads only the encoder, so
-    an expert loaded from a fused model file, and one that `flowmoe fuse`
-    loads from an expert file, has `head=None`."""
+    """An encoder plus its private head. A fused model's `experts` keep
+    only the id, task id and label map, with `encoder` and `head` None:
+    the model's stacked encoder holds a copy of each expert's encoder."""
 
     id: str
     encoder: ParamSet

@@ -140,9 +140,9 @@ class FusedModel:
     the relations (with every task's resolved labels) from which
     `fusion_structure` derived task order, gates, label maps, loss weights.
 
-    `encoder` holds the experts' encoders stacked (`nn.stack_encoders`);
-    the experts' tensors are views into it, and `stacked_views[j]` is
-    expert j's `attn.q.w` view as stacked, for an identity check.
+    `encoder` is the only copy of the experts' encoder weights, stacked
+    (`nn.stack_encoders`); `experts` holds each expert's id, task id and
+    label map, with neither encoder nor head.
     """
 
     experts: list
@@ -152,22 +152,7 @@ class FusedModel:
     relations: list
     label_maps: dict
     loss_weights: dict
-    encoder: ParamSet = None
-    stacked_views: list = None
-
-    def stack_experts(self):
-        encoders = [e.encoder for e in self.experts]
-        self.encoder = stack_encoders(encoders)
-        self.stacked_views = [enc["attn.q.w"].data for enc in encoders]
-
-    def restack_if_stale(self):
-        """Stack the experts again if an expert's tensors are no longer
-        views into `encoder` (another fused model sharing that expert has
-        stacked it since, or this model is a deep copy)."""
-        stack = self.encoder["attn.q.w"].data
-        if any(e.encoder["attn.q.w"].data is not view or view.base is not stack
-               for e, view in zip(self.experts, self.stacked_views)):
-            self.stack_experts()
+    encoder: ParamSet
 
 
 def concat_representations(model: FusedModel, x):
@@ -175,10 +160,8 @@ def concat_representations(model: FusedModel, x):
     output, from one stacked encoder pass over all n experts.
 
     The pass runs in blocks of EVAL_ROWS // n rows, so a block holds as
-    many row-encodings as one expert's block. The experts are stacked again
-    first if the model's stack is stale (`FusedModel.restack_if_stale`).
+    many row-encodings as one expert's block.
     """
-    model.restack_if_stale()
     return expert_representation(model, x)
 
 
@@ -233,7 +216,8 @@ def _union_labels(experts, subset, explicit):
 
 
 def fusion_structure(experts, relations) -> FusedModel:
-    """The tower-less FusedModel the relations declare, experts stacked.
+    """The tower-less FusedModel the relations declare, over a stacked copy
+    of the experts' encoders; it keeps no expert heads.
 
     Mode I: one fixed gate per task, bound to its expert.
     Mode II: one uniform fixed gate over the sources; labels are their union.
@@ -298,11 +282,13 @@ def fusion_structure(experts, relations) -> FusedModel:
     resolved = [dataclasses.replace(rel, tasks=[
         dataclasses.replace(spec, labels=list(label_maps[spec.task_id]))
         for spec in rel.tasks]) for rel in relations]
-    model = FusedModel(experts=list(experts), task_ids=list(gates),
-                       gates=gates, towers={}, relations=resolved,
-                       label_maps=label_maps, loss_weights=loss_weights)
-    model.stack_experts()
-    return model
+    return FusedModel(
+        experts=[ExpertModel(id=e.id, encoder=None, head=None,
+                             label_map=list(e.label_map), task_id=e.task_id)
+                 for e in experts],
+        task_ids=list(gates), gates=gates, towers={}, relations=resolved,
+        label_maps=label_maps, loss_weights=loss_weights,
+        encoder=stack_encoders([e.encoder for e in experts]))
 
 
 def configure_fusion(experts, relations, seed=0) -> FusedModel:
@@ -341,7 +327,7 @@ def default_finetune_config(mode: FusionMode, **overrides) -> TrainConfig:
 def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
               unfreeze_experts=False):
     """Fine-tune towers and trainable gates, and with `unfreeze_experts`
-    the experts' encoders too, through the model's stacked encoder.
+    the model's stacked copy of the experts' encoders too.
 
     The per-batch loss is the alpha-weighted sum of one cross-entropy per
     task; gradients for task k touch only tower k (and the shared gates /
@@ -369,9 +355,6 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
     named_sets.update({f"gate.{t}": g.linear for t, g in model.gates.items()
                        if g.linear is not None})
     if unfreeze_experts:
-        # the experts' tensors are views into the stacked encoder, so the
-        # in-place Adam steps on the stack also reach each expert
-        model.restack_if_stale()
         named_sets["experts"] = model.encoder
     opt = MultiAdam(named_sets)
 
@@ -471,7 +454,7 @@ def classify(model: FusedModel, x):
 
 def save_fused(model: FusedModel, path):
     """Header: the relations and each expert's id and label map. Tensors:
-    expert encoders, trainable-gate linears and towers; no expert heads."""
+    expert encoders (stack slices), trainable-gate linears and towers."""
     header = {
         "kind": "fused",
         "relations": [{"mode": rel.mode.value, "nesting": rel.nesting,
@@ -483,9 +466,10 @@ def save_fused(model: FusedModel, path):
         "experts": [{"id": e.id, "label_map": list(e.label_map)}
                     for e in model.experts],
     }
-    tensors = []
-    for i, e in enumerate(model.experts):
-        tensors += [(f"expert{i}.encoder.{n}", t.data) for n, t in e.encoder.items()]
+    shapes = encoder_shapes()
+    tensors = [(f"expert{i}.encoder.{n}", t.data[i].reshape(shapes[n]))
+               for i in range(len(model.experts))
+               for n, t in model.encoder.items()]
     for task, gate in model.gates.items():
         if gate.linear is not None:
             tensors += [(f"gate.{task}.{n}", t.data) for n, t in gate.linear.items()]
@@ -501,9 +485,9 @@ def load_fused(path) -> FusedModel:
 
 def fused_from_container(path, header, tensors) -> FusedModel:
     """Build a fused model from a parsed model container read from `path`:
-    the header's relations go through `fusion_structure`, then the stored
-    tensors fill in the encoders, trainable gates and towers. Every error is
-    a ValueError naming the file."""
+    the stored experts and the header's relations go through
+    `fusion_structure`, then the stored tensors fill in the trainable gates
+    and towers. Every error is a ValueError naming the file."""
     if header.get("kind") != "fused":
         raise ValueError(f"{path}: not a fused model file "
                          f"(kind={header.get('kind')!r})")

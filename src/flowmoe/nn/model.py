@@ -103,22 +103,18 @@ def init_gate_linear(n_inputs) -> ParamSet:
 
 
 def stack_encoders(encoders):
-    """Stack encoder ParamSets for one `encoder_forward` pass over all.
+    """Copies of the encoder ParamSets, stacked for one `encoder_forward`.
 
-    Returns a ParamSet in which each parameter gets a leading
+    Returns a new ParamSet in which each parameter gets a leading
     encoder axis plus singleton axes that broadcast over rows and tokens:
-    (E, 1, d, e) weights, (E, 1, 1, d) vectors. Each encoder tensor's
-    `.data` is rebound to its C-contiguous view into the stack, so the
-    stack holds the only copy and an in-place update of an encoder (Adam)
-    reaches it.
+    (E, 1, d, e) weights, (E, 1, 1, d) vectors. The given encoders are
+    left as they are, and no tensor of theirs shares memory with the stack.
     """
     stacked = ParamSet()
     for name, shape in encoder_shapes().items():
         lead = (len(encoders),) + (1,) * (3 - len(shape))
-        data = np.stack([enc[name].data for enc in encoders])
-        t = stacked.add(name, data.reshape(lead + shape))
-        for enc, view in zip(encoders, t.data):
-            enc[name].data = view.reshape(shape)
+        stacked.add(name, np.stack([enc[name].data for enc in encoders])
+                    .reshape(lead + shape))
     return stacked
 
 

@@ -130,4 +130,11 @@ def load_features(path):
     if features.shape[0] != len(flow_ids):
         raise ValueError(f"{path}: {len(flow_ids)} flow id(s) for "
                          f"{features.shape[0]} feature row(s)")
+    seen = set()
+    for fid in flow_ids:
+        if not isinstance(fid, str):
+            raise ValueError(f"{path}: flow id {fid!r} is not a string")
+        if fid in seen:
+            raise ValueError(f"{path}: flow id {fid!r} is repeated")
+        seen.add(fid)
     return flow_ids, features, header

@@ -944,9 +944,10 @@ def test_train_expert_with_an_empty_validation_part(pipeline_dir, tmp_path):
 
 def test_fuse_stage_traced_peak_stays_within_budget(pipeline_dir, tmp_path):
     """The traced peak of the pipeline's fuse stage (two experts, 160
-    flows, Mode I), measured at 18.49 MiB. Holding the experts' heads
-    through fine-tuning adds 3.58 MiB, and the unsplit features 1.11 MiB
-    (160 x 912 fp64 values), so either breaks the 19.0 MiB budget."""
+    flows, Mode I), measured at 18.49 MiB. Holding the loaded experts,
+    heads included, through fine-tuning adds 3.86 MiB, and the unsplit
+    features 1.11 MiB (160 x 912 fp64 values), so either breaks the
+    19.0 MiB budget."""
     code, peak = traced_cli_peak([
         "fuse", "--config", pipeline_dir / "fusion.cfg",
         "--features", pipeline_dir / "features.snkf",
@@ -1329,3 +1330,58 @@ def test_eval_of_a_task_the_fused_model_lacks_is_one_cli_error(
         "flowmoe: error: --task 'nosuch': the fused model's tasks are "
         "['app', 'encap']"]
     assert list(tmp_path.iterdir()) == []
+
+
+def _rewritten_features(pipeline_dir, tmp_path, ids, rows):
+    """A copy of the pipeline's feature file with the flow ids `ids` for
+    the feature rows `rows` (an index array)."""
+    from flowmoe import serial
+    flow_ids, feats, _ = serial.load_features(pipeline_dir / "features.snkf")
+    out = tmp_path / "features.snkf"
+    serial.save_features(out, ids(flow_ids), feats[rows(len(flow_ids))])
+    return out, flow_ids
+
+
+def test_feature_file_with_non_string_flow_ids_is_a_cli_error(
+        pipeline_dir, tmp_path, capsys):
+    feats, _ = _rewritten_features(pipeline_dir, tmp_path,
+                                   lambda ids: [None] * len(ids),
+                                   lambda n: np.arange(n))
+    pred = tmp_path / "pred.csv"
+    rc = run(["classify", "--model", str(pipeline_dir / "fused.snke"),
+              "--features", str(feats), "--out", str(pred)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {feats}: flow id None is not a string"]
+    assert not pred.exists()
+
+
+def test_feature_file_with_a_repeated_flow_id_is_a_cli_error(
+        pipeline_dir, tmp_path, capsys):
+    # every flow twice: `eval --part all` would score each flow twice
+    feats, ids = _rewritten_features(pipeline_dir, tmp_path,
+                                     lambda ids: ids + ids,
+                                     lambda n: np.tile(np.arange(n), 2))
+    prefix = tmp_path / "m"
+    rc = run(["eval", "--model", str(pipeline_dir / "fused.snke"),
+              "--features", str(feats),
+              "--labels", str(pipeline_dir / "labels.csv"),
+              "--part", "all", "--out-prefix", str(prefix)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {feats}: flow id {ids[0]!r} is repeated"]
+    assert list(tmp_path.iterdir()) == [feats]
+
+
+def test_train_expert_on_a_feature_file_without_rows_is_a_cli_error(
+        pipeline_dir, tmp_path, capsys):
+    feats, _ = _rewritten_features(pipeline_dir, tmp_path, lambda ids: [],
+                                   lambda n: np.arange(0))
+    out = tmp_path / "app.snke"
+    rc = run(["train-expert", "--features", str(feats),
+              "--labels", str(pipeline_dir / "labels.csv"), "--task", "app",
+              "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        "flowmoe: error: the dataset is empty: it has no rows to split"]
+    assert not out.exists()

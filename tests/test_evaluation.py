@@ -134,3 +134,10 @@ def test_metrics_match_naive_oracle_on_random_pairs():
 def test_empty_testset_rejected():
     with pytest.raises(ValueError, match="empty"):
         compute_metrics([], [], ["a"])
+
+
+def test_split_of_an_empty_dataset_is_rejected():
+    empty = LabeledDataset(np.zeros((0, 912)), {"t": np.zeros(0, np.int64)},
+                           {"t": ["a", "b"]}, [])
+    with pytest.raises(ValueError, match="^the dataset is empty"):
+        split_dataset(empty)

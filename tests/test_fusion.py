@@ -1,6 +1,5 @@
 """Gate contracts, fusion configuration, fine-tuning, and inference."""
 
-import copy
 import os
 import re
 import subprocess
@@ -289,13 +288,6 @@ def test_stacked_pass_matches_per_expert_oracle(n_experts, rows):
     assert out.shape == (n_experts, rows, INPUT_DIM)
     assert np.array_equal(out, expected)
     assert np.array_equal(concat_representations(fused, x[0]), expected[:, 0])
-    # the experts' tensors are C-contiguous views into the stack
-    for j, expert in enumerate(experts):
-        for name, t in expert.encoder.items():
-            assert t.data.base is fused.encoder[name].data
-            assert t.data.flags.c_contiguous
-            assert np.array_equal(t.data, fused.encoder[name].data[j]
-                                  .reshape(t.data.shape))
 
 
 def test_single_flow_classify_matches_its_batch_row(trained_experts,
@@ -347,41 +339,39 @@ def test_classify_fine_tune_and_tower_objective_run_one_stacked_pass(
     assert weights == [stacked]
 
 
-def test_shared_experts_classify_from_encoders_trained_by_either_model(
+def test_unfreeze_fine_tune_leaves_the_given_experts_and_other_models(
         trained_experts, two_task_data):
+    # each fused model owns a copy of its experts' encoders: training one
+    # model's stack reaches neither the caller's experts nor another model
+    # built from them
     from flowmoe.expert import TrainConfig
-    app, encap = copy.deepcopy(trained_experts)
+    app, encap = trained_experts
+    given = [(state_dict(e.encoder), state_dict(e.head)) for e in (app, encap)]
     first = configure_fusion([app, encap], _mode1_relation(), seed=3)
     # the second model stacks the same experts in the other order
-    second = configure_fusion([encap, app], TaskRelation(
+    second = _random_heads(configure_fusion([encap, app], TaskRelation(
         FusionMode.MODE_I, [TaskSpec("encap", experts=(0,)),
-                            TaskSpec("app", experts=(1,))]), seed=4)
+                            TaskSpec("app", experts=(1,))]), seed=4), 5)
     X = two_task_data[2].features[:20]
-    before = per_expert_representations(first.experts, X)
+    second_before = classify_batch(second, X)
+    trained_before = concat_representations(first, X)
     fine_tune(first, two_task_data[0].subset(np.arange(64)),
               TrainConfig(learning_rate=1e-3, batch_size=32, epochs=1,
                           dropout_rate=0.0, seed=1), unfreeze_experts=True)
-    trained = per_expert_representations(first.experts, X)
-    assert not np.array_equal(trained, before)
-    for model in (first, second, first):
-        reps = per_expert_representations(model.experts, X)
-        assert np.array_equal(concat_representations(model, X), reps)
-        gated = {t: gate_output(model.gates[t], Tensor(reps))
-                 for t in model.task_ids}
-        logits = tower_forward(model, gated)[0]
-        for task, (_labels, probs) in classify_batch(model, X).items():
-            assert np.array_equal(probs, softmax(logits[task]).data)
-
-
-def test_deep_copied_model_reads_its_own_experts():
-    experts = [ExpertModel(id=f"e{j}", head=None, label_map=["a", "b"],
-                           encoder=init_encoder(np.random.default_rng(j)))
-               for j in range(2)]
-    clone = copy.deepcopy(_independent(*experts))
-    clone.experts[0].encoder["ff.1.w"].data += 0.1   # in place, as Adam does
-    x = np.random.default_rng(1).random((3, INPUT_DIM))
-    assert np.array_equal(concat_representations(clone, x),
-                          per_expert_representations(clone.experts, x))
+    assert not np.array_equal(concat_representations(first, X),
+                              trained_before)
+    for expert, (enc, head) in zip((app, encap), given):
+        assert all(np.array_equal(expert.encoder[n].data, arr)
+                   for n, arr in enc.items())
+        assert all(np.array_equal(expert.head[n].data, arr)
+                   for n, arr in head.items())
+    assert np.array_equal(concat_representations(second, X),
+                          per_expert_representations([encap, app], X))
+    for task, (labels, probs) in classify_batch(second, X).items():
+        assert np.array_equal(labels, second_before[task][0])
+        assert np.array_equal(probs, second_before[task][1])
+    assert all(e.encoder is None and e.head is None
+               for model in (first, second) for e in model.experts)
 
 
 def _mode1_relation():
@@ -397,7 +387,7 @@ def test_configure_mode1(trained_experts):
                for g in fused.gates.values())
     assert fused.towers["app"]["fc2.b"].data.size == 3
     assert fused.towers["encap"]["fc2.b"].data.size == 2
-    assert all(frozen(e.encoder) for e in fused.experts)
+    assert frozen(fused.encoder)
 
 
 def test_configure_mode2_union_count(trained_experts):
@@ -454,8 +444,7 @@ def test_classify_matches_standalone_path(trained_experts, two_task_data):
         x = test.features[i]
         result = classify(fused, x)
         assert set(result) == {"app", "encap"}
-        for task, expert in (("app", fused.experts[0]),
-                             ("encap", fused.experts[1])):
+        for task, expert in zip(("app", "encap"), trained_experts):
             rep = expert_representation(expert, x)
             logits = tower_forward(fused, {task: Tensor(rep)})[0][task]
             probs = softmax(logits).data
@@ -573,7 +562,7 @@ def test_eval_gives_the_same_bits_on_trainable_and_frozen_models(
     # must not differ from those of the same model at rest
     X = two_task_data[2].features[:40]
     model = _random_heads(configure_fusion(
-        copy.deepcopy(list(trained_experts)), _relation(mode), seed=3), 5)
+        list(trained_experts), _relation(mode), seed=3), 5)
     expert = trained_experts[0]
 
     def evaluate():
@@ -697,18 +686,14 @@ def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,
     from flowmoe.expert import TrainConfig
     train = two_task_data[0]
     fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
-    before = [state_dict(e.encoder) for e in fused.experts]
-    before_heads = [state_dict(e.head) for e in fused.experts]
+    before = state_dict(fused.encoder)
     cfg = TrainConfig(learning_rate=1e-4, batch_size=32, epochs=2,
                       dropout_rate=0.0, seed=1)
     fused, trace = fine_tune(fused, train, cfg)
     assert len(trace) == 2
     assert trace[1]["total"] < trace[0]["total"]
-    for expert, enc, head in zip(fused.experts, before, before_heads):
-        for name, arr in enc.items():
-            assert np.array_equal(expert.encoder[name].data, arr)
-        for name, arr in head.items():
-            assert np.array_equal(expert.head[name].data, arr)
+    for name, arr in before.items():
+        assert np.array_equal(fused.encoder[name].data, arr)
 
     # task isolation at the literal gradient level
     reps = concat_representations(fused, train.features[:16])
@@ -748,17 +733,17 @@ def test_fine_tune_unfreeze_experts_updates_encoders(trained_experts,
                                                      two_task_data):
     from flowmoe.expert import TrainConfig
     train = two_task_data[0].subset(np.arange(64))
-    fused = configure_fusion(copy.deepcopy(list(trained_experts)),
-                             _mode1_relation(), seed=3)
-    before = state_dict(fused.experts[0].encoder)
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
+    before = state_dict(fused.encoder)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=1,
                       dropout_rate=0.0, seed=1)
     fused, _ = fine_tune(fused, train, cfg, unfreeze_experts=True)
-    changed = any(not np.array_equal(fused.experts[0].encoder[n].data, arr)
-                  for n, arr in before.items())
-    assert changed
-    # re-locked afterwards, the stack it trained included
-    assert frozen(fused.experts[0].encoder) and frozen(fused.encoder)
+    # every expert's slice of the stack trained
+    for j in range(len(trained_experts)):
+        assert any(not np.array_equal(fused.encoder[n].data[j], arr[j])
+                   for n, arr in before.items())
+    # re-locked afterwards
+    assert frozen(fused.encoder)
 
 
 def _relation(mode):
@@ -873,6 +858,26 @@ def test_fused_round_trip(tmp_path, trained_experts, two_task_data, mode):
     header, tensors = serial.load_container(path, serial.MODEL_MAGIC)
     assert set(header) == {"kind", "relations", "experts", "tensors"}
     assert not [name for name in tensors if ".head." in name]
+
+
+def test_unfrozen_fine_tune_round_trips_through_a_fused_file(
+        tmp_path, trained_experts, two_task_data):
+    # the trained stack is what a saved model holds, expert by expert
+    from flowmoe.expert import TrainConfig
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
+    fine_tune(fused, two_task_data[0].subset(np.arange(64)),
+              TrainConfig(learning_rate=1e-3, batch_size=32, epochs=1,
+                          dropout_rate=0.0, seed=1), unfreeze_experts=True)
+    path = tmp_path / "fused.snke"
+    save_fused(fused, path)
+    loaded = load_fused(path)
+    for name, t in fused.encoder.items():
+        assert np.array_equal(loaded.encoder[name].data, t.data)
+    X = two_task_data[2].features[:10]
+    a, b = classify_batch(fused, X), classify_batch(loaded, X)
+    for task in fused.task_ids:
+        assert np.array_equal(a[task][0], b[task][0])
+        assert np.array_equal(a[task][1], b[task][1])
 
 
 def test_loaded_model_is_built_by_the_fusion_structure_step(

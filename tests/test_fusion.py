@@ -1,5 +1,6 @@
 """Gate contracts, fusion configuration, fine-tuning, and inference."""
 
+import copy
 import os
 import re
 import subprocess
@@ -19,9 +20,9 @@ from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
                             gated_inputs, load_any_model, load_fused, load_fusion_config,
                             save_fused, tower_forward)
 from flowmoe.expert import ExpertModel
-from flowmoe.nn import (INPUT_DIM, Tensor, backward, cross_entropy,
-                        encoder_forward, head_forward, init_encoder,
-                        init_head, mixing_weights, training)
+from flowmoe.nn import (INPUT_DIM, ParamSet, Tensor, backward, cross_entropy,
+                        encoder_forward, encoder_shapes, head_forward,
+                        init_encoder, init_head, mixing_weights, training)
 
 from composed_gate import composed_gate_output, composed_gate_weights
 from composed_ops import softmax
@@ -372,6 +373,70 @@ def test_unfreeze_fine_tune_leaves_the_given_experts_and_other_models(
         assert np.array_equal(probs, second_before[task][1])
     assert all(e.encoder is None and e.head is None
                for model in (first, second) for e in model.experts)
+
+
+def _stack_slices(model):
+    """Each expert of `model` as a standalone encoder, copied out of the
+    model's stack slice by slice (as `save_fused` writes them)."""
+    shapes = encoder_shapes()
+    encoders = []
+    for j in range(len(model.experts)):
+        enc = ParamSet()
+        for name, t in model.encoder.items():
+            enc.add(name, t.data[j].reshape(shapes[name]))
+        encoders.append(ExpertModel(id=model.experts[j].id, head=None,
+                                    label_map=model.experts[j].label_map,
+                                    encoder=enc))
+    return encoders
+
+
+def test_shared_experts_classify_from_encoders_trained_by_either_model(
+        trained_experts, two_task_data):
+    # two models built from the same experts each train and read their own
+    # stack: after an unfreeze fine-tune of each, every model classifies
+    # from the encoders its own fine-tune left behind
+    from flowmoe.expert import TrainConfig
+    app, encap = trained_experts
+    first = configure_fusion([app, encap], _mode1_relation(), seed=3)
+    # the second model stacks the same experts in the other order
+    second = configure_fusion([encap, app], TaskRelation(
+        FusionMode.MODE_I, [TaskSpec("encap", experts=(0,)),
+                            TaskSpec("app", experts=(1,))]), seed=4)
+    X = two_task_data[2].features[:20]
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, epochs=1,
+                      dropout_rate=0.0, seed=1)
+    for model in (first, second):
+        before = per_expert_representations(_stack_slices(model), X)
+        fine_tune(model, two_task_data[0].subset(np.arange(64)), cfg,
+                  unfreeze_experts=True)
+        assert not np.array_equal(
+            per_expert_representations(_stack_slices(model), X), before)
+    assert not np.array_equal(first.encoder["ff.1.w"].data[0],
+                              second.encoder["ff.1.w"].data[1])
+    for model in (first, second, first):
+        reps = per_expert_representations(_stack_slices(model), X)
+        assert np.array_equal(concat_representations(model, X), reps)
+        gated = {t: gate_output(model.gates[t], Tensor(reps))
+                 for t in model.task_ids}
+        logits = tower_forward(model, gated)[0]
+        for task, (_labels, probs) in classify_batch(model, X).items():
+            assert np.array_equal(probs, softmax(logits[task]).data)
+
+
+def test_deep_copied_model_reads_its_own_experts():
+    experts = [ExpertModel(id=f"e{j}", head=None, label_map=["a", "b"],
+                           encoder=init_encoder(np.random.default_rng(j)))
+               for j in range(2)]
+    original = _independent(*experts)
+    clone = copy.deepcopy(original)
+    clone.encoder["ff.1.w"].data[0] += 0.1   # in place, as Adam does
+    x = np.random.default_rng(1).random((3, INPUT_DIM))
+    assert np.array_equal(concat_representations(clone, x),
+                          per_expert_representations(_stack_slices(clone), x))
+    assert not np.array_equal(concat_representations(clone, x),
+                              concat_representations(original, x))
+    assert np.array_equal(concat_representations(original, x),
+                          per_expert_representations(experts, x))
 
 
 def _mode1_relation():

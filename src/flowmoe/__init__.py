@@ -23,7 +23,7 @@ from .fusion import (FusedModel, FusionMode, GateConfig, TaskRelation,
 from .ingest import (ExtractionConfig, Flow, FlowKey, Packet, assemble_flows,
                      extract_features, flows_to_features, read_flow_records,
                      read_pcap, write_flow_records)
-from .synth import ClassProfile, GeneratorSpec, generate_dataset
+from .synth import GeneratorSpec, generate_dataset
 
 __all__ = [
     "LabeledDataset", "build_dataset", "load_labels_csv", "write_labels_csv",
@@ -38,6 +38,6 @@ __all__ = [
     "load_fused", "save_fused", "tower_forward", "ExtractionConfig",
     "Flow", "FlowKey", "Packet", "assemble_flows",
     "extract_features", "flows_to_features", "read_flow_records", "read_pcap",
-    "write_flow_records", "ClassProfile", "GeneratorSpec", "generate_dataset",
+    "write_flow_records", "GeneratorSpec", "generate_dataset",
     "__version__",
 ]

@@ -9,7 +9,6 @@ artifacts alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import functools
 import hashlib
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, serial
-from .data import build_dataset, load_labels_csv
+from .data import build_dataset, load_labels_csv, write_csv
 from .diagnostics import (detect_gate_anomaly, load_domain_accuracies,
                           load_loss_column, run_tower_gd,
                           write_convergence_csv)
@@ -246,13 +245,8 @@ def cmd_fuse(args):
                              unfreeze_experts=options["unfreeze_experts"])
     out = _prepare_out(args.out)
     save_fused(fused, out)
-    trace_path = _prepare_out(args.trace or str(out) + ".loss.csv")
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "total"] + fused.task_ids)
-        for epoch, row in enumerate(trace):
-            w.writerow([epoch, repr(row["total"])]
-                       + [repr(row[t]) for t in fused.task_ids])
+    trace_path = args.trace or str(out) + ".loss.csv"
+    write_loss_trace(_prepare_out(trace_path), trace)
     log.info("fused %d expert(s) into %d task(s) -> %s",
              len(fused.experts), len(fused.task_ids), out)
     _log_run(out, "fuse", options["seed"],
@@ -271,19 +265,20 @@ def cmd_classify(args):
     else:
         batch = classify_batch(model, feats)
         label_maps = model.label_maps
-    out = _prepare_out(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        header = ["flow_id"]
-        for task in batch:
-            header += [task, f"{task}_confidence"]
-        w.writerow(header)
+    header = ["flow_id"]
+    for task in batch:
+        header += [task, f"{task}_confidence"]
+
+    def rows():
         for row_i, fid in enumerate(ids):
             row = [fid]
             for task, (indices, probs) in batch.items():
                 i = indices[row_i]
                 row += [label_maps[task][i], repr(float(probs[row_i, i]))]
-            w.writerow(row)
+            yield row
+
+    out = _prepare_out(args.out)
+    write_csv(out, header, rows())
     log.info("classified %d flow(s) -> %s", len(ids), out)
     _log_run(out, "classify", "-", [args.model, args.features])
     return 0

@@ -1,4 +1,5 @@
-"""Labeled flow datasets, the label CSV format and the one INI reader."""
+"""Labeled flow datasets, the label CSV format, and the one CSV reader,
+CSV writer and INI reader."""
 
 from __future__ import annotations
 
@@ -62,13 +63,40 @@ class LabeledDataset:
 
 def write_labels_csv(path, flow_ids, labels_by_task):
     """labels_by_task: task_id -> list of label names aligned with flow_ids."""
+    write_csv(path, ["flow_id", "task_id", "label"],
+              ([fid, task, name] for task, names in labels_by_task.items()
+               for fid, name in zip(flow_ids, names)))
+
+
+def write_csv(path, header, rows):
+    """The UTF-8 CSV file at `path`: `header`, then each of `rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["flow_id", "task_id", "label"])
-        for task in labels_by_task:
-            names = labels_by_task[task]
-            for fid, name in zip(flow_ids, names):
-                w.writerow([fid, task, name])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def csv_rows(path, names):
+    """(line number, values of the `names` columns) per row of the UTF-8
+    CSV file at `path`, whose header names its columns. A missing column,
+    a short row, a byte that is not UTF-8 or a malformed line is a
+    ValueError naming the file and, past the header, the line."""
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        reader = csv.DictReader(text_lines(path, fh, "utf-8"))
+        try:
+            for name in names:
+                if name not in (reader.fieldnames or ()):
+                    raise ValueError(f"{path}: no {name!r} column")
+            for row in reader:
+                values = [row[name] for name in names]
+                if None in values:
+                    raise ValueError(f"{path}:{reader.line_num}: row has no "
+                                     f"{names[values.index(None)]!r} value")
+                yield reader.line_num, values
+        except csv.Error as exc:    # DictReader.line_num lags on an error
+            raise ValueError(f"{path}:{reader.reader.line_num}: "
+                             f"{exc}") from None
 
 
 def text_lines(path, fh, encoding):
@@ -152,37 +180,17 @@ def read_ini(path, schema):
 
 
 def load_labels_csv(path):
-    """Returns task_id -> {flow_id: label_name}.
-
-    A missing column, a short row, a byte that is not UTF-8, a malformed
-    CSV line and a second row for the same (flow_id, task_id) pair are
-    ValueErrors naming the file and line.
-    """
+    """Returns task_id -> {flow_id: label_name} from a `csv_rows` file with
+    flow_id, task_id and label columns; a second row for the same
+    (flow_id, task_id) pair is a ValueError naming the file and line."""
     out = {}
-    with open(path, newline="", encoding="utf-8",
-              errors="surrogateescape") as fh:
-        reader = csv.DictReader(text_lines(path, fh, "utf-8"))
-        try:
-            required = ("flow_id", "task_id", "label")
-            if reader.fieldnames is None or \
-                    not set(required).issubset(reader.fieldnames):
-                raise ValueError(f"{path}: expected columns "
-                                 f"flow_id,task_id,label")
-            for row in reader:
-                fid, task, label = (row[key] for key in required)
-                if fid is None or task is None or label is None:
-                    missing = [key for key in required if row[key] is None]
-                    raise ValueError(f"{path}:{reader.line_num}: row has no "
-                                     f"{', '.join(missing)}")
-                assignment = out.setdefault(task, {})
-                if fid in assignment:
-                    raise ValueError(f"{path}:{reader.line_num}: duplicate "
-                                     f"row for (flow_id, task_id) = "
-                                     f"({fid!r}, {task!r})")
-                assignment[fid] = label
-        except csv.Error as exc:    # DictReader.line_num lags on an error
-            raise ValueError(f"{path}:{reader.reader.line_num}: "
-                             f"{exc}") from None
+    for line, (fid, task, label) in csv_rows(path, ("flow_id", "task_id",
+                                                   "label")):
+        assignment = out.setdefault(task, {})
+        if fid in assignment:
+            raise ValueError(f"{path}:{line}: duplicate row for (flow_id, "
+                             f"task_id) = ({fid!r}, {task!r})")
+        assignment[fid] = label
     return out
 
 

@@ -10,7 +10,6 @@ the reported z is a proxy built from distances to that iterate.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fusion
-from .data import LabeledDataset, text_lines
+from .data import LabeledDataset, csv_rows, write_csv
 # head_forward is unused here; perfbench's tracer wraps diagnostics.head_forward
 from .nn import backward, head_forward, training
 from .nn.optim import UPDATE_BLOCK
@@ -241,28 +240,6 @@ def detect_gate_anomaly(finetune_losses, per_domain_eval, grace_epochs=4,
                          flagged=bool(reasons), reasons=reasons, notes=notes)
 
 
-def _csv_rows(path, names):
-    """(line number, values of the `names` columns) per row of a UTF-8 CSV
-    file; a missing column, a short row, a byte that is not UTF-8 or a
-    malformed line is a ValueError naming the file."""
-    with open(path, newline="", encoding="utf-8",
-              errors="surrogateescape") as fh:
-        reader = csv.DictReader(text_lines(path, fh, "utf-8"))
-        try:
-            for name in names:
-                if name not in (reader.fieldnames or ()):
-                    raise ValueError(f"{path}: no {name!r} column")
-            for row in reader:
-                values = [row[name] for name in names]
-                if None in values:
-                    raise ValueError(f"{path}:{reader.line_num}: row has no "
-                                     f"{names[values.index(None)]!r} value")
-                yield reader.line_num, values
-        except csv.Error as exc:    # DictReader.line_num lags on an error
-            raise ValueError(f"{path}:{reader.reader.line_num}: "
-                             f"{exc}") from None
-
-
 def _finite_value(path, line, name, text):
     try:
         value = float(text)
@@ -279,7 +256,7 @@ def load_loss_column(path, column):
     """The finite losses in one column of a per-epoch loss-trace CSV, in
     row order; any other value is a ValueError naming the file and line."""
     return [_finite_value(path, line, column, text)
-            for line, (text,) in _csv_rows(path, (column,))]
+            for line, (text,) in csv_rows(path, (column,))]
 
 
 def load_domain_accuracies(path):
@@ -287,7 +264,7 @@ def load_domain_accuracies(path):
     not a number in [0, 1], or a domain named twice, is a ValueError naming
     the file and line."""
     accuracies, first_line = {}, {}
-    for line, (domain, text) in _csv_rows(path, ("domain", "accuracy")):
+    for line, (domain, text) in csv_rows(path, ("domain", "accuracy")):
         accuracy = _finite_value(path, line, "accuracy", text)
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError(f"{path}:{line}: accuracy {text!r} is outside "
@@ -505,12 +482,12 @@ def _tower_gd(objective, theta0, steps, alpha, snapshot_every, seed):
 
 
 def write_convergence_csv(path, trace: LossTrace, report: ConvergenceReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "loss", "gap", "bound"])
+    def rows():
         for t in range(trace.steps):
             bound = ""
             if report.bound is not None and t >= 1:
                 bound = repr(float(report.bound[t]))
             gap = repr(float(report.gap[t])) if report.gap is not None else ""
-            w.writerow([t, repr(float(trace.losses[t])), gap, bound])
+            yield [t, repr(float(trace.losses[t])), gap, bound]
+
+    write_csv(path, ["step", "loss", "gap", "bound"], rows())

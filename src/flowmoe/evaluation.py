@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -156,17 +155,12 @@ def evaluate(model, testset: LabeledDataset, tasks=None) -> dict:
 
 
 def write_metrics_csv(path, metrics_by_task):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["task_id", "accuracy", "macro_precision", "macro_f1"])
-        for task, m in metrics_by_task.items():
-            w.writerow([task, repr(m.accuracy), repr(m.macro_precision),
-                        repr(m.macro_f1)])
+    write_csv(path, ["task_id", "accuracy", "macro_precision", "macro_f1"],
+              ([task, repr(m.accuracy), repr(m.macro_precision),
+                repr(m.macro_f1)] for task, m in metrics_by_task.items()))
 
 
 def write_confusion_csv(path, metrics: Metrics):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["true\\pred"] + list(metrics.class_names))
-        for name, row in zip(metrics.class_names, metrics.confusion):
-            w.writerow([name] + row.tolist())
+    write_csv(path, ["true\\pred"] + list(metrics.class_names),
+              ([name] + row.tolist()
+               for name, row in zip(metrics.class_names, metrics.confusion)))

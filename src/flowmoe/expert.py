@@ -6,7 +6,6 @@ encoder, so the classification head never leaves this module's files.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial
-from .data import LabeledDataset
+from .data import LabeledDataset, write_csv
 from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, backward,
                  cross_entropy, encoder_forward, encoder_shapes, head_forward,
                  head_shapes, init_encoder, init_head, seed_streams,
@@ -52,14 +51,6 @@ class TrainConfig:
 
 
 @dataclass
-class EpochStats:
-    epoch: int
-    train_loss: float
-    val_loss: float = float("nan")
-    val_acc: float = float("nan")
-
-
-@dataclass
 class ExpertModel:
     """An encoder plus its private head. A fused model's `experts` keep
     only the id, task id and label map, with `encoder` and `head` None:
@@ -74,12 +65,13 @@ class ExpertModel:
 
 def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
                  task_id=None, expert_id=None):
-    """Train encoder + head with cross-entropy; returns (model, epoch trace).
+    """Train encoder + head with cross-entropy in `run_epochs`; returns
+    (model, per-epoch rows {"epoch", "train_loss", "val_loss", "val_acc"}).
 
     `data` must carry exactly one task unless `task_id` picks one. A task
     whose training split holds fewer than two distinct classes is rejected.
-    Each epoch is scored on `val_data`, unless it is None or has no rows,
-    outside the `training` scope of its batch loop.
+    Each epoch is scored on `val_data` outside the `training` scope of its
+    batch loop; if `val_data` is None or has no rows, both scores are NaN.
     """
     if task_id is None:
         if len(data.task_ids) != 1:
@@ -100,41 +92,67 @@ def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
     rng = np.random.default_rng(init_seed)
     encoder = init_encoder(rng)
     head = init_head(rng, len(label_map))
-    shuffle_rng = np.random.default_rng(shuffle_seed)
     stream = DropoutStream(drop_seed)
-    opt = MultiAdam({"encoder": encoder, "head": head})
-
     model = ExpertModel(id=expert_id or task_id, encoder=encoder, head=head,
                         label_map=list(label_map), task_id=task_id)
     feats = data.features
-    m = feats.shape[0]
+
+    def step(idx):
+        rep = encoder_forward(encoder, feats[idx], train_mode=True,
+                              dropout_stream=stream,
+                              dropout_rate=cfg.dropout_rate)
+        logits = head_forward(head, rep, train_mode=True,
+                              dropout_stream=stream,
+                              dropout_rate=cfg.dropout_rate)
+        return {"train_loss": cross_entropy(logits, labels[idx])}
+
     trace = []
+    for row in run_epochs({"encoder": encoder, "head": head}, cfg,
+                          feats.shape[0], shuffle_seed, step):
+        row["val_loss"] = row["val_acc"] = float("nan")
+        if val_data is not None and val_data.n_samples:
+            row["val_loss"], row["val_acc"] = _evaluate_split(
+                model, val_data, task_id)
+        trace.append(row)
+    return model, trace
+
+
+def run_epochs(named_sets, cfg: TrainConfig, m, shuffle_seed, step):
+    """The mini-batch Adam loop of expert training and fine-tuning.
+
+    Each epoch shuffles the m rows with a generator seeded once from
+    `shuffle_seed`, and per batch of row indices `idx` calls `step(idx)`
+    inside `training` over the ParamSets of `named_sets`. `step` returns
+    {name: batch loss}, whose first loss is the one minimized. Yields one
+    row per epoch, outside that scope: {"epoch": epoch, name: mean loss,
+    ...}. A non-finite mean loss, or a non-finite parameter after the
+    epoch's updates, is an ArithmeticError.
+    """
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+    opt = MultiAdam(named_sets)
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(m)
-        total = 0.0
-        with training(encoder, head):
+        sums = {}
+        # a diverging run ends at the checks below, not in numpy warnings
+        with training(*named_sets.values()), \
+                np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, m, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                rep = encoder_forward(encoder, feats[idx], train_mode=True,
-                                      dropout_stream=stream,
-                                      dropout_rate=cfg.dropout_rate)
-                logits = head_forward(head, rep, train_mode=True,
-                                      dropout_stream=stream,
-                                      dropout_rate=cfg.dropout_rate)
-                loss = cross_entropy(logits, labels[idx])
-                enc_g, head_g = backward(loss, encoder, head)
-                opt.apply({"encoder": enc_g, "head": head_g}, cfg.learning_rate)
-                total += loss.item() * len(idx)
+                losses = step(idx)
+                grads = backward(next(iter(losses.values())),
+                                 *named_sets.values())
+                opt.apply(dict(zip(named_sets, grads)), cfg.learning_rate)
+                sums = {name: sums.get(name, 0.0) + loss.item() * len(idx)
+                        for name, loss in losses.items()}
                 # drop this step's graph before the next step's forward
-                rep = logits = loss = None
-        stats = EpochStats(epoch=epoch, train_loss=total / m)
-        if not np.isfinite(stats.train_loss):
+                losses = grads = None
+        row = {"epoch": epoch} | {name: s / m for name, s in sums.items()}
+        if not all(map(math.isfinite, row.values())):
             raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
-        if val_data is not None and val_data.n_samples:
-            stats.val_loss, stats.val_acc = _evaluate_split(
-                model, val_data, task_id)
-        trace.append(stats)
-    return model, trace
+        if not all(np.isfinite(t.data).all() for params in named_sets.values()
+                   for t in params.tensors()):
+            raise ArithmeticError(f"non-finite parameters after epoch {epoch}")
+        yield row
 
 
 def _evaluate_split(model, data, task_id):
@@ -185,13 +203,11 @@ def expert_predict(model: ExpertModel, x):
 
 
 def write_loss_trace(path, trace):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "train_loss", "val_loss", "val_acc"])
-        for s in trace:
-            w.writerow([s.epoch, repr(s.train_loss),
-                        "" if np.isnan(s.val_loss) else repr(s.val_loss),
-                        "" if np.isnan(s.val_acc) else repr(s.val_acc)])
+    """The per-epoch rows of `train_expert` (epoch,train_loss,val_loss,
+    val_acc) or of `fine_tune` (epoch,total,<task>...) as a CSV file; a
+    NaN, as an epoch without validation has, is an empty field."""
+    write_csv(path, list(trace[0]), (["" if math.isnan(v) else repr(v)
+                                      for v in row.values()] for row in trace))
 
 
 def save_expert(model: ExpertModel, path):

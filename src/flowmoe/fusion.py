@@ -20,12 +20,13 @@ from . import serial
 from .data import BOOLEAN, Key, LabeledDataset, read_ini
 from .expert import (ExpertModel, TrainConfig, expert_from_container,
                      expert_representation, params_from_container,
-                     reject_unexpected)
-from .nn import (INPUT_DIM, DropoutStream, MultiAdam, ParamSet, Tensor, backward,
+                     reject_unexpected, run_epochs)
+# backward is unused here; perfbench's tracer wraps fusion.backward
+from .nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
                  cross_entropy, encoder_forward, encoder_shapes,
                  gate_linear_shapes, gate_mix, head_forward, head_shapes,
                  init_gate_linear, init_head, seed_streams,
-                 softmax_rows, stack_encoders, training)
+                 softmax_rows, stack_encoders)
 
 
 # Rows per `gated_chunks` chunk, in which classification, the fine-tune
@@ -334,8 +335,9 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
     experts when trainable). Frozen experts' representations are constant:
     each fixed gate's (N, 912) input is formed once by `gated_inputs`, in
     whose pass the (E, N, 912) representations are cached only for
-    trainable gates, which mix per batch. Only the epochs run in `training`,
-    over the sets they update. Returns (model, loss traces).
+    trainable gates, which mix per batch. The batches run in `run_epochs`
+    over the sets they update. Returns (model, per-epoch rows {"epoch",
+    "total", <task>...: mean loss}).
     """
     if cfg is None:
         cfg = default_finetune_config(model.relations[0].mode)
@@ -348,7 +350,6 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
                              f"the fused model's")
 
     shuffle_seed, drop_seed = seed_streams(cfg.seed, 2)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
     stream = DropoutStream(drop_seed)
 
     named_sets = {f"tower.{t}": tower for t, tower in model.towers.items()}
@@ -356,7 +357,6 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
                        if g.linear is not None})
     if unfreeze_experts:
         named_sets["experts"] = model.encoder
-    opt = MultiAdam(named_sets)
 
     feats = data.features
     m = feats.shape[0]
@@ -366,39 +366,22 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
         if len(fixed) < len(model.gates):
             cached = np.empty((len(model.experts), m, INPUT_DIM))
         premixed = gated_inputs(model, feats, fixed, cached)
-    trace = []
-    with training(*named_sets.values()):
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(m)
-            totals = {task: 0.0 for task in model.task_ids}
-            total_all = 0.0
-            for start in range(0, m, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                x = Tensor(feats[idx])
-                if unfreeze_experts:
-                    reps = encoder_forward(model.encoder, x.data)
-                elif cached is not None:
-                    reps = Tensor(cached[:, idx])
-                gated = {task: premixed[task][idx] if task in premixed
-                         else gate_output(model.gates[task], reps, x)
-                         for task in model.task_ids}
-                _logits, losses, loss_total = tower_forward(
-                    model, gated, {t: data.labels[t][idx] for t in gated},
-                    dropout_stream=stream, dropout_rate=cfg.dropout_rate)
-                grads = backward(loss_total, *named_sets.values())
-                opt.apply(dict(zip(named_sets, grads)), cfg.learning_rate)
-                w = len(idx)
-                for task, loss in losses.items():
-                    totals[task] += loss.item() * w
-                total_all += loss_total.item() * w
-                # drop this step's graph before the next step's forward
-                x = reps = gated = _logits = losses = loss_total = None
-            row = {"total": total_all / m}
-            if not np.isfinite(row["total"]):
-                raise ArithmeticError(f"non-finite fine-tune loss at epoch {epoch}")
-            row.update({task: totals[task] / m for task in model.task_ids})
-            trace.append(row)
-    return model, trace
+
+    def step(idx):
+        x = Tensor(feats[idx])
+        if unfreeze_experts:
+            reps = encoder_forward(model.encoder, x.data)
+        elif cached is not None:
+            reps = Tensor(cached[:, idx])
+        gated = {task: premixed[task][idx] if task in premixed
+                 else gate_output(model.gates[task], reps, x)
+                 for task in model.task_ids}
+        _logits, losses, total = tower_forward(
+            model, gated, {t: data.labels[t][idx] for t in gated},
+            dropout_stream=stream, dropout_rate=cfg.dropout_rate)
+        return {"total": total} | losses
+
+    return model, list(run_epochs(named_sets, cfg, m, shuffle_seed, step))
 
 
 @dataclass

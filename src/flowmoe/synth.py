@@ -49,7 +49,6 @@ class GeneratorSpec:
     separation: float = 3.0
     nesting: dict | None = None      # fine label -> coarse label (2-task refinement)
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
-    profiles: dict | None = None     # optional explicit ClassProfile overrides
 
     def __post_init__(self):
         if not (math.isfinite(self.separation) and self.separation > 0):
@@ -194,7 +193,7 @@ def generate_flows(spec: GeneratorSpec):
     names_by_task = {task: [] for task in spec.tasks}
     flow_index = 0
     for ci, cname in enumerate(class_names):
-        profile = (spec.profiles or {}).get(cname) or default_profile(cname, ci, spec)
+        profile = default_profile(cname, ci, spec)
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=spec.seed, spawn_key=(2, ci)))
         for _ in range(spec.flows_per_class):

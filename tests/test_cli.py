@@ -406,6 +406,31 @@ def test_degenerate_tower_gd_is_a_cli_error(pipeline_dir, tmp_path, capsys,
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("stage, message", [
+    (["fuse", "--mode", "I", "--experts", "{app}", "{encap}", "--epochs", "2"],
+     "non-finite parameters after epoch 1"),
+    (["train-expert", "--task", "app", "--epochs", "2"],
+     "non-finite training loss at epoch 0"),
+], ids=["fuse", "train-expert"])
+def test_diverged_training_is_a_cli_error(pipeline_dir, tmp_path, capsys,
+                                          recwarn, stage, message):
+    """An update that overflows the parameters ends the stage with one
+    error line and no model, even when the losses of the epoch, each taken
+    before its batch's update, were finite."""
+    out = tmp_path / "model.snke"
+    argv = [arg.format(app=pipeline_dir / "app.snke",
+                       encap=pipeline_dir / "encap.snke") for arg in stage]
+    rc = run(argv + ["--lr", "1e300",
+                     "--features", str(pipeline_dir / "features.snkf"),
+                     "--labels", str(pipeline_dir / "labels.csv"),
+                     "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {message}"]
+    assert not out.exists()
+    assert not Path(str(out) + ".loss.csv").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_unknown_flag_exits_nonzero():
     assert run(["gen", "--nonsense"]) != 0
 

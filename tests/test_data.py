@@ -46,7 +46,7 @@ def test_labels_csv_rejects_short_row(tmp_path):
     path.write_text("label,flow_id,task_id\nvideo,f1\n")
     with pytest.raises(ValueError) as exc:
         load_labels_csv(path)
-    assert str(exc.value) == f"{path}:2: row has no task_id"
+    assert str(exc.value) == f"{path}:2: row has no 'task_id' value"
 
 
 def test_labels_csv_malformed_line_is_a_value_error(tmp_path):

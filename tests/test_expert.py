@@ -50,8 +50,8 @@ def test_training_reaches_high_accuracy(two_task_data):
                                 TrainConfig(epochs=8, seed=3),
                                 val_data=val, task_id="app")
     assert len(trace) == 8
-    assert all(np.isfinite(s.train_loss) for s in trace)
-    assert all(np.isfinite(s.val_loss) for s in trace)
+    assert all(np.isfinite(s["train_loss"]) for s in trace)
+    assert all(np.isfinite(s["val_loss"]) for s in trace)
     preds = np.argmax(expert_predict(model, test.features), axis=1)
     assert (preds == test.labels["app"]).mean() >= 0.95
 
@@ -63,7 +63,7 @@ def test_same_seed_identical_traces(two_task_data):
         model, trace = train_expert(train.single_task("encap"),
                                     TrainConfig(epochs=3, seed=7),
                                     task_id="encap")
-        runs.append((model, [s.train_loss for s in trace]))
+        runs.append((model, [s["train_loss"] for s in trace]))
     assert runs[0][1] == runs[1][1]
     assert _bit_equal(runs[0][0].encoder, runs[1][0].encoder)
     assert _bit_equal(runs[0][0].head, runs[1][0].head)
@@ -234,3 +234,19 @@ def test_loss_trace_csv(tmp_path, two_task_data):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,val_acc"
     assert len(lines) == 3
+
+
+def test_fused_loss_trace_csv(tmp_path, trained_experts, two_task_data):
+    from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec,
+                                configure_fusion, fine_tune)
+    fused = configure_fusion(list(trained_experts), TaskRelation(
+        FusionMode.MODE_I, [TaskSpec("app", experts=(0,)),
+                            TaskSpec("encap", experts=(1,))]), seed=1)
+    train = two_task_data[0].subset(np.arange(0, 256, 4))
+    _, trace = fine_tune(fused, train, TrainConfig(epochs=2, seed=1))
+    path = tmp_path / "trace.csv"
+    write_loss_trace(path, trace)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "epoch,total,app,encap"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert lines[1].split(",")[1] == repr(trace[0]["total"])

@@ -119,7 +119,7 @@ def test_trained_expert_is_frozen_and_its_validation_records_no_graph(
     monkeypatch.setattr(expert_mod, "_evaluate_split", counted)
     model, trace = train_expert(train, TrainConfig(epochs=2, seed=3),
                                 val_data=val)
-    assert counts == [0, 0] and all(np.isfinite(s.val_loss) for s in trace)
+    assert counts == [0, 0] and all(np.isfinite(s["val_loss"]) for s in trace)
     assert all_frozen(model)
 
 

@@ -32,8 +32,8 @@ from .expert import (TrainConfig, expert_predict, load_expert, save_expert,
 from .fusion import (FusionMode, TaskRelation, TaskSpec, classify_batch,
                      configure_fusion, default_finetune_config, fine_tune,
                      load_any_model, load_fusion_config, save_fused)
-from .ingest import (ExtractionConfig, flows_to_features, is_pcap,
-                     read_flow_records, read_pcap, assemble_flows)
+from .ingest import (flows_to_features, is_pcap, read_flow_records, read_pcap,
+                     assemble_flows)
 from .synth import GeneratorSpec, emit_files
 
 log = logging.getLogger("flowmoe")
@@ -70,10 +70,18 @@ def _blas_fields():
             f"blas_threads={'unknown' if threads is None else threads()}")
 
 
-def _log_run(primary_output, command, seed, config_paths):
+def _options_sha256(args):
+    """SHA-256 (first 16 hex digits) of the command's parsed options, sorted
+    by name, without the subcommand function."""
+    options = sorted((k, v) for k, v in vars(args).items() if k != "func")
+    return hashlib.sha256(repr(options).encode()).hexdigest()[:16]
+
+
+def _log_run(args, primary_output, command, seed, config_paths):
     log_path = Path(primary_output).parent / "run.log"
     line = (f"{datetime.now(timezone.utc).isoformat()} cmd={command} "
             f"seed={seed} config_sha256={_sha256_files(config_paths)} "
+            f"options_sha256={_options_sha256(args)} "
             f"flowmoe={__version__} numpy={np.__version__} "
             f"python={platform.python_version()} {_blas_fields()}\n")
     log_path.parent.mkdir(parents=True, exist_ok=True)
@@ -150,25 +158,23 @@ def cmd_gen(args):
     n_flows = emit_files(spec, flows_out, labels_out)
     log.info("generated %d flows over %d task(s) -> %s, %s",
              n_flows, len(spec.tasks), flows_out, labels_out)
-    _log_run(flows_out, "gen", spec.seed, [args.spec])
+    _log_run(args, flows_out, "gen", spec.seed, [args.spec])
     return 0
 
 
 def cmd_ingest(args):
     src = _require(args.input)
-    cfg = ExtractionConfig(nb=args.nb, npkt=args.npkt,
-                           hdr_scales=(1500.0, 65535.0, args.iat_scale, 1.0))
     if is_pcap(src):
         flows = assemble_flows(read_pcap(src))
     else:
         flows = read_flow_records(src)
     if not flows:
         raise ValueError(f"{src}: no flows found")
-    ids, mat = flows_to_features(flows, cfg)
+    ids, mat = flows_to_features(flows)
     out = _prepare_out(args.out)
-    serial.save_features(out, ids, mat, nb=cfg.nb, npkt=cfg.npkt)
+    serial.save_features(out, ids, mat)
     log.info("ingested %d flows -> %s", len(ids), out)
-    _log_run(out, "ingest", "-", [src])
+    _log_run(args, out, "ingest", "-", [src])
     return 0
 
 
@@ -186,7 +192,8 @@ def cmd_train_expert(args):
     write_loss_trace(_prepare_out(trace_path), trace)
     test_metrics = evaluate(model, test, [args.task])[args.task]
     log.info("expert %s: %s -> %s", model.id, test_metrics.summary(), out)
-    _log_run(out, "train-expert", cfg.seed, [args.features, args.labels])
+    _log_run(args, out, "train-expert", cfg.seed,
+             [args.features, args.labels])
     return 0
 
 
@@ -249,7 +256,7 @@ def cmd_fuse(args):
     write_loss_trace(_prepare_out(trace_path), trace)
     log.info("fused %d expert(s) into %d task(s) -> %s",
              len(fused.experts), len(fused.task_ids), out)
-    _log_run(out, "fuse", options["seed"],
+    _log_run(args, out, "fuse", options["seed"],
              [args.config, *expert_paths, args.features, args.labels])
     return 0
 
@@ -280,7 +287,7 @@ def cmd_classify(args):
     out = _prepare_out(args.out)
     write_csv(out, header, rows())
     log.info("classified %d flow(s) -> %s", len(ids), out)
-    _log_run(out, "classify", "-", [args.model, args.features])
+    _log_run(args, out, "classify", "-", [args.model, args.features])
     return 0
 
 
@@ -307,7 +314,7 @@ def cmd_eval(args):
                                           encoding="utf-8")
     for line in report_lines:
         log.info("%s", line)
-    _log_run(str(prefix) + ".metrics.csv", "eval", args.split_seed,
+    _log_run(args, str(prefix) + ".metrics.csv", "eval", args.split_seed,
              [args.model, args.features, args.labels])
     return 0
 
@@ -327,7 +334,7 @@ def cmd_diag_convergence(args):
                                           encoding="utf-8")
     log.info("convergence verdict: %s (alpha=%.5g, c_hat=%.5g)",
              report.verdict, trace.alpha, c_hat)
-    _log_run(str(prefix) + ".txt", "diag-convergence", args.seed,
+    _log_run(args, str(prefix) + ".txt", "diag-convergence", args.seed,
              [args.model, args.features, args.labels])
     return 0
 
@@ -383,7 +390,7 @@ def cmd_diag_gate_anomaly(args):
     log.info("gate anomaly flagged: %s", report.flagged)
     inputs = [args.domains] if args.domains else \
         [args.model, args.features, args.labels]
-    _log_run(out, "diag-gate-anomaly", "-", [args.trace, *inputs])
+    _log_run(args, out, "diag-gate-anomaly", "-", [args.trace, *inputs])
     return 0
 
 
@@ -415,9 +422,6 @@ def build_parser():
     p = sub.add_parser("ingest", help="pcap or flow records -> feature file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nb", type=int, default=784)
-    p.add_argument("--npkt", type=int, default=32)
-    p.add_argument("--iat-scale", type=float, default=1.0)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train-expert", help="train one per-task expert")

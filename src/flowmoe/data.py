@@ -79,8 +79,8 @@ def write_csv(path, header, rows):
 def csv_rows(path, names):
     """(line number, values of the `names` columns) per row of the UTF-8
     CSV file at `path`, whose header names its columns. A missing column,
-    a short row, a byte that is not UTF-8 or a malformed line is a
-    ValueError naming the file and, past the header, the line."""
+    a short row, an empty value, a byte that is not UTF-8 or a malformed
+    line is a ValueError naming the file and, past the header, the line."""
     with open(path, newline="", encoding="utf-8",
               errors="surrogateescape") as fh:
         reader = csv.DictReader(text_lines(path, fh, "utf-8"))
@@ -93,6 +93,9 @@ def csv_rows(path, names):
                 if None in values:
                     raise ValueError(f"{path}:{reader.line_num}: row has no "
                                      f"{names[values.index(None)]!r} value")
+                if "" in values:
+                    raise ValueError(f"{path}:{reader.line_num}: empty "
+                                     f"{names[values.index('')]!r} value")
                 yield reader.line_num, values
         except csv.Error as exc:    # DictReader.line_num lags on an error
             raise ValueError(f"{path}:{reader.reader.line_num}: "

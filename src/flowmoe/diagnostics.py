@@ -24,7 +24,6 @@ from .nn.optim import UPDATE_BLOCK
 
 log = logging.getLogger(__name__)
 
-FULL_BATCH_GD = "full-batch-gd"
 RISE_TOLERANCE = 0.005          # relative loss rise taken as noise
 PROBE_EPS, MAX_RETRIES = 1e-3, 8    # tower GD: c_hat probe radius, attempts
 
@@ -33,7 +32,6 @@ PROBE_EPS, MAX_RETRIES = 1e-3, 8    # tower GD: c_hat probe radius, attempts
 class LossTrace:
     losses: np.ndarray
     alpha: float
-    method: str = FULL_BATCH_GD
 
     def __post_init__(self):
         self.losses = np.asarray(self.losses, dtype=np.float64)
@@ -47,7 +45,7 @@ class LossTrace:
 
 @dataclass
 class ConvergenceReport:
-    verdict: str                     # PASS | VIOLATION | ASSUMPTIONS-NOT-MET
+    verdict: str                     # PASS | VIOLATION
     c_hat: float = None
     z_hat: float = None
     alpha: float = None
@@ -116,10 +114,8 @@ def check_convergence(trace: LossTrace, c_hat=None, snapshots=None,
                       snapshot_steps=None) -> ConvergenceReport:
     """Verify the plain-GD convergence guarantees against a recorded run.
 
-    Traces from other optimizers are reported as ASSUMPTIONS-NOT-MET with
-    the monotonicity statistics still filled in. For full-batch GD with
-    alpha <= 1/c_hat, any loss increase or a gap above the bound curve is a
-    VIOLATION.
+    Any loss increase is a VIOLATION, and so is a gap above the bound
+    curve when alpha <= 1/c_hat.
     """
     if trace.steps == 0:
         raise ValueError("empty loss trace")
@@ -145,12 +141,6 @@ def check_convergence(trace: LossTrace, c_hat=None, snapshots=None,
         if dmax > 0:
             report.z_hat = 1.0 / (dmax * dmax)
         report.gap = losses - snap_losses[best_i]
-
-    if trace.method != FULL_BATCH_GD:
-        report.verdict = "ASSUMPTIONS-NOT-MET"
-        report.notes.append(f"optimizer {trace.method!r} is outside the "
-                            f"plain full-batch GD setting")
-        return report
 
     if report.violations:
         report.verdict = "VIOLATION"
@@ -477,7 +467,7 @@ def _tower_gd(objective, theta0, steps, alpha, snapshot_every, seed):
     if steps > 0:
         snapshots.append(vec.copy())
         snapshot_steps.append(steps)
-    trace = LossTrace(losses=losses, alpha=a, method=FULL_BATCH_GD)
+    trace = LossTrace(losses=losses, alpha=a)
     return trace, snapshots, snapshot_steps, c_hat
 
 

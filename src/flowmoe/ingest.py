@@ -3,9 +3,10 @@
 A flow is every packet sharing a canonical five-tuple (endpoint pair sorted
 so the lexicographically smaller (ip, port) comes first, plus transport
 protocol). Direction is taken relative to the source of the flow's first
-packet. Each flow becomes one feature vector: the first `nb` payload bytes
-normalized to [0, 1], plus four header fields (payload length, TCP window,
-inter-arrival time, direction) for the first `npkt` packets.
+packet. Each flow becomes one feature row in the layout of
+`ExtractionConfig`: the first 784 payload bytes normalized to [0, 1], then
+four header cells (payload length, TCP window, inter-arrival time in seconds
+clamped to [0, 1], direction) for each of the first 32 packets.
 """
 
 from __future__ import annotations
@@ -94,25 +95,18 @@ class Flow:
         return 0 if pkt.endpoint_src() == self.forward_endpoint else 1
 
 
-@dataclass
 class ExtractionConfig:
-    nb: int = 784
-    npkt: int = 32
-    # divisors for payload_len / tcp_window / inter-arrival / direction
-    hdr_scales: tuple = (1500.0, 65535.0, 1.0, 1.0)
+    """The one feature layout, which is the encoder's input: `nb` payload
+    bytes, then four header cells for each of `npkt` packet slots, `dim`
+    values in all. It is fixed, so `ExtractionConfig()` takes no arguments,
+    and `serial.load_features` rejects a file laid out any other way."""
 
-    def __post_init__(self):
-        if self.nb <= 0 or self.npkt <= 0:
-            raise ValueError("nb and npkt must be positive")
-        for name, scale in zip(("payload-length", "window", "inter-arrival",
-                                "direction"), self.hdr_scales):
-            if not (math.isfinite(scale) and scale > 0):
-                raise ValueError(f"{name} scale must be finite and > 0, "
-                                 f"got {scale!r}")
-
-    @property
-    def dim(self):
-        return self.nb + 4 * self.npkt
+    __slots__ = ()
+    nb = 784
+    npkt = 32
+    len_scale = 1500.0          # payload-length divisor
+    win_scale = 65535.0         # TCP-window divisor
+    dim = nb + 4 * npkt
 
 
 def assemble_flows(packets) -> list:
@@ -147,28 +141,27 @@ def assemble_flows(packets) -> list:
     return out
 
 
-def extract_features(flow: Flow, cfg: ExtractionConfig = None) -> np.ndarray:
-    """The flat PAY + HDR feature row of one flow: `nb` payload values, then
-    four header values for each of `npkt` packet slots."""
-    if cfg is None:
-        cfg = ExtractionConfig()
+def extract_features(flow: Flow) -> np.ndarray:
+    """The flat PAY + HDR feature row of one flow, in the layout of
+    `ExtractionConfig`."""
     if not flow.packets:
         raise ValueError("empty flow")
-    row = np.zeros(cfg.dim)
+    nb, s_len, s_win = (ExtractionConfig.nb, ExtractionConfig.len_scale,
+                        ExtractionConfig.win_scale)
+    row = np.zeros(ExtractionConfig.dim)
     stream = b"".join(p.payload for p in flow.packets)
-    pay = np.frombuffer(stream, dtype=np.uint8, count=min(len(stream), cfg.nb))
+    pay = np.frombuffer(stream, dtype=np.uint8, count=min(len(stream), nb))
     np.divide(pay, 255.0, out=row[:pay.size])
 
-    s_len, s_win, s_iat, s_dir = cfg.hdr_scales
     cells = []
     prev_ts = None
-    for pkt in flow.packets[: cfg.npkt]:
+    for pkt in flow.packets[:ExtractionConfig.npkt]:
         iat = 0.0 if prev_ts is None else pkt.timestamp - prev_ts
         prev_ts = pkt.timestamp
         window = pkt.tcp_window if pkt.protocol == TCP else 0
         cells += (len(pkt.payload) / s_len, window / s_win,
-                  min(max(iat / s_iat, 0.0), 1.0), flow.direction(pkt) / s_dir)
-    row[cfg.nb:cfg.nb + len(cells)] = cells
+                  min(max(iat, 0.0), 1.0), flow.direction(pkt))
+    row[nb:nb + len(cells)] = cells
     return row
 
 
@@ -410,12 +403,10 @@ def _parse_record_line(line) -> Flow:
     return Flow(key=key, packets=packets, forward_endpoint=fwd, flow_id=flow_id)
 
 
-def flows_to_features(flows, cfg=None):
+def flows_to_features(flows):
     """Feature matrix plus flow ids for a list of flows."""
-    if cfg is None:
-        cfg = ExtractionConfig()
     ids = [f.flow_id for f in flows]
-    mat = np.zeros((len(flows), cfg.dim))
+    mat = np.zeros((len(flows), ExtractionConfig.dim))
     for i, flow in enumerate(flows):
-        mat[i] = extract_features(flow, cfg)
+        mat[i] = extract_features(flow)
     return ids, mat

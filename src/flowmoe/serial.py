@@ -15,6 +15,8 @@ import struct
 
 import numpy as np
 
+from .ingest import ExtractionConfig
+
 MODEL_MAGIC = b"SNKE"
 FEATURE_MAGIC = b"SNKF"
 FORMAT_VERSION = 2
@@ -111,15 +113,19 @@ def label_list(path, header, key):
     return list(labels)
 
 
-def save_features(path, flow_ids, features, nb=784, npkt=32):
+def save_features(path, flow_ids, features):
     features = np.asarray(features, dtype=np.float64)
-    header = {"kind": "features", "nb": nb, "npkt": npkt,
+    header = {"kind": "features", "nb": ExtractionConfig.nb,
+              "npkt": ExtractionConfig.npkt,
               "count": features.shape[0], "dim": features.shape[1],
               "flow_ids": list(flow_ids)}
     save_container(path, FEATURE_MAGIC, header, [("features", features)])
 
 
 def load_features(path):
+    """(flow ids, feature matrix, header) of a feature file. A file whose
+    header or width says another layout than `ExtractionConfig`'s is a
+    ValueError naming the file and both layouts."""
     header, tensors = load_container(path, FEATURE_MAGIC)
     if header.get("kind") != "features":
         raise ValueError(f"{path}: not a feature file")
@@ -130,6 +136,12 @@ def load_features(path):
     if features.shape[0] != len(flow_ids):
         raise ValueError(f"{path}: {len(flow_ids)} flow id(s) for "
                          f"{features.shape[0]} feature row(s)")
+    layout = ExtractionConfig
+    nb, npkt, width = header.get("nb"), header.get("npkt"), features.shape[1]
+    if (nb, npkt, width) != (layout.nb, layout.npkt, layout.dim):
+        raise ValueError(f"{path}: features laid out as nb {nb}, npkt {npkt} "
+                         f"in {width} columns, not flowmoe's nb {layout.nb}, "
+                         f"npkt {layout.npkt} in {layout.dim} columns")
     seen = set()
     for fid in flow_ids:
         if not isinstance(fid, str):

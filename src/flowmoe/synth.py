@@ -9,7 +9,7 @@ centroids, so classes are separable by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .ingest import (TCP, UDP, ExtractionConfig, Flow, FlowKey, Packet,
 @dataclass
 class ClassProfile:
     name: str
-    payload_mean: np.ndarray        # per-position byte means, length nb
+    payload_mean: np.ndarray        # per-position byte means
     payload_sigma: float
     pkt_len_mean: np.ndarray        # per-position mean payload length
     pkt_len_sigma: float
@@ -48,7 +48,6 @@ class GeneratorSpec:
     seed: int = 0
     separation: float = 3.0
     nesting: dict | None = None      # fine label -> coarse label (2-task refinement)
-    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
 
     def __post_init__(self):
         if not (math.isfinite(self.separation) and self.separation > 0):
@@ -105,15 +104,13 @@ class GeneratorSpec:
             return cls(tasks, {cname: dict(zip(tasks, labels))
                                for cname, labels in ini["classes"].items()},
                        gen["flows_per_class"], gen["seed"], gen["separation"],
-                       ini["nesting"], ExtractionConfig(gen["nb"], gen["npkt"]))
+                       ini["nesting"])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
 _SPEC_SCHEMA = {
     "generator": {
-        "nb": Key(int, 784, "an integer >= 1", lambda n: n >= 1),
-        "npkt": Key(int, 32, "an integer >= 1", lambda n: n >= 1),
         "flows_per_class": Key(int, 200, "an integer >= 1", lambda n: n >= 1),
         "seed": Key(int, 0, "an integer >= 0", lambda n: n >= 0),
         "separation": Key(float, 3.0, "a finite number > 0",
@@ -128,8 +125,7 @@ def default_profile(name, class_index, spec) -> ClassProfile:
     """Derive a class profile from the seed; noise shrinks with separation."""
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=spec.seed, spawn_key=(1, class_index)))
-    nb = spec.extraction.nb
-    max_pkts = spec.extraction.npkt
+    nb, max_pkts = ExtractionConfig.nb, ExtractionConfig.npkt
     sep = spec.separation
     lo = int(rng.integers(4, 9))
     return ClassProfile(
@@ -207,7 +203,7 @@ def generate_flows(spec: GeneratorSpec):
 def generate_dataset(spec: GeneratorSpec) -> LabeledDataset:
     """The spec's flows as an in-memory labeled feature dataset."""
     flows, names_by_task = generate_flows(spec)
-    ids, mat = flows_to_features(flows, spec.extraction)
+    ids, mat = flows_to_features(flows)
     labels_by_task = {task: dict(zip(ids, names))
                       for task, names in names_by_task.items()}
     return build_dataset(ids, mat, labels_by_task, label_maps=spec.tasks)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowmoe.ingest import TCP, ExtractionConfig, Flow, FlowKey, Packet
+from flowmoe.ingest import TCP, Flow, FlowKey, Packet
 
 
 def synth_flow(profile, rng, flow_index, class_index) -> Flow:
@@ -59,21 +59,25 @@ class FeatureVector:
         return np.concatenate([self.pay, self.hdr.reshape(-1)])
 
 
-def extract_features(flow: Flow, cfg: ExtractionConfig = None) -> FeatureVector:
-    if cfg is None:
-        cfg = ExtractionConfig()
+# the layout written out: payload bytes, packet slots, and the divisors of
+# the payload-length, TCP-window, inter-arrival and direction cells
+NB, NPKT = 784, 32
+HDR_SCALES = (1500.0, 65535.0, 1.0, 1.0)
+
+
+def extract_features(flow: Flow) -> FeatureVector:
     if not flow.packets:
         raise ValueError("empty flow")
 
-    stream = b"".join(p.payload for p in flow.packets)[: cfg.nb]
-    pay = np.zeros(cfg.nb)
+    stream = b"".join(p.payload for p in flow.packets)[:NB]
+    pay = np.zeros(NB)
     if stream:
         pay[: len(stream)] = np.frombuffer(stream, dtype=np.uint8) / 255.0
 
-    hdr = np.zeros((cfg.npkt, 4))
-    s_len, s_win, s_iat, s_dir = cfg.hdr_scales
+    hdr = np.zeros((NPKT, 4))
+    s_len, s_win, s_iat, s_dir = HDR_SCALES
     prev_ts = None
-    for row, pkt in enumerate(flow.packets[: cfg.npkt]):
+    for row, pkt in enumerate(flow.packets[:NPKT]):
         iat = 0.0 if prev_ts is None else pkt.timestamp - prev_ts
         prev_ts = pkt.timestamp
         window = pkt.tcp_window if pkt.protocol == TCP else 0

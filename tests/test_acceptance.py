@@ -355,7 +355,7 @@ def test_criterion_10_ingestion_and_metric_oracles():
                                                     f.key.endpoint_b]))
             if {id(p) for p in f.packets} != {id(p) for p in oracle[key]}:
                 flows_ok = False
-            row = extract_features(f, cfg)
+            row = extract_features(f)
             if row.shape != (cfg.nb + 4 * cfg.npkt,):
                 features_ok = False
             if row[:cfg.nb].min() < 0.0 or row[:cfg.nb].max() > 1.0:

@@ -339,21 +339,6 @@ def test_bad_model_header_field_is_a_cli_error(pipeline_dir, tmp_path, capsys,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("scale", ["0", "nan", "inf", "-1"])
-def test_bad_iat_scale_is_a_cli_error(tmp_path, capsys, scale):
-    records = tmp_path / "flows.txt"
-    records.write_text("f1 tcp 10.0.0.1:1000 10.0.0.2:80 0.0,0,3,100 "
-                       "0.5,1,3,100\n")
-    out = tmp_path / "o.snkf"
-    rc = run(["ingest", "--input", str(records), "--out", str(out),
-              "--iat-scale", scale])
-    assert rc == 1
-    assert _cli_errors(capsys) == [
-        f"flowmoe: error: inter-arrival scale must be finite and > 0, "
-        f"got {float(scale)!r}"]
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_non_finite_learning_rate_is_a_cli_error(pipeline_dir, tmp_path,
                                                  capsys, recwarn, lr):
@@ -750,7 +735,7 @@ BAD_ANOMALY_VALUES = [
               "6,1.3\n7,1.6\n", "trace.csv:7: 'total' value 'nan' is not finite"),
     ("trace", "epoch,total\n0,2.0\n1,-inf\n", "trace.csv:3: 'total' value "
                                                 "'-inf' is not finite"),
-    ("trace", "epoch,total\n0,2.0\n1,\n", "trace.csv:3: bad 'total' value ''"),
+    ("trace", "epoch,total\n0,2.0\n1,\n", "trace.csv:3: empty 'total' value"),
     ("domains", "domain,accuracy\nA,0.9\nB,nan\nA,0.3\n",
      "domains.csv:3: 'accuracy' value 'nan' is not finite"),
     ("domains", "domain,accuracy\nA,0.9\nB,0.4\nA,0.3\n",
@@ -993,6 +978,9 @@ BAD_GEN_SPECS = [
     ("flows_per_class", GEN_CFG.replace("flows_per_class = 40",
                                         "flows_per_class = 0"),
      "[generator] flows_per_class = '0': expected an integer >= 1"),
+    ("nb", GEN_CFG.replace("seed = 13", "seed = 13\nnb = 784"),
+     "[generator] nb: unknown key; expected one of flows_per_class, seed, "
+     "separation"),
 ]
 
 
@@ -1012,8 +1000,8 @@ def test_bad_generator_spec_is_a_cli_error(tmp_path, capsys, text, message):
 # Per file kind: its text, its settings section, that section's keys and
 # the sections it may hold.
 INI_FILES = {
-    "gen": (GEN_CFG, "generator", "flows_per_class, nb, npkt, seed, "
-            "separation", "[generator], [tasks], [classes] or [nesting]"),
+    "gen": (GEN_CFG, "generator", "flows_per_class, seed, separation",
+            "[generator], [tasks], [classes] or [nesting]"),
     "fuse": (FUSE_CFG.format(app="a.snke", encap="e.snke"), "fusion",
              "batch_size, dropout, epochs, lr, mode, seed, unfreeze_experts",
              "[experts], [fusion], [task:<id>] or [nesting]")}
@@ -1207,22 +1195,26 @@ def test_module_form_runs_the_cli(tmp_path):
         "[generator] seed = 'x': expected an integer >= 0")
 
 
-def test_ingest_with_non_default_extraction_matches_oracle(pipeline_dir,
-                                                           tmp_path):
+def test_ingest_matches_oracle(pipeline_dir):
     import prep_oracle
     from flowmoe import serial
-    from flowmoe.ingest import ExtractionConfig, read_flow_records
-    out = tmp_path / "features.snkf"
-    assert run(["ingest", "--input", str(pipeline_dir / "flows.txt"),
-                "--out", str(out), "--nb", "100", "--npkt", "6",
-                "--iat-scale", "0.05"]) == 0
-    ids, feats, _ = serial.load_features(out)
-    cfg = ExtractionConfig(nb=100, npkt=6,
-                           hdr_scales=(1500.0, 65535.0, 0.05, 1.0))
+    from flowmoe.ingest import read_flow_records
+    ids, feats, _ = serial.load_features(pipeline_dir / "features.snkf")
     flows = read_flow_records(pipeline_dir / "flows.txt")
     assert ids == [f.flow_id for f in flows]
-    want = np.stack([prep_oracle.extract_features(f, cfg).flat for f in flows])
+    want = np.stack([prep_oracle.extract_features(f).flat for f in flows])
     assert feats.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("flag", ["--nb", "--npkt", "--iat-scale"])
+def test_ingest_layout_flag_is_a_usage_error(pipeline_dir, tmp_path, capsys,
+                                             flag):
+    out = tmp_path / "features.snkf"
+    rc = run(["ingest", "--input", str(pipeline_dir / "flows.txt"),
+              "--out", str(out), flag, "100"])
+    assert rc == 2
+    assert f"unrecognized arguments: {flag} 100" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_expert_without_test_rows_writes_nothing(pipeline_dir, tmp_path,
@@ -1410,3 +1402,100 @@ def test_train_expert_on_a_feature_file_without_rows_is_a_cli_error(
     assert _cli_errors(capsys) == [
         "flowmoe: error: the dataset is empty: it has no rows to split"]
     assert not out.exists()
+
+
+def _features_laid_out(pipeline_dir, path, layout, width=912):
+    """The pipeline's feature rows cut to `width` columns, saved with the
+    header an older build wrote for `layout` ({"nb": .., "npkt": ..})."""
+    from flowmoe import serial
+    header, tensors = serial.load_container(pipeline_dir / "features.snkf",
+                                            serial.FEATURE_MAGIC)
+    header = {**{k: v for k, v in header.items() if k not in ("nb", "npkt")},
+              **layout, "dim": width}
+    path.parent.mkdir()
+    serial.save_container(path, serial.FEATURE_MAGIC, header,
+                          [("features", tensors["features"][:, :width])])
+    return path
+
+
+LAYOUT_STAGES = {
+    "train-expert": lambda d, out: [
+        "train-expert", "--labels", d / "labels.csv", "--task", "app",
+        "--epochs", "1", "--out", out / "e.snke"],
+    "fuse": lambda d, out: [
+        "fuse", "--config", d / "fusion.cfg", "--labels", d / "labels.csv",
+        "--out", out / "fused.snke"],
+    "classify": lambda d, out: [
+        "classify", "--model", d / "app.snke", "--out", out / "pred.csv"],
+    "eval": lambda d, out: [
+        "eval", "--model", d / "fused.snke", "--labels", d / "labels.csv",
+        "--out-prefix", out / "m"],
+    "diag-convergence": lambda d, out: [
+        "diag", "convergence", "--model", d / "fused.snke",
+        "--labels", d / "labels.csv", "--steps", "3",
+        "--out-prefix", out / "conv"],
+}
+
+
+@pytest.mark.parametrize("stage", list(LAYOUT_STAGES))
+def test_older_feature_layout_is_rejected_at_load(pipeline_dir, tmp_path,
+                                                  capsys, stage):
+    # what `ingest --nb 656 --npkt 64` wrote: 912 columns, another layout
+    feats = _features_laid_out(pipeline_dir, tmp_path / "in" / "f.snkf",
+                               {"nb": 656, "npkt": 64})
+    argv = LAYOUT_STAGES[stage](pipeline_dir, tmp_path) + ["--features",
+                                                           feats]
+    rc = run([str(a) for a in argv])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {feats}: features laid out as nb 656, npkt 64 in "
+        f"912 columns, not flowmoe's nb 784, npkt 32 in 912 columns"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "in"]
+
+
+@pytest.mark.parametrize("layout, width, said", [
+    ({"nb": 100, "npkt": 6}, 124, "nb 100, npkt 6 in 124"),
+    ({"nb": 784, "npkt": 32}, 124, "nb 784, npkt 32 in 124"),
+    ({}, 912, "nb None, npkt None in 912"),
+], ids=["nb100-npkt6", "narrow-rows", "no-layout"])
+def test_feature_file_of_another_width_or_no_layout_is_rejected_at_load(
+        pipeline_dir, tmp_path, capsys, layout, width, said):
+    feats = _features_laid_out(pipeline_dir, tmp_path / "in" / "f.snkf",
+                               layout, width)
+    out = tmp_path / "app.snke"
+    rc = run(["train-expert", "--features", str(feats),
+              "--labels", str(pipeline_dir / "labels.csv"), "--task", "app",
+              "--epochs", "1", "--out", str(out)])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {feats}: features laid out as {said} columns, "
+        f"not flowmoe's nb 784, npkt 32 in 912 columns"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "in"]
+
+
+def test_empty_label_value_is_a_cli_error(pipeline_dir, tmp_path, capsys):
+    lines = (pipeline_dir / "labels.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ","         # f,task, (no label)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "app.snke"
+    rc = run(["train-expert", "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(labels), "--task", "app", "--epochs", "1",
+              "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"flowmoe: error: {labels}:4: empty 'label' value"]
+    assert not out.exists()
+
+
+def test_run_log_hashes_the_command_options(pipeline_dir, tmp_path):
+    def logged(*extra):
+        assert run(["train-expert",
+                    "--features", str(pipeline_dir / "features.snkf"),
+                    "--labels", str(pipeline_dir / "labels.csv"),
+                    "--task", "app", "--epochs", "1",
+                    "--out", str(tmp_path / "app.snke"), *extra]) == 0
+        return _run_log_fields(tmp_path / "run.log")["options_sha256"]
+    first, again, other_lr = logged(), logged(), logged("--lr", "2e-3")
+    assert re.fullmatch(r"[0-9a-f]{16}", first)
+    assert first == again != other_lr

@@ -49,6 +49,16 @@ def test_labels_csv_rejects_short_row(tmp_path):
     assert str(exc.value) == f"{path}:2: row has no 'task_id' value"
 
 
+@pytest.mark.parametrize("row, column", [
+    ("f1,app,", "label"), (",app,video", "flow_id"), ("f2,,x", "task_id")])
+def test_labels_csv_rejects_empty_value(tmp_path, row, column):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"flow_id,task_id,label\nf0,app,chat\n{row}\n")
+    with pytest.raises(ValueError) as exc:
+        load_labels_csv(path)
+    assert str(exc.value) == f"{path}:3: empty {column!r} value"
+
+
 def test_labels_csv_malformed_line_is_a_value_error(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("flow_id,task_id,label\nf1,app," + "v" * 200_000 + "\n")
@@ -91,7 +101,7 @@ def _expected_labels(header, rows):
     out = {}
     for row in rows:
         record = dict(zip(header, row))
-        if any(key not in record for key in REQUIRED):
+        if any(not record.get(key) for key in REQUIRED):   # missing or ""
             return None
         assignment = out.setdefault(record["task_id"], {})
         if record["flow_id"] in assignment:

@@ -98,13 +98,6 @@ def test_quadratic_family_20_seeds():
         assert rep.verdict == "VIOLATION", f"c={c} alpha={bad_alpha}"
 
 
-def test_adam_trace_gated_as_assumptions_not_met():
-    losses = np.array([1.0, 0.8, 0.9, 0.7, 0.6])
-    rep = check_convergence(LossTrace(losses, 1e-3, method="adam"))
-    assert rep.verdict == "ASSUMPTIONS-NOT-MET"
-    assert rep.violations == [2]  # monotonicity stats still reported
-
-
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
         check_convergence(LossTrace(np.zeros(0), 0.1))

@@ -93,41 +93,55 @@ def test_partition_against_oracle_on_random_captures():
             assert {id(p) for p in f.packets} == {id(p) for p in oracle[key]}
 
 
-def _simple_flow(payloads, proto="TCP", window=100, nb=16, npkt=4):
+NB, NPKT = ExtractionConfig.nb, ExtractionConfig.npkt
+
+
+def _simple_flow(payloads, proto="TCP", window=100):
     pkts = []
     for i, pl in enumerate(payloads):
         src = ("1.1.1.1", 10) if i % 2 == 0 else ("2.2.2.2", 20)
         dst = ("2.2.2.2", 20) if i % 2 == 0 else ("1.1.1.1", 10)
         pkts.append(_pkt(0.5 * i, src[0], src[1], dst[0], dst[1],
                          proto=proto, payload=pl, window=window))
-    return assemble_flows(pkts)[0], ExtractionConfig(nb=nb, npkt=npkt)
+    return assemble_flows(pkts)[0]
 
 
-def _pay_hdr(row, cfg):
-    """The payload slice and the (npkt, 4) header view of a feature row."""
-    return row[:cfg.nb], row[cfg.nb:].reshape(cfg.npkt, 4)
+def _pay_hdr(row):
+    """The payload slice and the (NPKT, 4) header view of a feature row."""
+    return row[:NB], row[NB:].reshape(NPKT, 4)
 
 
 def test_pay_normalization_endpoints():
-    flow, cfg = _simple_flow([bytes([0x00, 0xFF, 0x80])])
-    pay, _ = _pay_hdr(extract_features(flow, cfg), cfg)
+    flow = _simple_flow([bytes([0x00, 0xFF, 0x80])])
+    pay, _ = _pay_hdr(extract_features(flow))
     assert pay[0] == 0.0
     assert pay[1] == 1.0
     assert np.isclose(pay[2], 0x80 / 255)
 
 
 def test_udp_window_column_zero():
-    flow, cfg = _simple_flow([b"ab", b"cd"], proto="UDP", window=999)
-    _, hdr = _pay_hdr(extract_features(flow, cfg), cfg)
+    flow = _simple_flow([b"ab", b"cd"], proto="UDP", window=999)
+    _, hdr = _pay_hdr(extract_features(flow))
     assert np.all(hdr[:, 1] == 0.0)
 
 
 def test_two_packet_flow_padding_and_first_iat():
-    flow, cfg = _simple_flow([b"ab", b"cd"], nb=8, npkt=32)
-    _, hdr = _pay_hdr(extract_features(flow, cfg), cfg)
+    flow = _simple_flow([b"ab", b"cd"])
+    pay, hdr = _pay_hdr(extract_features(flow))
     assert hdr[0, 2] == 0.0               # no predecessor
-    assert np.isclose(hdr[1, 2], 0.5)     # 0.5 s on the default 1 s scale
+    assert hdr[1, 2] == 0.5               # seconds
     assert np.all(hdr[2:] == 0.0)
+    assert np.all(pay[4:] == 0.0)
+
+
+def test_the_layout_is_the_encoders_input_and_cannot_be_set():
+    from flowmoe import nn
+    assert ExtractionConfig().dim == nn.INPUT_DIM == nn.N_TOKENS * nn.TOKEN_DIM
+    assert (NB, NPKT, ExtractionConfig.dim) == (784, 32, NB + 4 * NPKT)
+    with pytest.raises(TypeError):
+        ExtractionConfig(nb=100)
+    with pytest.raises(AttributeError):
+        ExtractionConfig().nb = 100
 
 
 def test_empty_flow_rejected():
@@ -139,38 +153,34 @@ def test_empty_flow_rejected():
 
 def test_flat_length_exact_for_any_flow_size():
     rng = np.random.default_rng(1)
-    cfg = ExtractionConfig()
     for n_pkts in (1, 2, 31, 32, 33, 80):
         payloads = [bytes(rng.integers(0, 256, size=rng.integers(0, 60),
                                        dtype=np.uint8)) for _ in range(n_pkts)]
-        flow, _ = _simple_flow(payloads, nb=cfg.nb, npkt=cfg.npkt)
-        row = extract_features(flow, cfg)
-        assert row.shape == (cfg.nb + 4 * cfg.npkt,)
-        pay, _ = _pay_hdr(row, cfg)
+        row = extract_features(_simple_flow(payloads))
+        assert row.shape == (NB + 4 * NPKT,)
+        pay, _ = _pay_hdr(row)
         assert np.all(pay >= 0.0) and np.all(pay <= 1.0)
 
 
 def test_truncation_is_monotone():
-    base = bytes(range(256)) * 4            # 1024 bytes > nb=784
-    flow_a, cfg = _simple_flow([base])
-    flow_b, _ = _simple_flow([base + b"extra bytes beyond the budget"])
-    cfg = ExtractionConfig()
-    a = extract_features(flow_a, cfg=cfg)
-    b = extract_features(flow_b, cfg=cfg)
-    assert np.array_equal(a[:cfg.nb], b[:cfg.nb])
+    base = bytes(range(256)) * 4            # 1024 bytes > NB = 784
+    a = extract_features(_simple_flow([base]))
+    b = extract_features(_simple_flow([base + b"extra bytes beyond the budget"]))
+    assert np.array_equal(a[:NB], b[:NB])
+    assert a[NB - 1] == base[NB - 1] / 255.0
 
 
 def test_direction_symmetry():
     # re-designating the forward endpoint flips every direction bit and
     # leaves the other header columns untouched
     payloads = [b"abc", b"defg", b"hi"]
-    flow, cfg = _simple_flow(payloads, nb=16, npkt=8)
+    flow = _simple_flow(payloads)
     other = (flow.key.endpoint_a if flow.forward_endpoint == flow.key.endpoint_b
              else flow.key.endpoint_b)
     swapped = Flow(key=flow.key, packets=flow.packets, forward_endpoint=other,
                    flow_id=flow.flow_id)
-    a_pay, a_hdr = _pay_hdr(extract_features(flow, cfg), cfg)
-    b_pay, b_hdr = _pay_hdr(extract_features(swapped, cfg), cfg)
+    a_pay, a_hdr = _pay_hdr(extract_features(flow))
+    b_pay, b_hdr = _pay_hdr(extract_features(swapped))
     n = len(payloads)
     assert np.array_equal(a_hdr[:, :3], b_hdr[:, :3])
     assert np.array_equal(a_hdr[:n, 3], 1.0 - b_hdr[:n, 3])
@@ -328,24 +338,20 @@ def test_flow_record_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     payloads = [bytes(rng.integers(0, 256, size=20, dtype=np.uint8))
                 for _ in range(3)]
-    flow, cfg = _simple_flow(payloads, nb=32, npkt=4)
+    flow = _simple_flow(payloads)
     flow.flow_id = "f0001"
     path = tmp_path / "flows.txt"
     write_flow_records([flow], path)
     back = read_flow_records(path)
     assert len(back) == 1
     assert back[0].flow_id == "f0001"
-    a = extract_features(flow, cfg)
-    b = extract_features(back[0], cfg)
-    assert np.array_equal(a, b)
+    assert np.array_equal(extract_features(flow), extract_features(back[0]))
 
 
 def test_flow_record_without_payload_keeps_length(tmp_path):
     path = tmp_path / "flows.txt"
     path.write_text("f1 tcp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,100 1.5,1,0,200\n")
-    flows = read_flow_records(path)
-    cfg = ExtractionConfig(nb=8, npkt=2)
-    pay, hdr = _pay_hdr(extract_features(flows[0], cfg), cfg)
+    pay, hdr = _pay_hdr(extract_features(read_flow_records(path)[0]))
     assert np.all(pay == 0.0)
     assert hdr[0, 0] == 5 / 1500.0
     assert hdr[1, 3] == 1.0
@@ -407,8 +413,7 @@ def test_flow_record_bad_values_are_rejected(tmp_path, lines, reason):
 def test_flow_record_huge_finite_timestamp_is_clamped(tmp_path):
     path = tmp_path / "flows.txt"
     path.write_text("f1 udp 1.1.1.1:10 2.2.2.2:20 0.0,0,5,0 1e308,1,0,0\n")
-    cfg = ExtractionConfig(nb=8, npkt=2)
-    _, hdr = _pay_hdr(extract_features(read_flow_records(path)[0], cfg), cfg)
+    _, hdr = _pay_hdr(extract_features(read_flow_records(path)[0]))
     assert hdr[1, 2] == 1.0
 
 
@@ -465,13 +470,13 @@ def test_flow_record_fuzz_rejects_or_yields_bounded_features(tmp_path, lines):
                          str(exc))
         assert where and 1 <= int(where.group(1)) <= len(lines), str(exc)
         return
-    _ids, mat = flows_to_features(flows, ExtractionConfig(nb=64, npkt=4))
+    _ids, mat = flows_to_features(flows)
     assert np.all(np.isfinite(mat))
-    assert np.all((mat[:, :64] >= 0.0) & (mat[:, :64] <= 1.0))
+    assert np.all((mat[:, :NB] >= 0.0) & (mat[:, :NB] <= 1.0))
 
 
 def test_flows_to_features_shapes():
-    flow, _ = _simple_flow([b"ab"])
+    flow = _simple_flow([b"ab"])
     ids, mat = flows_to_features([flow])
     assert ids == [flow.flow_id]
     assert mat.shape == (1, 912)
@@ -479,37 +484,35 @@ def test_flows_to_features_shapes():
 
 # -- byte identity with the packet-by-packet oracle ---------------------------
 
-def _assert_rows_match_oracle(flows, cfg):
+def _assert_rows_match_oracle(flows):
     """extract_features and every flows_to_features row equal the oracle's
     flat vector bit for bit."""
-    ids, mat = flows_to_features(flows, cfg)
+    ids, mat = flows_to_features(flows)
     assert ids == [f.flow_id for f in flows]
     for flow, row in zip(flows, mat):
-        want = prep_oracle.extract_features(flow, cfg).flat
-        assert extract_features(flow, cfg).tobytes() == want.tobytes()
+        want = prep_oracle.extract_features(flow).flat
+        assert extract_features(flow).tobytes() == want.tobytes()
         assert row.tobytes() == want.tobytes()
 
 
-CONFIGS = [ExtractionConfig(),
-           ExtractionConfig(nb=100, npkt=6,
-                            hdr_scales=(1500.0, 65535.0, 0.05, 1.0))]
-
-
-@pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "nb100-npkt6-iat0.05"])
-def test_features_of_synthetic_flows_match_oracle(cfg):
+def test_features_of_synthetic_flows_match_oracle():
     spec = GeneratorSpec(tasks={"app": ["a", "b", "c", "d"]},
                          class_labels={f"c{i}": {"app": "abcd"[i]}
                                        for i in range(4)},
                          flows_per_class=6, seed=3)
     flows, _ = generate_flows(spec)
     assert {f.key.protocol for f in flows} == {"TCP", "UDP"}
-    _assert_rows_match_oracle(flows, cfg)
+    # every stream runs past NB bytes, so every payload slice is cut
+    assert all(sum(len(p.payload) for p in f.packets) > NB for f in flows)
+    _assert_rows_match_oracle(flows)
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "nb100-npkt6-iat0.05"])
-def test_features_of_pcap_flows_past_both_bounds_match_oracle(tmp_path, cfg):
-    # 40 packets of up to 60 payload bytes each: past npkt packets and past
-    # nb bytes for both configurations; one UDP flow, one all-empty flow
+@pytest.mark.parametrize("udp_gap", [0.5, 1.5], ids=["default", "iat-past-1s"])
+def test_features_of_pcap_flows_past_both_bounds_match_oracle(tmp_path,
+                                                              udp_gap):
+    # 40 packets of up to 60 payload bytes each: past NPKT packets and past
+    # NB bytes; one UDP flow whose gaps of `udp_gap` s are past the 1 s
+    # inter-arrival clamp in the second case, one all-empty flow
     rng = np.random.default_rng(4)
     frames, times = [], []
     for i in range(40):
@@ -523,7 +526,7 @@ def test_features_of_pcap_flows_past_both_bounds_match_oracle(tmp_path, cfg):
         times.append(1000.0 + 0.01 * i + float(rng.random()) * 0.005)
         frames.append(_eth_frame(_ipv4("10.0.0.3", "10.0.0.4", 17,
                                        _udp_seg(53, 5353, payload[:30]))))
-        times.append(1000.2 + 0.5 * i)
+        times.append(1000.2 + udp_gap * i)
         frames.append(_eth_frame(_ipv4("10.0.0.5", "10.0.0.6", 6,
                                        _tcp_seg(9, 10, 100, b""))))
         times.append(1000.0 + 0.3 * i)
@@ -532,17 +535,21 @@ def test_features_of_pcap_flows_past_both_bounds_match_oracle(tmp_path, cfg):
     flows = assemble_flows(read_pcap(path))
     assert len(flows) == 3
     for flow in flows[:2]:
-        assert len(flow.packets) > cfg.npkt
-        assert sum(len(p.payload) for p in flow.packets) > cfg.nb
+        assert len(flow.packets) > NPKT
+        assert sum(len(p.payload) for p in flow.packets) > NB
     assert all(p.payload == b"" for p in flows[2].packets)
-    _assert_rows_match_oracle(flows, cfg)
+    _, udp_hdr = _pay_hdr(extract_features(flows[1]))
+    assert np.all(udp_hdr[1:, 2] == min(udp_gap, 1.0))
+    _assert_rows_match_oracle(flows)
 
 
 @pytest.mark.parametrize("payloads", [
     [b""], [b"", b"", b""], [b"", b"\x01\xff", b""],
-    [bytes(range(16))], [bytes(range(10)), bytes(range(7))]],
+    [bytes(range(256)) * 3 + bytes(range(16))],
+    [bytes(range(250)) * 2, bytes(range(7)) * 50]],
     ids=["one-empty", "all-empty", "empty-around", "exactly-nb", "past-nb"])
 @pytest.mark.parametrize("proto", ["TCP", "UDP"])
 def test_features_of_short_and_empty_flows_match_oracle(payloads, proto):
-    flow, cfg = _simple_flow(payloads, proto=proto, window=777)
-    _assert_rows_match_oracle([flow], cfg)
+    assert sum(map(len, payloads)) <= NB or len(payloads) == 2
+    _assert_rows_match_oracle([_simple_flow(payloads, proto=proto,
+                                            window=777)])

@@ -105,7 +105,7 @@ def test_round_trip_through_flow_records(tmp_path):
     labels_path = tmp_path / "labels.csv"
     assert emit_files(spec, flows_path, labels_path) == 24
     direct = generate_dataset(spec)
-    ids, mat = flows_to_features(read_flow_records(flows_path), spec.extraction)
+    ids, mat = flows_to_features(read_flow_records(flows_path))
     back = build_dataset(ids, mat, load_labels_csv(labels_path),
                          label_maps=spec.tasks)
     assert back.flow_ids == direct.flow_ids
@@ -120,14 +120,15 @@ def _flow_fields(flow):
 
 
 @pytest.mark.parametrize("protocol", [TCP, UDP])
-@pytest.mark.parametrize("nb, longer", [(16, True), (20000, False)],
+@pytest.mark.parametrize("n_means, longer", [(16, True), (20000, False)],
                          ids=["stream-longer-than-means",
                               "stream-shorter-than-means"])
-def test_synth_flow_matches_oracle(protocol, nb, longer):
-    spec = three_class_spec()
-    spec.extraction = ExtractionConfig(nb=nb, npkt=12)
-    profile = dataclasses.replace(default_profile("c", 0, spec),
-                                  protocol=protocol)
+def test_synth_flow_matches_oracle(protocol, n_means, longer):
+    # byte means cycle when a stream outlasts them, and are cut when not
+    profile = default_profile("c", 0, three_class_spec())
+    profile = dataclasses.replace(
+        profile, protocol=protocol,
+        payload_mean=np.resize(profile.payload_mean, n_means))
     rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
     for i in range(20):
         flow = _synth_flow(profile, rng, i, 3)
@@ -138,12 +139,11 @@ def test_synth_flow_matches_oracle(protocol, nb, longer):
     assert rng.random() == oracle_rng.random()      # the same draws
 
 
-def test_generate_flows_matches_oracle_with_non_default_extraction():
+def test_generate_flows_matches_oracle():
     spec = GeneratorSpec(tasks={"app": [f"l{i}" for i in range(6)]},
                          class_labels={f"c{i}": {"app": f"l{i}"}
                                        for i in range(6)},
-                         flows_per_class=5, seed=3,
-                         extraction=ExtractionConfig(nb=40, npkt=6))
+                         flows_per_class=5, seed=3)
     flows, names = generate_flows(spec)
     want = []
     for ci, cname in enumerate(spec.class_labels):
@@ -197,7 +197,6 @@ def test_generator_config_without_tasks_or_classes(tmp_path, section, text):
     ("seed", "x", "an integer >= 0"), ("seed", "-1", "an integer >= 0"),
     ("flows_per_class", "0", "an integer >= 1"),
     ("flows_per_class", "2.5", "an integer >= 1"),
-    ("nb", "0", "an integer >= 1"), ("npkt", "many", "an integer >= 1"),
     ("separation", "0", "a finite number > 0"),
     ("separation", "nan", "a finite number > 0")])
 def test_generator_config_bad_value_names_file_section_and_key(
@@ -208,6 +207,17 @@ def test_generator_config_bad_value_names_file_section_and_key(
         GeneratorSpec.from_config(path)
     assert str(info.value) == (f"{path}: [generator] {key} = {text!r}: "
                                f"expected {expected}")
+
+
+@pytest.mark.parametrize("key", ["nb", "npkt"])
+def test_generator_config_layout_key_is_unknown(tmp_path, key):
+    # the feature layout is fixed; a spec cannot size it
+    path = _write_spec(tmp_path, {**GEN_BODY, "generator": f"{key} = 100\n"})
+    with pytest.raises(ValueError) as info:
+        GeneratorSpec.from_config(path)
+    assert str(info.value) == (f"{path}: [generator] {key}: unknown key; "
+                               f"expected one of flows_per_class, seed, "
+                               f"separation")
 
 
 def test_generator_config_rejected_spec_names_file(tmp_path):

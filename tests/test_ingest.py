@@ -495,11 +495,12 @@ def _assert_rows_match_oracle(flows):
         assert row.tobytes() == want.tobytes()
 
 
-def test_features_of_synthetic_flows_match_oracle():
+@pytest.mark.parametrize("seed", [3], ids=["default"])
+def test_features_of_synthetic_flows_match_oracle(seed):
     spec = GeneratorSpec(tasks={"app": ["a", "b", "c", "d"]},
                          class_labels={f"c{i}": {"app": "abcd"[i]}
                                        for i in range(4)},
-                         flows_per_class=6, seed=3)
+                         flows_per_class=6, seed=seed)
     flows, _ = generate_flows(spec)
     assert {f.key.protocol for f in flows} == {"TCP", "UDP"}
     # every stream runs past NB bytes, so every payload slice is cut

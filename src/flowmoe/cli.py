@@ -29,8 +29,7 @@ from .evaluation import evaluate, split_dataset, write_confusion_csv, \
     write_metrics_csv
 from .expert import (TrainConfig, expert_predict, load_expert, save_expert,
                      train_expert, write_loss_trace)
-from .fusion import (FusionMode, TaskRelation, TaskSpec, classify_batch,
-                     configure_fusion, default_finetune_config, fine_tune,
+from .fusion import (classify_batch, configure_fusion, fine_tune,
                      load_any_model, load_fusion_config, save_fused)
 from .ingest import (flows_to_features, is_pcap, read_flow_records, read_pcap,
                      assemble_flows)
@@ -140,19 +139,10 @@ def _load_parts(args, names, label_maps=None, tasks=None, optional=()):
     return tuple(parts[name] for name in names)
 
 
-def _load_experts(paths):
-    """Expert models read and checked whole from their files."""
-    return [load_expert(_require(p, "expert model")) for p in paths]
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_gen(args):
     spec = GeneratorSpec.from_config(_require(args.spec, "generator spec"))
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed {args.seed}: expected an integer >= 0")
-        spec.seed = args.seed
     flows_out = _prepare_out(args.out_flows)
     labels_out = _prepare_out(args.out_labels)
     n_flows = emit_files(spec, flows_out, labels_out)
@@ -197,58 +187,19 @@ def cmd_train_expert(args):
     return 0
 
 
-def _flag_based_fusion(args):
-    """Relation built from --mode/--experts alone (no config file).
-
-    Mode I binds each expert to its own task; Mode II forms one union task
-    over all experts; Mode III needs a nesting map, so it requires --config.
-    """
-    mode = FusionMode(args.mode.strip().upper())
-    if mode is FusionMode.MODE_III:
-        raise ValueError("refinement fusion needs --config with a "
-                         "[nesting] section")
-    experts = _load_experts(args.experts)
-    if mode is FusionMode.MODE_I:
-        tasks = []
-        for i, expert in enumerate(experts):
-            task = expert.task_id or expert.id
-            tasks.append(TaskSpec(task_id=task, experts=(i,)))
-    else:
-        task = args.task or "union"
-        tasks = [TaskSpec(task_id=task, experts=tuple(range(len(experts))))]
-    relation = TaskRelation(mode=mode, tasks=tasks)
-    cfg = default_finetune_config(
-        mode, seed=args.seed, learning_rate=args.lr, epochs=args.epochs,
-        batch_size=args.batch_size, dropout_rate=args.dropout)
-    options = {"seed": cfg.seed, "unfreeze_experts": False, "train_config": cfg}
-    return experts, relation, options
-
-
 def cmd_fuse(args):
-    if bool(args.config) == bool(args.mode):
-        raise ValueError("pass exactly one of --config or --mode/--experts")
-    if args.config:
-        ignored = [flag for flag, value in (
-            ("--experts", args.experts), ("--task", args.task),
-            ("--lr", args.lr), ("--epochs", args.epochs),
-            ("--batch-size", args.batch_size), ("--dropout", args.dropout),
-            ("--seed", args.seed)) if value is not None]
-        if ignored:
-            raise ValueError(f"{', '.join(ignored)} cannot be combined with "
-                             f"--config, which declares the whole fusion")
-        expert_paths, relation, options = load_fusion_config(
-            _require(args.config, "fusion config"))
-        experts = _load_experts(expert_paths)
-    else:
-        if not args.experts:
-            raise ValueError("--mode needs --experts with model paths")
-        expert_paths = args.experts
-        experts, relation, options = _flag_based_fusion(args)
-    fused = configure_fusion(experts, relation, seed=options["seed"])
+    config = _require(args.config, "fusion config")
+    expert_paths, relation, options = load_fusion_config(config)
+    cfg = options["train_config"]
+    experts = [load_expert(_require(p, "expert model")) for p in expert_paths]
+    try:
+        fused = configure_fusion(experts, relation, seed=cfg.seed)
+    except ValueError as exc:
+        raise ValueError(f"{config}: {exc}") from None
     experts = None      # the fused model holds copies; let the heads go
     train, = _load_parts(args, ("train",), label_maps=fused.label_maps,
                          tasks=fused.task_ids)
-    fused, trace = fine_tune(fused, train, options["train_config"],
+    fused, trace = fine_tune(fused, train, cfg,
                              unfreeze_experts=options["unfreeze_experts"])
     out = _prepare_out(args.out)
     save_fused(fused, out)
@@ -256,7 +207,7 @@ def cmd_fuse(args):
     write_loss_trace(_prepare_out(trace_path), trace)
     log.info("fused %d expert(s) into %d task(s) -> %s",
              len(fused.experts), len(fused.task_ids), out)
-    _log_run(args, out, "fuse", options["seed"],
+    _log_run(args, out, "fuse", cfg.seed,
              [args.config, *expert_paths, args.features, args.labels])
     return 0
 
@@ -370,6 +321,11 @@ def _domain_accuracies_from_model(model, data):
 def cmd_diag_gate_anomaly(args):
     losses = load_loss_column(_require(args.trace, "loss trace"), args.column)
     if args.domains:
+        mixed = [f"--{name}" for name in ("model", "features", "labels")
+                 if getattr(args, name) is not None]
+        if mixed:
+            raise ValueError(f"{', '.join(mixed)} cannot be combined with "
+                             f"--domains")
         domains = load_domain_accuracies(_require(args.domains,
                                                   "domain metrics"))
     else:
@@ -414,7 +370,6 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate synthetic labeled flows")
     p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-flows", required=True)
     p.add_argument("--out-labels", required=True)
     p.set_defaults(func=cmd_gen)
@@ -440,21 +395,8 @@ def build_parser():
     p.set_defaults(func=cmd_train_expert)
 
     p = sub.add_parser("fuse", help="configure + fine-tune a fused model")
-    p.add_argument("--config", default=None,
-                   help="declarative fusion config (or use --mode/--experts)")
-    p.add_argument("--mode", default=None, choices=("I", "II", "i", "ii"),
-                   help="flag-based fusion without a config file")
-    p.add_argument("--experts", nargs="*", default=None,
-                   help="expert model paths for --mode")
-    p.add_argument("--task", default=None,
-                   help="union task name for --mode II (default: union)")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None,
-                   help="fine-tune dropout rate on the towers (default 0.0)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="tower initialisation and fine-tune seed (default 0)")
+    p.add_argument("--config", required=True,
+                   help="fusion config, which declares the whole fusion")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)

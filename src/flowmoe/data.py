@@ -138,6 +138,7 @@ class Key:
 
 BOOLEAN = Key(lambda text: configparser.ConfigParser.BOOLEAN_STATES[
     text.lower()], False, "a boolean (1/0, yes/no, true/false or on/off)")
+SEED = Key(int, 0, "an integer >= 0", lambda n: n >= 0)
 
 
 def read_ini(path, schema):

@@ -363,11 +363,11 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
     alpha <= 1/c_hat, the run restarts from the initial towers with the
     smaller step. c_hat only grows, so the retries terminate.
 
-    A given alpha must be finite and > 0, `snapshot_every` >= 1 and
-    `steps` >= 0 (ValueError); a non-finite loss at any step is an
-    ArithmeticError naming the step. On return, and on an error after the
-    arguments are checked, the model's towers hold their starting values
-    again, bitwise, and frozen.
+    A given alpha must be finite and > 0, `snapshot_every` >= 1, and
+    `steps` and the probe points' `seed` >= 0 (ValueError); a non-finite
+    loss at any step is an ArithmeticError naming the step. On return, and
+    on an error after the arguments are checked, the model's towers hold
+    their starting values again, bitwise, and frozen.
 
     Returns (trace, snapshots, snapshot_steps, c_hat, report); snapshot 0
     is the starting vector.
@@ -378,6 +378,8 @@ def run_tower_gd(model, data, steps=150, alpha=None, snapshot_every=10,
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if seed < 0:
+        raise ValueError(f"probe seed must be >= 0, got {seed}")
     objective = TowerObjective(model, data)
     theta0 = objective.get_vector()
     try:

@@ -29,6 +29,7 @@ def split_dataset(data: LabeledDataset, ratios=(0.75, 0.10, 0.15), seed=0):
     Strata are the joint label tuples across tasks; when any stratum holds
     fewer than 3 samples the split falls back to unstratified (with a
     warning). Split sizes always hit the largest-remainder targets exactly.
+    The seed must be >= 0 (ValueError).
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or not all(map(math.isfinite, ratios)):
@@ -38,6 +39,8 @@ def split_dataset(data: LabeledDataset, ratios=(0.75, 0.10, 0.15), seed=0):
         raise ValueError(f"ratios {ratios} do not sum to 1")
     if any(r < 0 for r in ratios):
         raise ValueError("negative split ratio")
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     m = data.n_samples
     if m == 0:
         raise ValueError("the dataset is empty: it has no rows to split")

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError("dropout rate must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"training seed must be >= 0, got {self.seed}")
 
 
 @dataclass

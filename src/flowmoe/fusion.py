@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serial
-from .data import BOOLEAN, Key, LabeledDataset, read_ini
+from .data import BOOLEAN, SEED, Key, LabeledDataset, read_ini
 from .expert import (ExpertModel, TrainConfig, expert_from_container,
                      expert_representation, params_from_container,
                      reject_unexpected, run_epochs)
@@ -525,7 +525,7 @@ _FUSION_SCHEMA = {
     "experts": {"files": Key(str.split)},
     "fusion": {"mode": Key(lambda text: FusionMode(text.upper()),
                            FusionMode.MODE_I, "I, II or III"),
-               "seed": Key(int, 0, "an integer"), "epochs": _INTEGER,
+               "seed": SEED, "epochs": _INTEGER,
                "batch_size": _INTEGER, "lr": _NUMBER, "dropout": _NUMBER,
                "unfreeze_experts": BOOLEAN},
     "task:": {"experts": Key(lambda text: tuple(map(int, text.split())), (),
@@ -541,6 +541,8 @@ def load_fusion_config(path):
     expert_paths, fu = ini["experts"]["files"], ini["fusion"]
     if expert_paths is None:
         raise ValueError(f"{path}: missing [experts] files = ...")
+    if "task:" in ini:
+        raise ValueError(f"{path}: [task:]: no task id; expected [task:<id>]")
     tasks = [TaskSpec(name[5:], **keys) for name, keys in ini.items()
              if name.startswith("task:")]
     if not tasks:
@@ -553,7 +555,7 @@ def load_fusion_config(path):
             dropout_rate=fu["dropout"])
     except ValueError as exc:
         raise ValueError(f"{path}: [fusion] {exc}") from None
-    return expert_paths, relation, {"seed": fu["seed"], "train_config": cfg,
+    return expert_paths, relation, {"train_config": cfg,
                                     "unfreeze_experts": fu["unfreeze_experts"]}
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Key, LabeledDataset, build_dataset, read_ini, write_labels_csv
+from .data import (SEED, Key, LabeledDataset, build_dataset, read_ini,
+                   write_labels_csv)
 from .ingest import (TCP, UDP, ExtractionConfig, Flow, FlowKey, Packet,
                      flows_to_features, write_flow_records)
 
@@ -112,7 +113,7 @@ class GeneratorSpec:
 _SPEC_SCHEMA = {
     "generator": {
         "flows_per_class": Key(int, 200, "an integer >= 1", lambda n: n >= 1),
-        "seed": Key(int, 0, "an integer >= 0", lambda n: n >= 0),
+        "seed": SEED,
         "separation": Key(float, 3.0, "a finite number > 0",
                           lambda x: math.isfinite(x) and x > 0)},
     "tasks": Key(str.split),

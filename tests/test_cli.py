@@ -1,5 +1,6 @@
 """End-to-end CLI pipelines: exit codes, artifacts, reproducibility."""
 
+import argparse
 import filecmp
 import hashlib
 import os
@@ -53,6 +54,22 @@ experts = 0
 [task:encap]
 experts = 1
 """
+
+
+def _fusion_config(path, experts, tasks, nesting=None, **fusion):
+    """Write a fusion config to `path` over the expert files `experts`:
+    [fusion] holds the keyword settings, each `tasks` entry (task id ->
+    {key: value}) is one [task:<id>] section, and `nesting` (fine label ->
+    coarse label) the [nesting] section. Returns `path`."""
+    sections = {"fusion": fusion, **{f"task:{task}": keys
+                                     for task, keys in tasks.items()}}
+    if nesting:
+        sections["nesting"] = nesting
+    path.write_text(f"[experts]\nfiles = {' '.join(map(str, experts))}\n"
+                    + "".join(f"\n[{name}]\n" + "".join(
+                        f"{key} = {value}\n" for key, value in keys.items())
+                        for name, keys in sections.items()))
+    return path
 
 
 def _pipeline(workdir: Path, seed=13):
@@ -206,6 +223,25 @@ def test_degenerate_gate_anomaly_is_a_cli_error(tmp_path, capsys, flag, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--model", "--features", "--labels"],
+                                   ["--model"], ["--labels"]],
+                         ids=lambda flags: "".join(flags))
+def test_gate_anomaly_takes_domains_from_one_source(tmp_path, capsys, flags):
+    trace = tmp_path / "loss.csv"
+    trace.write_text("epoch,total\n0,2.0\n1,1.5\n")
+    domains = tmp_path / "domains.csv"
+    domains.write_text("domain,accuracy\niptas,0.40\nvpn,0.95\n")
+    out = tmp_path / "anomaly.txt"
+    rc = run(["diag", "gate-anomaly", "--trace", str(trace), "--domains",
+              str(domains), "--out", str(out)] + [
+        arg for flag in flags for arg in (flag, str(tmp_path / "missing"))])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {', '.join(flags)} cannot be combined with "
+        f"--domains"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("split, message", [
     ("nan,0.5,0.5", "split ratios (nan, 0.5, 0.5) are not three finite "
                     "numbers"),
@@ -222,31 +258,6 @@ def test_bad_split_is_a_cli_error(pipeline_dir, tmp_path, capsys, split,
     assert rc == 1
     assert _cli_errors(capsys) == [f"flowmoe: error: {message}"]
     assert not out.exists()
-
-
-def test_fuse_with_flags_instead_of_config(pipeline_dir, tmp_path):
-    out = tmp_path / "flagged.snke"
-    assert run(["fuse", "--mode", "I", "--experts",
-                str(pipeline_dir / "app.snke"), str(pipeline_dir / "encap.snke"),
-                "--features", str(pipeline_dir / "features.snkf"),
-                "--labels", str(pipeline_dir / "labels.csv"),
-                "--lr", "1e-3", "--epochs", "3", "--batch-size", "16",
-                "--out", str(out)]) == 0
-    from flowmoe.fusion import load_fused
-    fused = load_fused(out)
-    assert fused.task_ids == ["app", "encap"]
-    pred = tmp_path / "flagged_pred.csv"
-    assert run(["classify", "--model", str(out), "--features",
-                str(pipeline_dir / "features.snkf"), "--out", str(pred)]) == 0
-    assert pred.read_text().startswith("flow_id,app,")
-
-
-def test_fuse_rejects_config_and_mode_together(pipeline_dir, tmp_path):
-    rc = run(["fuse", "--config", "x.cfg", "--mode", "I",
-              "--features", str(pipeline_dir / "features.snkf"),
-              "--labels", str(pipeline_dir / "labels.csv"),
-              "--out", str(tmp_path / "o.snke")])
-    assert rc == 1
 
 
 def test_eval_expert_model(pipeline_dir, tmp_path):
@@ -392,10 +403,8 @@ def test_degenerate_tower_gd_is_a_cli_error(pipeline_dir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("stage, message", [
-    (["fuse", "--mode", "I", "--experts", "{app}", "{encap}", "--epochs", "2"],
-     "non-finite parameters after epoch 1"),
-    (["train-expert", "--task", "app", "--epochs", "2"],
-     "non-finite training loss at epoch 0"),
+    ("fuse", "non-finite parameters after epoch 1"),
+    ("train-expert", "non-finite training loss at epoch 0"),
 ], ids=["fuse", "train-expert"])
 def test_diverged_training_is_a_cli_error(pipeline_dir, tmp_path, capsys,
                                           recwarn, stage, message):
@@ -403,10 +412,17 @@ def test_diverged_training_is_a_cli_error(pipeline_dir, tmp_path, capsys,
     error line and no model, even when the losses of the epoch, each taken
     before its batch's update, were finite."""
     out = tmp_path / "model.snke"
-    argv = [arg.format(app=pipeline_dir / "app.snke",
-                       encap=pipeline_dir / "encap.snke") for arg in stage]
-    rc = run(argv + ["--lr", "1e300",
-                     "--features", str(pipeline_dir / "features.snkf"),
+    if stage == "fuse":
+        cfg = _fusion_config(
+            tmp_path / "fusion.cfg",
+            [pipeline_dir / "app.snke", pipeline_dir / "encap.snke"],
+            {"app": {"experts": 0}, "encap": {"experts": 1}},
+            mode="I", lr="1e300", epochs=2)
+        argv = ["fuse", "--config", str(cfg)]
+    else:
+        argv = ["train-expert", "--task", "app", "--epochs", "2",
+                "--lr", "1e300"]
+    rc = run(argv + ["--features", str(pipeline_dir / "features.snkf"),
                      "--labels", str(pipeline_dir / "labels.csv"),
                      "--out", str(out)])
     assert rc == 1
@@ -772,7 +788,7 @@ def test_gate_anomaly_bad_value_names_file_and_line(tmp_path, capsys, which,
 
 BAD_CONFIG_VALUES = [("task:app", "experts", "0 x", "expert indices"),
                      ("task:app", "alpha", "half", "a number"),
-                     ("fusion", "seed", "1.5", "an integer"),
+                     ("fusion", "seed", "1.5", "an integer >= 0"),
                      ("fusion", "epochs", "ten", "an integer"),
                      ("fusion", "lr", "fast", "a number"),
                      ("fusion", "batch_size", "32k", "an integer"),
@@ -794,6 +810,49 @@ def test_bad_fusion_config_value_names_file_section_and_key(
     assert rc == 1
     assert _cli_errors(capsys) == [f"flowmoe: error: {cfg}: [{section}] "
                                    f"{key} = {text!r}: expected {expected}"]
+
+
+# A [fusion] mode, [task:<id>] sections and a [nesting] over the pipeline's
+# experts (0: app, 1: encap), each wrong, with the error.
+BAD_FUSION_STRUCTURES = {
+    "expert-index": ("I", {"app": {"experts": "5"}}, None,
+                     "gate 'app': subset out of range"),
+    "alpha": ("I", {"app": {"experts": "0", "alpha": "-1"}}, None,
+              "task 'app': negative loss weight -1.0"),
+    "mode-I-two-experts": ("I", {"app": {"experts": "0 1"}}, None,
+                           "task 'app': independent tasks bind to exactly "
+                           "one expert"),
+    "repeated-label": ("I", {"app": {"experts": "0", "labels": "a a"}}, None,
+                       "task 'app': label map ['a', 'a'] names a label twice"),
+    "mode-II-one-expert": ("II", {"union": {"experts": "0"}}, None,
+                           "task 'union': category expansion needs at least "
+                           "two source experts"),
+    "nesting-parent": ("III", {"coarse": {"experts": "0 1", "labels": "x y"},
+                               "fine": {"labels": "f1 f2"}},
+                       {"f1": "x", "f2": "nope"},
+                       "non-nested label maps: parents of ['f2'] are not "
+                       "coarse labels"),
+    "task-without-id": ("I", {"": {"experts": "0"}}, None,
+                        "[task:]: no task id; expected [task:<id>]"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FUSION_STRUCTURES))
+def test_fusion_config_structure_error_names_the_file(pipeline_dir, tmp_path,
+                                                      capsys, case):
+    mode, tasks, nesting, message = BAD_FUSION_STRUCTURES[case]
+    cfg = _fusion_config(
+        tmp_path / "fusion.cfg",
+        [pipeline_dir / "app.snke", pipeline_dir / "encap.snke"], tasks,
+        nesting, mode=mode)
+    out = tmp_path / "out"
+    rc = run(["fuse", "--config", str(cfg),
+              "--features", str(pipeline_dir / "features.snkf"),
+              "--labels", str(pipeline_dir / "labels.csv"),
+              "--out", str(out / "fused.snke")])
+    assert rc == 1
+    assert _cli_errors(capsys) == [f"flowmoe: error: {cfg}: {message}"]
+    assert not out.exists()
 
 
 FUSION_CONFIG_TYPOS = [
@@ -848,24 +907,6 @@ def test_fusion_config_reads_every_configparser_boolean(tmp_path, text,
     assert load_fusion_config(cfg)[2]["unfreeze_experts"] is expected
 
 
-@pytest.mark.parametrize("flag", [["--experts", "a.snke"], ["--task", "t"],
-                                  ["--lr", "1e-3"], ["--epochs", "2"],
-                                  ["--batch-size", "8"], ["--dropout", "0.0"],
-                                  ["--seed", "0"]], ids=lambda f: f[0])
-def test_fuse_config_rejects_flags_it_would_ignore(pipeline_dir, tmp_path,
-                                                  capsys, flag):
-    out = tmp_path / "o.snke"
-    rc = run(["fuse", "--config", str(pipeline_dir / "fusion.cfg"),
-              "--features", str(pipeline_dir / "features.snkf"),
-              "--labels", str(pipeline_dir / "labels.csv"),
-              "--out", str(out)] + flag)
-    assert rc == 1
-    assert _cli_errors(capsys) == [
-        f"flowmoe: error: {flag[0]} cannot be combined with --config, "
-        f"which declares the whole fusion"]
-    assert not out.exists()
-
-
 def _logged_hash(log_path, command):
     """The config_sha256 of the last run.log line of `command`."""
     lines = [line for line in log_path.read_text().splitlines()
@@ -878,7 +919,8 @@ def _files_hash(*paths):
                                    for p in paths)).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("how", ["config", "mode"])
+# `how` names the one way a fusion is declared: a config file
+@pytest.mark.parametrize("how", ["config"])
 def test_fuse_logged_hash_covers_every_expert_file(pipeline_dir, tmp_path,
                                                    how):
     for name in ("features.snkf", "labels.csv", "app.snke", "encap.snke"):
@@ -887,13 +929,8 @@ def test_fuse_logged_hash_covers_every_expert_file(pipeline_dir, tmp_path,
     app, encap = tmp_path / "app.snke", tmp_path / "encap.snke"
     cfg = tmp_path / "fusion.cfg"
     cfg.write_text(FUSE_CFG.format(app=app, encap=encap))
-    if how == "config":
-        fuse, inputs = ["fuse", "--config", cfg], [cfg, app, encap]
-    else:
-        fuse, inputs = ["fuse", "--mode", "I", "--experts", app, encap,
-                        "--epochs", "1"], [app, encap]
-    fuse += ["--features", feats, "--labels", labels,
-             "--out", tmp_path / "fused.snke"]
+    fuse = ["fuse", "--config", cfg, "--features", feats, "--labels", labels,
+            "--out", tmp_path / "fused.snke"]
     hashes = []
     for retrain in (False, True):
         if retrain:      # the same file name, a different expert
@@ -903,7 +940,7 @@ def test_fuse_logged_hash_covers_every_expert_file(pipeline_dir, tmp_path,
                         "--seed", "7"]) == 0
         assert run([str(a) for a in fuse]) == 0
         hashes.append(_logged_hash(tmp_path / "run.log", "fuse"))
-        assert hashes[-1] == _files_hash(*inputs, feats, labels)
+        assert hashes[-1] == _files_hash(cfg, app, encap, feats, labels)
     assert hashes[0] != hashes[1]
 
 
@@ -918,11 +955,13 @@ def test_gate_anomaly_logged_hash_covers_model_features_and_labels(
     labels = tmp_path / "labels.csv"
     write_labels_csv(labels, ids, {"union": [source["app"][f] for f in ids]})
     model = tmp_path / "union.snke"
-    assert run(["fuse", "--mode", "II", "--experts",
-                str(pipeline_dir / "app.snke"), str(pipeline_dir / "encap.snke"),
+    cfg = _fusion_config(
+        tmp_path / "fusion.cfg",
+        [pipeline_dir / "app.snke", pipeline_dir / "encap.snke"],
+        {"union": {"experts": "0 1"}}, mode="II", epochs=1)
+    assert run(["fuse", "--config", str(cfg),
                 "--features", str(pipeline_dir / "features.snkf"),
-                "--labels", str(labels), "--epochs", "1",
-                "--out", str(model)]) == 0
+                "--labels", str(labels), "--out", str(model)]) == 0
     assert load_fused(model).task_ids == ["union"]
     trace = tmp_path / "trace.csv"
     trace.write_text("epoch,total\n" + "\n".join(
@@ -1146,18 +1185,6 @@ def test_run_log_blas_fields_read_unknown_without_the_library(
                                                              "unknown")
 
 
-def test_negative_gen_seed_flag_is_a_cli_error(tmp_path, capsys):
-    spec = tmp_path / "gen.cfg"
-    spec.write_text(GEN_CFG)
-    flows = tmp_path / "flows.txt"
-    rc = run(["gen", "--spec", str(spec), "--seed", "-1", "--out-flows",
-              str(flows), "--out-labels", str(tmp_path / "labels.csv")])
-    assert rc == 1
-    assert _cli_errors(capsys) == [
-        "flowmoe: error: --seed -1: expected an integer >= 0"]
-    assert not flows.exists()
-
-
 def test_gen_builds_no_feature_matrix(tmp_path, monkeypatch):
     import flowmoe.data
     import flowmoe.ingest
@@ -1217,6 +1244,35 @@ def test_ingest_layout_flag_is_a_usage_error(pipeline_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+REMOVED_FLAGS = [("fuse", flag) for flag in (
+    "--mode", "--experts", "--task", "--lr", "--epochs", "--batch-size",
+    "--dropout", "--seed")] + [("gen", "--seed")]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag in
+                              REMOVED_FLAGS])
+def test_removed_flag_is_a_usage_error(pipeline_dir, tmp_path, capsys,
+                                       command, flag):
+    """The fusion config and the generator spec declare what these flags
+    set, so each is an unknown option."""
+    out = tmp_path / "out"
+    if command == "fuse":
+        argv = ["fuse", "--config", pipeline_dir / "fusion.cfg",
+                "--features", pipeline_dir / "features.snkf",
+                "--labels", pipeline_dir / "labels.csv",
+                "--out", out / "fused.snke"]
+    else:
+        spec = tmp_path / "gen.cfg"
+        spec.write_text(GEN_CFG)
+        argv = ["gen", "--spec", spec, "--out-flows", out / "flows.txt",
+                "--out-labels", out / "labels.csv"]
+    rc = run([str(a) for a in argv] + [flag, "1"])
+    assert rc == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_expert_without_test_rows_writes_nothing(pipeline_dir, tmp_path,
                                                        capsys):
     out = tmp_path / "app.snke"
@@ -1253,10 +1309,11 @@ def single_task_dir(pipeline_dir, tmp_path_factory):
     """A directory holding `fused.snke`, a one-task Mode I model of the
     pipeline's app expert, and its loss trace."""
     d = tmp_path_factory.mktemp("single")
-    assert run(["fuse", "--mode", "I",
-                "--experts", str(pipeline_dir / "app.snke"),
+    cfg = _fusion_config(d / "fusion.cfg", [pipeline_dir / "app.snke"],
+                         {"app": {"experts": 0}}, mode="I", epochs=1)
+    assert run(["fuse", "--config", str(cfg),
                 "--features", str(pipeline_dir / "features.snkf"),
-                "--labels", str(pipeline_dir / "labels.csv"), "--epochs", "1",
+                "--labels", str(pipeline_dir / "labels.csv"),
                 "--out", str(d / "fused.snke")]) == 0
     return d
 
@@ -1292,6 +1349,44 @@ def test_empty_split_part_is_one_cli_error(pipeline_dir, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+NEGATIVE_SEEDS = {
+    "train-expert--seed": ("train-expert", ["--seed", "-1"],
+                           "training seed must be >= 0, got -1"),
+    **{f"{stage}--split-seed": (stage, ["--split-seed", "-1"],
+                                "split seed must be >= 0, got -1")
+       for stage in EMPTY_PART_STAGES},
+    "diag-convergence--seed": ("diag-convergence", ["--seed", "-1"],
+                               "probe seed must be >= 0, got -1"),
+    "fusion-config-seed": ("fuse", [], "{cfg}: [fusion] seed = '-3': "
+                                       "expected an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(NEGATIVE_SEEDS))
+def test_negative_seed_is_one_cli_error(pipeline_dir, tmp_path, capsys,
+                                        request, case):
+    stage, flags, message = NEGATIVE_SEEDS[case]
+    models = pipeline_dir
+    if stage == "diag-gate-anomaly":
+        models = request.getfixturevalue("single_task_dir")
+        capsys.readouterr()
+    elif case == "fusion-config-seed":
+        models = tmp_path / "in"
+        models.mkdir()
+        (models / "fusion.cfg").write_text((pipeline_dir / "fusion.cfg")
+                                           .read_text().replace("seed = 5",
+                                                                "seed = -3"))
+    out = tmp_path / "out"
+    argv = EMPTY_PART_STAGES[stage](models, out) + [
+        "--features", pipeline_dir / "features.snkf",
+        "--labels", pipeline_dir / "labels.csv", *flags]
+    rc = run([str(a) for a in argv])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "flowmoe: error: " + message.format(cfg=models / "fusion.cfg")]
+    assert not out.exists()
+
+
 def test_gate_anomaly_rejects_experts_that_share_an_id(pipeline_dir, tmp_path,
                                                        capsys):
     from flowmoe.data import load_labels_csv, write_labels_csv
@@ -1299,12 +1394,13 @@ def test_gate_anomaly_rejects_experts_that_share_an_id(pipeline_dir, tmp_path,
     ids = sorted(source["app"])
     labels = tmp_path / "labels.csv"
     write_labels_csv(labels, ids, {"union": [source["app"][f] for f in ids]})
-    app = str(pipeline_dir / "app.snke")
+    app = pipeline_dir / "app.snke"
     model = tmp_path / "twice.snke"
-    assert run(["fuse", "--mode", "II", "--experts", app, app,
+    cfg = _fusion_config(tmp_path / "fusion.cfg", [app, app],
+                         {"union": {"experts": "0 1"}}, mode="II", epochs=1)
+    assert run(["fuse", "--config", str(cfg),
                 "--features", str(pipeline_dir / "features.snkf"),
-                "--labels", str(labels), "--epochs", "1",
-                "--out", str(model)]) == 0
+                "--labels", str(labels), "--out", str(model)]) == 0
     trace = tmp_path / "trace.csv"
     trace.write_text("epoch,total\n" + "\n".join(
         f"{i},{v}" for i, v in enumerate(np.linspace(1.0, 0.05, 8))) + "\n")
@@ -1499,3 +1595,31 @@ def test_run_log_hashes_the_command_options(pipeline_dir, tmp_path):
     first, again, other_lr = logged(), logged(), logged("--lr", "2e-3")
     assert re.fullmatch(r"[0-9a-f]{16}", first)
     assert first == again != other_lr
+
+
+def _subcommand_options(words):
+    """The option strings of the `flowmoe` subcommand that `words` names
+    ("fuse", or "diag", "convergence"), walked down `build_parser()`."""
+    from flowmoe.cli import build_parser
+    parser = build_parser()
+    for word in words:
+        parser = next(action.choices[word] for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return set(parser._option_string_actions)
+
+
+def test_readme_commands_name_only_parser_options():
+    """Every --flag on a `flowmoe <subcommand>` line in a fenced block of
+    README.md, commented lines and backslash continuations included, is
+    an option of that subcommand. Nothing runs; the lines are parsed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    commands = [line.lstrip("# ").split() for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words for words in commands if words[:1] == ["flowmoe"]]
+    assert len(commands) >= 8, commands
+    for words in commands:
+        n_sub = 2 if words[1] == "diag" else 1
+        flags = {w.split("=")[0] for w in words if w.startswith("--")}
+        unknown = flags - _subcommand_options(words[1:1 + n_sub])
+        assert not unknown, f"{' '.join(words)}: {sorted(unknown)}"

@@ -40,6 +40,11 @@ log = logging.getLogger("flowmoe")
 HASH_BLOCK = 1 << 16         # bytes per read when hashing a stage's inputs
 # the --split parts in split order, each with the name of the set it is
 SPLIT_PARTS = {"train": "training", "val": "validation", "test": "evaluation"}
+DEFAULT_SPLIT = "0.75,0.10,0.15"
+# gate-anomaly's data flags: unset (None) by default, so that --domains can
+# reject them, and these values on the --model path
+GATE_ANOMALY_DATA_DEFAULTS = {"part": "test", "split": DEFAULT_SPLIT,
+                              "split_seed": 0}
 
 
 def _sha256_files(paths):
@@ -321,7 +326,9 @@ def _domain_accuracies_from_model(model, data):
 def cmd_diag_gate_anomaly(args):
     losses = load_loss_column(_require(args.trace, "loss trace"), args.column)
     if args.domains:
-        mixed = [f"--{name}" for name in ("model", "features", "labels")
+        mixed = [f"--{name.replace('_', '-')}"
+                 for name in ("model", "features", "labels",
+                              *GATE_ANOMALY_DATA_DEFAULTS)
                  if getattr(args, name) is not None]
         if mixed:
             raise ValueError(f"{', '.join(mixed)} cannot be combined with "
@@ -336,6 +343,9 @@ def cmd_diag_gate_anomaly(args):
         if kind != "fused":
             raise ValueError("gate anomaly diagnostics need a fused model")
         _check_domain_model(model)
+        for name, default in GATE_ANOMALY_DATA_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         part, = _load_parts(args, (args.part,), label_maps=model.label_maps,
                             tasks=model.task_ids)
         domains = _domain_accuracies_from_model(model, part)
@@ -352,10 +362,11 @@ def cmd_diag_gate_anomaly(args):
 
 # -- parser -------------------------------------------------------------------
 
-def _add_split_flags(p):
-    p.add_argument("--split", default="0.75,0.10,0.15",
-                   help="train,val,test ratios (default 0.75,0.10,0.15)")
-    p.add_argument("--split-seed", type=int, default=0)
+def _add_split_flags(p, split=DEFAULT_SPLIT, split_seed=0):
+    p.add_argument("--split", default=split,
+                   help=f"train,val,test ratios (default {DEFAULT_SPLIT})")
+    p.add_argument("--split-seed", type=int, default=split_seed,
+                   help="(default 0)")
 
 
 @functools.cache
@@ -448,9 +459,9 @@ def build_parser():
     p.add_argument("--grace", type=int, default=4)
     p.add_argument("--gap-threshold", type=float, default=0.15)
     p.add_argument("--part", choices=("train", "val", "test", "all"),
-                   default="test")
+                   default=None, help="(default test)")
     p.add_argument("--out", required=True)
-    _add_split_flags(p)
+    _add_split_flags(p, split=None, split_seed=None)
     p.set_defaults(func=cmd_diag_gate_anomaly)
 
     return parser

@@ -21,6 +21,7 @@ from .data import LabeledDataset, csv_rows, write_csv
 # head_forward is unused here; perfbench's tracer wraps diagnostics.head_forward
 from .nn import backward, head_forward, training
 from .nn.optim import UPDATE_BLOCK
+from .nn.threads import in_halves
 
 log = logging.getLogger(__name__)
 
@@ -336,19 +337,25 @@ class TowerObjective:
         return total.item(), flat
 
 
-def _gd_step(vec, grad, alpha, change, work):
-    """vec - alpha * grad, in place, one `UPDATE_BLOCK` block at a time;
+def _gd_step(vec, grad, alpha, change, works):
+    """vec - alpha * grad, in place, one `UPDATE_BLOCK` block at a time,
+    the blocks in two halves (`threads.in_halves`) with a work vector each;
     `change` receives the new vector minus the old one and its norm is
     returned. The operations are those of the out-of-place expression,
     so the new vector and `change` are bitwise the same."""
-    for start in range(0, vec.size, UPDATE_BLOCK):
-        block = slice(start, start + UPDATE_BLOCK)
-        v = vec[block]
-        w = work[:v.size]
-        np.multiply(alpha, grad[block], out=w)
-        np.subtract(v, w, out=w)
-        np.subtract(w, v, out=change[block])
-        v[...] = w
+    starts = range(0, vec.size, UPDATE_BLOCK)
+
+    def run(lo, hi, work):
+        for start in starts[lo:hi]:
+            block = slice(start, start + UPDATE_BLOCK)
+            v = vec[block]
+            w = work[:v.size]
+            np.multiply(alpha, grad[block], out=w)
+            np.subtract(v, w, out=w)
+            np.subtract(w, v, out=change[block])
+            v[...] = w
+
+    in_halves([min(UPDATE_BLOCK, vec.size - s) for s in starts], run, works)
     # np.sqrt(d @ d) is what np.linalg.norm computes for 1-D d
     return np.sqrt(change @ change)
 
@@ -432,7 +439,7 @@ def _tower_gd(objective, theta0, steps, alpha, snapshot_every, seed):
 
     vec = objective._flat                # the towers view it: GD steps it
     spare = np.empty_like(theta0)
-    work = np.empty(min(theta0.size, UPDATE_BLOCK))
+    works = [np.empty(min(theta0.size, UPDATE_BLOCK)) for _ in range(2)]
     # a diverging run ends at the loss check, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for attempt in range(MAX_RETRIES):
@@ -445,7 +452,7 @@ def _tower_gd(objective, theta0, steps, alpha, snapshot_every, seed):
             losses[0] = loss0
             restart = False
             for t in range(1, steps + 1):
-                dw = _gd_step(vec, grad, a, spare, work)
+                dw = _gd_step(vec, grad, a, spare, works)
                 losses[t] = objective.loss_and_grad(out=spare)[0]
                 if not math.isfinite(losses[t]):
                     raise ArithmeticError(f"non-finite tower loss at GD "

@@ -82,5 +82,8 @@ class DropoutStream:
 
 
 def seed_streams(seed, n):
-    """Split one seed into n independent child seeds."""
+    """Split one seed into n independent child seeds; the seed must be a
+    non-negative integer (ValueError)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]

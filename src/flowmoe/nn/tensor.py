@@ -34,6 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import threads
+
+
 def _reduce_to_shape(grad, shape):
     """Sum a broadcast gradient back down to the original operand shape."""
     extra = grad.ndim - len(shape)
@@ -86,11 +89,11 @@ class Tensor:
         that is pending in this sweep or held as `.grad` (module docstring)."""
         buf = self._grad_buf
         if self._grad_pending or (buf is not None and buf is self.grad):
-            return a.T @ g
+            return threads.matmul(a.T, g)
         if buf is None:
             buf = self._grad_buf = np.empty(self.data.shape)
         self._grad_pending = True
-        return np.matmul(a.T, g, out=buf)
+        return threads.matmul(a.T, g, out=buf)
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this tensor; accumulates into .grad."""
@@ -164,16 +167,18 @@ class Tensor:
 
     def __matmul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data @ other.data
         a, b = self.data, other.data
+        is2d = a.ndim == 2 == b.ndim
+        out_data = threads.matmul(a, b) if is2d else a @ b
 
         def backward(g):
             out = []
             if self.requires_grad:
-                ga = g @ np.swapaxes(b, -1, -2)
+                ga = threads.matmul(g, b.T) if is2d else \
+                    g @ np.swapaxes(b, -1, -2)
                 out.append((self, _reduce_to_shape(ga, self.shape)))
             if other.requires_grad:
-                if other._backward is None and a.ndim == 2 == b.ndim:
+                if other._backward is None and is2d:
                     gb = other._weight_grad(a, g)
                 else:
                     gb = _reduce_to_shape(np.swapaxes(a, -1, -2) @ g,

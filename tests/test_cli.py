@@ -242,6 +242,29 @@ def test_gate_anomaly_takes_domains_from_one_source(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--part", "val"], "--part"),
+    (["--split", "0.5,0.25,0.25"], "--split"),
+    (["--split-seed", "0"], "--split-seed"),
+    (["--labels", "x.csv", "--split", "0.5,0.25,0.25", "--split-seed", "3"],
+     "--labels, --split, --split-seed")],
+    ids=["part", "split", "split-seed", "labels-split-seed"])
+def test_gate_anomaly_data_split_flags_need_a_model(tmp_path, capsys, flags,
+                                                    named):
+    # the split flags choose rows of --features; --domains reads none
+    trace = tmp_path / "loss.csv"
+    trace.write_text("epoch,total\n0,2.0\n1,1.5\n")
+    domains = tmp_path / "domains.csv"
+    domains.write_text("domain,accuracy\niptas,0.40\nvpn,0.95\n")
+    out = tmp_path / "anomaly.txt"
+    rc = run(["diag", "gate-anomaly", "--trace", str(trace), "--domains",
+              str(domains), "--out", str(out), *flags])
+    assert rc == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {named} cannot be combined with --domains"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("split, message", [
     ("nan,0.5,0.5", "split ratios (nan, 0.5, 0.5) are not three finite "
                     "numbers"),
@@ -1415,6 +1438,32 @@ def test_gate_anomaly_rejects_experts_that_share_an_id(pipeline_dir, tmp_path,
         "flowmoe: error: experts share the id 'app', so their domains "
         "cannot be told apart"]
     assert not out.exists()
+
+
+def test_gate_anomaly_from_a_model_defaults_to_the_test_split(
+        single_task_dir, pipeline_dir, tmp_path):
+    # no --part/--split/--split-seed is the same run as today's defaults,
+    # down to run.log's options hash
+    trace = tmp_path / "trace.csv"
+    trace.write_text("epoch,total\n" + "\n".join(
+        f"{i},{v}" for i, v in enumerate(np.linspace(1.0, 0.05, 8))) + "\n")
+
+    def report(out, *flags):
+        assert run(["diag", "gate-anomaly", "--trace", str(trace),
+                    "--model", str(single_task_dir / "fused.snke"),
+                    "--features", str(pipeline_dir / "features.snkf"),
+                    "--labels", str(pipeline_dir / "labels.csv"),
+                    "--out", str(out), *flags]) == 0
+        line = (out.parent / "run.log").read_text().splitlines()[-1]
+        return out.read_text(), line.split("options_sha256=")[1].split()[0]
+
+    out = tmp_path / "report.txt"
+    implicit = report(out)
+    explicit = report(out, "--part", "test", "--split", "0.75,0.10,0.15",
+                      "--split-seed", "0")
+    other = report(out, "--part", "all")
+    assert implicit == explicit
+    assert other[1] != implicit[1]
 
 
 def test_gate_anomaly_checks_the_model_before_reading_data(pipeline_dir,

@@ -6,7 +6,7 @@ import pytest
 from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, backward,
                         cross_entropy, encoder_forward, head_forward,
                         init_encoder, init_gate_linear, init_head,
-                        stack_encoders, training)
+                        seed_streams, stack_encoders, training)
 
 from composed_ops import select, softmax
 from gradcheck import check_gradients
@@ -183,3 +183,11 @@ def test_consecutive_sweeps_reuse_the_weight_gradient_buffer():
     assert second is first
     assert np.array_equal(second, fresh_fc1_grad(*steps[1]))
     assert not np.array_equal(second, first_values)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_seed_streams_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be a non-negative "
+                                         rf"integer, got {seed!r}$"):
+        seed_streams(seed, 2)
+    assert seed_streams(np.int64(3), 2) == seed_streams(3, 2)

@@ -13,17 +13,17 @@ from .diagnostics import (AnomalyReport, ConvergenceReport, LossTrace,
                           estimate_lipschitz, run_tower_gd)
 from .evaluation import Metrics, compute_metrics, evaluate, split_dataset
 from .expert import (ExpertModel, TrainConfig, expert_predict,
-                     expert_representation, load_expert, save_expert,
-                     train_expert)
+                     expert_representation, save_expert, train_expert)
 from .fusion import (FusedModel, FusionMode, GateConfig, TaskRelation,
                      TaskSpec, classify, classify_batch,
                      concat_representations, configure_fusion,
                      default_finetune_config, fine_tune, gate_output,
-                     load_fused, save_fused, tower_forward)
+                     load_any_model, load_expert, predict, save_fused,
+                     tower_forward)
 from .ingest import (ExtractionConfig, Flow, FlowKey, Packet, assemble_flows,
                      extract_features, flows_to_features, read_flow_records,
                      read_pcap, write_flow_records)
-from .synth import GeneratorSpec, generate_dataset
+from .synth import GeneratorSpec
 
 __all__ = [
     "LabeledDataset", "build_dataset", "load_labels_csv", "write_labels_csv",
@@ -34,10 +34,10 @@ __all__ = [
     "save_expert", "train_expert", "FusedModel", "FusionMode", "GateConfig",
     "TaskRelation", "TaskSpec", "classify",
     "classify_batch", "concat_representations", "configure_fusion",
-    "default_finetune_config", "fine_tune", "gate_output",
-    "load_fused", "save_fused", "tower_forward", "ExtractionConfig",
+    "default_finetune_config", "fine_tune", "gate_output", "load_any_model",
+    "predict", "save_fused", "tower_forward", "ExtractionConfig",
     "Flow", "FlowKey", "Packet", "assemble_flows",
     "extract_features", "flows_to_features", "read_flow_records", "read_pcap",
-    "write_flow_records", "GeneratorSpec", "generate_dataset",
+    "write_flow_records", "GeneratorSpec",
     "__version__",
 ]

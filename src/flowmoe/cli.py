@@ -27,10 +27,12 @@ from .diagnostics import (detect_gate_anomaly, load_domain_accuracies,
                           write_convergence_csv)
 from .evaluation import evaluate, split_dataset, write_confusion_csv, \
     write_metrics_csv
-from .expert import (TrainConfig, expert_predict, load_expert, save_expert,
-                     train_expert, write_loss_trace)
-from .fusion import (classify_batch, configure_fusion, fine_tune,
-                     load_any_model, load_fusion_config, save_fused)
+# expert_predict is unused here; perfbench's tracer wraps cli.expert_predict
+from .expert import (TrainConfig, expert_predict, save_expert, train_expert,
+                     write_loss_trace)
+from .fusion import (FusedModel, classify_batch, configure_fusion, fine_tune,
+                     load_any_model, load_expert, load_fusion_config, predict,
+                     save_fused)
 from .ingest import (flows_to_features, is_pcap, read_flow_records, read_pcap,
                      assemble_flows)
 from .synth import GeneratorSpec, emit_files
@@ -218,16 +220,9 @@ def cmd_fuse(args):
 
 
 def cmd_classify(args):
-    kind, model = load_any_model(_require(args.model, "model"))
+    _kind, model = load_any_model(_require(args.model, "model"))
     ids, feats, _ = serial.load_features(_require(args.features))
-    if kind == "expert":
-        task = model.task_id or "label"
-        probs = expert_predict(model, feats)
-        batch = {task: (np.argmax(probs, axis=1), probs)}
-        label_maps = {task: model.label_map}
-    else:
-        batch = classify_batch(model, feats)
-        label_maps = model.label_maps
+    batch, label_maps = predict(model, feats), model.label_maps
     header = ["flow_id"]
     for task in batch:
         header += [task, f"{task}_confidence"]
@@ -248,16 +243,12 @@ def cmd_classify(args):
 
 
 def cmd_eval(args):
-    kind, model = load_any_model(_require(args.model, "model"))
-    if kind == "expert":
-        tasks = [args.task or model.task_id]
-        maps = {tasks[0]: model.label_map}
-    else:
-        if args.task and args.task not in model.task_ids:
-            raise ValueError(f"--task {args.task!r}: the fused model's tasks "
-                             f"are {model.task_ids}")
-        tasks = [args.task] if args.task else list(model.task_ids)
-        maps = {t: model.label_maps[t] for t in tasks}
+    _kind, model = load_any_model(_require(args.model, "model"))
+    if args.task and args.task not in model.task_ids:
+        raise ValueError(f"--task {args.task!r}: the model's tasks are "
+                         f"{model.task_ids}")
+    tasks = [args.task] if args.task else list(model.task_ids)
+    maps = {t: model.label_maps[t] for t in tasks}
     part, = _load_parts(args, (args.part,), label_maps=maps, tasks=tasks)
     metrics = evaluate(model, part, tasks)
     prefix = _prepare_out(args.out_prefix)
@@ -276,8 +267,8 @@ def cmd_eval(args):
 
 
 def cmd_diag_convergence(args):
-    kind, model = load_any_model(_require(args.model, "model"))
-    if kind != "fused":
+    _kind, model = load_any_model(_require(args.model, "model"))
+    if not isinstance(model, FusedModel):
         raise ValueError("convergence diagnostics need a fused model")
     part, = _load_parts(args, (args.part,), label_maps=model.label_maps,
                         tasks=model.task_ids)
@@ -339,8 +330,8 @@ def cmd_diag_gate_anomaly(args):
         if not (args.model and args.features and args.labels):
             raise ValueError("pass either --domains or --model/--features/"
                              "--labels to compute per-domain accuracy")
-        kind, model = load_any_model(_require(args.model, "model"))
-        if kind != "fused":
+        _kind, model = load_any_model(_require(args.model, "model"))
+        if not isinstance(model, FusedModel):
             raise ValueError("gate anomaly diagnostics need a fused model")
         _check_domain_model(model)
         for name, default in GATE_ANOMALY_DATA_DEFAULTS.items():

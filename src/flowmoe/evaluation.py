@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, write_csv
+from .fusion import predict
 
 log = logging.getLogger(__name__)
 
@@ -124,36 +125,29 @@ def compute_metrics(y_true, y_pred, class_names) -> Metrics:
 
 
 def evaluate(model, testset: LabeledDataset, tasks=None) -> dict:
-    """Metrics of an expert or fused model per task of a labeled set.
+    """Metrics of a model, expert or fused, per task of a labeled set.
 
-    `tasks` lists the task ids to score; by default a fused model's tasks,
-    or an expert's own task. The model runs once however many tasks are
-    scored. Returns {task_id: Metrics} in the order of `tasks`.
+    `tasks` lists the task ids to score, by default all the model's tasks.
+    Each must be one of the model's tasks, labeled in `testset` under the
+    model's label map; otherwise a ValueError names it. The model runs once
+    however many tasks are scored. Returns {task_id: Metrics} in the order
+    of `tasks`.
     """
-    from .expert import ExpertModel, expert_predict
-    from .fusion import FusedModel, classify_batch
-
     if testset.n_samples == 0:
         raise ValueError("empty evaluation set")
-    if isinstance(model, ExpertModel):
-        tasks = list(tasks or [model.task_id or testset.task_ids[0]])
-    elif isinstance(model, FusedModel):
-        tasks = list(tasks or model.task_ids)
-        unknown = [t for t in tasks if t not in model.task_ids]
-        if unknown:
-            raise ValueError(f"fused model has no task(s) {unknown}")
-    else:
-        raise TypeError(f"cannot evaluate {type(model).__name__}")
+    tasks = list(tasks or model.task_ids)
+    unknown = [t for t in tasks if t not in model.task_ids]
+    if unknown:
+        raise ValueError(f"model has no task(s) {unknown}")
     missing = [t for t in tasks if t not in testset.labels]
     if missing:
         raise ValueError(f"test set lacks labels for task(s) {missing}")
-    if isinstance(model, ExpertModel):
-        pred = np.argmax(expert_predict(model, testset.features), axis=1)
-        preds = {t: pred for t in tasks}
-    else:
-        batch = classify_batch(model, testset.features)
-        preds = {t: batch[t][0] for t in tasks}
-    return {t: compute_metrics(testset.labels[t], preds[t],
+    for t in tasks:
+        if list(testset.label_maps[t]) != list(model.label_maps[t]):
+            raise ValueError(f"task {t!r}: test set label map does not match "
+                             f"the model's")
+    batch = predict(model, testset.features)
+    return {t: compute_metrics(testset.labels[t], batch[t][0],
                                testset.label_maps[t]) for t in tasks}
 
 

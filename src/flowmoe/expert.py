@@ -56,13 +56,22 @@ class TrainConfig:
 class ExpertModel:
     """An encoder plus its private head. A fused model's `experts` keep
     only the id, task id and label map, with `encoder` and `head` None:
-    the model's stacked encoder holds a copy of each expert's encoder."""
+    the model's stacked encoder holds a copy of each expert's encoder.
+    `task_ids` and `label_maps` serve its one task as a fused model's do."""
 
     id: str
     encoder: ParamSet
     head: ParamSet
     label_map: list
     task_id: str = ""
+
+    @property
+    def task_ids(self):
+        return [self.task_id]
+
+    @property
+    def label_maps(self):
+        return {self.task_id: self.label_map}
 
 
 def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
@@ -220,16 +229,9 @@ def save_expert(model: ExpertModel, path):
     serial.save_container(path, serial.MODEL_MAGIC, header, tensors)
 
 
-def load_expert(path) -> ExpertModel:
-    header, tensors = serial.load_container(path, serial.MODEL_MAGIC)
-    return expert_from_container(path, header, tensors)
-
-
 def expert_from_container(path, header, tensors) -> ExpertModel:
-    """Build an expert from a parsed model container read from `path`."""
-    if header.get("kind") != "expert":
-        raise ValueError(f"{path}: not an expert model file "
-                         f"(kind={header.get('kind')!r})")
+    """Build an expert from the parsed expert model container read from
+    `path`; an empty `task_id` is a ValueError naming the file."""
 
     def get(key, kind=str):
         return serial.header_field(path, header, key, kind)
@@ -241,8 +243,11 @@ def expert_from_container(path, header, tensors) -> ExpertModel:
     head = params_from_container(path, tensors, "head.",
                                  head_shapes(len(label_map)))
     reject_unexpected(path, tensors)
-    return ExpertModel(id=get("id"), encoder=encoder, head=head,
-                       label_map=label_map, task_id=get("task_id"))
+    model = ExpertModel(id=get("id"), encoder=encoder, head=head,
+                        label_map=label_map, task_id=get("task_id"))
+    if not model.task_id:
+        raise ValueError(f"{path}: header field 'task_id' is empty")
+    return model
 
 
 def params_from_container(path, tensors, prefix, shapes):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serial
+# expert.expert_predict is looked up per call: perfbench's tracer wraps it
+from . import expert, serial
 from .data import BOOLEAN, SEED, Key, LabeledDataset, read_ini
 from .expert import (ExpertModel, TrainConfig, expert_from_container,
                      expert_representation, params_from_container,
@@ -307,12 +308,15 @@ def configure_fusion(experts, relations, seed=0) -> FusedModel:
 
 def _check_nesting(coarse_labels, fine_labels, nesting):
     missing = [f for f in fine_labels if f not in nesting]
+    unknown = [f for f in nesting if f not in fine_labels]
     bad_parent = [f for f, c in nesting.items() if c not in coarse_labels]
-    if missing or bad_parent:
-        raise ValueError(
-            "non-nested label maps: "
-            + (f"fine labels {missing} have no coarse parent; " if missing else "")
-            + (f"parents of {bad_parent} are not coarse labels" if bad_parent else ""))
+    problems = [text for text, names in (
+        (f"fine labels {missing} have no coarse parent", missing),
+        (f"nesting keys {unknown} are not fine labels", unknown),
+        (f"parents of {bad_parent} are not coarse labels", bad_parent))
+        if names]
+    if problems:
+        raise ValueError("non-nested label maps: " + "; ".join(problems))
 
 
 def default_finetune_config(mode: FusionMode, **overrides) -> TrainConfig:
@@ -415,6 +419,16 @@ def classify_batch(model: FusedModel, X):
     return out
 
 
+def predict(model, X):
+    """Per task, (label indices, class probabilities) for the rows of X,
+    from either model kind: a fused model goes through `classify_batch`,
+    an expert through `expert_predict` under its one task."""
+    if isinstance(model, FusedModel):
+        return classify_batch(model, X)
+    probs = expert.expert_predict(model, X)
+    return {model.task_id: (np.argmax(probs, axis=1), probs)}
+
+
 def classify(model: FusedModel, x):
     """Per-task attribute values for one flow of shape (912,) or (1, 912);
     ties break to the lowest index."""
@@ -461,19 +475,11 @@ def save_fused(model: FusedModel, path):
     serial.save_container(path, serial.MODEL_MAGIC, header, tensors)
 
 
-def load_fused(path) -> FusedModel:
-    header, tensors = serial.load_container(path, serial.MODEL_MAGIC)
-    return fused_from_container(path, header, tensors)
-
-
 def fused_from_container(path, header, tensors) -> FusedModel:
-    """Build a fused model from a parsed model container read from `path`:
-    the stored experts and the header's relations go through
+    """Build a fused model from the parsed fused model container read from
+    `path`: the stored experts and the header's relations go through
     `fusion_structure`, then the stored tensors fill in the trainable gates
     and towers. Every error is a ValueError naming the file."""
-    if header.get("kind") != "fused":
-        raise ValueError(f"{path}: not a fused model file "
-                         f"(kind={header.get('kind')!r})")
 
     def get(meta, key, kind=str):
         return serial.header_field(path, meta, key, kind)
@@ -560,7 +566,8 @@ def load_fusion_config(path):
 
 
 def load_any_model(path):
-    """Open either an expert or a fused model file, returning (kind, model)."""
+    """Open either an expert or a fused model file, returning (kind, model);
+    the one place that reads the kind: `predict` serves either model."""
     header, tensors = serial.load_container(path, serial.MODEL_MAGIC)
     kind = header.get("kind")
     if kind == "expert":
@@ -568,3 +575,12 @@ def load_any_model(path):
     if kind == "fused":
         return "fused", fused_from_container(path, header, tensors)
     raise ValueError(f"{path}: unknown model kind {kind!r}")
+
+
+def load_expert(path) -> ExpertModel:
+    """The expert of an expert model file; any other model file is a
+    ValueError naming the file."""
+    kind, model = load_any_model(path)
+    if not isinstance(model, ExpertModel):
+        raise ValueError(f"{path}: not an expert model file (kind={kind!r})")
+    return model

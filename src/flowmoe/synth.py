@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (SEED, Key, LabeledDataset, build_dataset, read_ini,
-                   write_labels_csv)
+from .data import SEED, Key, read_ini, write_labels_csv
 from .ingest import (TCP, UDP, ExtractionConfig, Flow, FlowKey, Packet,
-                     flows_to_features, write_flow_records)
+                     write_flow_records)
 
 
 @dataclass
@@ -199,15 +198,6 @@ def generate_flows(spec: GeneratorSpec):
                 names_by_task[task].append(spec.class_labels[cname][task])
             flow_index += 1
     return flows, names_by_task
-
-
-def generate_dataset(spec: GeneratorSpec) -> LabeledDataset:
-    """The spec's flows as an in-memory labeled feature dataset."""
-    flows, names_by_task = generate_flows(spec)
-    ids, mat = flows_to_features(flows)
-    labels_by_task = {task: dict(zip(ids, names))
-                      for task, names in names_by_task.items()}
-    return build_dataset(ids, mat, labels_by_task, label_maps=spec.tasks)
 
 
 def emit_files(spec: GeneratorSpec, flows_path, labels_path) -> int:

@@ -5,7 +5,9 @@ import pytest
 
 from flowmoe.evaluation import split_dataset
 from flowmoe.expert import TrainConfig, train_expert
-from flowmoe.synth import GeneratorSpec, generate_dataset
+from flowmoe.synth import GeneratorSpec
+
+from synth_data import generate_dataset
 
 TWO_TASK_CLASSES = {
     "c0": {"app": "video", "encap": "plain"},

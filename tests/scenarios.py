@@ -7,7 +7,9 @@ from flowmoe.evaluation import evaluate, split_dataset
 from flowmoe.expert import TrainConfig, train_expert
 from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec, configure_fusion,
                             fine_tune)
-from flowmoe.synth import GeneratorSpec, generate_dataset
+from flowmoe.synth import GeneratorSpec
+
+from synth_data import generate_dataset
 
 EXPERT_EPOCHS = 12
 

@@ -22,12 +22,13 @@ from flowmoe.nn import (INPUT_DIM, DropoutStream, ParamSet, Tensor, add_norm,
                         backward, cross_entropy, dropout, encoder_forward,
                         head_forward, init_encoder, init_gate_linear,
                         init_head, mixing_weights, relu, training)
-from flowmoe.synth import GeneratorSpec, generate_dataset
+from flowmoe.synth import GeneratorSpec
 
 from composed_gate import composed_gate_weights
 from composed_ops import select, softmax, transpose, tsum
 from gradcheck import check_gradients
 from nn_helpers import state_dict
+from synth_data import generate_dataset
 import scenarios
 from test_evaluation import naive_metrics
 from test_ingest import brute_force_grouping

@@ -127,7 +127,8 @@ def test_classify_csv_of_an_expert_model(pipeline_dir, tmp_path):
     import csv
 
     from flowmoe import serial
-    from flowmoe.expert import expert_predict, load_expert
+    from flowmoe.expert import expert_predict
+    from flowmoe.fusion import load_expert
     pred = tmp_path / "app.csv"
     assert run(["classify", "--model", str(pipeline_dir / "app.snke"),
                 "--features", str(pipeline_dir / "features.snkf"),
@@ -539,7 +540,7 @@ def test_fused_eval_runs_the_experts_once(pipeline_dir, tmp_path, monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     # reference: each task scored from its own classify_batch call
-    model = fusion.load_fused(pipeline_dir / "fused.snke")
+    model = fusion.load_any_model(pipeline_dir / "fused.snke")[1]
     assert len(model.task_ids) == 2
     data = _load_dataset(pipeline_dir / "features.snkf",
                          pipeline_dir / "labels.csv",
@@ -855,6 +856,11 @@ BAD_FUSION_STRUCTURES = {
                        {"f1": "x", "f2": "nope"},
                        "non-nested label maps: parents of ['f2'] are not "
                        "coarse labels"),
+    "nesting-key": ("III", {"coarse": {"experts": "0 1", "labels": "x y"},
+                            "fine": {"labels": "t0 t1"}},
+                    {"t0": "x", "t1": "y", "t9": "x"},
+                    "non-nested label maps: nesting keys ['t9'] are not "
+                    "fine labels"),
     "task-without-id": ("I", {"": {"experts": "0"}}, None,
                         "[task:]: no task id; expected [task:<id>]"),
 }
@@ -972,7 +978,7 @@ def test_gate_anomaly_logged_hash_covers_model_features_and_labels(
     # a category-expansion model fused from the pipeline's two experts,
     # labelled with the app labels (all in the union)
     from flowmoe.data import load_labels_csv, write_labels_csv
-    from flowmoe.fusion import load_fused
+    from flowmoe.fusion import load_any_model
     source = load_labels_csv(pipeline_dir / "labels.csv")
     ids = sorted(source["app"])
     labels = tmp_path / "labels.csv"
@@ -985,7 +991,7 @@ def test_gate_anomaly_logged_hash_covers_model_features_and_labels(
     assert run(["fuse", "--config", str(cfg),
                 "--features", str(pipeline_dir / "features.snkf"),
                 "--labels", str(labels), "--out", str(model)]) == 0
-    assert load_fused(model).task_ids == ["union"]
+    assert load_any_model(model)[1].task_ids == ["union"]
     trace = tmp_path / "trace.csv"
     trace.write_text("epoch,total\n" + "\n".join(
         f"{i},{v}" for i, v in enumerate(np.linspace(1.0, 0.05, 8))) + "\n")
@@ -1145,7 +1151,7 @@ def test_mixed_case_keys_and_percent_labels_generate_and_fuse(pipeline_dir,
     """Keys of [tasks], [classes] and [nesting] keep their case and `%` is
     literal, in a generator spec and in a Mode III fusion config."""
     from flowmoe.data import load_labels_csv
-    from flowmoe.fusion import load_fused
+    from flowmoe.fusion import load_any_model
     spec = tmp_path / "gen.cfg"
     spec.write_text(MIXED_CASE_GEN)
     flows, labels = tmp_path / "flows.txt", tmp_path / "labels.csv"
@@ -1166,7 +1172,7 @@ def test_mixed_case_keys_and_percent_labels_generate_and_fuse(pipeline_dir,
     fused = tmp_path / "fused.snke"
     assert run(["fuse", "--config", str(cfg), "--features", str(feats),
                 "--labels", str(labels), "--out", str(fused)]) == 0
-    model = load_fused(fused)
+    model = load_any_model(fused)[1]
     assert model.label_maps == {"Verdict": ["Benign", "Evil%"],
                                 "Tool": ["ToolA", "ToolB", "To%(x)s"]}
     assert model.relations[0].nesting == {
@@ -1483,15 +1489,46 @@ def test_gate_anomaly_checks_the_model_before_reading_data(pipeline_dir,
 
 def test_eval_of_a_task_the_fused_model_lacks_is_one_cli_error(
         pipeline_dir, tmp_path, capsys):
-    rc = run(["eval", "--model", str(pipeline_dir / "fused.snke"),
-              "--features", str(pipeline_dir / "features.snkf"),
-              "--labels", str(pipeline_dir / "labels.csv"),
-              "--task", "nosuch", "--out-prefix", str(tmp_path / "m")])
-    assert rc == 1
-    assert _cli_errors(capsys) == [
-        "flowmoe: error: --task 'nosuch': the fused model's tasks are "
-        "['app', 'encap']"]
+    # an expert file is checked the same way, against its one task: encap
+    # is labelled in labels.csv, but app.snke was trained for app
+    for model, task, tasks in (("fused.snke", "nosuch", ['app', 'encap']),
+                               ("app.snke", "nosuch", ['app']),
+                               ("app.snke", "encap", ['app'])):
+        rc = run(["eval", "--model", str(pipeline_dir / model),
+                  "--features", str(pipeline_dir / "features.snkf"),
+                  "--labels", str(pipeline_dir / "labels.csv"),
+                  "--task", task, "--out-prefix", str(tmp_path / "m")])
+        assert rc == 1
+        assert _cli_errors(capsys) == [
+            f"flowmoe: error: --task {task!r}: the model's tasks are {tasks}"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["classify", "eval", "fuse"])
+def test_expert_file_with_an_empty_task_id_is_rejected_at_load(
+        pipeline_dir, tmp_path, capsys, command):
+    from flowmoe import serial
+    header, tensors = serial.load_container(pipeline_dir / "app.snke",
+                                            serial.MODEL_MAGIC)
+    model = tmp_path / "app.snke"
+    serial.save_container(model, serial.MODEL_MAGIC,
+                          {**header, "task_id": ""}, list(tensors.items()))
+    data = ["--features", pipeline_dir / "features.snkf",
+            "--labels", pipeline_dir / "labels.csv"]
+    out = tmp_path / "out"
+    argv = {
+        "classify": ["classify", "--model", model, *data[:2],
+                     "--out", out / "pred.csv"],
+        "eval": ["eval", "--model", model, *data, "--out-prefix", out / "m"],
+        "fuse": ["fuse", "--config", _fusion_config(
+            tmp_path / "fusion.cfg", [model, pipeline_dir / "encap.snke"],
+            {"app": {"experts": "0"}, "encap": {"experts": "1"}}),
+            *data, "--out", out / "fused.snke"],
+    }[command]
+    assert run([str(a) for a in argv]) == 1
+    assert _cli_errors(capsys) == [
+        f"flowmoe: error: {model}: header field 'task_id' is empty"]
+    assert not out.exists()
 
 
 def _rewritten_features(pipeline_dir, tmp_path, ids, rows):

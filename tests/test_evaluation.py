@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from flowmoe.data import LabeledDataset
-from flowmoe.evaluation import compute_metrics, split_dataset
+from flowmoe.evaluation import compute_metrics, evaluate, split_dataset
+from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec,
+                            configure_fusion)
 
 
 def _dataset(labels, n_tasks=1):
@@ -141,3 +143,35 @@ def test_split_of_an_empty_dataset_is_rejected():
                            {"t": ["a", "b"]}, [])
     with pytest.raises(ValueError, match="^the dataset is empty"):
         split_dataset(empty)
+
+
+def _reordered(data, task):
+    """`data` with `task`'s label map reversed and its labels re-indexed to
+    it: every row keeps its label name under another index order."""
+    names = list(data.label_maps[task])
+    index = np.array([names[::-1].index(name) for name in names])
+    return LabeledDataset(
+        features=data.features,
+        labels={**data.labels, task: index[data.labels[task]]},
+        label_maps={**data.label_maps, task: names[::-1]},
+        flow_ids=data.flow_ids)
+
+
+@pytest.mark.parametrize("kind", ["expert", "fused"])
+def test_evaluate_rejects_a_test_set_under_another_label_map(
+        trained_experts, two_task_data, kind):
+    model = trained_experts[0] if kind == "expert" else configure_fusion(
+        list(trained_experts), TaskRelation(FusionMode.MODE_I, [
+            TaskSpec("app", experts=(0,)), TaskSpec("encap", experts=(1,))]),
+        seed=1)
+    test = two_task_data[2].subset(np.arange(60))
+    assert set(evaluate(model, test, ["app"])) == {"app"}
+    with pytest.raises(ValueError, match="^task 'app': test set label map "
+                                         "does not match the model's$"):
+        evaluate(model, _reordered(test, "app"), ["app"])
+
+
+def test_evaluate_rejects_a_task_the_expert_lacks(trained_experts,
+                                                  two_task_data):
+    with pytest.raises(ValueError, match=r"model has no task\(s\) \['encap'\]"):
+        evaluate(trained_experts[0], two_task_data[2], ["encap"])

@@ -5,8 +5,9 @@ import pytest
 
 from flowmoe.data import build_dataset
 from flowmoe.expert import (ExpertModel, TrainConfig, expert_predict,
-                            expert_representation, load_expert, save_expert,
-                            train_expert, write_loss_trace)
+                            expert_representation, save_expert, train_expert,
+                            write_loss_trace)
+from flowmoe.fusion import load_expert
 from flowmoe.nn import INPUT_DIM, encoder_forward, head_forward
 
 from composed_ops import softmax

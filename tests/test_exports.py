@@ -1,5 +1,5 @@
-"""Every name a package lists in __all__ resolves, and `flowmoe.nn`
-exports no function or class that the library itself does not use."""
+"""Every name a package lists in __all__ resolves, and neither `flowmoe`
+nor `flowmoe.nn` exports a function or class that only tests use."""
 
 import ast
 import importlib
@@ -11,6 +11,9 @@ import pytest
 import flowmoe
 import flowmoe.nn
 
+ROOT = Path(flowmoe.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 
 @pytest.mark.parametrize("module", ["flowmoe", "flowmoe.nn", "flowmoe.nn.model"])
 def test_every_exported_name_resolves(module):
@@ -19,20 +22,35 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-def test_every_nn_function_and_class_is_used_by_the_library():
-    # code that only tests call belongs under tests/, not in nn/
-    root = Path(flowmoe.__file__).parent
-    init = root / "nn" / "__init__.py"
+def _unused_exports(module, users):
+    """Functions and classes in `module.__all__` that no file of `users`
+    names, as a name or as an attribute."""
     used = set()
-    for path in root.rglob("*.py"):
-        if path == init:
-            continue
+    for path in users:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    exported = [name for name in flowmoe.nn.__all__
-                if inspect.isfunction(getattr(flowmoe.nn, name))
-                or inspect.isclass(getattr(flowmoe.nn, name))]
-    assert [name for name in exported if name not in used] == []
+    exported = [name for name in module.__all__
+                if inspect.isfunction(getattr(module, name))
+                or inspect.isclass(getattr(module, name))]
+    return [name for name in exported if name not in used]
+
+
+def test_every_nn_function_and_class_is_used_by_the_library():
+    # code that only tests call belongs under tests/, not in nn/
+    init = ROOT / "nn" / "__init__.py"
+    users = [path for path in ROOT.rglob("*.py") if path != init]
+    assert _unused_exports(flowmoe.nn, users) == []
+
+
+def test_every_flowmoe_function_and_class_is_used_by_the_library():
+    # perfbench counts as a user: its single-flow calls are `classify`'s
+    # only caller; its own tests do not count
+    init = ROOT / "__init__.py"
+    bench = [path for path in sorted(PERFBENCH.glob("*.py"))
+             if not path.name.startswith("test_")]
+    assert bench, f"no perfbench modules found under {PERFBENCH}"
+    users = [path for path in ROOT.rglob("*.py") if path != init] + bench
+    assert _unused_exports(flowmoe, users) == []

@@ -17,8 +17,8 @@ from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
                             TaskSpec, classify, classify_batch,
                             concat_representations, configure_fusion, fine_tune,
                             fusion_structure, gate_output, gated_chunks,
-                            gated_inputs, load_any_model, load_fused, load_fusion_config,
-                            save_fused, tower_forward)
+                            gated_inputs, load_any_model, load_fusion_config,
+                            predict, save_fused, tower_forward)
 from flowmoe.expert import ExpertModel
 from flowmoe.nn import (INPUT_DIM, ParamSet, Tensor, backward, cross_entropy,
                         encoder_forward, encoder_shapes, head_forward,
@@ -502,6 +502,35 @@ def test_configure_mode3_rejects_non_nested(trained_experts):
         configure_fusion(list(trained_experts), rel, seed=1)
 
 
+def test_configure_mode3_rejects_a_nesting_key_that_is_not_a_fine_label(
+        trained_experts):
+    rel = TaskRelation(mode=FusionMode.MODE_III,
+                       nesting={"t0": "plain", "t1": "vpn", "t9": "vpn"},
+                       tasks=[TaskSpec("encap", experts=(1,)),
+                              TaskSpec("fine", labels=["t0", "t1"])])
+    with pytest.raises(ValueError, match=r"^non-nested label maps: nesting "
+                                         r"keys \['t9'\] are not fine "
+                                         r"labels$"):
+        fusion_structure(list(trained_experts), rel)
+
+
+def test_predict_serves_both_model_kinds(trained_experts, two_task_data):
+    X = two_task_data[2].features[:40]
+    app = trained_experts[0]
+    assert (app.task_ids, app.label_maps) == (["app"], {"app": app.label_map})
+    probs = expert_predict(app, X)
+    served = predict(app, X)
+    assert list(served) == ["app"]
+    assert np.array_equal(served["app"][0], np.argmax(probs, axis=1))
+    assert np.array_equal(served["app"][1], probs)
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=2)
+    served, batch = predict(fused, X), classify_batch(fused, X)
+    assert list(served) == list(batch) == ["app", "encap"]
+    for task, (indices, task_probs) in batch.items():
+        assert np.array_equal(served[task][0], indices)
+        assert np.array_equal(served[task][1], task_probs)
+
+
 def test_classify_matches_standalone_path(trained_experts, two_task_data):
     fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=2)
     test = two_task_data[2]
@@ -905,7 +934,7 @@ def test_fused_round_trip(tmp_path, trained_experts, two_task_data, mode):
             t.data = rng.normal(scale=0.05, size=t.data.shape)
     path = tmp_path / "fused.snke"
     save_fused(fused, path)
-    loaded = load_fused(path)
+    _kind, loaded = load_any_model(path)
 
     X = two_task_data[2].features[:10]
     a, b = classify_batch(fused, X), classify_batch(loaded, X)
@@ -935,7 +964,7 @@ def test_unfrozen_fine_tune_round_trips_through_a_fused_file(
                           dropout_rate=0.0, seed=1), unfreeze_experts=True)
     path = tmp_path / "fused.snke"
     save_fused(fused, path)
-    loaded = load_fused(path)
+    _kind, loaded = load_any_model(path)
     for name, t in fused.encoder.items():
         assert np.array_equal(loaded.encoder[name].data, t.data)
     X = two_task_data[2].features[:10]
@@ -965,7 +994,7 @@ def test_loaded_model_is_built_by_the_fusion_structure_step(
         raise AssertionError("a loaded tower must not be initialized")
 
     monkeypatch.setattr(fusion, "init_head", no_draws)
-    load_fused(path)
+    load_any_model(path)
     assert calls == [2, 2]
 
 

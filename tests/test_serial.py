@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowmoe import serial
-from flowmoe.expert import ExpertModel, load_expert, save_expert
+from flowmoe.expert import ExpertModel, save_expert
 from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec,
-                            configure_fusion, load_any_model, save_fused)
+                            configure_fusion, load_any_model, load_expert,
+                            save_fused)
 from flowmoe.nn import (encoder_shapes, gate_linear_shapes, head_shapes,
                         init_encoder, init_gate_linear, init_head)
 
@@ -26,7 +27,7 @@ def _expert(seed, labels):
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory):
     """An expert file and a fused file per mode: Mode III (`fused`,
-    trainable gates), Mode I (default gates) and Mode II (top-k gate)."""
+    trainable gates), Mode I (default gates) and Mode II (uniform gate)."""
     root = tmp_path_factory.mktemp("models")
     expert = _expert(1, ["good", "bad"])
     save_expert(expert, root / "expert.snke")
@@ -99,6 +100,12 @@ def _string_label_map(header):
 
 
 def _short_label_map(header):
+    # 'z' leaves the nesting too, so only the stored tower disagrees
+    _task(header, 1)["labels"] = ["x", "y"]
+    del header["relations"][0]["nesting"]["z"]
+
+
+def _stray_nesting_key(header):
     _task(header, 1)["labels"] = ["x", "y"]
 
 
@@ -120,6 +127,7 @@ def _negative_alpha(header):
 
 def _repeated_label(header):
     _task(header, 1)["labels"] = ["x", "y", "x"]
+    del header["relations"][0]["nesting"]["z"]
 
 
 def _no_relations(header):
@@ -132,6 +140,7 @@ def _no_relations(header):
     (_string_label_map, "a label map is not a list"),
     (_short_label_map, r"tensor 'tower.tool.fc2.w' has shape \(256, 3\), "
                        r"expected \(256, 2\)"),
+    (_stray_nesting_key, r"nesting keys \['z'\] are not fine labels"),
     (_duplicate_expert, r"gate 'verdict': subset \(0, 0\) names an expert "
                         r"twice"),
     (_unknown_mode, "'IV' is not a valid FusionMode"),

@@ -9,9 +9,10 @@ from flowmoe.data import build_dataset, load_labels_csv
 from flowmoe.ingest import (TCP, UDP, ExtractionConfig, flows_to_features,
                             read_flow_records)
 from flowmoe.synth import (GeneratorSpec, _synth_flow, default_profile,
-                           emit_files, generate_dataset, generate_flows)
+                           emit_files, generate_flows)
 
 import prep_oracle
+from synth_data import generate_dataset
 
 
 def nearest_centroid_accuracy(features, labels, train_frac=0.5, seed=0):

@@ -9,10 +9,10 @@ import flowmoe.expert as expert_mod
 from flowmoe.data import LabeledDataset
 from flowmoe.diagnostics import run_tower_gd
 from flowmoe.expert import (ExpertModel, TrainConfig, expert_predict,
-                            load_expert, save_expert, train_expert)
+                            save_expert, train_expert)
 from flowmoe.fusion import (FusionMode, TaskRelation, TaskSpec,
                             classify_batch, configure_fusion, fine_tune,
-                            load_any_model, save_fused)
+                            load_any_model, load_expert, save_fused)
 from flowmoe.nn import INPUT_DIM, ParamSet, Tensor, init_encoder, training
 
 from nn_helpers import frozen

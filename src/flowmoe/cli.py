@@ -181,8 +181,8 @@ def cmd_train_expert(args):
                       seed=args.seed)
     train, val, test = _load_parts(args, ("train", "val", "test"),
                                    tasks=[args.task], optional=("val",))
-    model, trace = train_expert(train, cfg, val_data=val, task_id=args.task,
-                                expert_id=args.expert_id or args.task)
+    model, trace = train_expert(train, cfg, args.task, val_data=val,
+                                expert_id=args.expert_id)
     out = _prepare_out(args.out)
     save_expert(model, out)
     trace_path = args.trace or str(out) + ".loss.csv"

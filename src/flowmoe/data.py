@@ -35,10 +35,6 @@ class LabeledDataset:
     def n_samples(self):
         return self.features.shape[0]
 
-    @property
-    def task_ids(self):
-        return list(self.labels)
-
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices)
         return LabeledDataset(
@@ -46,14 +42,6 @@ class LabeledDataset:
             labels={t: a[idx] for t, a in self.labels.items()},
             label_maps=dict(self.label_maps),
             flow_ids=[self.flow_ids[i] for i in idx],
-        )
-
-    def single_task(self, task_id) -> "LabeledDataset":
-        return LabeledDataset(
-            features=self.features,
-            labels={task_id: self.labels[task_id]},
-            label_maps={task_id: self.label_maps[task_id]},
-            flow_ids=self.flow_ids,
         )
 
     def class_counts(self, task_id):

@@ -147,20 +147,21 @@ def check_convergence(trace: LossTrace, c_hat=None, snapshots=None,
         report.verdict = "VIOLATION"
         report.notes.append("loss increased under plain gradient descent")
 
-    if c_hat is not None and trace.alpha <= 1.0 / c_hat:
-        if report.z_hat is not None:
-            denom = report.z_hat * trace.alpha * (1.0 - c_hat * trace.alpha / 2.0)
-            t = np.arange(1, trace.steps)
-            report.bound = np.concatenate([[np.inf], 1.0 / (t * denom)])
-            report.bound_checked = True
-            if np.any(report.gap[1:] > report.bound[1:]):
-                report.verdict = "VIOLATION"
-                report.notes.append("gap to the best iterate exceeded the "
-                                    "bound curve")
-        else:
-            report.notes.append("no snapshots: bound curve not checked")
-    else:
+    if c_hat is None:
+        report.notes.append("no c_hat given: bound curve not checked")
+    elif not trace.alpha <= 1.0 / c_hat:
         report.notes.append("alpha above 1/c_hat: bound curve not applicable")
+    elif report.z_hat is None:
+        report.notes.append("no snapshots: bound curve not checked")
+    else:
+        denom = report.z_hat * trace.alpha * (1.0 - c_hat * trace.alpha / 2.0)
+        t = np.arange(1, trace.steps)
+        report.bound = np.concatenate([[np.inf], 1.0 / (t * denom)])
+        report.bound_checked = True
+        if np.any(report.gap[1:] > report.bound[1:]):
+            report.verdict = "VIOLATION"
+            report.notes.append("gap to the best iterate exceeded the bound "
+                                "curve")
     return report
 
 
@@ -190,10 +191,10 @@ def detect_gate_anomaly(finetune_losses, per_domain_eval, grace_epochs=4,
     """Flag a fine-tune run whose loss rises after the grace period or whose
     per-source-domain accuracies diverge beyond the threshold.
 
-    `per_domain_eval` maps domain name to an accuracy (or any object with an
-    .accuracy attribute). Rises smaller than `RISE_TOLERANCE` (relative) are
-    treated as noise. A threshold that is not finite or is below 0, or a
-    negative grace period, is a ValueError naming it.
+    `per_domain_eval` maps domain name to an accuracy. Rises smaller than
+    `RISE_TOLERANCE` (relative) are treated as noise. A threshold that is
+    not finite or is below 0, or a negative grace period, is a ValueError
+    naming it.
     """
     if not (math.isfinite(gap_threshold) and gap_threshold >= 0):
         raise ValueError(f"gap_threshold must be finite and >= 0, "
@@ -203,8 +204,7 @@ def detect_gate_anomaly(finetune_losses, per_domain_eval, grace_epochs=4,
     losses = np.asarray(finetune_losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size < grace_epochs + 1:
         raise ValueError(f"need at least {grace_epochs + 1} epochs of losses")
-    accuracies = {d: float(getattr(m, "accuracy", m))
-                  for d, m in per_domain_eval.items()}
+    accuracies = {d: float(a) for d, a in per_domain_eval.items()}
     # a NaN compares false, so it would hide a rise and the accuracy gap
     if not (np.all(np.isfinite(losses))
             and all(map(math.isfinite, accuracies.values()))):
@@ -275,7 +275,8 @@ class TowerObjective:
     Freezing experts and fixing gates makes each tower's input constant, so
     the whole objective is a pure function of the tower parameters; this is
     the regime the plain-GD convergence guarantee speaks about. The inputs
-    are formed once, as `fusion.gated_inputs` (N, 912) arrays.
+    are formed once, as `fusion.gated_inputs` (N, 912) arrays, from a
+    labeled set that `fusion.check_labels` accepts (else a ValueError).
 
     Every tower tensor becomes a C-contiguous view into one flat parameter
     vector (towers in task order, parameters in ParamSet order), so
@@ -285,7 +286,7 @@ class TowerObjective:
 
     def __init__(self, model, data: LabeledDataset):
         self.model = model
-        self.tasks = list(model.task_ids)
+        self.tasks = fusion.check_labels(model, data)
         self.labels = {t: data.labels[t] for t in self.tasks}
         self.inputs = fusion.gated_inputs(model, data.features, self.tasks)
         tensors = [p for t in self.tasks for p in model.towers[t].tensors()]

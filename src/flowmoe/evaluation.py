@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, write_csv
-from .fusion import predict
+from .fusion import check_labels, predict
 
 log = logging.getLogger(__name__)
 
@@ -127,25 +127,13 @@ def compute_metrics(y_true, y_pred, class_names) -> Metrics:
 def evaluate(model, testset: LabeledDataset, tasks=None) -> dict:
     """Metrics of a model, expert or fused, per task of a labeled set.
 
-    `tasks` lists the task ids to score, by default all the model's tasks.
-    Each must be one of the model's tasks, labeled in `testset` under the
-    model's label map; otherwise a ValueError names it. The model runs once
-    however many tasks are scored. Returns {task_id: Metrics} in the order
-    of `tasks`.
+    `tasks` lists the task ids to score, by default all the model's tasks,
+    each checked by `fusion.check_labels`. The model runs once however many
+    tasks are scored. Returns {task_id: Metrics} in the order of `tasks`.
     """
     if testset.n_samples == 0:
         raise ValueError("empty evaluation set")
-    tasks = list(tasks or model.task_ids)
-    unknown = [t for t in tasks if t not in model.task_ids]
-    if unknown:
-        raise ValueError(f"model has no task(s) {unknown}")
-    missing = [t for t in tasks if t not in testset.labels]
-    if missing:
-        raise ValueError(f"test set lacks labels for task(s) {missing}")
-    for t in tasks:
-        if list(testset.label_maps[t]) != list(model.label_maps[t]):
-            raise ValueError(f"task {t!r}: test set label map does not match "
-                             f"the model's")
+    tasks = check_labels(model, testset, tasks)
     batch = predict(model, testset.features)
     return {t: compute_metrics(testset.labels[t], batch[t][0],
                                testset.label_maps[t]) for t in tasks}

@@ -55,8 +55,8 @@ class TrainConfig:
 @dataclass
 class ExpertModel:
     """An encoder plus its private head. A fused model's `experts` keep
-    only the id, task id and label map, with `encoder` and `head` None:
-    the model's stacked encoder holds a copy of each expert's encoder.
+    only the id and label map, with `encoder` and `head` None and no task
+    id: the model's stacked encoder holds a copy of each expert's encoder.
     `task_ids` and `label_maps` serve its one task as a fused model's do."""
 
     id: str
@@ -74,20 +74,17 @@ class ExpertModel:
         return {self.task_id: self.label_map}
 
 
-def train_expert(data: LabeledDataset, cfg: TrainConfig, val_data=None,
-                 task_id=None, expert_id=None):
-    """Train encoder + head with cross-entropy in `run_epochs`; returns
-    (model, per-epoch rows {"epoch", "train_loss", "val_loss", "val_acc"}).
+def train_expert(data: LabeledDataset, cfg: TrainConfig, task_id,
+                 val_data=None, expert_id=None):
+    """Train encoder + head on task `task_id` of `data` with cross-entropy
+    in `run_epochs`; returns (model, per-epoch rows {"epoch", "train_loss",
+    "val_loss", "val_acc"}). The model's id is `expert_id` or the task id.
 
-    `data` must carry exactly one task unless `task_id` picks one. A task
-    whose training split holds fewer than two distinct classes is rejected.
-    Each epoch is scored on `val_data` outside the `training` scope of its
-    batch loop; if `val_data` is None or has no rows, both scores are NaN.
+    A task whose training split holds fewer than two distinct classes is
+    rejected. Each epoch is scored on `val_data` outside the `training`
+    scope of its batch loop; if `val_data` is None or has no rows, both
+    scores are NaN.
     """
-    if task_id is None:
-        if len(data.task_ids) != 1:
-            raise ValueError("dataset has several tasks; pass task_id")
-        task_id = data.task_ids[0]
     labels = data.labels[task_id]
     label_map = data.label_maps[task_id]
     present = np.unique(labels)
@@ -176,35 +173,36 @@ def _evaluate_split(model, data, task_id):
 
 
 def expert_representation(model, x):
-    """Encoder output in eval mode: the representation shared into fusion.
+    """Encoder output in eval mode for the (N, 912) row batch x: the
+    representation shared into fusion, (N, 912), or (E, N, 912) for a
+    fused model's E stacked experts (`nn.stack_encoders`). Any other input
+    shape is a ValueError naming it.
 
-    `model.encoder` is an expert's encoder, or a fused model's E stacked
-    experts (`nn.stack_encoders`), which prepend the expert axis: (E,) +
-    x.shape. Rows go through the encoder in blocks of EVAL_ROWS // E, so
-    a block's intermediates ((EVAL_ROWS, 24, 152) fp64 at most) stay in L2
-    cache and the transient memory does not grow with the row count.
-    The result is bit-identical to one unblocked call, and a stacked pass
-    to one pass per expert: every encoder op works row by row, and its
-    matmuls are stacked per-row products whose arithmetic does not depend
-    on how many rows or experts share the call.
+    Rows go through the encoder in blocks of EVAL_ROWS // E, so a block's
+    intermediates ((EVAL_ROWS, 24, 152) fp64 at most) stay in L2 cache and
+    the transient memory does not grow with the row count. The result is
+    bit-identical to one unblocked call, and a stacked pass to one pass per
+    expert: every encoder op works row by row, and its matmuls are stacked
+    per-row products whose arithmetic does not depend on how many rows or
+    experts share the call.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != INPUT_DIM:
-        raise ValueError(f"expected input of length {INPUT_DIM}, "
-                         f"got {x.shape[-1]}")
-    rows = x.reshape(-1, INPUT_DIM)
+    if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+        raise ValueError(f"expected (rows, {INPUT_DIM}) input, "
+                         f"got shape {x.shape}")
     # a stacked (E, 1, d, e) weight leads with (E,); a plain one with ()
     lead = model.encoder["attn.q.w"].data.shape[:-3]
     block_rows = max(1, EVAL_ROWS // math.prod(lead))
-    out = np.empty(lead + rows.shape)
-    for start in range(0, rows.shape[0], block_rows):
+    out = np.empty(lead + x.shape)
+    for start in range(0, x.shape[0], block_rows):
         block = slice(start, start + block_rows)
-        out[..., block, :] = encoder_forward(model.encoder, rows[block]).data
-    return out.reshape(lead + x.shape)
+        out[..., block, :] = encoder_forward(model.encoder, x[block]).data
+    return out
 
 
 def expert_predict(model: ExpertModel, x):
-    """Class probability vector(s) from the full encoder + head forward.
+    """(N, classes) probabilities for the (N, 912) row batch x from the
+    full encoder + head forward.
 
     The head runs on all rows at once: a 1-row block would take numpy's
     matrix-vector path and change the last bit of the result.

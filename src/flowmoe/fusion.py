@@ -70,12 +70,13 @@ class GateConfig:
 
 
 def gate_output(gate: GateConfig, stacked, x=None):
-    """Gated input Tensor from `stacked` (n, 912) or (n, B, 912) expert rows.
+    """Gated (B, 912) input Tensor from `stacked` (n, B, 912) expert rows.
 
     Every gate is one `gate_mix` node over its subset's rows, a new array,
     weighing each row 1/|S| (a one-expert gate gives its row bit for bit) or,
     for a trainable gate, by the softmax of its linear over the input Tensor
-    `x`. Raises ValueError on a wrong row count or non-finite weights.
+    `x` (B, 912). Raises ValueError on a wrong row count or non-finite
+    weights.
     """
     if stacked.shape[0] != gate.n_experts:
         raise ValueError(f"expected {gate.n_experts} expert rows, "
@@ -92,8 +93,8 @@ def gate_output(gate: GateConfig, stacked, x=None):
 
 def tower_forward(model, gated, labels=None, dropout_stream=None,
                   dropout_rate=0.0):
-    """Each task's tower on its gated input (`gated`: task -> (912,) or
-    (B, 912) Tensor or array), in train mode given a `dropout_stream`.
+    """Each task's tower on its gated input (`gated`: task -> (B, 912)
+    Tensor or array), in train mode given a `dropout_stream`.
 
     Returns (logits, losses, total): per-task logits and, given `labels`
     (task -> class indices), per-task cross-entropies and their sum weighted
@@ -143,8 +144,8 @@ class FusedModel:
     `fusion_structure` derived task order, gates, label maps, loss weights.
 
     `encoder` is the only copy of the experts' encoder weights, stacked
-    (`nn.stack_encoders`); `experts` holds each expert's id, task id and
-    label map, with neither encoder nor head.
+    (`nn.stack_encoders`); `experts` holds each expert's id and label map,
+    with neither encoder nor head (and no task id, which files do not keep).
     """
 
     experts: list
@@ -158,8 +159,9 @@ class FusedModel:
 
 
 def concat_representations(model: FusedModel, x):
-    """(n,) + x.shape expert representations, row j = expert j's encoder
-    output, from one stacked encoder pass over all n experts.
+    """(n, N, 912) expert representations of the (N, 912) row batch x,
+    row j = expert j's encoder output, from one stacked encoder pass over
+    all n experts.
 
     The pass runs in blocks of EVAL_ROWS // n rows, so a block holds as
     many row-encodings as one expert's block.
@@ -167,13 +169,12 @@ def concat_representations(model: FusedModel, x):
     return expert_representation(model, x)
 
 
-def gated_chunks(model: FusedModel, X, tasks, cache=None):
+def gated_chunks(model: FusedModel, X, tasks):
     """Yield (row slice, {task: gated input Tensor}) per chunk of
     CLASSIFY_ROWS rows of the (N, 912) X; a tail under MIN_TOWER_ROWS rows
     joins the previous chunk. A chunk is one stacked `concat_representations`
-    pass, copied into `cache` ((E, N, 912)) if given, then `gate_output` per
-    task, each a new array. It is let go before the next pass, so a consumer
-    that drops `gated` after each step holds one.
+    pass, then `gate_output` per task, each a new array. It is let go before
+    the next pass, so a consumer that drops `gated` after each step holds one.
     """
     bounds = list(range(0, len(X), CLASSIFY_ROWS)) + [len(X)]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] < MIN_TOWER_ROWS:
@@ -181,8 +182,6 @@ def gated_chunks(model: FusedModel, X, tasks, cache=None):
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
         stacked = Tensor(concat_representations(model, X[rows]))
-        if cache is not None:
-            cache[:, rows] = stacked.data
         gated = {task: gate_output(model.gates[task], stacked,
                                    Tensor(X[rows])) for task in tasks}
         stacked = None
@@ -190,11 +189,11 @@ def gated_chunks(model: FusedModel, X, tasks, cache=None):
         gated = None
 
 
-def gated_inputs(model: FusedModel, X, tasks, cache=None):
+def gated_inputs(model: FusedModel, X, tasks):
     """{task: (N, 912) gated input array} for `tasks` over the rows X, filled
-    chunk by chunk from `gated_chunks(model, X, tasks, cache)`."""
+    chunk by chunk from `gated_chunks(model, X, tasks)`."""
     out = {task: np.empty((X.shape[0], INPUT_DIM)) for task in tasks}
-    for rows, gated in gated_chunks(model, X, tasks, cache):
+    for rows, gated in gated_chunks(model, X, tasks):
         for task, tensor in gated.items():
             out[task][rows] = tensor.data
         gated = tensor = None        # let the chunk go before the next pass
@@ -286,8 +285,7 @@ def fusion_structure(experts, relations) -> FusedModel:
         for spec in rel.tasks]) for rel in relations]
     return FusedModel(
         experts=[ExpertModel(id=e.id, encoder=None, head=None,
-                             label_map=list(e.label_map), task_id=e.task_id)
-                 for e in experts],
+                             label_map=list(e.label_map)) for e in experts],
         task_ids=list(gates), gates=gates, towers={}, relations=resolved,
         label_maps=label_maps, loss_weights=loss_weights,
         encoder=stack_encoders([e.encoder for e in experts]))
@@ -329,29 +327,39 @@ def default_finetune_config(mode: FusionMode, **overrides) -> TrainConfig:
     return TrainConfig(**fields)
 
 
-def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
+def check_labels(model, data: LabeledDataset, tasks=None):
+    """The task ids `tasks` (default: all the model's), each checked to be a
+    task of the model, expert or fused, that `data` labels under the
+    model's label map; otherwise a ValueError names the task."""
+    tasks = list(tasks or model.task_ids)
+    unknown = [t for t in tasks if t not in model.task_ids]
+    if unknown:
+        raise ValueError(f"model has no task(s) {unknown}")
+    missing = [t for t in tasks if t not in data.labels]
+    if missing:
+        raise ValueError(f"dataset lacks labels for task(s) {missing}")
+    for t in tasks:
+        if list(data.label_maps[t]) != list(model.label_maps[t]):
+            raise ValueError(f"task {t!r}: dataset label map does not match "
+                             f"the model's")
+    return tasks
+
+
+def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig,
               unfreeze_experts=False):
-    """Fine-tune towers and trainable gates, and with `unfreeze_experts`
-    the model's stacked copy of the experts' encoders too.
+    """Fine-tune towers and trainable gates under `cfg`, and with
+    `unfreeze_experts` the model's stacked copy of the experts' encoders too.
 
     The per-batch loss is the alpha-weighted sum of one cross-entropy per
     task; gradients for task k touch only tower k (and the shared gates /
     experts when trainable). Frozen experts' representations are constant:
-    each fixed gate's (N, 912) input is formed once by `gated_inputs`, in
-    whose pass the (E, N, 912) representations are cached only for
-    trainable gates, which mix per batch. The batches run in `run_epochs`
-    over the sets they update. Returns (model, per-epoch rows {"epoch",
-    "total", <task>...: mean loss}).
+    each fixed gate's (N, 912) input is formed once by `gated_inputs`, and
+    trainable gates, which mix per batch, read the (E, N, 912) array of
+    `concat_representations`. The batches run in `run_epochs` over the sets
+    they update. Returns (model, per-epoch rows {"epoch", "total",
+    <task>...: mean loss}).
     """
-    if cfg is None:
-        cfg = default_finetune_config(model.relations[0].mode)
-    missing = [t for t in model.task_ids if t not in data.labels]
-    if missing:
-        raise ValueError(f"dataset lacks labels for task(s) {missing}")
-    for task in model.task_ids:
-        if list(data.label_maps[task]) != list(model.label_maps[task]):
-            raise ValueError(f"task {task!r}: dataset label map does not match "
-                             f"the fused model's")
+    check_labels(model, data)
 
     shuffle_seed, drop_seed = seed_streams(cfg.seed, 2)
     stream = DropoutStream(drop_seed)
@@ -367,9 +375,10 @@ def fine_tune(model: FusedModel, data: LabeledDataset, cfg: TrainConfig = None,
     premixed, cached = {}, None
     if not unfreeze_experts:
         fixed = [t for t, g in model.gates.items() if g.linear is None]
+        if fixed:
+            premixed = gated_inputs(model, feats, fixed)
         if len(fixed) < len(model.gates):
-            cached = np.empty((len(model.experts), m, INPUT_DIM))
-        premixed = gated_inputs(model, feats, fixed, cached)
+            cached = concat_representations(model, feats)
 
     def step(idx):
         x = Tensor(feats[idx])
@@ -398,15 +407,16 @@ class TaskPrediction:
 def classify_batch(model: FusedModel, X):
     """Per task, (label indices, class probabilities) for the rows of X.
 
+    X is an (N, 912) row batch; any other shape is a ValueError naming it.
     Rows go through in `gated_chunks`: per chunk, one stacked pass over all
     experts, the gates (each a new gated array), one `tower_forward` over
     all towers, softmax and argmax, written into arrays allocated once, so
     the transient memory does not grow with the row count.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != INPUT_DIM:
-        raise ValueError(f"expected input of length {INPUT_DIM}, "
-                         f"got {X.shape[1]}")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != INPUT_DIM:
+        raise ValueError(f"expected (rows, {INPUT_DIM}) input, "
+                         f"got shape {X.shape}")
     out = {task: (np.empty(X.shape[0], dtype=np.intp),
                   np.empty((X.shape[0], len(model.label_maps[task]))))
            for task in model.task_ids}
@@ -437,7 +447,7 @@ def classify(model: FusedModel, x):
         raise ValueError(f"classify takes one flow of shape ({INPUT_DIM},) "
                          f"or (1, {INPUT_DIM}), got {x.shape}; use "
                          f"classify_batch for several flows")
-    batch = classify_batch(model, x)
+    batch = classify_batch(model, x.reshape(1, INPUT_DIM))
     result = {}
     for task, (indices, probs) in batch.items():
         idx = int(indices[0])

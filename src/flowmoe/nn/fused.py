@@ -93,12 +93,12 @@ def softmax_rows_backward(y, g):
 def cross_entropy(logits, labels):
     """Mean negative log-likelihood of the true classes, as a scalar Tensor.
 
-    `logits` are unnormalized scores, (k,) or (n, k); the loss is
-    mean(logsumexp(z) - z[label]) and its gradient (softmax(z) - onehot) / n.
-    `labels` is an int index or an int array matching the leading dimension.
+    `logits` are unnormalized (n, k) scores of a row batch and `labels`
+    its (n,) int class indices; the loss is mean(logsumexp(z) - z[label])
+    and its gradient (softmax(z) - onehot) / n.
     """
-    z = logits.data.reshape(1, -1) if logits.data.ndim == 1 else logits.data
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    z = logits.data
+    lab = np.asarray(labels, dtype=np.int64)
     n, k = z.shape
     if lab.shape != (n,):
         raise ValueError(f"labels shape {lab.shape} does not match batch {n}")
@@ -114,7 +114,7 @@ def cross_entropy(logits, labels):
         gz = expd / total
         gz[rows, lab] -= 1.0
         gz *= g / n
-        return ((logits, gz.reshape(logits.shape)),)
+        return ((logits, gz),)
 
     return Tensor._result(np.float64(loss), (logits,), backward)
 

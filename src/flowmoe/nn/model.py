@@ -163,19 +163,15 @@ def _dropout_mask(shape, train_mode, stream, rate):
 
 def head_forward(params, x, train_mode=False, dropout_stream=None,
                  dropout_rate=0.2):
-    """Two-layer head: linear -> ReLU -> dropout -> linear (logits), on
-    (B, 912) or (912,) input."""
+    """Two-layer head: linear -> ReLU -> dropout -> linear (logits), on a
+    (B, 912) row batch, Tensor or array; returns (B, n_out) logits."""
     xt = x if isinstance(x, Tensor) else Tensor(x)
-    squeeze = xt.data.ndim == 1
-    if squeeze:
-        xt = xt.reshape(1, -1)
     h = relu(xt @ params["fc1.w"] + params["fc1.b"])
     mask, keep = _dropout_mask(h.shape, train_mode, dropout_stream,
                                dropout_rate)
     if mask is not None:
         h = dropout(h, mask, keep)
-    logits = h @ params["fc2.w"] + params["fc2.b"]
-    return logits.reshape(logits.data.shape[-1]) if squeeze else logits
+    return h @ params["fc2.w"] + params["fc2.b"]
 
 
 def backward(loss, *param_sets):

@@ -33,15 +33,6 @@ class ParamSet:
     def __getitem__(self, name) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name):
-        return name in self._tensors
-
-    def __len__(self):
-        return len(self._tensors)
-
-    def names(self):
-        return list(self._tensors)
-
     def items(self):
         return self._tensors.items()
 

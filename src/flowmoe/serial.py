@@ -94,9 +94,9 @@ def _tensor_entry(path, entry):
 
 def header_field(path, header, key, kind=str):
     """header[key] if present and of type `kind`, else a ValueError naming
-    the file and the key."""
+    the file and the key; JSON true/false is not an int or a float here."""
     value = header.get(key) if isinstance(header, dict) else None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{path}: header field {key!r} is missing or "
                          f"of the wrong type")
     return value

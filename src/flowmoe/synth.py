@@ -33,12 +33,6 @@ class ClassProfile:
     window_mean: float = 16000.0
     window_sigma: float = 500.0
 
-    def __post_init__(self):
-        if self.payload_sigma < 0 or self.pkt_len_sigma < 0 or self.iat_log_sigma < 0:
-            raise ValueError("negative sigma")
-        if np.any(self.fwd_prob < 0) or np.any(self.fwd_prob > 1):
-            raise ValueError("fwd_prob outside [0,1]")
-
 
 @dataclass
 class GeneratorSpec:

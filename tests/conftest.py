@@ -36,10 +36,8 @@ def two_task_data():
 @pytest.fixture(scope="session")
 def trained_experts(two_task_data):
     train, _val, _test = two_task_data
-    app, _ = train_expert(train.single_task("app"),
-                          TrainConfig(epochs=10, seed=11), task_id="app")
-    encap, _ = train_expert(train.single_task("encap"),
-                            TrainConfig(epochs=10, seed=12), task_id="encap")
+    app, _ = train_expert(train, TrainConfig(epochs=10, seed=11), "app")
+    encap, _ = train_expert(train, TrainConfig(epochs=10, seed=12), "encap")
     return app, encap
 
 

@@ -31,6 +31,6 @@ def trainable(params):
 
 def to_vector(params):
     """Every parameter of the ParamSet raveled into one array, in order."""
-    if not len(params):
+    if not params.tensors():
         return np.zeros(0)
     return np.concatenate([t.data.ravel() for t in params.tensors()])

@@ -29,7 +29,7 @@ def mode1_setup(seed, flows_per_class=150):
     train, val, test = split_dataset(generate_dataset(spec), seed=seed + 1000)
     experts = []
     for i, task in enumerate(("app", "encap")):
-        model, _ = train_expert(train.single_task(task),
+        model, _ = train_expert(train,
                                 TrainConfig(epochs=EXPERT_EPOCHS,
                                             seed=seed * 17 + i),
                                 task_id=task)
@@ -138,7 +138,7 @@ def mode3_setup(seed, flows_per_class=80):
     new_idx = np.array([i for i, n in enumerate(fine_names(train))
                         if n in MODE3_NEW])
     coarse_expert, _ = train_expert(
-        train.subset(old_idx).single_task("verdict"),
+        train.subset(old_idx),
         TrainConfig(epochs=EXPERT_EPOCHS, seed=seed * 31 + 1),
         task_id="verdict", expert_id="coarse")
     fine_view = _single_task_view(train.subset(new_idx), "tool", MODE3_NEW,

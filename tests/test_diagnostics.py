@@ -1,6 +1,7 @@
 """Convergence checker on closed-form quadratics; gate anomaly detector."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -96,6 +97,12 @@ def test_quadratic_family_20_seeds():
                                 snapshots=snaps,
                                 snapshot_steps=range(len(snaps)))
         assert rep.verdict == "VIOLATION", f"c={c} alpha={bad_alpha}"
+
+
+def test_convergence_note_without_c_hat_says_none_was_given():
+    rep = check_convergence(LossTrace([3.0, 2.0, 1.0], 0.1))
+    assert rep.notes == ["no c_hat given: bound curve not checked"]
+    assert not rep.bound_checked
 
 
 def test_empty_trace_rejected():
@@ -386,3 +393,29 @@ def test_tower_gd_leaves_the_towers_as_it_found_them(trained_experts,
                 tensor = fused.towers[t][name]
                 assert np.array_equal(tensor.data, arr), (t, name)
                 assert tensor.grad is None
+
+
+def test_tower_gd_rejects_a_set_under_another_label_map(trained_experts,
+                                                        two_task_data):
+    from flowmoe.diagnostics import run_tower_gd
+    data = two_task_data[0].subset(np.arange(48))
+    names = data.label_maps["app"]
+    index = np.array([names[::-1].index(name) for name in names])
+    reversed_app = dataclasses.replace(
+        data, labels={**data.labels, "app": index[data.labels["app"]]},
+        label_maps={**data.label_maps, "app": names[::-1]})
+    with pytest.raises(ValueError, match="^task 'app': dataset label map "
+                                         "does not match the model's$"):
+        run_tower_gd(_mode1_fused(trained_experts), reversed_app, steps=2)
+
+
+def test_tower_gd_rejects_a_set_lacking_a_task(trained_experts,
+                                               two_task_data):
+    from flowmoe.diagnostics import run_tower_gd
+    data = two_task_data[0].subset(np.arange(48))
+    app_only = dataclasses.replace(
+        data, labels={"app": data.labels["app"]},
+        label_maps={"app": data.label_maps["app"]})
+    with pytest.raises(ValueError, match=r"^dataset lacks labels for "
+                                         r"task\(s\) \['encap'\]$"):
+        run_tower_gd(_mode1_fused(trained_experts), app_only, steps=2)

@@ -166,7 +166,7 @@ def test_evaluate_rejects_a_test_set_under_another_label_map(
         seed=1)
     test = two_task_data[2].subset(np.arange(60))
     assert set(evaluate(model, test, ["app"])) == {"app"}
-    with pytest.raises(ValueError, match="^task 'app': test set label map "
+    with pytest.raises(ValueError, match="^task 'app': dataset label map "
                                          "does not match the model's$"):
         evaluate(model, _reordered(test, "app"), ["app"])
 

@@ -16,8 +16,8 @@ from nn_helpers import state_dict
 
 def _bit_equal(a, b):
     """Same parameter names in the same order, with bitwise-equal values."""
-    return a.names() == b.names() and all(
-        np.array_equal(a[n].data, b[n].data) for n in a.names())
+    return list(dict(a.items())) == list(dict(b.items())) and all(
+        np.array_equal(t.data, b[n].data) for n, t in a.items())
 
 
 def test_defaults_match_stated_hyperparameters():
@@ -47,7 +47,7 @@ def test_degenerate_task_rejected(rng):
 
 def test_training_reaches_high_accuracy(two_task_data):
     train, val, test = two_task_data
-    model, trace = train_expert(train.single_task("app"),
+    model, trace = train_expert(train,
                                 TrainConfig(epochs=8, seed=3),
                                 val_data=val, task_id="app")
     assert len(trace) == 8
@@ -61,7 +61,7 @@ def test_same_seed_identical_traces(two_task_data):
     train = two_task_data[0].subset(np.arange(96))
     runs = []
     for _ in range(2):
-        model, trace = train_expert(train.single_task("encap"),
+        model, trace = train_expert(train,
                                     TrainConfig(epochs=3, seed=7),
                                     task_id="encap")
         runs.append((model, [s["train_loss"] for s in trace]))
@@ -77,32 +77,36 @@ def test_training_step_releases_the_previous_steps_graph(two_task_data):
     on through the next step's forward."""
     from memtrace import traced_peak
 
-    train = two_task_data[0].subset(np.arange(0, 256, 4)).single_task("encap")
+    train = two_task_data[0].subset(np.arange(0, 256, 4))
     _, peak = traced_peak(train_expert, train,
-                          TrainConfig(epochs=1, batch_size=32, seed=7))
+                          TrainConfig(epochs=1, batch_size=32, seed=7),
+                          "encap")
     batch_bytes = 32 * INPUT_DIM * 8            # one (32, 912) array
     assert peak / batch_bytes <= 72
 
 
 def test_representation_shape_and_purity(trained_experts, two_task_data):
     app, _ = trained_experts
-    x = two_task_data[2].features[0]
+    x = two_task_data[2].features[:1]
     rep = expert_representation(app, x)
-    assert rep.shape == (INPUT_DIM,)
+    assert rep.shape == (1, INPUT_DIM)
     assert np.array_equal(rep, expert_representation(app, x))
     with pytest.raises(ValueError):
-        expert_representation(app, np.zeros(100))
+        expert_representation(app, np.zeros((1, 100)))
+    # row batches only: one flow is a (1, 912) batch
+    with pytest.raises(ValueError, match=r"got shape \(912,\)"):
+        expert_representation(app, x[0])
 
 
 def test_representation_equals_instrumented_predict(trained_experts,
                                                     two_task_data):
     # oracle: rerun the full predict pipeline capturing the hidden activation
     app, _ = trained_experts
-    x = two_task_data[2].features[3]
-    hidden = encoder_forward(app.encoder, x[None])
+    x = two_task_data[2].features[3:4]
+    hidden = encoder_forward(app.encoder, x)
     probs = softmax(head_forward(app.head, hidden)).data
-    assert np.array_equal(expert_representation(app, x), hidden.data[0])
-    assert np.allclose(expert_predict(app, x), probs[0], atol=0)
+    assert np.array_equal(expert_representation(app, x), hidden.data)
+    assert np.allclose(expert_predict(app, x), probs, atol=0)
 
 
 def test_blocked_eval_is_bit_identical_to_one_pass(trained_experts,
@@ -174,7 +178,7 @@ def test_untrained_model_near_uniform_on_zero_input(rng):
     from flowmoe.nn import init_encoder, init_head
     model = ExpertModel(id="fresh", encoder=init_encoder(rng),
                         head=init_head(rng, 3), label_map=["a", "b", "c"])
-    probs = expert_predict(model, np.zeros(INPUT_DIM))
+    probs = expert_predict(model, np.zeros((1, INPUT_DIM)))
     # zero-initialized head bias: logits stay small, so no class dominates
     assert np.all(probs > 0.05) and np.all(probs < 0.9)
 
@@ -228,7 +232,7 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_loss_trace_csv(tmp_path, two_task_data):
     train = two_task_data[0].subset(np.arange(0, 256, 4))
-    _, trace = train_expert(train.single_task("encap"),
+    _, trace = train_expert(train,
                             TrainConfig(epochs=2, seed=1), task_id="encap")
     path = tmp_path / "trace.csv"
     write_loss_trace(path, trace)

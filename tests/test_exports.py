@@ -1,5 +1,6 @@
 """Every name a package lists in __all__ resolves, and neither `flowmoe`
-nor `flowmoe.nn` exports a function or class that only tests use."""
+nor `flowmoe.nn` exports a function, class, method or property that only
+tests use."""
 
 import ast
 import importlib
@@ -45,12 +46,41 @@ def test_every_nn_function_and_class_is_used_by_the_library():
     assert _unused_exports(flowmoe.nn, users) == []
 
 
+def _bench_modules():
+    """perfbench's modules without its own tests."""
+    bench = [path for path in sorted(PERFBENCH.glob("*.py"))
+             if not path.name.startswith("test_")]
+    assert bench, f"no perfbench modules found under {PERFBENCH}"
+    return bench
+
+
 def test_every_flowmoe_function_and_class_is_used_by_the_library():
     # perfbench counts as a user: its single-flow calls are `classify`'s
     # only caller; its own tests do not count
     init = ROOT / "__init__.py"
-    bench = [path for path in sorted(PERFBENCH.glob("*.py"))
-             if not path.name.startswith("test_")]
-    assert bench, f"no perfbench modules found under {PERFBENCH}"
-    users = [path for path in ROOT.rglob("*.py") if path != init] + bench
-    assert _unused_exports(flowmoe, users) == []
+    users = [path for path in ROOT.rglob("*.py") if path != init]
+    assert _unused_exports(flowmoe, users + _bench_modules()) == []
+
+
+def _public_members(cls):
+    """The public methods and properties that `cls` defines itself."""
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_") and (
+                inspect.isfunction(value)
+                or isinstance(value, (property, classmethod, staticmethod)))]
+
+
+def test_every_public_method_of_an_exported_class_is_used_by_the_library():
+    # a method or property that only tests call belongs under tests/ too
+    attributes = {node.attr
+                  for path in list(ROOT.rglob("*.py")) + _bench_modules()
+                  for node in ast.walk(ast.parse(path.read_text(
+                      encoding="utf-8")))
+                  if isinstance(node, ast.Attribute)}
+    classes = {getattr(module, name) for module in (flowmoe, flowmoe.nn)
+               for name in module.__all__
+               if inspect.isclass(getattr(module, name))}
+    unused = sorted(f"{cls.__name__}.{name}" for cls in classes
+                    for name in _public_members(cls)
+                    if name not in attributes)
+    assert unused == []

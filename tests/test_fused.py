@@ -107,7 +107,7 @@ def test_fused_op_gradients_match_finite_differences(case):
         return tsum(op() * coef)
 
     grads, = backward(loss(), ps)
-    assert set(grads) == set(ps.names())
+    assert set(grads) == set(dict(ps.items()))
     check_gradients(lambda: loss().item(), ps, grads, rel_tol=1e-4,
                     max_coords=12, rng=rng)
 
@@ -116,7 +116,7 @@ def test_fused_op_gradients_match_finite_differences(case):
 def test_fused_op_forms_gradients_only_for_trainable_parents(case):
     rng = np.random.default_rng(31)
     ps, op = CASES[case](rng)
-    names = ps.names()
+    names = list(dict(ps.items()))
     for trainable in ([], [names[0]], names[1:2], names[-1:], names[::2]):
         for name, t in ps.items():
             t.requires_grad = name in trainable
@@ -161,7 +161,7 @@ def test_fused_encoder_gradients_match_composed_oracle(encoder, train_mode):
     ref_rep, ref_loss, (ref_enc_g, ref_head_g) = run(composed_encoder_forward)
     np.testing.assert_allclose(rep, ref_rep, rtol=1e-12, atol=1e-12)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-    assert set(enc_g) == set(ref_enc_g) == set(encoder.names())
+    assert set(enc_g) == set(ref_enc_g) == set(dict(encoder.items()))
     # fp64 rounding only, far inside criterion 01's 1e-4; the attention key
     # bias has a true gradient of 0, so its entries are rounding noise
     for grads, ref in ((enc_g, ref_enc_g), (head_g, ref_head_g)):
@@ -227,7 +227,7 @@ def test_stacked_encoder_gradients_match_finite_differences():
         return tsum(encoder_forward(stacked, x) * coef)
 
     grads, = backward(loss(), stacked)
-    assert set(grads) == set(stacked.names())
+    assert set(grads) == set(dict(stacked.items()))
     check_gradients(lambda: loss().item(), stacked, grads, rel_tol=1e-4,
                     max_coords=4, rng=rng)
 

@@ -1,6 +1,7 @@
 """Gate contracts, fusion configuration, fine-tuning, and inference."""
 
 import copy
+import dataclasses
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ from flowmoe.fusion import (FusionMode, GateConfig, TaskRelation,
                             fusion_structure, gate_output, gated_chunks,
                             gated_inputs, load_any_model, load_fusion_config,
                             predict, save_fused, tower_forward)
-from flowmoe.expert import ExpertModel
+from flowmoe.expert import ExpertModel, TrainConfig
 from flowmoe.nn import (INPUT_DIM, ParamSet, Tensor, backward, cross_entropy,
                         encoder_forward, encoder_shapes, head_forward,
                         init_encoder, init_head, mixing_weights, training)
@@ -261,12 +262,12 @@ def _independent(*experts):
 
 def test_concat_representations_rows(trained_experts, two_task_data, rng):
     app, encap = trained_experts
-    x = two_task_data[2].features[0]
+    x = two_task_data[2].features[:1]
     single = concat_representations(_independent(app), x)
-    assert single.shape == (1, INPUT_DIM)
+    assert single.shape == (1, 1, INPUT_DIM)
     assert np.array_equal(single[0], expert_representation(app, x))
     stacked = concat_representations(_independent(app, encap), x)
-    assert stacked.shape == (2, INPUT_DIM)
+    assert stacked.shape == (2, 1, INPUT_DIM)
     assert np.array_equal(stacked[0], expert_representation(app, x))
     assert np.array_equal(stacked[1], expert_representation(encap, x))
     # permuting experts permutes rows
@@ -288,7 +289,8 @@ def test_stacked_pass_matches_per_expert_oracle(n_experts, rows):
     out = concat_representations(fused, x)
     assert out.shape == (n_experts, rows, INPUT_DIM)
     assert np.array_equal(out, expected)
-    assert np.array_equal(concat_representations(fused, x[0]), expected[:, 0])
+    assert np.array_equal(concat_representations(fused, x[:1]),
+                          expected[:, :1])
 
 
 def test_single_flow_classify_matches_its_batch_row(trained_experts,
@@ -302,7 +304,8 @@ def test_single_flow_classify_matches_its_batch_row(trained_experts,
     reps = concat_representations(fused, X)
     batch = classify_batch(fused, X)
     for i in range(len(X)):
-        assert np.array_equal(concat_representations(fused, X[i]), reps[:, i])
+        assert np.array_equal(concat_representations(fused, X[i:i + 1]),
+                              reps[:, i:i + 1])
         single = classify(fused, X[i])
         for task in fused.task_ids:
             assert single[task].label_index == batch[task][0][i]
@@ -535,7 +538,7 @@ def test_classify_matches_standalone_path(trained_experts, two_task_data):
     fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=2)
     test = two_task_data[2]
     for i in range(5):
-        x = test.features[i]
+        x = test.features[i:i + 1]
         result = classify(fused, x)
         assert set(result) == {"app", "encap"}
         for task, expert in zip(("app", "encap"), trained_experts):
@@ -649,6 +652,16 @@ def test_classify_takes_exactly_one_flow(trained_experts, two_task_data):
             classify(fused, bad)
 
 
+def test_classify_batch_takes_only_row_batches(trained_experts,
+                                               two_task_data):
+    fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
+    X = two_task_data[2].features
+    for bad in (X[0], X[None, :2], X[:2, :100]):
+        shape = re.escape(str(bad.shape))
+        with pytest.raises(ValueError, match=f"got shape {shape}$"):
+            classify_batch(fused, bad)
+
+
 @pytest.mark.parametrize("mode", list(FusionMode), ids=lambda m: m.value)
 def test_eval_gives_the_same_bits_on_trainable_and_frozen_models(
         trained_experts, two_task_data, mode):
@@ -738,16 +751,10 @@ def test_gated_inputs_match_one_gate_output_over_the_whole_stack(n, chunks):
     tasks = model.task_ids
     assert [rows.stop - rows.start
             for rows, _ in gated_chunks(model, X, tasks)] == chunks
-    cache = np.empty_like(whole)
-    got = gated_inputs(model, X, tasks, cache)
+    got = gated_inputs(model, X, tasks)
     assert list(got) == tasks
     for task in tasks:
         assert np.array_equal(got[task], want[task]), task
-    assert np.array_equal(cache, whole)
-    # no gated task: the pass only fills the cache
-    cache[...] = np.nan
-    assert gated_inputs(model, X, [], cache) == {}
-    assert np.array_equal(cache, whole)
 
 
 def test_fine_tune_and_tower_objective_memory_does_not_grow_with_rows():
@@ -798,16 +805,17 @@ def test_fine_tune_freezes_experts_and_isolates_tasks(trained_experts,
         loss = cross_entropy(head_forward(app_tower, Tensor(gated)),
                              train.labels["app"][:16])
         app_grads, enc_grads = backward(loss, app_tower, enc_tower)
-    assert set(app_grads) == set(app_tower.names())
+    assert set(app_grads) == set(dict(app_tower.items()))
     assert enc_grads == {}
 
 
 def test_fine_tune_rejects_missing_task(trained_experts, two_task_data):
     train = two_task_data[0]
     fused = configure_fusion(list(trained_experts), _mode1_relation(), seed=3)
-    only_app = train.single_task("app")
+    only_app = dataclasses.replace(train, labels={"app": train.labels["app"]},
+                                   label_maps={"app": train.label_maps["app"]})
     with pytest.raises(ValueError, match="encap"):
-        fine_tune(fused, only_app)
+        fine_tune(fused, only_app, TrainConfig(epochs=1))
 
 
 def test_fine_tune_rejects_non_finite_loss(trained_experts, two_task_data):
@@ -884,7 +892,7 @@ def test_multitask_tower_forward_contract(trained_experts, two_task_data, mode):
         term = ce * fused.loss_weights[task]
         expected = term if expected is None else expected + term
     assert total.item() == expected
-    assert all(set(g) == set(fused.towers[t].names())
+    assert all(set(g) == set(dict(fused.towers[t].items()))
                for t, g in zip(fused.towers, grads))
 
     # without labels: logits only

@@ -147,7 +147,7 @@ def test_frozen_encoder_receives_no_gradients(encoder):
                              np.array([0, 1]))
         enc_grads, head_grads = backward(loss, encoder, head)
     assert enc_grads == {}
-    assert set(head_grads) == set(head.names())
+    assert set(head_grads) == set(dict(head.items()))
 
 
 def test_zero_output_head_starts_uniform():

@@ -57,7 +57,7 @@ def test_shape_schemas_match_initializers(n):
     for shapes, params in ((encoder_shapes(), init_encoder(rng)),
                            (head_shapes(n), init_head(rng, n)),
                            (gate_linear_shapes(n), init_gate_linear(n))):
-        assert list(shapes) == params.names()
+        assert list(shapes) == list(dict(params.items()))
         assert all(params[k].data.shape == s for k, s in shapes.items())
 
 
@@ -68,7 +68,7 @@ def test_valid_files_load_bit_for_bit(model_files):
         assert np.array_equal(model.encoder[name].data, t.data)
     kind, fused = load_any_model(model_files["fused"])
     assert kind == "fused"
-    assert set(fused.gates["tool"].linear.names()) == {"w", "b"}
+    assert set(dict(fused.gates["tool"].linear.items())) == {"w", "b"}
 
 
 def _split(path):
@@ -125,6 +125,10 @@ def _negative_alpha(header):
     _task(header, 0)["alpha"] = -0.5
 
 
+def _bool_alpha(header):
+    _task(header, 0)["alpha"] = True
+
+
 def _repeated_label(header):
     _task(header, 1)["labels"] = ["x", "y", "x"]
     del header["relations"][0]["nesting"]["z"]
@@ -146,6 +150,7 @@ def _no_relations(header):
     (_unknown_mode, "'IV' is not a valid FusionMode"),
     (_nan_alpha, "task 'verdict': non-finite loss weight"),
     (_negative_alpha, "task 'verdict': negative loss weight -0.5"),
+    (_bool_alpha, "header field 'alpha' is missing or of the wrong type"),
     (_repeated_label, r"task 'tool': label map \['x', 'y', 'x'\] names a "
                       r"label twice"),
     (_no_relations, "no tasks declared"),
@@ -158,6 +163,17 @@ def test_inconsistent_fused_header_is_rejected(model_files, tmp_path, damage,
     broken.write_bytes(_frame(prefix, header, payload))
     with pytest.raises(ValueError, match=f"^{broken}: .*{message}"):
         load_any_model(broken)
+
+
+def test_fused_expert_records_survive_a_save_load_round_trip(tmp_path):
+    # the header stores each expert's id and label map, and the records
+    # hold nothing more, so a loaded model's records equal the saved ones
+    experts = [_expert(2 + j, labels)
+               for j, labels in enumerate((["good", "bad"], ["x", "y"]))]
+    fused = configure_fusion(experts, TaskRelation(FusionMode.MODE_I, [
+        TaskSpec("t0", experts=(0,)), TaskSpec("t1", experts=(1,))]), seed=3)
+    save_fused(fused, tmp_path / "fused.snke")
+    assert load_any_model(tmp_path / "fused.snke")[1].experts == fused.experts
 
 
 JSON = st.recursive(

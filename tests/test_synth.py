@@ -171,7 +171,7 @@ def test_generator_config_parsing(tmp_path):
     assert spec.tasks == {"app": ["a", "b"], "encap": ["plain", "vpn"]}
     ds = generate_dataset(spec)
     assert ds.n_samples == 14
-    assert set(ds.task_ids) == {"app", "encap"}
+    assert set(ds.labels) == {"app", "encap"}
 
 
 GEN_BODY = {"generator": "seed = 1\nflows_per_class = 3\n",

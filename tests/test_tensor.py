@@ -38,28 +38,29 @@ def test_softmax_rows_are_probabilities():
 
 def test_cross_entropy_analytic_values():
     # logits log(p) give back the probabilities p
-    assert math.isclose(cross_entropy(Tensor(np.log([0.5, 0.5])), 0).item(),
-                        math.log(2.0), rel_tol=1e-12)
-    with np.errstate(divide="ignore"):
-        certain = Tensor(np.log([1.0, 0.0]))
-    assert cross_entropy(certain, 0).item() == 0.0
     assert math.isclose(
-        cross_entropy(Tensor(np.log([0.2, 0.3, 0.5])), 2).item(),
+        cross_entropy(Tensor(np.log([[0.5, 0.5]])), [0]).item(),
+        math.log(2.0), rel_tol=1e-12)
+    with np.errstate(divide="ignore"):
+        certain = Tensor(np.log([[1.0, 0.0]]))
+    assert cross_entropy(certain, [0]).item() == 0.0
+    assert math.isclose(
+        cross_entropy(Tensor(np.log([[0.2, 0.3, 0.5]])), [2]).item(),
         -math.log(0.5), rel_tol=1e-12)
 
 
 def test_cross_entropy_rejects_bad_labels():
     with pytest.raises(ValueError):
-        cross_entropy(Tensor(np.array([0.5, 0.5])), 2)
+        cross_entropy(Tensor(np.array([[0.5, 0.5]])), [2])
 
 
 def test_cross_entropy_confidently_wrong_sample_keeps_its_gradient():
     # true class 40 below the other: loss 40, gradient softmax - onehot
-    z = Tensor(np.array([0.0, 40.0]), requires_grad=True)
-    loss = cross_entropy(z, 0)
+    z = Tensor(np.array([[0.0, 40.0]]), requires_grad=True)
+    loss = cross_entropy(z, [0])
     assert math.isclose(loss.item(), 40.0, rel_tol=1e-12)
     loss.backward()
-    assert np.allclose(z.grad, [-1.0, 1.0], rtol=0, atol=1e-12)
+    assert np.allclose(z.grad, [[-1.0, 1.0]], rtol=0, atol=1e-12)
 
 
 def test_cross_entropy_extreme_logits_stay_finite():

@@ -106,8 +106,8 @@ def test_training_scope_sets_and_clears_the_flags_also_on_an_error():
 
 def test_trained_expert_is_frozen_and_its_validation_records_no_graph(
         two_task_data, monkeypatch):
-    train = two_task_data[0].subset(np.arange(0, 192, 4)).single_task("encap")
-    val = two_task_data[1].single_task("encap")
+    train = two_task_data[0].subset(np.arange(0, 192, 4))
+    val = two_task_data[1]
     counts = []
     real = expert_mod._evaluate_split
 
@@ -117,7 +117,7 @@ def test_trained_expert_is_frozen_and_its_validation_records_no_graph(
         return result
 
     monkeypatch.setattr(expert_mod, "_evaluate_split", counted)
-    model, trace = train_expert(train, TrainConfig(epochs=2, seed=3),
+    model, trace = train_expert(train, TrainConfig(epochs=2, seed=3), "encap",
                                 val_data=val)
     assert counts == [0, 0] and all(np.isfinite(s["val_loss"]) for s in trace)
     assert all_frozen(model)
